@@ -25,6 +25,8 @@ import (
 	"autocomp/internal/fleet"
 	"autocomp/internal/lst"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
+	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 	"autocomp/internal/workload"
@@ -137,20 +139,27 @@ func BenchmarkAblationScope(b *testing.B) {
 	}
 }
 
+// fleetDataService builds the §7 data-compaction pipeline over f under
+// the given selector.
+func fleetDataService(b *testing.B, f *fleet.Fleet, selector policy.Component) *core.Service {
+	b.Helper()
+	ss, err := f.ServiceFromSpec(testkit.DataSpec(selector), testkit.Model(), fleet.SpecRunOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return ss.Svc
+}
+
 // BenchmarkAblationSelection compares fixed top-k against budgeted
 // dynamic-k selection (§4.3, §7) on the fleet.
 func BenchmarkAblationSelection(b *testing.B) {
-	run := func(b *testing.B, sel core.Selector) {
+	run := func(b *testing.B, sel policy.Component) {
 		for i := 0; i < b.N; i++ {
 			clock := sim.NewClock()
 			cfg := fleet.DefaultConfig()
 			cfg.InitialTables = 500
 			f := fleet.New(cfg, clock)
-			model := fleet.DefaultModel(512 * storage.MB)
-			svc, err := f.Service(sel, model)
-			if err != nil {
-				b.Fatal(err)
-			}
+			svc := fleetDataService(b, f, sel)
 			var files int64
 			for d := 0; d < 7; d++ {
 				f.AdvanceDay()
@@ -163,9 +172,14 @@ func BenchmarkAblationSelection(b *testing.B) {
 			b.ReportMetric(float64(files), "files-reduced")
 		}
 	}
-	b.Run("topk=10", func(b *testing.B) { run(b, core.TopK{K: 10}) })
-	b.Run("topk=100", func(b *testing.B) { run(b, core.TopK{K: 100}) })
-	b.Run("budget=226TBHr", func(b *testing.B) { run(b, core.BudgetSelector{BudgetGBHr: 226 * 1024}) })
+	topK := func(k int) policy.Component {
+		return policy.Component{Name: "top-k", Params: map[string]any{"k": float64(k)}}
+	}
+	b.Run("topk=10", func(b *testing.B) { run(b, topK(10)) })
+	b.Run("topk=100", func(b *testing.B) { run(b, topK(100)) })
+	b.Run("budget=226TBHr", func(b *testing.B) {
+		run(b, policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(226 * 1024)}})
+	})
 }
 
 // BenchmarkAblationConflictValidation measures the strict (Iceberg
@@ -426,10 +440,7 @@ func BenchmarkServiceDecide(b *testing.B) {
 	cfg := fleet.DefaultConfig()
 	cfg.InitialTables = 2000
 	f := fleet.New(cfg, clock)
-	svc, err := f.Service(core.TopK{K: 10}, fleet.DefaultModel(512*storage.MB))
-	if err != nil {
-		b.Fatal(err)
-	}
+	svc := fleetDataService(b, f, policy.Component{Name: "top-k", Params: map[string]any{"k": float64(10)}})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := svc.Decide(); err != nil {

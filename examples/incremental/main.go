@@ -43,9 +43,10 @@ func main() {
 	// The changefeed: every lst commit in the lake — including tables
 	// created later and maintenance operations — publishes to the
 	// feed's bus; the dirty-set tracker and the stats cache subscribe.
-	feed := changefeed.NewFeed(
+	feed := changefeed.NewFeedSharded(
 		changefeed.CatalogTriggers(cp, changefeed.TriggerPolicy{EveryCommits: 1}),
 		0, // no periodic reconciliation needed in this walkthrough
+		1, // one partition: this walkthrough decides serially
 	)
 	changefeed.AttachCatalog(feed.Bus, cp)
 

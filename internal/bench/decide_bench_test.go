@@ -10,9 +10,8 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
-	"autocomp/internal/storage"
 )
 
 // decideService builds an aged seed-1 fleet of the given size wired to
@@ -27,8 +26,7 @@ func decideService(tb testing.TB, tables, shards int) (*core.Service, *decidesha
 	cfg.TablesPerMonth = 0
 	f := fleet.New(cfg, sim.NewClock())
 	f.AdvanceDay()
-	c := f.MaintenanceConfig(core.TopK{K: 50},
-		fleet.DefaultModel(512*storage.MB), maintenance.DefaultPolicy())
+	c := testkit.Config(tb, f, testkit.MaintenanceSpec(50))
 	var eng *decideshard.Engine
 	if shards > 1 {
 		eng = decideshard.New(decideshard.Options{Shards: shards})

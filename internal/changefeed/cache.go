@@ -65,11 +65,6 @@ type StatsCache struct {
 	entries       atomic.Int64
 }
 
-// NewStatsCache returns an empty single-stripe cache.
-func NewStatsCache() *StatsCache {
-	return NewStatsCacheSharded(1)
-}
-
 // NewStatsCacheSharded returns an empty cache partitioned across
 // stripes lock stripes (min 1), aligned with the decide-shard mapping.
 func NewStatsCacheSharded(stripes int) *StatsCache {

@@ -192,14 +192,9 @@ type Tracker struct {
 	dirtyNow atomic.Int64
 }
 
-// NewTracker returns a single-stripe tracker using policy (nil = every
-// commit).
-func NewTracker(policy PolicyFunc) *Tracker {
-	return NewTrackerSharded(policy, 1)
-}
-
-// NewTrackerSharded returns a tracker whose state is partitioned across
-// stripes lock stripes (min 1), aligned with the decide-shard mapping.
+// NewTrackerSharded returns a tracker using policy (nil = every commit)
+// whose state is partitioned across stripes lock stripes (min 1),
+// aligned with the decide-shard mapping.
 func NewTrackerSharded(policy PolicyFunc, stripes int) *Tracker {
 	if stripes < 1 {
 		stripes = 1

@@ -10,7 +10,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/lst"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -56,8 +56,8 @@ func event(t *stubTable, commits, bytes int64, maint bool) changefeed.Event {
 
 func TestIncrementalTrackerTriggers(t *testing.T) {
 	tbl := &stubTable{db: "d", name: "a"}
-	tr := changefeed.NewTracker(changefeed.StaticTriggers(
-		changefeed.TriggerPolicy{EveryCommits: 3, BytesWritten: 100}))
+	tr := changefeed.NewTrackerSharded(changefeed.StaticTriggers(
+		changefeed.TriggerPolicy{EveryCommits: 3, BytesWritten: 100}), 1)
 
 	// Commits accumulate until the count trigger fires.
 	tr.HandleEvent(event(tbl, 1, 10, false))
@@ -101,7 +101,7 @@ func TestIncrementalTrackerTriggers(t *testing.T) {
 }
 
 func TestIncrementalStatsCacheAccounting(t *testing.T) {
-	sc := changefeed.NewStatsCache()
+	sc := changefeed.NewStatsCacheSharded(1)
 	s := core.Stats{SmallFiles: 7}
 
 	if _, hit := sc.Get("d.a", "d.a", 1); hit {
@@ -136,7 +136,7 @@ func feedPipeline(tables []*stubTable, reconcileEvery int) (*core.Service, *chan
 		list[i] = t
 	}
 	obs := &stubObserver{}
-	feed := changefeed.NewFeed(nil, reconcileEvery)
+	feed := changefeed.NewFeedSharded(nil, reconcileEvery, 1)
 	cfg := core.Config{
 		Connector: feed.Connector(core.StaticConnector{TableList: list}),
 		Generator: feed.Generator(core.TableScopeGenerator{}),
@@ -214,7 +214,7 @@ func TestIncrementalReconcilerCatchesDroppedEvent(t *testing.T) {
 	b := &stubTable{db: "d", name: "b", smallFiles: 20}
 	list := []core.Table{a, b}
 	obs := &stubObserver{}
-	feed := changefeed.NewFeed(nil, 3) // cycles 3, 6, ... reconcile
+	feed := changefeed.NewFeedSharded(nil, 3, 1) // cycles 3, 6, ... reconcile
 	svc, err := core.NewService(core.Config{
 		Connector: feed.Connector(mutableConnector{tables: &list}),
 		Generator: feed.Generator(core.TableScopeGenerator{}),
@@ -344,26 +344,34 @@ func TestIncrementalLSTAndCatalogPublish(t *testing.T) {
 }
 
 func TestIncrementalFleetParity(t *testing.T) {
-	// Two identically seeded fleets, one full-scan and one incremental,
-	// must select byte-identical plans every cycle and therefore evolve
-	// in lockstep — the experiment's parity property at unit-test scale.
+	// Two identically seeded fleets run the same spec, one as written
+	// (full scan) and one with a trigger section added (incremental).
+	// They must select byte-identical plans every cycle and therefore
+	// evolve in lockstep — the experiment's parity property at unit-test
+	// scale.
 	cfg := fleet.DefaultConfig()
 	cfg.InitialTables = 120
 	cfg.DailyWriteProb = 0.1
 	model := fleet.DefaultModel(512 * storage.MB)
-	pol := maintenance.DefaultPolicy()
-	sel := core.TopK{K: 15}
+	spec := func(trigger *policy.TriggerSpec) *policy.Spec {
+		s := policy.DefaultSpec()
+		s.Execution = nil
+		s.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(15)}}
+		s.Trigger = trigger
+		return s
+	}
 
 	fFull := fleet.New(cfg, sim.NewClock())
 	fIncr := fleet.New(cfg, sim.NewClock())
-	full, err := fFull.MaintenanceService(sel, model, pol)
+	fullSS, err := fFull.ServiceFromSpec(spec(nil), model, fleet.SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	incr, feed, err := fIncr.IncrementalMaintenanceService(sel, model, pol, fleet.IncrOptions{})
+	incrSS, err := fIncr.ServiceFromSpec(spec(&policy.TriggerSpec{EveryCommits: 1}), model, fleet.SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	full, incr, feed := fullSS.Svc, incrSS.Svc, incrSS.Feed
 
 	plan := func(d *core.Decision) string {
 		out := ""
@@ -427,7 +435,7 @@ func TestIncrementalDroppedTableForgotten(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	feed := changefeed.NewFeed(nil, 0)
+	feed := changefeed.NewFeedSharded(nil, 0, 1)
 	changefeed.AttachCatalog(feed.Bus, cp)
 	svc, err := core.NewService(core.Config{
 		Connector: feed.Connector(core.CatalogConnector{CP: cp}),

@@ -73,17 +73,13 @@ type Feed struct {
 	lastPool int
 }
 
-// NewFeed builds a single-shard feed: a fresh bus with the tracker
-// (using policy; nil = every commit) and cache invalidation subscribed,
-// and the given reconciliation interval.
-func NewFeed(policy PolicyFunc, reconcileEvery int) *Feed {
-	return NewFeedSharded(policy, reconcileEvery, 1)
-}
-
-// NewFeedSharded builds a feed partitioned for a sharded decide plane:
-// the retained pool splits into shards parts and the tracker and cache
-// stripe their locks to match, so decide shards generate and observe
-// without cross-shard contention. Shard count is fixed per feed; policy
+// NewFeedSharded builds a feed: a fresh bus with the tracker (using
+// policy; nil = every commit) and cache invalidation subscribed, and the
+// given reconciliation interval. Serial decide passes shards 1; a
+// sharded decide plane passes its shard count, so the retained pool
+// splits into that many parts and the tracker and cache stripe their
+// locks to match, letting decide shards generate and observe without
+// cross-shard contention. Shard count is fixed per feed; policy
 // hot-reload builds a fresh feed, which is why decide-shard changes
 // only ever take effect at a cycle boundary.
 func NewFeedSharded(policy PolicyFunc, reconcileEvery, shards int) *Feed {

@@ -6,7 +6,6 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
@@ -26,7 +25,7 @@ func TestShardParityIncremental(t *testing.T) {
 	fShard := fleet.New(cfg, sim.NewClock())
 
 	mkBase := func(f *fleet.Fleet) core.Config {
-		return f.MaintenanceConfig(core.TopK{K: 25}, testkit.Model(), maintenance.DefaultPolicy())
+		return testkit.Config(t, f, testkit.MaintenanceSpec(25))
 	}
 	fullSvc, err := core.NewService(mkBase(fFull))
 	if err != nil {

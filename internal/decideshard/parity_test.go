@@ -13,7 +13,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
@@ -25,11 +25,11 @@ func twinFleets(seed int64, tables int) (*fleet.Fleet, *fleet.Fleet) {
 	return fleet.New(cfg, sim.NewClock()), fleet.New(cfg, sim.NewClock())
 }
 
-// shardedMaintenanceService wires the unified maintenance pipeline with
-// the sharded decide plane attached.
-func shardedMaintenanceService(t *testing.T, f *fleet.Fleet, shards, workers int) *core.Service {
+// shardedUnifiedService wires the unified maintenance pipeline with the
+// sharded decide plane attached.
+func shardedUnifiedService(t *testing.T, f *fleet.Fleet, shards, workers int) *core.Service {
 	t.Helper()
-	cfg := f.MaintenanceConfig(core.TopK{K: 25}, testkit.Model(), maintenance.DefaultPolicy())
+	cfg := testkit.Config(t, f, testkit.MaintenanceSpec(25))
 	eng := decideshard.New(decideshard.Options{Shards: shards, Workers: workers})
 	cfg.Decider = eng.Decide
 	svc, err := core.NewService(cfg)
@@ -55,12 +55,11 @@ func TestShardDecisionParityMaintenance(t *testing.T) {
 	for _, seed := range seeds {
 		for _, shards := range shardCounts {
 			serialFleet, shardFleet := twinFleets(seed, tables)
-			serialCfg := serialFleet.MaintenanceConfig(core.TopK{K: 25}, testkit.Model(), maintenance.DefaultPolicy())
-			serialSvc, err := core.NewService(serialCfg)
+			serialSvc, err := core.NewService(testkit.Config(t, serialFleet, testkit.MaintenanceSpec(25)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			shardSvc := shardedMaintenanceService(t, shardFleet, shards, 4)
+			shardSvc := shardedUnifiedService(t, shardFleet, shards, 4)
 
 			for day := 0; day < days; day++ {
 				serialFleet.AdvanceDay()
@@ -94,7 +93,7 @@ func TestShardDecisionParityMaintenance(t *testing.T) {
 func TestShardParityThresholdRanker(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(11, 120)
 	mkCfg := func(f *fleet.Fleet) core.Config {
-		cfg := f.ServiceConfig(core.SelectAll{}, testkit.Model())
+		cfg := testkit.Config(t, f, testkit.DataSpec(policy.Component{Name: "all"}))
 		cfg.Ranker = core.ThresholdPolicy{Trait: core.RelativeFileCountReduction{}, Threshold: 0.10}
 		return cfg
 	}
@@ -141,12 +140,12 @@ func (g nonLocalGenerator) Candidates(tables []core.Table) []*core.Candidate {
 // hash-partitioned, and still ranked byte-identically.
 func TestShardParityGeneratorFallback(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(7, 100)
-	serialCfg := serialFleet.ServiceConfig(core.TopK{K: 10}, testkit.Model())
-	serialSvc, err := core.NewService(serialCfg)
+	topK := testkit.DataSpec(policy.Component{Name: "top-k", Params: map[string]any{"k": float64(10)}})
+	serialSvc, err := core.NewService(testkit.Config(t, serialFleet, topK))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCfg := shardFleet.ServiceConfig(core.TopK{K: 10}, testkit.Model())
+	shardCfg := testkit.Config(t, shardFleet, topK)
 	shardCfg.Generator = nonLocalGenerator{inner: shardCfg.Generator}
 	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
 	shardSvc, err := core.NewService(shardCfg)
@@ -174,12 +173,14 @@ func TestShardParityGeneratorFallback(t *testing.T) {
 // stop), so any ordering slip past the top-k would surface here.
 func TestShardParityBudgetSelector(t *testing.T) {
 	serialFleet, shardFleet := twinFleets(3, 140)
-	sel := core.BudgetSelector{BudgetGBHr: 600, MaxK: 40}
-	serialSvc, err := core.NewService(serialFleet.ServiceConfig(sel, testkit.Model()))
+	spec := testkit.DataSpec(policy.Component{Name: "budget", Params: map[string]any{
+		"budget_gbhr": float64(600), "max_k": float64(40),
+	}})
+	serialSvc, err := core.NewService(testkit.Config(t, serialFleet, spec))
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCfg := shardFleet.ServiceConfig(sel, testkit.Model())
+	shardCfg := testkit.Config(t, shardFleet, spec)
 	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 16, Workers: 2}).Decide
 	shardSvc, err := core.NewService(shardCfg)
 	if err != nil {

@@ -16,7 +16,6 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 )
@@ -28,7 +27,7 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 	// decide engine, partition counts aligned.
 	mk := func(shards int) (*core.Service, *changefeed.Feed) {
 		cfg, feed := f.IncrementalConfig(
-			f.MaintenanceConfig(core.TopK{K: 20}, testkit.Model(), maintenance.DefaultPolicy()),
+			testkit.Config(t, f, testkit.MaintenanceSpec(20)),
 			fleet.IncrOptions{ReconcileEvery: 3, DecideShards: shards})
 		cfg.Decider = decideshard.New(decideshard.Options{Shards: shards, Workers: 2}).Decide
 		svc, err := core.NewService(cfg)

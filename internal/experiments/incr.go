@@ -5,7 +5,6 @@ import (
 
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/metrics"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
@@ -103,8 +102,16 @@ func RunIncr(seed int64, quick bool) (Result, error) {
 	}
 	const writeFrac = 0.01
 	model := fleet.DefaultModel(512 * storage.MB)
-	pol := maintenance.DefaultPolicy()
-	selector := core.TopK{K: 50}
+	// Both sides run one spec; the incremental side adds a trigger
+	// section, so the per-cycle PlansMatch check is the full-scan ≡
+	// incremental parity assertion.
+	spec := func(trigger *policy.TriggerSpec) *policy.Spec {
+		s := policy.DefaultSpec()
+		s.Selector = topK(50)
+		s.Execution = nil
+		s.Trigger = trigger
+		return s
+	}
 
 	res := IncrResult{WriteFrac: writeFrac}
 	for _, size := range sizes {
@@ -116,21 +123,17 @@ func RunIncr(seed int64, quick bool) (Result, error) {
 		fIncr := fleet.New(cfg, sim.NewClock())
 
 		var fullCalls int64
-		fullCfg := fFull.MaintenanceConfig(selector, model, pol)
+		fullComp, err := policy.Compile(spec(nil), fFull.PolicyEnv(model), fFull.PolicyBindings(model))
+		if err != nil {
+			return nil, err
+		}
+		fullCfg := fullComp.Core
 		fullCfg.Observer = countingObserver{inner: fullCfg.Observer, calls: &fullCalls}
 		fullSvc, err := core.NewService(fullCfg)
 		if err != nil {
 			return nil, err
 		}
-		// The incremental side is expressed as a policy spec (the
-		// full-scan side stays hand-wired): the experiment's per-cycle
-		// PlansMatch check then doubles as a spec-compiled vs hand-wired
-		// parity assertion.
-		incrSpec := policy.DefaultSpec()
-		incrSpec.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(selector.K)}}
-		incrSpec.Execution = nil
-		incrSpec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
-		incrSS, err := fIncr.ServiceFromSpec(incrSpec, model, fleet.SpecRunOptions{})
+		incrSS, err := fIncr.ServiceFromSpec(spec(&policy.TriggerSpec{EveryCommits: 1}), model, fleet.SpecRunOptions{})
 		if err != nil {
 			return nil, err
 		}

@@ -4,10 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"autocomp/internal/core"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
@@ -97,25 +96,28 @@ func RunSched(seed int64, quick bool) (Result, error) {
 	}
 	model := fleet.DefaultModel(512 * storage.MB)
 
-	runCycle := func(opts fleet.SchedOptions) (scheduler.Stats, error) {
+	runCycle := func(workers int, writerRate float64) (scheduler.Stats, error) {
 		cfg := fleetConfig(seed, quick)
 		cfg.InitialTables = tables
 		f := fleet.New(cfg, sim.NewClock())
 		for d := 0; d < ageDays; d++ {
 			f.AdvanceDay()
 		}
-		svc, err := f.ScheduledService(core.TopK{K: 120}, model, maintenance.DefaultPolicy(), opts)
+		spec := policy.DefaultSpec()
+		spec.Selector = topK(120)
+		spec.Execution = &policy.ExecutionSpec{Workers: workers, Shards: 4}
+		ss, err := f.ServiceFromSpec(spec, model, fleet.SpecRunOptions{WriterCommitsPerHour: writerRate})
 		if err != nil {
 			return scheduler.Stats{}, err
 		}
-		_, stats, err := svc.RunCycle()
+		_, stats, err := ss.Sched.RunCycle()
 		return stats, err
 	}
 
 	res := SchedResult{}
 	var base time.Duration
 	for _, w := range []int{1, 2, 4, 8, 16} {
-		st, err := runCycle(fleet.SchedOptions{Workers: w, Shards: 4})
+		st, err := runCycle(w, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +137,7 @@ func RunSched(seed int64, quick bool) (Result, error) {
 	}
 
 	for _, rate := range []float64{0, 30, 120, 480} {
-		st, err := runCycle(fleet.SchedOptions{Workers: 8, Shards: 4, WriterCommitsPerHour: rate})
+		st, err := runCycle(8, rate)
 		if err != nil {
 			return nil, err
 		}

@@ -8,8 +8,8 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
@@ -111,17 +111,24 @@ func RunShard(seed int64, quick bool) (Result, error) {
 	}
 	shardCounts := []int{1, 2, 4, 16}
 	model := fleet.DefaultModel(512 * storage.MB)
-	pol := maintenance.DefaultPolicy()
-	sel := core.TopK{K: 50}
+	spec := policy.DefaultSpec()
+	spec.Selector = topK(50)
+	spec.Execution = nil
 
 	// mkSvc builds one aged fleet and its maintenance decide pipeline;
-	// identical seeds make every variant's lake byte-identical.
+	// identical seeds make every variant's lake byte-identical. The
+	// decider is attached after compiling: the engine here times shards
+	// on the wall clock, where a spec-built one would use fleet time.
 	mkSvc := func(dec core.Decider) (*core.Service, error) {
 		cfg := fleetConfig(seed, quick)
 		cfg.InitialTables = tables
 		f := fleet.New(cfg, sim.NewClock())
 		f.AdvanceDay()
-		c := f.MaintenanceConfig(sel, model, pol)
+		comp, err := policy.Compile(spec, f.PolicyEnv(model), f.PolicyBindings(model))
+		if err != nil {
+			return nil, err
+		}
+		c := comp.Core
 		c.Decider = dec
 		return core.NewService(c)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"autocomp/internal/core"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -130,12 +131,22 @@ func TestMostFragmentedOrdering(t *testing.T) {
 	}
 }
 
-func TestFleetServiceRunOnce(t *testing.T) {
-	f, _ := smallFleet(4)
-	svc, err := f.Service(core.TopK{K: 10}, DefaultModel(512*storage.MB))
+// dataService builds the §7 production pipeline over f — the
+// quota-adaptive data-compaction spec — under the given selector.
+func dataService(t *testing.T, f *Fleet, selector policy.Component) *core.Service {
+	t.Helper()
+	spec := policy.DefaultDataSpec(true)
+	spec.Selector = &selector
+	ss, err := f.ServiceFromSpec(spec, DefaultModel(512*storage.MB), SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return ss.Svc
+}
+
+func TestFleetServiceRunOnce(t *testing.T) {
+	f, _ := smallFleet(4)
+	svc := dataService(t, f, policy.Component{Name: "top-k", Params: map[string]any{"k": float64(10)}})
 	before := f.TotalFiles()
 	rep, err := svc.RunOnce()
 	if err != nil {
@@ -154,11 +165,7 @@ func TestFleetServiceRunOnce(t *testing.T) {
 
 func TestFleetServiceBudgetDynamicK(t *testing.T) {
 	f, _ := smallFleet(6)
-	model := DefaultModel(512 * storage.MB)
-	svc, err := f.Service(core.BudgetSelector{BudgetGBHr: 226 * 1024}, model)
-	if err != nil {
-		t.Fatal(err)
-	}
+	svc := dataService(t, f, policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(226 * 1024)}})
 	rep, err := svc.RunOnce()
 	if err != nil {
 		t.Fatal(err)

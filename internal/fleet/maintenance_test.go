@@ -3,8 +3,7 @@ package fleet
 import (
 	"testing"
 
-	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -83,31 +82,30 @@ func TestMaintenanceServiceHoldsMetadataSteady(t *testing.T) {
 		cfg.InitialTables = 60
 		return New(cfg, sim.NewClock())
 	}
-	run := func(f *Fleet, unified bool) int64 {
-		model := DefaultModel(512 * storage.MB)
-		sel := core.BudgetSelector{BudgetGBHr: 226 * 1024}
-		var svc *core.Service
-		var err error
-		if unified {
-			svc, err = f.MaintenanceService(sel, model, maintenance.Policy{
-				RetainSnapshots: 20, CheckpointEveryVersions: 50, MinManifestSurplus: 8,
-			})
-		} else {
-			svc, err = f.Service(sel, model)
-		}
+	budget := policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(226 * 1024)}}
+	dataSpec := policy.DefaultDataSpec(true)
+	dataSpec.Selector = &budget
+	unifiedSpec := policy.DefaultSpec()
+	unifiedSpec.Selector = &budget
+	unifiedSpec.Execution = nil
+	unifiedSpec.Maintenance = &policy.MaintenanceSpec{
+		RetainSnapshots: 20, CheckpointEveryVersions: 50, MinManifestSurplus: 8,
+	}
+	run := func(f *Fleet, spec *policy.Spec) int64 {
+		ss, err := f.ServiceFromSpec(spec, DefaultModel(512*storage.MB), SpecRunOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for d := 0; d < 40; d++ {
 			f.AdvanceDay()
-			if _, err := svc.RunOnce(); err != nil {
+			if _, err := ss.Svc.RunOnce(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return f.TotalMetadataObjects()
 	}
-	dataOnly := run(newAged(), false)
-	unified := run(newAged(), true)
+	dataOnly := run(newAged(), dataSpec)
+	unified := run(newAged(), unifiedSpec)
 	if unified >= dataOnly {
 		t.Fatalf("unified metadata %d >= data-only %d", unified, dataOnly)
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 )
@@ -37,12 +36,6 @@ type SchedOptions struct {
 	AgingRatePerHour float64
 }
 
-// DefaultSchedOptions mirrors a small dedicated compaction cluster: 8
-// job slots over 4 budget shards.
-func DefaultSchedOptions() SchedOptions {
-	return SchedOptions{Workers: 8, Shards: 4}
-}
-
 // ScheduledService is a maintenance service with a concurrent execution
 // plane replacing the serial act loop: each cycle's ranked plan feeds a
 // priority queue drained by Workers job slots over Shards budget shards,
@@ -56,19 +49,9 @@ type ScheduledService struct {
 	opts  SchedOptions
 }
 
-// ScheduledService builds the unified maintenance pipeline of
-// MaintenanceService wired to a scheduler-backed run loop instead of the
-// serial act phase.
-func (f *Fleet) ScheduledService(selector core.Selector, model CompactionModel, pol maintenance.Policy, opts SchedOptions) (*ScheduledService, error) {
-	svc, err := f.MaintenanceService(selector, model, pol)
-	if err != nil {
-		return nil, err
-	}
-	return f.ScheduleService(svc, model, opts), nil
-}
-
 // ScheduleService attaches the execution plane to an already-built
-// decision pipeline (e.g. a data-only Service).
+// decision pipeline over this fleet (ServiceFromSpec calls it when the
+// spec has an execution section).
 func (f *Fleet) ScheduleService(svc *core.Service, model CompactionModel, opts SchedOptions) *ScheduledService {
 	if opts.Workers < 1 {
 		opts.Workers = 1

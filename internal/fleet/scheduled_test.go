@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"autocomp/internal/core"
-	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
@@ -22,15 +22,20 @@ func schedFleet(seed int64) *Fleet {
 	return f
 }
 
-func runSchedCycle(t *testing.T, seed int64, opts SchedOptions) (*core.Report, scheduler.Stats) {
+// runSchedCycle runs one scheduled cycle of the default unified
+// maintenance spec (top-40) with the given execution section, racing
+// writers at writerRate commits per hour.
+func runSchedCycle(t *testing.T, seed int64, exec policy.ExecutionSpec, writerRate float64) (*core.Report, scheduler.Stats) {
 	t.Helper()
 	f := schedFleet(seed)
-	svc, err := f.ScheduledService(
-		core.TopK{K: 40}, DefaultModel(512*storage.MB), maintenance.DefaultPolicy(), opts)
+	spec := policy.DefaultSpec()
+	spec.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(40)}}
+	spec.Execution = &exec
+	ss, err := f.ServiceFromSpec(spec, DefaultModel(512*storage.MB), SpecRunOptions{WriterCommitsPerHour: writerRate})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, stats, err := svc.RunCycle()
+	rep, stats, err := ss.Sched.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +43,7 @@ func runSchedCycle(t *testing.T, seed int64, opts SchedOptions) (*core.Report, s
 }
 
 func TestScheduledCycleExecutesPlan(t *testing.T) {
-	rep, stats := runSchedCycle(t, 1, SchedOptions{Workers: 4, Shards: 2})
+	rep, stats := runSchedCycle(t, 1, policy.ExecutionSpec{Workers: 4, Shards: 2}, 0)
 	if stats.Submitted == 0 || stats.Done == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
@@ -57,8 +62,8 @@ func TestScheduledMakespanShrinksWithWorkers(t *testing.T) {
 	// Same seed ⇒ identical fleet and identical ranked plan; only the
 	// worker count differs. The seed is chosen so the top-40 plan is not
 	// dominated by one makespan-setting giant job.
-	_, s1 := runSchedCycle(t, 7, SchedOptions{Workers: 1, Shards: 1})
-	_, s8 := runSchedCycle(t, 7, SchedOptions{Workers: 8, Shards: 1})
+	_, s1 := runSchedCycle(t, 7, policy.ExecutionSpec{Workers: 1, Shards: 1}, 0)
+	_, s8 := runSchedCycle(t, 7, policy.ExecutionSpec{Workers: 8, Shards: 1}, 0)
 	if s1.Submitted != s8.Submitted {
 		t.Fatalf("plans differ: %d vs %d jobs", s1.Submitted, s8.Submitted)
 	}
@@ -71,9 +76,9 @@ func TestScheduledMakespanShrinksWithWorkers(t *testing.T) {
 }
 
 func TestScheduledCycleDeterministic(t *testing.T) {
-	opts := SchedOptions{Workers: 8, Shards: 4, WriterCommitsPerHour: 60}
-	rep1, s1 := runSchedCycle(t, 7, opts)
-	rep2, s2 := runSchedCycle(t, 7, opts)
+	exec := policy.ExecutionSpec{Workers: 8, Shards: 4}
+	rep1, s1 := runSchedCycle(t, 7, exec, 60)
+	rep2, s2 := runSchedCycle(t, 7, exec, 60)
 	if !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("stats differ:\n%+v\n%+v", s1, s2)
 	}
@@ -90,11 +95,11 @@ func TestScheduledCycleDeterministic(t *testing.T) {
 }
 
 func TestScheduledWritersCauseConflictRetries(t *testing.T) {
-	_, quiet := runSchedCycle(t, 3, SchedOptions{Workers: 8, Shards: 4})
+	_, quiet := runSchedCycle(t, 3, policy.ExecutionSpec{Workers: 8, Shards: 4}, 0)
 	if quiet.Conflicts != 0 {
 		t.Fatalf("quiet lake saw %d conflicts", quiet.Conflicts)
 	}
-	_, busy := runSchedCycle(t, 3, SchedOptions{Workers: 8, Shards: 4, WriterCommitsPerHour: 240})
+	_, busy := runSchedCycle(t, 3, policy.ExecutionSpec{Workers: 8, Shards: 4}, 240)
 	if busy.Conflicts == 0 {
 		t.Fatal("racing writers produced no commit conflicts")
 	}
@@ -105,7 +110,7 @@ func TestScheduledWritersCauseConflictRetries(t *testing.T) {
 }
 
 func TestScheduledShardBackpressure(t *testing.T) {
-	_, stats := runSchedCycle(t, 1, SchedOptions{Workers: 8, Shards: 2, ShardBudgetGBHr: 50})
+	_, stats := runSchedCycle(t, 1, policy.ExecutionSpec{Workers: 8, Shards: 2, ShardBudgetGBHr: 50}, 0)
 	if stats.Deferred == 0 {
 		t.Fatalf("tight shard budget deferred nothing: %+v", stats)
 	}
@@ -121,7 +126,7 @@ func TestScheduledShardBackpressure(t *testing.T) {
 }
 
 func TestScheduledDispatchesMetadataActions(t *testing.T) {
-	rep, _ := runSchedCycle(t, 2, SchedOptions{Workers: 8, Shards: 2})
+	rep, _ := runSchedCycle(t, 2, policy.ExecutionSpec{Workers: 8, Shards: 2}, 0)
 	counts := rep.ActionCounts()
 	metadata := counts[core.ActionSnapshotExpiry] + counts[core.ActionMetadataCheckpoint] +
 		counts[core.ActionManifestRewrite]
@@ -142,7 +147,7 @@ func TestScheduledCycleNeedsRunner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sched := f.ScheduleService(decideOnly, DefaultModel(512*storage.MB), DefaultSchedOptions())
+	sched := f.ScheduleService(decideOnly, DefaultModel(512*storage.MB), SchedOptions{Workers: 8, Shards: 4})
 	if _, _, err := sched.RunCycle(); err == nil {
 		t.Fatal("RunCycle on a decide-only service did not error")
 	}

@@ -81,10 +81,12 @@ type SpecService struct {
 }
 
 // ServiceFromSpec compiles a policy spec against this fleet and wires
-// every plane the spec enables. It is the spec-driven equivalent of the
-// hand-wired Service/MaintenanceService/IncrementalService/
-// ScheduledService constructors, and compiling the matching spec
-// produces byte-identical decisions to them.
+// every plane the spec enables. It is the one way to build a fleet
+// pipeline: data-only and unified maintenance, full-scan and
+// incremental, serial and scheduled execution are all spec sections.
+// Callers that must wrap a component or attach a decider before the
+// service exists compile with policy.Compile against PolicyEnv and
+// PolicyBindings and call core.NewService themselves.
 func (f *Fleet) ServiceFromSpec(spec *policy.Spec, model CompactionModel, opts SpecRunOptions) (*SpecService, error) {
 	bindings := f.PolicyBindings(model)
 	if opts.WrapRunner != nil {

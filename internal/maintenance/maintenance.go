@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"time"
 
-	"autocomp/internal/catalog"
 	"autocomp/internal/compaction"
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
@@ -54,39 +53,6 @@ func DefaultPolicy() Policy {
 // PolicySource supplies the maintenance policy for a table.
 type PolicySource interface {
 	PolicyFor(db, name string) Policy
-}
-
-// StaticPolicies applies one policy to every table.
-type StaticPolicies struct{ Policy Policy }
-
-// PolicyFor implements PolicySource.
-func (s StaticPolicies) PolicyFor(_, _ string) Policy { return s.Policy }
-
-// CatalogPolicies reads per-table policies from the OpenHouse-style
-// control plane, falling back to Default for fields the catalog leaves
-// unset (and for tables the catalog does not know).
-type CatalogPolicies struct {
-	CP      *catalog.ControlPlane
-	Default Policy
-}
-
-// PolicyFor implements PolicySource. It resolves through the catalog's
-// layered policies (database-level overrides, then the table's own set
-// fields); fields left at zero fall back to Default. Disabling an
-// action family fleet-wide is done through the Default policy itself.
-func (c CatalogPolicies) PolicyFor(db, name string) Policy {
-	out := c.Default
-	pol, err := c.CP.EffectivePolicies(db, name)
-	if err != nil {
-		return out
-	}
-	if pol.RetainSnapshots > 0 {
-		out.RetainSnapshots = pol.RetainSnapshots
-	}
-	if pol.CheckpointEveryVersions > 0 {
-		out.CheckpointEveryVersions = pol.CheckpointEveryVersions
-	}
-	return out
 }
 
 // MetadataTable is the view of a table's metadata layer the maintenance

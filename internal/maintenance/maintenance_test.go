@@ -1,4 +1,4 @@
-package maintenance
+package maintenance_test
 
 import (
 	"testing"
@@ -7,6 +7,8 @@ import (
 	"autocomp/internal/catalog"
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
+	"autocomp/internal/maintenance"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -39,15 +41,20 @@ func lake(t *testing.T, n, commits int) (*catalog.ControlPlane, *sim.Clock) {
 	return cp, clock
 }
 
+// static applies one policy to every table.
+type static maintenance.Policy
+
+func (p static) PolicyFor(_, _ string) maintenance.Policy { return maintenance.Policy(p) }
+
 func TestGeneratorEmitsPerPolicyTriggers(t *testing.T) {
 	cp, _ := lake(t, 1, 30)
 	tables := core.CatalogConnector{CP: cp}.Tables()
 
 	// All three triggers fire: 30 snapshots > 5 retained, 30 versions
 	// >= 10, 30 manifests vs 1 consolidated.
-	gen := Generator{Policies: StaticPolicies{Policy: Policy{
+	gen := maintenance.Generator{Policies: static(maintenance.Policy{
 		RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8,
-	}}}
+	})}
 	cands := gen.Candidates(tables)
 	byAction := map[core.ActionType]int{}
 	for _, c := range cands {
@@ -60,15 +67,15 @@ func TestGeneratorEmitsPerPolicyTriggers(t *testing.T) {
 	}
 
 	// A lax policy silences every trigger.
-	lax := Generator{Policies: StaticPolicies{Policy: Policy{
+	lax := maintenance.Generator{Policies: static(maintenance.Policy{
 		RetainSnapshots: 100, CheckpointEveryVersions: 100, MinManifestSurplus: 100,
-	}}}
+	})}
 	if got := lax.Candidates(tables); len(got) != 0 {
 		t.Fatalf("lax policy generated %d candidates", len(got))
 	}
 
 	// Zero values disable the trigger families outright.
-	off := Generator{Policies: StaticPolicies{Policy: Policy{}}}
+	off := maintenance.Generator{Policies: static(maintenance.Policy{})}
 	if got := off.Candidates(tables); len(got) != 0 {
 		t.Fatalf("disabled policy generated %d candidates", len(got))
 	}
@@ -77,8 +84,8 @@ func TestGeneratorEmitsPerPolicyTriggers(t *testing.T) {
 func TestObserverFillsMetadataStats(t *testing.T) {
 	cp, clock := lake(t, 1, 20)
 	tbl := core.CatalogConnector{CP: cp}.Tables()[0]
-	pol := StaticPolicies{Policy: Policy{RetainSnapshots: 4, CheckpointEveryVersions: 10}}
-	obs := Observer{Policies: pol, Now: clock.Now}
+	pol := static(maintenance.Policy{RetainSnapshots: 4, CheckpointEveryVersions: 10})
+	obs := maintenance.Observer{Policies: pol, Now: clock.Now}
 
 	ckpt := &core.Candidate{Table: tbl, Action: core.ActionMetadataCheckpoint}
 	s, err := obs.Observe(ckpt)
@@ -113,8 +120,8 @@ func TestObserverFillsMetadataStats(t *testing.T) {
 func TestRunnerDispatchesActions(t *testing.T) {
 	cp, _ := lake(t, 1, 20)
 	tbl := core.CatalogConnector{CP: cp}.Tables()[0]
-	r := Runner{
-		Policies:            StaticPolicies{Policy: Policy{RetainSnapshots: 5}},
+	r := maintenance.Runner{
+		Policies:            static(maintenance.Policy{RetainSnapshots: 5}),
 		ExecutorMemoryGB:    64,
 		RewriteBytesPerHour: float64(3 * storage.TB),
 	}
@@ -151,17 +158,41 @@ func TestRunnerDispatchesActions(t *testing.T) {
 	}
 }
 
-func TestCatalogServiceUnifiedCycle(t *testing.T) {
-	cp, _ := lake(t, 3, 25)
-	svc, err := NewCatalogService(cp, Options{
-		TargetFileSize:      512 * storage.MB,
-		ExecutorMemoryGB:    64,
-		RewriteBytesPerHour: float64(3 * storage.TB),
-		Selector:            core.BudgetSelector{BudgetGBHr: 1024},
-		DefaultPolicy: Policy{
-			RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8,
+// catalogConfig compiles the unified maintenance spec against a control
+// plane: a metadata-only pipeline (the spec names no data generator)
+// whose per-table policies layer the catalog's stored policies over the
+// spec's maintenance section.
+func catalogConfig(t *testing.T, cp *catalog.ControlPlane, clock *sim.Clock, selector policy.Component) core.Config {
+	t.Helper()
+	spec := policy.DefaultSpec()
+	spec.Generators = nil
+	spec.Execution = nil
+	spec.Selector = &selector
+	spec.Maintenance = &policy.MaintenanceSpec{
+		RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8,
+	}
+	env := policy.StubEnv()
+	env.Now = clock.Now
+	comp, err := policy.Compile(spec, env, policy.Bindings{
+		Connector: core.CatalogConnector{CP: cp},
+		Observer: core.StatsObserver{
+			TargetFileSize: env.TargetFileSize,
+			Quota:          cp.QuotaUtilization,
+			Now:            clock.Now,
 		},
+		Catalog: cp,
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return comp.Core
+}
+
+func TestCatalogServiceUnifiedCycle(t *testing.T) {
+	cp, clock := lake(t, 3, 25)
+	svc, err := core.NewService(catalogConfig(t, cp, clock, policy.Component{
+		Name: "budget", Params: map[string]any{"budget_gbhr": float64(1024)},
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +231,15 @@ func TestCatalogServiceUnifiedCycle(t *testing.T) {
 }
 
 func TestBudgetSharedAcrossActionFamilies(t *testing.T) {
-	cp, _ := lake(t, 2, 30)
+	cp, clock := lake(t, 2, 30)
 	// A budget of 0 GBHr admits only zero-cost actions; with the cost
 	// model on, every maintenance action costs > 0, so nothing runs —
-	// metadata actions obey the same selector as data compaction.
-	svc, err := NewCatalogService(cp, Options{
-		TargetFileSize:      512 * storage.MB,
-		ExecutorMemoryGB:    64,
-		RewriteBytesPerHour: float64(3 * storage.TB),
-		Selector:            core.BudgetSelector{BudgetGBHr: 0},
-		DefaultPolicy:       Policy{RetainSnapshots: 5, CheckpointEveryVersions: 10, MinManifestSurplus: 8},
-	})
+	// metadata actions obey the same selector as data compaction. Spec
+	// budgets must be positive, so the zero budget replaces the compiled
+	// selector.
+	cfg := catalogConfig(t, cp, clock, policy.Component{Name: "all"})
+	cfg.Selector = core.BudgetSelector{BudgetGBHr: 0}
+	svc, err := core.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

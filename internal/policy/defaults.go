@@ -1,13 +1,11 @@
 package policy
 
 // DefaultSpec returns the unified-maintenance pipeline autocompd runs
-// by default — the spec form of the hand-wired fleet.MaintenanceConfig:
-// table-scope candidates, per-action admission filters, the
+// by default: table-scope candidates, per-action admission filters, the
 // three-objective MOOP (ΔF 0.5, ΔM 0.2, GBHr 0.3), a 50 TBHr budget
 // selector, the default maintenance policy, and an 8-worker/4-shard
-// execution plane. examples/policies/default.json is this spec on disk;
-// compiling either must produce byte-identical decisions to the
-// hand-wired path.
+// execution plane. examples/policies/default.json is this spec on disk,
+// and a test pins the two together.
 func DefaultSpec() *Spec {
 	return &Spec{
 		Name:        "default",
@@ -42,10 +40,9 @@ func DefaultSpec() *Spec {
 }
 
 // DefaultDataSpec returns the data-compaction-only production pipeline
-// of §7 — the spec form of the hand-wired fleet.ServiceConfig: ΔF and
-// GBHr objectives, quota-adaptive weights when quotaAdaptive is set
-// (w1 = 0.5·(1+quota)) or the 0.7/0.3 static split otherwise. The
-// caller sets the selector.
+// of §7: ΔF and GBHr objectives, quota-adaptive weights when
+// quotaAdaptive is set (w1 = 0.5·(1+quota)) or the 0.7/0.3 static split
+// otherwise. The caller sets the selector.
 func DefaultDataSpec(quotaAdaptive bool) *Spec {
 	s := &Spec{
 		Name:         "data-only",

@@ -16,6 +16,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/engine"
 	"autocomp/internal/fleet"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -75,6 +76,42 @@ func NewFleet(seed int64, tables int) (*fleet.Fleet, *sim.Clock) {
 // overhead) every suite prices against.
 func Model() fleet.CompactionModel {
 	return fleet.DefaultModel(512 * storage.MB)
+}
+
+// MaintenanceSpec is the unified maintenance pipeline the parity suites
+// decide with: policy.DefaultSpec (default maintenance policy,
+// three-objective MOOP) under a top-k selector, acting serially.
+func MaintenanceSpec(k int) *policy.Spec {
+	s := policy.DefaultSpec()
+	s.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(k)}}
+	s.Execution = nil
+	return s
+}
+
+// DataSpec is the data-compaction-only production pipeline of §7
+// (quota-adaptive ΔF vs GBHr MOOP) under the given selector.
+func DataSpec(selector policy.Component) *policy.Spec {
+	s := policy.DefaultDataSpec(true)
+	s.Selector = &selector
+	return s
+}
+
+// Config compiles spec against f's substrate bindings under Model and
+// returns the decision-pipeline configuration, for suites that attach a
+// decider or wrap components before building the service. A spec that
+// fails to compile fails the test. tb names only the two methods used
+// rather than testing.TB: the experiments link this package into
+// benchrunner.
+func Config(tb interface {
+	Helper()
+	Fatal(...any)
+}, f *fleet.Fleet, spec *policy.Spec) core.Config {
+	tb.Helper()
+	comp, err := policy.Compile(spec, f.PolicyEnv(Model()), f.PolicyBindings(Model()))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return comp.Core
 }
 
 // DecisionFingerprint serializes everything a Decide() produced: the

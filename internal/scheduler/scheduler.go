@@ -20,12 +20,13 @@
 //   - per-shard GBHr budgets with backpressure: tables hash onto S budget
 //     shards, and once a shard's spend reaches its budget mid-cycle its
 //     remaining jobs are deferred to the next cycle;
-//   - a Clock abstraction so the identical Pool state machine runs
-//     deterministically on sim.Clock/sim.EventQueue (simulated service
-//     times, reproducible from a seed) or on wall-clock goroutines.
+//   - a discrete-event driver: the Pool runs on a sim.Clock and its
+//     sim.EventQueue (simulated service times, reproducible from a
+//     seed), interleaved with whatever else schedules events there, such
+//     as live writers racing the compactor.
 //
-// The Pool itself is a single-threaded state machine; the drivers in
-// sim.go and real.go own synchronization.
+// The Pool itself is a single-threaded state machine; RunSim in sim.go
+// drives it.
 package scheduler
 
 import (
@@ -37,22 +38,6 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/sim"
 )
-
-// Clock abstracts the pool's notion of time: virtual (sim.Clock) for
-// deterministic simulation, wall (WallClock) for the real path.
-type Clock interface {
-	Now() time.Duration
-}
-
-// WallClock implements Clock over real time, as an offset from its
-// construction instant.
-type WallClock struct{ epoch time.Time }
-
-// NewWallClock returns a wall clock whose Now starts at zero.
-func NewWallClock() *WallClock { return &WallClock{epoch: time.Now()} }
-
-// Now implements Clock.
-func (w *WallClock) Now() time.Duration { return time.Since(w.epoch) }
 
 // Versioned is implemented by tables that expose a monotonically
 // increasing snapshot/commit version. Tables that do not implement it are
@@ -98,16 +83,6 @@ type Config struct {
 	// ready to commit. Nil uses EstimatedServiceTime with
 	// DefaultExecutorMemoryGB.
 	ServiceTime func(*core.Candidate) time.Duration
-
-	// OnTerminal, when set, is called each time a job reaches a terminal
-	// state (done, conflicted, deferred, failed). Deployments that drive
-	// the pool directly (RunReal, custom drivers) use it to settle
-	// per-job bookkeeping as it happens — e.g. re-dirtying a conflicted
-	// table in the incremental observation plane's tracker without
-	// waiting for a report fold. It runs inside the pool's
-	// synchronization domain (under the driver lock on the real path)
-	// and must not call back into the pool.
-	OnTerminal func(*Job)
 
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
@@ -333,11 +308,10 @@ func (s Stats) String() string {
 }
 
 // Pool is the scheduler state machine. It is not safe for concurrent use;
-// the sim driver is single-threaded and the real driver wraps it in a
-// mutex.
+// the sim driver is single-threaded.
 type Pool struct {
 	cfg    Config
-	clock  Clock
+	clock  *sim.Clock
 	runner core.Runner
 	rng    *sim.RNG
 
@@ -361,8 +335,8 @@ type Pool struct {
 }
 
 // New builds a pool that executes jobs with runner and reads time from
-// clock.
-func New(cfg Config, runner core.Runner, clock Clock) *Pool {
+// clock, which RunSim's event queue must share.
+func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
 	cfg = cfg.withDefaults()
 	return &Pool{
 		cfg:      cfg,
@@ -456,7 +430,7 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 			// Deferral is a terminal outcome: it closes the makespan
 			// window like any other finish (a retried job can be
 			// deferred after the last successful commit).
-			p.noteFinish(cand, now)
+			p.noteFinish(now)
 			continue
 		}
 		if cand.readyAt > now {
@@ -546,8 +520,7 @@ func (p *Pool) versionOf(t core.Table) int64 {
 // commit finishes a job whose service time elapsed: it re-reads the
 // table's snapshot version and either retries (writers advanced the table
 // past the staleness bound) or executes the runner and charges the shard.
-// It returns true when the job reached a terminal state.
-func (p *Pool) commit(j *Job, now time.Duration) bool {
+func (p *Pool) commit(j *Job, now time.Duration) {
 	name := j.Candidate.Table.FullName()
 	if p.leases[name] != j {
 		panic(fmt.Sprintf("scheduler: commit without lease on %s", name))
@@ -585,15 +558,15 @@ func (p *Pool) commit(j *Job, now time.Duration) bool {
 					ConflictCount: j.Attempts,
 					GBHr:          j.wastedGBHr,
 				}
-				p.noteFinish(j, now)
-				return true
+				p.noteFinish(now)
+				return
 			}
 			p.stats.Retries++
 			mRetries.Inc()
 			j.readyAt = now + p.backoff(j.Attempts)
 			j.queuedSince = now
 			p.enqueue(j)
-			return false
+			return
 		}
 	}
 
@@ -625,18 +598,14 @@ func (p *Pool) commit(j *Job, now time.Duration) bool {
 		p.stats.Done++
 		mJobs.With("done").Inc()
 	}
-	p.noteFinish(j, now)
-	return true
+	p.noteFinish(now)
 }
 
 // noteFinish records a terminal transition: it closes the makespan
-// window and notifies the terminal-state observer.
-func (p *Pool) noteFinish(j *Job, now time.Duration) {
+// window.
+func (p *Pool) noteFinish(now time.Duration) {
 	if now > p.lastFinish {
 		p.lastFinish = now
-	}
-	if p.cfg.OnTerminal != nil {
-		p.cfg.OnTerminal(j)
 	}
 }
 

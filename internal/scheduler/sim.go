@@ -17,7 +17,7 @@ import (
 // may schedule their own events on q before or during the run; they
 // interleave with scheduler events in timestamp order.
 func RunSim(p *Pool, q *sim.EventQueue) Stats {
-	if p.clock != Clock(q.Clock()) {
+	if p.clock != q.Clock() {
 		panic("scheduler: RunSim requires the pool to share the event queue's clock")
 	}
 	s := &simDriver{p: p, q: q, idle: p.cfg.Workers}

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"autocomp/internal/core"
 	"autocomp/internal/fleet"
-	"autocomp/internal/maintenance"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
@@ -20,79 +18,6 @@ var decisionFingerprint = testkit.DecisionFingerprint
 
 func parityFleetConfig(seed int64) fleet.Config {
 	return testkit.FleetConfig(seed, 300)
-}
-
-// runParity ages two identically seeded fleets — one deciding through
-// the hand-wired service, one through the spec-compiled service — and
-// requires byte-identical decisions every cycle while both act on their
-// own fleet.
-func runParity(t *testing.T, seed int64, days int,
-	handWired func(f *fleet.Fleet, model fleet.CompactionModel) (*core.Service, error),
-	spec func() *policy.Spec) {
-	t.Helper()
-	model := testkit.Model()
-	fHand := fleet.New(parityFleetConfig(seed), sim.NewClock())
-	fSpec := fleet.New(parityFleetConfig(seed), sim.NewClock())
-
-	hand, err := handWired(fHand, model)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ss, err := fSpec.ServiceFromSpec(spec(), model, fleet.SpecRunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for d := 1; d <= days; d++ {
-		fHand.AdvanceDay()
-		fSpec.AdvanceDay()
-		dHand, err := hand.Decide()
-		if err != nil {
-			t.Fatal(err)
-		}
-		dSpec, err := ss.Svc.Decide()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fpHand, fpSpec := decisionFingerprint(dHand), decisionFingerprint(dSpec)
-		if fpHand != fpSpec {
-			t.Fatalf("seed %d day %d: decisions diverge\nhand-wired:\n%s\nspec-compiled:\n%s",
-				seed, d, head(fpHand, 30), head(fpSpec, 30))
-		}
-		if _, err := hand.Act(dHand); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ss.Svc.Act(dSpec); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-func head(s string, n int) string { return testkit.Head(s, n) }
-
-// TestDefaultSpecFileParity is the acceptance check: the spec compiled
-// from examples/policies/default.json produces byte-identical Decide()
-// output to the hand-wired default pipeline (fleet.MaintenanceConfig
-// with the default policy and the 50 TBHr budget selector) on the same
-// seed, cycle after cycle.
-func TestDefaultSpecFileParity(t *testing.T) {
-	loaded, err := policy.LoadFile(filepath.Join("examples", "policies", "default.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, seed := range []int64{1, 7, 42} {
-		runParity(t, seed, 6,
-			func(f *fleet.Fleet, model fleet.CompactionModel) (*core.Service, error) {
-				return f.MaintenanceService(
-					core.BudgetSelector{BudgetGBHr: 50 * 1024}, model,
-					maintenance.Policy{
-						RetainSnapshots:         20,
-						CheckpointEveryVersions: 100,
-						MinManifestSurplus:      8,
-					})
-			},
-			func() *policy.Spec { return loaded.Clone() })
-	}
 }
 
 // TestDefaultSpecFileMatchesBuiltin pins the shipped default.json to
@@ -107,66 +32,49 @@ func TestDefaultSpecFileMatchesBuiltin(t *testing.T) {
 	}
 }
 
-// TestDataSpecParity covers the data-only pipeline: the spec form of
-// fleet.ServiceConfig (quota-adaptive MOOP) decides identically to the
-// hand-wired construction.
-func TestDataSpecParity(t *testing.T) {
-	runParity(t, 3, 6,
-		func(f *fleet.Fleet, model fleet.CompactionModel) (*core.Service, error) {
-			return f.Service(core.BudgetSelector{BudgetGBHr: 50 * 1024}, model)
-		},
-		func() *policy.Spec {
-			s := policy.DefaultDataSpec(true)
-			s.Selector = &policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": float64(50 * 1024)}}
-			return s
-		})
-}
-
-// TestIncrementalSpecParity covers the observation plane: a spec with an
-// every-commit trigger decides identically to the hand-wired
-// incremental maintenance service.
+// TestIncrementalSpecParity covers the observation plane: the same spec
+// with an every-commit trigger section decides identically to its
+// full-scan form, cycle after cycle, while both act on their own fleet.
 func TestIncrementalSpecParity(t *testing.T) {
 	model := testkit.Model()
 	cfg := parityFleetConfig(5)
 	cfg.DailyWriteProb = 0.3
-	fHand := fleet.New(cfg, sim.NewClock())
-	fSpec := fleet.New(cfg, sim.NewClock())
+	fFull := fleet.New(cfg, sim.NewClock())
+	fIncr := fleet.New(cfg, sim.NewClock())
 
-	hand, _, err := fHand.IncrementalMaintenanceService(
-		core.TopK{K: 40}, model, maintenance.DefaultPolicy(), fleet.IncrOptions{})
+	fullSS, err := fFull.ServiceFromSpec(testkit.MaintenanceSpec(40), model, fleet.SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := policy.DefaultSpec()
-	spec.Execution = nil
-	spec.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(40)}}
+	spec := testkit.MaintenanceSpec(40)
 	spec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
-	ss, err := fSpec.ServiceFromSpec(spec, model, fleet.SpecRunOptions{})
+	incrSS, err := fIncr.ServiceFromSpec(spec, model, fleet.SpecRunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ss.Feed == nil {
-		t.Fatal("trigger section did not enable the observation plane")
+	if fullSS.Feed != nil || incrSS.Feed == nil {
+		t.Fatal("only the trigger section may enable the observation plane")
 	}
 
 	for d := 1; d <= 6; d++ {
-		fHand.AdvanceDay()
-		fSpec.AdvanceDay()
-		dHand, err := hand.Decide()
+		fFull.AdvanceDay()
+		fIncr.AdvanceDay()
+		dFull, err := fullSS.Svc.Decide()
 		if err != nil {
 			t.Fatal(err)
 		}
-		dSpec, err := ss.Svc.Decide()
+		dIncr, err := incrSS.Svc.Decide()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if decisionFingerprint(dHand) != decisionFingerprint(dSpec) {
-			t.Fatalf("day %d: incremental decisions diverge", d)
+		if fpFull, fpIncr := decisionFingerprint(dFull), decisionFingerprint(dIncr); fpFull != fpIncr {
+			t.Fatalf("day %d: incremental decisions diverge\nfull scan:\n%s\nincremental:\n%s",
+				d, testkit.Head(fpFull, 30), testkit.Head(fpIncr, 30))
 		}
-		if _, err := hand.Act(dHand); err != nil {
+		if _, err := fullSS.Svc.Act(dFull); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ss.Svc.Act(dSpec); err != nil {
+		if _, err := incrSS.Svc.Act(dIncr); err != nil {
 			t.Fatal(err)
 		}
 	}
