@@ -8,15 +8,6 @@ import (
 	"autocomp/internal/core"
 )
 
-// Versioned is implemented by tables exposing a monotonically increasing
-// metadata version (both *lst.Table and *fleet.Table do). The cache keys
-// entries by it: an entry recorded at an older version misses, so a
-// missed invalidation degrades to a re-observation, never to serving
-// stale statistics for a version-advancing change.
-type Versioned interface {
-	Version() int64
-}
-
 // cacheEntry is one cached observation.
 type cacheEntry struct {
 	version int64
@@ -80,9 +71,6 @@ func NewStatsCacheSharded(stripes int) *StatsCache {
 	}
 	return sc
 }
-
-// Stripes returns the cache's lock-stripe count.
-func (sc *StatsCache) Stripes() int { return len(sc.stripes) }
 
 func (sc *StatsCache) stripe(table string) *cacheStripe {
 	return sc.stripes[core.ShardOf(table, len(sc.stripes))]
@@ -276,9 +264,12 @@ func StatsObserverRefresher(now func() time.Duration, quota func(db string) floa
 	}
 }
 
-// Observe implements core.Observer.
+// Observe implements core.Observer. Entries are keyed by the table's
+// core.Versioned version: an entry recorded at an older version misses,
+// so a missed invalidation degrades to a re-observation, never to
+// serving stale statistics for a version-advancing change.
 func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
-	v, ok := c.Table.(Versioned)
+	v, ok := c.Table.(core.Versioned)
 	if !ok || o.Cache == nil {
 		return o.Inner.Observe(c)
 	}

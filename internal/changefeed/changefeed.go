@@ -43,8 +43,9 @@
 // other shard is writing and the decide fan-out never serializes on a
 // global mutex. Striping is invisible at the API: every method keeps
 // its exact single-lock semantics (TakeDirty still returns the dirty
-// set sorted by name, counters still aggregate), and the default
-// constructors build one stripe.
+// set sorted by name, counters still aggregate). NewFeedSharded sizes
+// every stripe count from the decide shard count; a serial pipeline
+// passes 1 and gets one stripe.
 package changefeed
 
 import (
@@ -209,9 +210,6 @@ func NewTrackerSharded(policy PolicyFunc, stripes int) *Tracker {
 	return tr
 }
 
-// Stripes returns the tracker's lock-stripe count.
-func (tr *Tracker) Stripes() int { return len(tr.stripes) }
-
 func (tr *Tracker) stripe(name string) *trackerStripe {
 	return tr.stripes[core.ShardOf(name, len(tr.stripes))]
 }
@@ -344,21 +342,26 @@ func (tr *Tracker) NoteFullScan(ts []core.Table) {
 		listed := make(map[string]struct{}, len(perStripe[i]))
 		for _, t := range perStripe[i] {
 			listed[t.FullName()] = struct{}{}
-			s := st.ensureLocked(t.FullName(), t)
-			s.pendingCommits, s.pendingBytes = 0, 0
-			s.dirty = false
 		}
-		for name := range st.tables {
+		// Every survivor is cleared and every absentee deleted, so the
+		// stripe leaves the dirty set entirely.
+		var cleared int64
+		for name, s := range st.tables {
+			if s.dirty {
+				cleared++
+			}
 			if _, ok := listed[name]; !ok {
 				delete(st.tables, name)
 			}
 		}
+		for _, t := range perStripe[i] {
+			s := st.ensureLocked(t.FullName(), t)
+			s.pendingCommits, s.pendingBytes = 0, 0
+			s.dirty = false
+		}
+		mDirtyTables.Set(float64(tr.dirtyNow.Add(-cleared)))
 		st.mu.Unlock()
 	}
-	// Every survivor was just cleared and every absentee deleted: the
-	// dirty set is empty by construction.
-	tr.dirtyNow.Store(0)
-	mDirtyTables.Set(0)
 }
 
 // Redirty marks a known table dirty regardless of its trigger policy —
@@ -375,19 +378,7 @@ func (tr *Tracker) Redirty(name string) {
 }
 
 // DirtyCount returns how many tables are currently dirty.
-func (tr *Tracker) DirtyCount() int {
-	n := 0
-	for _, st := range tr.stripes {
-		st.mu.Lock()
-		for _, s := range st.tables {
-			if s.dirty {
-				n++
-			}
-		}
-		st.mu.Unlock()
-	}
-	return n
-}
+func (tr *Tracker) DirtyCount() int { return int(tr.dirtyNow.Load()) }
 
 // KnownCount returns how many tables the tracker has seen.
 func (tr *Tracker) KnownCount() int {

@@ -1,6 +1,7 @@
 package changefeed
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -39,11 +40,9 @@ func (p *feedPart) syncLocked() {
 // Feed bundles one lake's incremental-observation state: the commit
 // bus, the dirty-set tracker, the stats cache, and the retained
 // candidate pool the incremental generator re-emits for clean tables.
-// Build one with NewFeed (or NewFeedSharded to align the retained pool
-// and lock stripes with a sharded decide plane), attach publishers to
-// Feed.Bus, and wrap a service's connector/generator/observer with
-// Connector, Generator, and Observer — the core pipeline then runs
-// unmodified.
+// Build one with NewFeedSharded, attach publishers to Feed.Bus, and wrap
+// a service's connector/generator/observer with Connector, Generator,
+// and Observer — the core pipeline then runs unmodified.
 type Feed struct {
 	// Bus receives commit events; the tracker and cache are subscribed.
 	Bus *Bus
@@ -59,13 +58,13 @@ type Feed struct {
 	// 0 disables reconciliation (cold-start full scan still happens).
 	ReconcileEvery int
 
-	// mu guards the cycle state and the shard layout (shards, parts
-	// slice identity); the parts' contents have their own locks. Lock
-	// order is always mu before a part's mu, never the reverse.
-	mu     sync.Mutex
-	shards int
-	parts  []*feedPart
-	cycle  int64
+	// parts is the retained pool, one part per decide shard. The layout
+	// is fixed at construction; each part's contents have their own lock.
+	parts []*feedPart
+
+	// mu guards the cycle state below.
+	mu    sync.Mutex
+	cycle int64
 	// full marks the current cycle as a full enumeration.
 	full bool
 	// scanned is the table list served to the generator this cycle.
@@ -91,67 +90,25 @@ func NewFeedSharded(policy PolicyFunc, reconcileEvery, shards int) *Feed {
 		Tracker:        NewTrackerSharded(policy, shards),
 		Cache:          NewStatsCacheSharded(shards),
 		ReconcileEvery: reconcileEvery,
-		shards:         shards,
-		parts:          newParts(shards),
+		parts:          make([]*feedPart, shards),
+	}
+	for i := range f.parts {
+		f.parts[i] = &feedPart{retained: make(map[string][]*core.Candidate)}
 	}
 	f.Bus.Subscribe(f.Tracker.HandleEvent)
 	f.Bus.Subscribe(func(e Event) {
 		if e.Dropped {
 			f.Cache.Drop(e.Table)
-			f.mu.Lock()
-			p := f.parts[core.ShardOf(e.Table, f.shards)]
+			p := f.parts[core.ShardOf(e.Table, len(f.parts))]
 			p.mu.Lock()
 			delete(p.retained, e.Table)
 			p.syncLocked()
 			p.mu.Unlock()
-			f.mu.Unlock()
 			return
 		}
 		f.Cache.InvalidateTable(e.Table)
 	})
 	return f
-}
-
-func newParts(shards int) []*feedPart {
-	parts := make([]*feedPart, shards)
-	for i := range parts {
-		parts[i] = &feedPart{retained: make(map[string][]*core.Candidate)}
-	}
-	return parts
-}
-
-// Shards returns the feed's retained-pool partition count.
-func (f *Feed) Shards() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shards
-}
-
-// ensureShards re-partitions the retained pool when a decide plane with
-// a different shard count attaches mid-life — a robustness path (the
-// policy compiler always builds feed and engine with matching counts);
-// it rehashes every retained entry once, at a cycle boundary.
-func (f *Feed) ensureShards(shards int) {
-	if shards < 1 {
-		shards = 1
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if shards == f.shards {
-		return
-	}
-	parts := newParts(shards)
-	for _, old := range f.parts {
-		old.mu.Lock()
-		for name, cs := range old.retained {
-			parts[core.ShardOf(name, shards)].retained[name] = cs
-		}
-		old.mu.Unlock()
-	}
-	for _, p := range parts {
-		p.syncLocked()
-	}
-	f.shards, f.parts = shards, parts
 }
 
 // Connector wraps full so Tables() serves only the dirty set between
@@ -218,8 +175,8 @@ func (f *Feed) beginCycle(full core.Connector) []core.Table {
 }
 
 // notePool refreshes the emitted-pool accounting from the parts'
-// mirrors. During a sharded cycle it runs once per finished shard; the
-// last shard leaves the exact totals.
+// mirrors. It runs once per generated part; reading the mirrors under
+// mu makes the last caller leave the exact totals.
 func (f *Feed) notePool() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -238,13 +195,6 @@ func (f *Feed) isFull() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.full
-}
-
-// part returns the shard's retained-pool partition.
-func (f *Feed) part(shard int) *feedPart {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.parts[shard]
 }
 
 // ScanInfo describes the feed's most recent observation cycle.
@@ -318,67 +268,19 @@ type IncrementalGenerator struct {
 func (g *IncrementalGenerator) Name() string { return "incremental(" + g.Inner.Name() + ")" }
 
 // Candidates implements core.Generator. tables must be the list the
-// paired IncrementalConnector returned this cycle.
+// paired IncrementalConnector returned this cycle; each retained-pool
+// part regenerates its own share of them, exactly as ShardCandidates
+// does for one decide shard.
 func (g *IncrementalGenerator) Candidates(tables []core.Table) []*core.Candidate {
-	fresh := g.Inner.Candidates(tables)
-	f := g.feed
-	full := f.isFull()
-	f.mu.Lock()
-	parts, shards := f.parts, f.shards
-	f.mu.Unlock()
-
-	var out []*core.Candidate
-	if full {
-		// Full rebuild: the retained pool becomes exactly this scan's
-		// output; entries of dropped tables vanish with the old maps.
-		for _, p := range parts {
-			p.mu.Lock()
-			p.retained = make(map[string][]*core.Candidate)
-			p.mu.Unlock()
-		}
-		for _, c := range fresh {
-			name := c.Table.FullName()
-			p := parts[core.ShardOf(name, shards)]
-			p.mu.Lock()
-			p.retained[name] = append(p.retained[name], c)
-			p.mu.Unlock()
-		}
-		for _, p := range parts {
-			p.mu.Lock()
-			p.syncLocked()
-			p.mu.Unlock()
-		}
-		out = fresh
-	} else {
-		// Replace the regenerated tables' entries (a table whose state
-		// no longer yields candidates drops out), keep the rest.
-		for _, t := range tables {
-			name := t.FullName()
-			p := parts[core.ShardOf(name, shards)]
-			p.mu.Lock()
-			delete(p.retained, name)
-			p.mu.Unlock()
-		}
-		for _, c := range fresh {
-			name := c.Table.FullName()
-			p := parts[core.ShardOf(name, shards)]
-			p.mu.Lock()
-			p.retained[name] = append(p.retained[name], c)
-			p.mu.Unlock()
-		}
-		for _, p := range parts {
-			p.mu.Lock()
-			for _, cs := range p.retained {
-				out = append(out, cs...)
-			}
-			p.syncLocked()
-			p.mu.Unlock()
-		}
-		// Deterministic pool order; ranking is order-independent (score
-		// plus ID tie-break), so this only stabilizes logs and tests.
-		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
+	parts := make([][]core.Table, len(g.feed.parts))
+	for _, t := range tables {
+		s := core.ShardOf(t.FullName(), len(parts))
+		parts[s] = append(parts[s], t)
 	}
-	f.notePool()
+	var out []*core.Candidate
+	for s := range parts {
+		out = append(out, g.ShardCandidates(s, len(parts), parts[s])...)
+	}
 	return out
 }
 
@@ -387,39 +289,42 @@ func (g *IncrementalGenerator) Candidates(tables []core.Table) []*core.Candidate
 // (by core.ShardOf) of the list the paired connector returned this
 // cycle; the call regenerates exactly those tables within the shard's
 // retained part and re-emits the part's remaining (clean) tables'
-// candidates. Concatenated over all shards this emits the same pool as
-// one Candidates call — the core.ShardedGenerator contract — because
-// the parts partition the same retained state Candidates operates on.
+// candidates. shards must be the count the feed was built with — the
+// policy compiler builds feed and decide plane from the same count, so
+// a mismatch is a wiring bug and panics.
 func (g *IncrementalGenerator) ShardCandidates(shard, shards int, tables []core.Table) []*core.Candidate {
 	f := g.feed
-	f.ensureShards(shards)
+	if shards != len(f.parts) {
+		panic(fmt.Sprintf("changefeed: ShardCandidates for %d decide shards on a feed built for %d", shards, len(f.parts)))
+	}
 	full := f.isFull()
 	fresh := g.Inner.Candidates(tables)
 
-	p := f.part(shard)
+	p := f.parts[shard]
 	p.mu.Lock()
-	var out []*core.Candidate
+	out := fresh
 	if full {
+		// Full rebuild: the part becomes exactly this scan's output;
+		// entries of dropped tables vanish with the old map.
 		p.retained = make(map[string][]*core.Candidate, len(tables))
-		for _, c := range fresh {
-			name := c.Table.FullName()
-			p.retained[name] = append(p.retained[name], c)
-		}
-		out = fresh
 	} else {
+		// Replace the regenerated tables' entries (a table whose state
+		// no longer yields candidates drops out), keep the rest.
 		for _, t := range tables {
 			delete(p.retained, t.FullName())
 		}
-		for _, c := range fresh {
-			name := c.Table.FullName()
-			p.retained[name] = append(p.retained[name], c)
-		}
+	}
+	for _, c := range fresh {
+		name := c.Table.FullName()
+		p.retained[name] = append(p.retained[name], c)
+	}
+	if !full {
 		out = make([]*core.Candidate, 0, len(fresh))
 		for _, cs := range p.retained {
 			out = append(out, cs...)
 		}
-		// Per-shard deterministic order, mirroring the serial path's
-		// ID sort (ranking itself is order-independent).
+		// Deterministic pool order; ranking is order-independent (score
+		// plus ID tie-break), so this only stabilizes logs and tests.
 		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	}
 	p.syncLocked()
@@ -430,8 +335,6 @@ func (g *IncrementalGenerator) ShardCandidates(shard, shards int, tables []core.
 
 // RetainedCount returns how many candidates the feed currently retains.
 func (f *Feed) RetainedCount() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	var n int64
 	for _, p := range f.parts {
 		n += p.cands.Load()
@@ -444,11 +347,8 @@ func (f *Feed) RetainedCount() int {
 // harnesses audit (a retained candidate must never reference a table
 // that left the lake).
 func (f *Feed) RetainedTables() []string {
-	f.mu.Lock()
-	parts := f.parts
-	f.mu.Unlock()
 	var out []string
-	for _, p := range parts {
+	for _, p := range f.parts {
 		p.mu.Lock()
 		for name := range p.retained {
 			out = append(out, name)

@@ -186,7 +186,13 @@ func (c *Candidate) Files() []lst.DataFile {
 func (c *Candidate) Trait(name string) float64 { return c.Traits[name] }
 
 // Generator produces candidates from tables (the entry of the observe
-// phase). Implementations must be deterministic.
+// phase). Implementations must be deterministic and table-local:
+// Candidates(ts) emits the same candidate set as concatenating
+// Candidates({t}) over ts, and no candidate references a table outside
+// its input. The sharded decide plane relies on this to generate each
+// shard's table partition independently; a generator that needs the
+// whole table list (cross-table or stateful pools) implements
+// ShardedGenerator instead.
 type Generator interface {
 	Name() string
 	Candidates(tables []Table) []*Candidate

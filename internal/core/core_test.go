@@ -242,31 +242,31 @@ func TestFilters(t *testing.T) {
 
 	// MinTableAge drops the fresh table ("old" was created at t=48h and
 	// last written then; "young" at t=0).
-	kept := applyFilters(cands, []Filter{MinTableAge{Min: 24 * time.Hour, Now: l.clock.Now}})
+	kept := ApplyFilters(cands, []Filter{MinTableAge{Min: 24 * time.Hour, Now: l.clock.Now}})
 	if len(kept) != 1 || kept[0].ID() != "db1.young" {
 		t.Fatalf("age filter kept %d", len(kept))
 	}
 
 	// QuietWindow drops recently written tables.
-	kept = applyFilters(cands, []Filter{QuietWindow{Min: time.Hour, Now: l.clock.Now}})
+	kept = ApplyFilters(cands, []Filter{QuietWindow{Min: time.Hour, Now: l.clock.Now}})
 	if len(kept) != 1 || kept[0].ID() != "db1.young" {
 		t.Fatalf("quiet filter kept %v", len(kept))
 	}
 
 	// MinSmallFiles.
-	kept = applyFilters(cands, []Filter{MinSmallFiles{Min: 6}})
+	kept = ApplyFilters(cands, []Filter{MinSmallFiles{Min: 6}})
 	if len(kept) != 0 {
 		t.Fatalf("small-files filter kept %d", len(kept))
 	}
 
 	// MinTotalBytes.
-	kept = applyFilters(cands, []Filter{MinTotalBytes{Min: 40 * mb}})
+	kept = ApplyFilters(cands, []Filter{MinTotalBytes{Min: 40 * mb}})
 	if len(kept) != 2 {
 		t.Fatalf("bytes filter kept %d", len(kept))
 	}
 
 	// FilterFunc adapter.
-	kept = applyFilters(cands, []Filter{FilterFunc{FilterName: "none", Fn: func(*Candidate) bool { return false }}})
+	kept = ApplyFilters(cands, []Filter{FilterFunc{FilterName: "none", Fn: func(*Candidate) bool { return false }}})
 	if len(kept) != 0 {
 		t.Fatal("filter func ignored")
 	}
@@ -284,7 +284,7 @@ func TestNotIntermediateFilter(t *testing.T) {
 	}
 	_ = tbl
 	cands := TableScopeGenerator{}.Candidates(l.connector().Tables())
-	kept := applyFilters(cands, []Filter{NotIntermediate{}})
+	kept := ApplyFilters(cands, []Filter{NotIntermediate{}})
 	if len(kept) != 0 {
 		t.Fatalf("intermediate not filtered: %d", len(kept))
 	}
@@ -369,7 +369,7 @@ func TestTraitFunc(t *testing.T) {
 
 func TestOrientComputesAllTraits(t *testing.T) {
 	c := &Candidate{Stats: Stats{SmallFiles: 3, SmallBytes: 30 * mb, FileCount: 4}}
-	orient([]*Candidate{c}, []Trait{
+	Orient([]*Candidate{c}, []Trait{
 		FileCountReduction{},
 		ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: float64(storage.GB)},
 	})

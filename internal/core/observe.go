@@ -286,15 +286,9 @@ func (f MaxTraitValue) Name() string { return "max-" + f.TraitName }
 // Keep implements Filter.
 func (f MaxTraitValue) Keep(c *Candidate) bool { return c.Trait(f.TraitName) <= f.Max }
 
-// applyFilters returns the candidates every filter keeps.
 // ApplyFilters keeps the candidates every filter accepts, preserving
-// order — exported for external decide planes (internal/decideshard)
-// that run the refinement points per shard.
+// order.
 func ApplyFilters(cands []*Candidate, filters []Filter) []*Candidate {
-	return applyFilters(cands, filters)
-}
-
-func applyFilters(cands []*Candidate, filters []Filter) []*Candidate {
 	if len(filters) == 0 {
 		return cands
 	}

@@ -141,29 +141,40 @@ func (s *Service) Decide() (*Decision, error) {
 // the default Decider and the parity reference for sharded engines.
 func (cfg *Config) DecideSerial() (*Decision, error) {
 	d := &Decision{At: cfg.Connector.Now()}
+	cands, err := cfg.Refine(cfg.Generator.Candidates(cfg.Connector.Tables()), d)
+	if err != nil {
+		return nil, err
+	}
+	d.Ranked = cfg.Ranker.Rank(cands)
+	d.Selected = cfg.Selector.Select(d.Ranked)
+	d.Plan = cfg.Scheduler.Plan(d.Selected)
+	return d, nil
+}
 
-	cands := cfg.Generator.Candidates(cfg.Connector.Tables())
-	d.Generated = len(cands)
+// Refine runs the refinement points between generation and ranking over
+// a generated pool, in pipeline order — pre-filter, observe,
+// stats-filter, orient, trait-filter — and returns the survivors. Each
+// stage's pool size is added to d's funnel counts, so a sharded decide
+// plane refines every shard into its own Decision and sums them, while
+// DecideSerial refines the whole pool once.
+func (cfg *Config) Refine(cands []*Candidate, d *Decision) ([]*Candidate, error) {
+	d.Generated += len(cands)
 
-	cands = applyFilters(cands, cfg.PreFilters)
-	d.AfterPreFilters = len(cands)
+	cands = ApplyFilters(cands, cfg.PreFilters)
+	d.AfterPreFilters += len(cands)
 
 	for _, c := range cands {
 		if err := cfg.ObserveCandidate(c); err != nil {
 			return nil, err
 		}
 	}
-	cands = applyFilters(cands, cfg.StatsFilters)
-	d.AfterStatsFilter = len(cands)
+	cands = ApplyFilters(cands, cfg.StatsFilters)
+	d.AfterStatsFilter += len(cands)
 
-	orient(cands, cfg.Traits)
-	cands = applyFilters(cands, cfg.TraitFilters)
-	d.AfterTraitFilter = len(cands)
-
-	d.Ranked = cfg.Ranker.Rank(cands)
-	d.Selected = cfg.Selector.Select(d.Ranked)
-	d.Plan = cfg.Scheduler.Plan(d.Selected)
-	return d, nil
+	Orient(cands, cfg.Traits)
+	cands = ApplyFilters(cands, cfg.TraitFilters)
+	d.AfterTraitFilter += len(cands)
+	return cands, nil
 }
 
 // ObserveCandidate runs the configured observer on one candidate,

@@ -23,27 +23,6 @@ func ShardOf(fullName string, shards int) int {
 // (see internal/decideshard) — core stays free of worker-pool policy.
 type Decider func(*Config) (*Decision, error)
 
-// TableLocalGenerator marks a Generator whose output for a table list is
-// the concatenation of its per-table outputs: Candidates(ts) equals
-// appending Candidates({t}) over ts in order, and no candidate
-// references a table outside its input. Table-local generators can be
-// fanned out across decide shards by partitioning the table list; the
-// built-in scope generators and the maintenance generator all qualify,
-// while time-windowed or cross-table generators must not claim it.
-type TableLocalGenerator interface {
-	Generator
-	// TableLocal reports whether the generator currently satisfies the
-	// contract (composite generators answer for their members).
-	TableLocal() bool
-}
-
-// GeneratorIsTableLocal reports whether g declares the table-local
-// contract, enabling per-shard candidate generation.
-func GeneratorIsTableLocal(g Generator) bool {
-	tl, ok := g.(TableLocalGenerator)
-	return ok && tl.TableLocal()
-}
-
 // ShardedGenerator is a Generator that partitions its own candidate pool
 // by decide shard — stateful generators (the changefeed's retained pool)
 // implement it so each shard touches only its own partition. The
@@ -56,30 +35,11 @@ type ShardedGenerator interface {
 	ShardCandidates(shard, shards int, tables []Table) []*Candidate
 }
 
-// TableLocal implements TableLocalGenerator.
-func (TableScopeGenerator) TableLocal() bool { return true }
-
-// TableLocal implements TableLocalGenerator.
-func (PartitionScopeGenerator) TableLocal() bool { return true }
-
-// TableLocal implements TableLocalGenerator.
-func (HybridScopeGenerator) TableLocal() bool { return true }
-
-// TableLocal implements TableLocalGenerator: each candidate covers one
-// input table; the freshness window is resolved from the clock, not from
-// other tables.
-func (SnapshotScopeGenerator) TableLocal() bool { return true }
-
-// TableLocal implements TableLocalGenerator: a concatenation of
-// table-local generators is table-local. Partitioning tables and
-// concatenating per-shard outputs permutes the pool across shards but
-// preserves the emitted set, which is all ranking needs (score plus ID
-// tie-break is order-independent).
-func (m MultiGenerator) TableLocal() bool {
-	for _, g := range m {
-		if !GeneratorIsTableLocal(g) {
-			return false
-		}
-	}
-	return true
+// Versioned is implemented by tables exposing a monotonically increasing
+// snapshot/commit version (both *lst.Table and *fleet.Table do). The
+// execution plane records it at job start and re-reads it at commit time
+// to detect writer races; the changefeed's stats cache keys entries by
+// it. Tables that do not implement it are treated as never advancing.
+type Versioned interface {
+	Version() int64
 }

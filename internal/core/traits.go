@@ -233,11 +233,8 @@ func (t TraitFunc) Direction() Direction { return t.Dir }
 // Value implements Trait.
 func (t TraitFunc) Value(c *Candidate) float64 { return t.Fn(c) }
 
-// Orient computes every trait for every candidate — exported for
-// external decide planes (internal/decideshard) that orient per shard.
-func Orient(cands []*Candidate, traits []Trait) { orient(cands, traits) }
-
-func orient(cands []*Candidate, traits []Trait) {
+// Orient computes every trait for every candidate.
+func Orient(cands []*Candidate, traits []Trait) {
 	for _, c := range cands {
 		if c.Traits == nil {
 			c.Traits = make(map[string]float64, len(traits))

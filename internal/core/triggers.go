@@ -78,7 +78,7 @@ func (h *AfterWriteHook) OnWrite(t Table) (HookResult, error) {
 		return HookResult{}, err
 	}
 	c.Stats = stats
-	orient([]*Candidate{c}, []Trait{h.Trait})
+	Orient([]*Candidate{c}, []Trait{h.Trait})
 	v := c.Trait(h.Trait.Name())
 	hr := HookResult{Candidate: c, TraitValue: v}
 	if v < h.Threshold {

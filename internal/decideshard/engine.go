@@ -2,21 +2,22 @@
 // fleet into S shards with a stable hash on the full table name
 // (core.ShardOf — the same mapping the scheduler's GBHr budget shards
 // use, so a table's budget shard and decide shard always align) and runs
-// candidate generation, the three filter refinement points, observation,
-// trait batching, and MOOP scoring per shard on a bounded worker pool.
-// A deterministic k-way heap merge then reassembles the global ranking.
+// candidate generation, the refinement points (core.Config.Refine) and
+// MOOP scoring per shard on a bounded worker pool. A deterministic k-way
+// heap merge then reassembles the global ranking.
 //
 // # Byte-identical parity
 //
 // The engine's contract is not "similar decisions faster" but the same
-// bytes: for every configuration whose ranker implements
-// core.ParallelRanker, Decide returns exactly what core's serial pass
-// returns — same funnel counts, same ranked order, same scores, same
-// selection and plan. Three properties deliver this:
+// bytes: Decide returns exactly what core's serial pass returns — same
+// funnel counts, same ranked order, same scores, same selection and
+// plan. Three properties deliver this:
 //
-//  1. Candidate partitioning is by table, and every pipeline stage up to
-//     ranking is per-candidate, so shard-local filtering/observation/
-//     orientation computes exactly the serial values.
+//  1. Candidate partitioning is by table: every core.Generator is
+//     table-local and a core.ShardedGenerator partitions its own pool,
+//     and every pipeline stage up to ranking is per-candidate, so
+//     shard-local filtering/observation/orientation computes exactly the
+//     serial values.
 //  2. The only cross-candidate coupling — MOOP min-max normalization —
 //     factors into per-shard trait extrema merged exactly (min/max has
 //     no accumulation error), after which each shard scores its
@@ -26,20 +27,8 @@
 //     serial ordering regardless of shard completion order; MergeRanked
 //     emits it without re-sorting the merged tail.
 //
-// Configurations outside the contract — a generator that is neither
-// core.ShardedGenerator nor table-local, or a ranker that is not a
-// core.ParallelRanker — degrade that stage to the serial path (counted
-// in autocomp_decideshard_serial_fallbacks_total) so correctness never
-// depends on a component opting in.
-//
-// # Allocation discipline
-//
-// The engine is a persistent object: per-shard table partitions,
-// candidate partitions, bounds and cursor buffers are scratch pools
-// reused across cycles (hit rate in autocomp_decideshard_pool_*_total).
-// Candidate and Stats values themselves flow into the Decision — they
-// outlive the cycle in reports, retained pools, and traces — so the
-// engine pools the buffers that carry them, never the objects.
+// A ranker that is not a core.ParallelRanker cannot be sharded; Decide
+// returns an error for it rather than ranking serially.
 //
 // # Concurrency requirements
 //
@@ -55,6 +44,7 @@
 package decideshard
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -91,14 +81,8 @@ type Engine struct {
 	workers int
 	clock   func() time.Duration
 
-	mu sync.Mutex
-	// Scratch pools, reused across cycles (see the package doc).
-	tableBuf [][]core.Table
-	candBuf  [][]*core.Candidate
-	statsBuf []any
-	rankBuf  [][]*core.Candidate
-	outsBuf  []shardOut
-	last     CycleStats
+	mu   sync.Mutex
+	last CycleStats
 }
 
 // CycleStats is the engine's timing breakdown of its most recent decide
@@ -110,17 +94,13 @@ type CycleStats struct {
 	// Shards is the cycle's shard count (0 = no sharded cycle yet).
 	Shards int
 	// ShardPipeline is each shard's generate→trait-filter duration;
-	// ShardRank each shard's rank-phase duration (zero when the ranker
-	// fell back to serial).
+	// ShardRank each shard's rank-phase duration.
 	ShardPipeline []time.Duration
 	ShardRank     []time.Duration
 	// Merge is the k-way merge duration.
 	Merge time.Duration
 	// ShardCandidates is each shard's generated-candidate count.
 	ShardCandidates []int
-	// GenerateFallback and RankFallback report serial-path degradations
-	// (see the package doc).
-	GenerateFallback, RankFallback bool
 }
 
 // CriticalPath is the cycle's ideal-parallel decide time: the slowest
@@ -150,14 +130,13 @@ func (e *Engine) LastCycle() CycleStats {
 	return cs
 }
 
-// shardOut is one shard's per-cycle pipeline result.
+// shardOut is one shard's per-cycle pipeline result: its funnel counts,
+// surviving candidates and ranking summary.
 type shardOut struct {
-	generated  int
-	afterPre   int
-	afterStats int
-	afterTrait int
-	stats      any
-	err        error
+	funnel core.Decision
+	cands  []*core.Candidate
+	stats  any
+	err    error
 }
 
 // New returns an engine with opts applied and defaults filled.
@@ -203,6 +182,10 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 	if e.shards <= 1 {
 		return cfg.DecideSerial()
 	}
+	pr, ok := cfg.Ranker.(core.ParallelRanker)
+	if !ok {
+		return nil, fmt.Errorf("decideshard: ranker %T does not implement core.ParallelRanker and cannot decide across %d shards", cfg.Ranker, e.shards)
+	}
 	mDecides.Inc()
 	mShardsGauge.Set(float64(e.shards))
 	mWorkersGauge.Set(float64(e.workers))
@@ -214,192 +197,63 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 	}
 
 	d := &core.Decision{At: cfg.Connector.Now()}
-	tables := cfg.Connector.Tables()
-	parts := e.candParts()
-	genFn := e.generatorFor(cfg, tables, parts)
+	tables := make([][]core.Table, e.shards)
+	for _, t := range cfg.Connector.Tables() {
+		s := core.ShardOf(t.FullName(), e.shards)
+		tables[s] = append(tables[s], t)
+	}
+	sharded, _ := cfg.Generator.(core.ShardedGenerator)
 
-	// Phase A, per shard: generate → pre-filter → observe →
-	// stats-filter → orient (trait evaluation batched per shard pass) →
-	// trait-filter → ranking summary.
-	outs := e.outs()
-	pr, parallelRank := cfg.Ranker.(core.ParallelRanker)
+	// Phase A, per shard: generate → refine → ranking summary.
+	outs := make([]shardOut, e.shards)
 	e.runShards(func(s int) {
 		started := e.now()
 		out := &outs[s]
-		cands := genFn(s)
-		out.generated = len(cands)
+		var cands []*core.Candidate
+		if sharded != nil {
+			cands = sharded.ShardCandidates(s, e.shards, tables[s])
+		} else {
+			cands = cfg.Generator.Candidates(tables[s])
+		}
 		e.last.ShardCandidates[s] = len(cands)
 		mShardCandidates.Observe(float64(len(cands)))
-
-		cands = core.ApplyFilters(cands, cfg.PreFilters)
-		out.afterPre = len(cands)
-		for _, c := range cands {
-			if err := cfg.ObserveCandidate(c); err != nil {
-				out.err = err
-				return
-			}
+		if out.cands, out.err = cfg.Refine(cands, &out.funnel); out.err != nil {
+			return
 		}
-		cands = core.ApplyFilters(cands, cfg.StatsFilters)
-		out.afterStats = len(cands)
-
-		core.Orient(cands, cfg.Traits)
-		cands = core.ApplyFilters(cands, cfg.TraitFilters)
-		out.afterTrait = len(cands)
-		parts[s] = cands
-		if parallelRank {
-			out.stats = pr.ShardStats(cands)
-		}
+		out.stats = pr.ShardStats(out.cands)
 		e.last.ShardPipeline[s] = e.now() - started
 		mShardSeconds.With("pipeline").Observe(e.last.ShardPipeline[s].Seconds())
 	})
+	stats := make([]any, e.shards)
 	for s := range outs {
 		if err := outs[s].err; err != nil {
 			return nil, err
 		}
-		d.Generated += outs[s].generated
-		d.AfterPreFilters += outs[s].afterPre
-		d.AfterStatsFilter += outs[s].afterStats
-		d.AfterTraitFilter += outs[s].afterTrait
+		d.Generated += outs[s].funnel.Generated
+		d.AfterPreFilters += outs[s].funnel.AfterPreFilters
+		d.AfterStatsFilter += outs[s].funnel.AfterStatsFilter
+		d.AfterTraitFilter += outs[s].funnel.AfterTraitFilter
+		stats[s] = outs[s].stats
 	}
 
 	// Phase B: rank per shard against exactly-merged global stats, then
 	// the deterministic k-way merge.
-	if parallelRank {
-		stats := e.stats()
-		for s := range outs {
-			stats[s] = outs[s].stats
-		}
-		global := pr.MergeStats(stats)
-		ranked := e.ranked()
-		e.runShards(func(s int) {
-			started := e.now()
-			ranked[s] = pr.RankShard(parts[s], global)
-			e.last.ShardRank[s] = e.now() - started
-			mShardSeconds.With("rank").Observe(e.last.ShardRank[s].Seconds())
-		})
+	global := pr.MergeStats(stats)
+	ranked := make([][]*core.Candidate, e.shards)
+	e.runShards(func(s int) {
 		started := e.now()
-		d.Ranked = MergeRanked(ranked)
-		e.last.Merge = e.now() - started
-		mMergeSeconds.Observe(e.last.Merge.Seconds())
-	} else {
-		e.last.RankFallback = true
-		mFallbacks.With("rank").Inc()
-		all := make([]*core.Candidate, 0, d.AfterTraitFilter)
-		for s := range parts {
-			all = append(all, parts[s]...)
-		}
-		d.Ranked = cfg.Ranker.Rank(all)
-	}
+		ranked[s] = pr.RankShard(outs[s].cands, global)
+		e.last.ShardRank[s] = e.now() - started
+		mShardSeconds.With("rank").Observe(e.last.ShardRank[s].Seconds())
+	})
+	started := e.now()
+	d.Ranked = MergeRanked(ranked)
+	e.last.Merge = e.now() - started
+	mMergeSeconds.Observe(e.last.Merge.Seconds())
 
 	d.Selected = cfg.Selector.Select(d.Ranked)
 	d.Plan = cfg.Scheduler.Plan(d.Selected)
 	return d, nil
-}
-
-// generatorFor resolves this cycle's per-shard candidate source, in
-// preference order: a ShardedGenerator partitions its own pool (the
-// changefeed's retained partitions); a table-local generator runs on the
-// engine's table partition; anything else generates serially once and
-// the pool is hash-partitioned into parts — set-preserving in every
-// case, which is all ranking order depends on.
-func (e *Engine) generatorFor(cfg *core.Config, tables []core.Table, parts [][]*core.Candidate) func(int) []*core.Candidate {
-	if g, ok := cfg.Generator.(core.ShardedGenerator); ok {
-		tp := e.partitionTables(tables)
-		return func(s int) []*core.Candidate {
-			return g.ShardCandidates(s, e.shards, tp[s])
-		}
-	}
-	if core.GeneratorIsTableLocal(cfg.Generator) {
-		tp := e.partitionTables(tables)
-		return func(s int) []*core.Candidate {
-			return cfg.Generator.Candidates(tp[s])
-		}
-	}
-	e.last.GenerateFallback = true
-	mFallbacks.With("generate").Inc()
-	all := cfg.Generator.Candidates(tables)
-	for _, c := range all {
-		s := core.ShardOf(c.Table.FullName(), e.shards)
-		parts[s] = append(parts[s], c)
-	}
-	return func(s int) []*core.Candidate { return parts[s] }
-}
-
-// partitionTables splits tables by core.ShardOf into pooled per-shard
-// buffers, preserving relative order within each shard.
-func (e *Engine) partitionTables(tables []core.Table) [][]core.Table {
-	if e.tableBuf == nil {
-		e.tableBuf = make([][]core.Table, e.shards)
-		mPoolMisses.Inc()
-	} else {
-		mPoolHits.Inc()
-	}
-	for s := range e.tableBuf {
-		e.tableBuf[s] = e.tableBuf[s][:0]
-	}
-	for _, t := range tables {
-		s := core.ShardOf(t.FullName(), e.shards)
-		e.tableBuf[s] = append(e.tableBuf[s], t)
-	}
-	return e.tableBuf
-}
-
-// candParts returns the pooled per-shard candidate partitions, reset.
-func (e *Engine) candParts() [][]*core.Candidate {
-	if e.candBuf == nil {
-		e.candBuf = make([][]*core.Candidate, e.shards)
-		mPoolMisses.Inc()
-	} else {
-		mPoolHits.Inc()
-	}
-	for s := range e.candBuf {
-		e.candBuf[s] = e.candBuf[s][:0]
-	}
-	return e.candBuf
-}
-
-// stats returns the pooled per-shard ranking-summary slice, reset.
-func (e *Engine) stats() []any {
-	if e.statsBuf == nil {
-		e.statsBuf = make([]any, e.shards)
-		mPoolMisses.Inc()
-	} else {
-		mPoolHits.Inc()
-	}
-	for s := range e.statsBuf {
-		e.statsBuf[s] = nil
-	}
-	return e.statsBuf
-}
-
-// ranked returns the pooled per-shard ranked-output slice, reset. The
-// ranked slices themselves come from the ranker and flow into the
-// Decision; only the slice-of-slices header is pooled.
-func (e *Engine) ranked() [][]*core.Candidate {
-	if e.rankBuf == nil {
-		e.rankBuf = make([][]*core.Candidate, e.shards)
-		mPoolMisses.Inc()
-	} else {
-		mPoolHits.Inc()
-	}
-	for s := range e.rankBuf {
-		e.rankBuf[s] = nil
-	}
-	return e.rankBuf
-}
-
-// outs returns the pooled per-shard pipeline results, reset.
-func (e *Engine) outs() []shardOut {
-	if e.outsBuf == nil {
-		e.outsBuf = make([]shardOut, e.shards)
-		mPoolMisses.Inc()
-	} else {
-		mPoolHits.Inc()
-	}
-	for s := range e.outsBuf {
-		e.outsBuf[s] = shardOut{}
-	}
-	return e.outsBuf
 }
 
 // runShards runs fn(0..shards-1) on the bounded worker pool and waits.

@@ -8,11 +8,15 @@ package decideshard_test
 // so "parity" means the bits, not the gist.
 
 import (
+	"reflect"
+	"sort"
+	"strings"
 	"testing"
 
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
 	"autocomp/internal/fleet"
+	"autocomp/internal/maintenance"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/sim"
@@ -125,46 +129,96 @@ func TestShardParityThresholdRanker(t *testing.T) {
 	}
 }
 
-// nonLocalGenerator wraps a real generator while withholding the
-// table-local declaration, forcing the engine's serial-generation
-// fallback with hash partitioning.
-type nonLocalGenerator struct{ inner core.Generator }
+// TestShardParityGeneratorsTableLocal pins the table-local contract of
+// core.Generator that per-shard generation relies on: for every registry
+// generator, their concatenation, and the maintenance generator with and
+// without a data generator, generating each ShardOf partition of the
+// table list separately emits the same multiset of candidate IDs as one
+// whole-list call, and every candidate lands on its own table's shard.
+func TestShardParityGeneratorsTableLocal(t *testing.T) {
+	f, _ := testkit.NewFleet(7, 120)
+	for day := 0; day < 3; day++ {
+		f.AdvanceDay()
+	}
+	tables := fleet.Connector{Fleet: f}.Tables()
 
-func (g nonLocalGenerator) Name() string { return "non-local(" + g.inner.Name() + ")" }
-func (g nonLocalGenerator) Candidates(tables []core.Table) []*core.Candidate {
-	return g.inner.Candidates(tables)
+	b := policy.NewBuilder(f.PolicyEnv(testkit.Model()))
+	params := map[string]map[string]any{"snapshot-scope": {"window": "36h"}}
+	gens := map[string]core.Generator{}
+	var all core.MultiGenerator
+	for _, name := range policy.NewRegistry().Names(policy.KindGenerator) {
+		g, err := b.Generator(policy.Component{Name: name, Params: params[name]})
+		if err != nil {
+			t.Fatalf("build %s: %v", name, err)
+		}
+		gens[name] = g
+		all = append(all, g)
+	}
+	gens["multi"] = all
+	gens["maintenance"] = maintenance.Generator{}
+	gens["maintenance+table-scope"] = maintenance.Generator{Data: core.TableScopeGenerator{}}
+
+	for name, g := range gens {
+		whole := candidateIDs(g.Candidates(tables))
+		// The aggregate fleet's tables are unpartitioned, so
+		// partition-scope emits nothing; every other generator must emit
+		// something for the check to bite.
+		if len(whole) == 0 && name != "partition-scope" {
+			t.Fatalf("%s: generated no candidates; the check would be vacuous", name)
+		}
+		for _, shards := range []int{2, 4, 16} {
+			parts := make([][]core.Table, shards)
+			for _, tb := range tables {
+				s := core.ShardOf(tb.FullName(), shards)
+				parts[s] = append(parts[s], tb)
+			}
+			var concat []*core.Candidate
+			for s, part := range parts {
+				cands := g.Candidates(part)
+				for _, c := range cands {
+					if got := core.ShardOf(c.Table.FullName(), shards); got != s {
+						t.Fatalf("%s S=%d: candidate %s emitted by shard %d hashes to %d", name, shards, c.ID(), s, got)
+					}
+				}
+				concat = append(concat, cands...)
+			}
+			if got := candidateIDs(concat); !reflect.DeepEqual(got, whole) {
+				t.Fatalf("%s S=%d: per-shard generation emitted %d candidate IDs, whole list %d",
+					name, shards, len(got), len(whole))
+			}
+		}
+	}
 }
 
-// TestShardParityGeneratorFallback proves the set-preserving fallback:
-// a generator the engine cannot fan out is generated once serially,
-// hash-partitioned, and still ranked byte-identically.
-func TestShardParityGeneratorFallback(t *testing.T) {
-	serialFleet, shardFleet := twinFleets(7, 100)
-	topK := testkit.DataSpec(policy.Component{Name: "top-k", Params: map[string]any{"k": float64(10)}})
-	serialSvc, err := core.NewService(testkit.Config(t, serialFleet, topK))
+// candidateIDs returns the candidates' IDs sorted, a multiset key.
+func candidateIDs(cands []*core.Candidate) []string {
+	ids := make([]string, len(cands))
+	for i, c := range cands {
+		ids[i] = c.ID()
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// TestShardRankerWithoutParallelRankErrors checks that a ranker that
+// cannot factor across shards is refused with an error, not a panic or
+// a silent serial rank.
+func TestShardRankerWithoutParallelRankErrors(t *testing.T) {
+	f, _ := testkit.NewFleet(7, 60)
+	f.AdvanceDay()
+	cfg := testkit.Config(t, f, testkit.MaintenanceSpec(10))
+	cfg.Ranker = core.ParetoRanker{Objectives: []core.Objective{{Trait: core.FileCountReduction{}, Weight: 1}}}
+	cfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
+	svc, err := core.NewService(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shardCfg := testkit.Config(t, shardFleet, topK)
-	shardCfg.Generator = nonLocalGenerator{inner: shardCfg.Generator}
-	shardCfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
-	shardSvc, err := core.NewService(shardCfg)
-	if err != nil {
-		t.Fatal(err)
+	d, err := svc.Decide()
+	if err == nil {
+		t.Fatalf("sharded decide with a ParetoRanker returned a decision (%d ranked), want an error", len(d.Ranked))
 	}
-	serialFleet.AdvanceDay()
-	shardFleet.AdvanceDay()
-	dSerial, err := serialSvc.Decide()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dShard, err := shardSvc.Decide()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := testkit.DecisionFingerprint(dSerial), testkit.DecisionFingerprint(dShard); a != b {
-		t.Fatalf("fallback parity broken\nserial:\n%s\nsharded:\n%s",
-			testkit.Head(a, 20), testkit.Head(b, 20))
+	if !strings.Contains(err.Error(), "ParallelRanker") {
+		t.Fatalf("error %q does not name the missing interface", err)
 	}
 }
 

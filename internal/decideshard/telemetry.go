@@ -30,16 +30,4 @@ var (
 	mWorkersGauge = telemetry.Default().Gauge(
 		"autocomp_decideshard_workers",
 		"Worker-pool size of the most recently deciding engine.")
-	mPoolHits = telemetry.Default().Counter(
-		"autocomp_decideshard_pool_hits_total",
-		"Per-shard scratch buffers reused without reallocation.")
-	mPoolMisses = telemetry.Default().Counter(
-		"autocomp_decideshard_pool_misses_total",
-		"Per-shard scratch buffers that had to be (re)allocated.")
-	mFallbacks = telemetry.Default().CounterVec(
-		"autocomp_decideshard_serial_fallbacks_total",
-		"Decide stages that fell back to the serial path, by reason: "+
-			"'generate' (generator neither sharded nor table-local) or "+
-			"'rank' (ranker does not factor across shards).",
-		"stage")
 )

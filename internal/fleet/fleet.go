@@ -127,8 +127,9 @@ func (t *Table) SetProp(key, value string) {
 }
 
 // Version returns the table's snapshot/commit version. It implements
-// scheduler.Versioned: the execution plane records it at job start and
-// re-reads it at commit time to detect writer races.
+// core.Versioned: the execution plane records it at job start and
+// re-reads it at commit time to detect writer races, and the changefeed's
+// stats cache keys observations by it.
 func (t *Table) Version() int64 { return t.commits }
 
 // WriterCommit applies one live writer commit of n small files at

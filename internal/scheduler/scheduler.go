@@ -39,13 +39,6 @@ import (
 	"autocomp/internal/sim"
 )
 
-// Versioned is implemented by tables that expose a monotonically
-// increasing snapshot/commit version. Tables that do not implement it are
-// treated as never advancing (no commit conflicts arise).
-type Versioned interface {
-	Version() int64
-}
-
 // Config parameterizes a Pool.
 type Config struct {
 	// Workers is the number of concurrent job slots W (min 1).
@@ -351,13 +344,6 @@ func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
 	}
 }
 
-// ShardOf returns the budget shard a table hashes onto. It delegates to
-// core.ShardOf, the system-wide shard mapping, so budget shards and
-// decide shards always align for a given table.
-func ShardOf(fullName string, shards int) int {
-	return core.ShardOf(fullName, shards)
-}
-
 // Submit enqueues the ranked, selected candidates. Rank order sets base
 // priority: the first candidate gets the highest.
 func (p *Pool) Submit(selected []*core.Candidate) {
@@ -366,7 +352,7 @@ func (p *Pool) Submit(selected []*core.Candidate) {
 		p.seq++
 		j := &Job{
 			Candidate:    c,
-			Shard:        ShardOf(c.Table.FullName(), p.cfg.Shards),
+			Shard:        core.ShardOf(c.Table.FullName(), p.cfg.Shards),
 			BasePriority: float64(len(selected) - i),
 			Enqueued:     now,
 			queuedSince:  now,
@@ -511,7 +497,7 @@ func (p *Pool) dispatch(j *Job, now time.Duration) {
 }
 
 func (p *Pool) versionOf(t core.Table) int64 {
-	if v, ok := t.(Versioned); ok {
+	if v, ok := t.(core.Versioned); ok {
 		return v.Version()
 	}
 	return 0

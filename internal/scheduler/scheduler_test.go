@@ -251,7 +251,7 @@ func TestShardsArbitrateIndependently(t *testing.T) {
 	names := []string{}
 	for i := 0; len(names) < 2; i++ {
 		n := fmt.Sprintf("t%d", i)
-		if len(names) == 0 || ShardOf("db."+n, 2) != ShardOf("db."+names[0], 2) {
+		if len(names) == 0 || core.ShardOf("db."+n, 2) != core.ShardOf("db."+names[0], 2) {
 			names = append(names, n)
 		}
 	}
@@ -436,21 +436,6 @@ func TestRunSimRejectsForeignClock(t *testing.T) {
 		}
 	}()
 	RunSim(p, q)
-}
-
-func TestShardOf(t *testing.T) {
-	if ShardOf("db.t", 1) != 0 {
-		t.Fatal("single shard must map to 0")
-	}
-	for i := 0; i < 100; i++ {
-		s := ShardOf(fmt.Sprintf("db.t%d", i), 7)
-		if s < 0 || s >= 7 {
-			t.Fatalf("shard out of range: %d", s)
-		}
-		if s != ShardOf(fmt.Sprintf("db.t%d", i), 7) {
-			t.Fatal("ShardOf not stable")
-		}
-	}
 }
 
 func TestEstimatedServiceTime(t *testing.T) {
