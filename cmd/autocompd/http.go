@@ -5,38 +5,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"autocomp/internal/telemetry"
+	"autocomp/internal/tenant"
 )
-
-// statusState is the daemon state /statusz serves. The run loop updates
-// it under the mutex once per cycle; HTTP handlers read it concurrently.
-type statusState struct {
-	mu          sync.Mutex
-	policy      string
-	policyPath  string
-	day         int
-	daysPlanned int
-	done        bool
-}
-
-func (st *statusState) update(policy string, day int, done bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.policy = policy
-	st.day = day
-	st.done = done
-}
-
-// finish marks the run done without disturbing the policy name the
-// last cycle reported (it may have hot-reloaded mid-run).
-func (st *statusState) finish(day int) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.day = day
-	st.done = true
-}
 
 // StatusSnapshot is the /statusz payload: daemon identity plus the
 // decision-trace view of the fleet, dirty set, and scheduler — the same
@@ -53,24 +25,22 @@ type StatusSnapshot struct {
 	RecentCycles   []telemetry.CycleEvent `json:"recent_cycles,omitempty"`
 }
 
-func (st *statusState) snapshot() StatusSnapshot {
-	st.mu.Lock()
-	snap := StatusSnapshot{
-		Policy:      st.policy,
-		PolicyPath:  st.policyPath,
-		Day:         st.day,
-		DaysPlanned: st.daysPlanned,
-		Done:        st.done,
+// statusSnapshot assembles /statusz from the default tenant's snapshot
+// (which, like GET /api/tenants/{t}, waits for the cycle boundary) and
+// the process-wide tracer the default tenant emits on.
+func statusSnapshot(def *tenant.Tenant, policyPath string) StatusSnapshot {
+	st := def.Status()
+	return StatusSnapshot{
+		Policy:         st.Policy,
+		PolicyPath:     policyPath,
+		Day:            st.Day,
+		DaysPlanned:    st.DaysPlanned,
+		Done:           st.State == tenant.StateStopped,
+		Cycles:         st.Cycles,
+		MetricFamilies: telemetry.Default().FamilyCount(),
+		LastCycle:      st.LastCycle,
+		RecentCycles:   telemetry.DefaultTracer().Recent(8),
 	}
-	st.mu.Unlock()
-	tr := telemetry.DefaultTracer()
-	snap.Cycles = tr.Seq()
-	snap.MetricFamilies = telemetry.Default().FamilyCount()
-	if ev, ok := tr.Last(); ok {
-		snap.LastCycle = &ev
-	}
-	snap.RecentCycles = tr.Recent(8)
-	return snap
 }
 
 // httpServer pairs the daemon's http.Server with its bound address
@@ -85,7 +55,7 @@ type httpServer struct {
 // format), /statusz (JSON daemon snapshot), /healthz, the pprof suite
 // under /debug/pprof/, and any extra routes register mounts (the
 // management API). It serves until srv.Shutdown is called.
-func serveTelemetry(listen string, st *statusState, register func(*http.ServeMux)) (*httpServer, error) {
+func serveTelemetry(listen string, status func() StatusSnapshot, register func(*http.ServeMux)) (*httpServer, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.Handler(telemetry.Default()))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -96,7 +66,7 @@ func serveTelemetry(listen string, st *statusState, register func(*http.ServeMux
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		_ = enc.Encode(st.snapshot())
+		_ = enc.Encode(status())
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

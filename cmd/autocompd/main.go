@@ -164,7 +164,6 @@ func main() {
 		spec = flagSpec()
 	}
 
-	status := &statusState{policyPath: *policyPath, daysPlanned: *days}
 	opts := tenant.Options{
 		// The default tenant emits on the process-wide tracer, so -trace,
 		// /statusz, and the log lines keep their single-lake meaning.
@@ -178,7 +177,6 @@ func main() {
 			// renders the log, the JSONL trace, /statusz, and /metrics, so
 			// they cannot drift apart.
 			fmt.Println(ev.String())
-			status.update(ev.Policy, ev.Day, false)
 		},
 	}
 	if watcher != nil {
@@ -210,16 +208,11 @@ func main() {
 		log.Fatal(err)
 	}
 
-	name := spec.Name
-	if name == "" {
-		name = "(unnamed)"
-	}
 	st := def.Status()
 	fmt.Printf("autocompd: %d tables, %d files, %d metadata objects, %.0f%% under 128MB\n",
 		st.Fleet.Tables, st.Fleet.Files, st.Fleet.MetaObjects, 100*st.Fleet.TinyFrac)
-	fmt.Printf("policy: %s%s\n", name, map[bool]string{true: " (from " + *policyPath + ", hot-reloadable)", false: " (from flags)"}[*policyPath != ""])
+	fmt.Printf("policy: %s%s\n", st.Policy, map[bool]string{true: " (from " + *policyPath + ", hot-reloadable)", false: " (from flags)"}[*policyPath != ""])
 	printPlanes(def.Service())
-	status.update(name, 0, false)
 
 	var srv *httpServer
 	if *listen != "" {
@@ -229,6 +222,7 @@ func main() {
 			Logf:         opts.Logf,
 			TuneWorkers:  *tuneWorkers,
 		}
+		status := func() StatusSnapshot { return statusSnapshot(def, *policyPath) }
 		srv, err = serveTelemetry(*listen, status, mgmt.Register)
 		if err != nil {
 			log.Fatal(err)
@@ -247,7 +241,6 @@ func main() {
 	select {
 	case <-def.Done():
 		runErr = def.Err()
-		status.finish(def.Day())
 		if runErr == nil && *listen != "" {
 			fmt.Println("autocompd: run complete; still serving telemetry (interrupt to exit)")
 			<-ctx.Done()

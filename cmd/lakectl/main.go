@@ -257,11 +257,7 @@ func policyCmd(args []string) {
 				fmt.Printf("%s: INVALID\n  %v\n", path, err)
 				continue
 			}
-			name := spec.Name
-			if name == "" {
-				name = "(unnamed)"
-			}
-			fmt.Printf("%s: OK (%s)\n", path, name)
+			fmt.Printf("%s: OK (%s)\n", path, spec.DisplayName())
 		}
 		if failed {
 			os.Exit(1)

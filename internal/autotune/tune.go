@@ -402,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 
 	rep := Report{
 		Space:     cfg.Space.Name,
-		Base:      specName(base),
+		Base:      base.DisplayName(),
 		Optimizer: optName,
 		Seed:      cfg.Seed,
 		Budget:    budget,
@@ -439,20 +439,12 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	rep.WinnerDiff = policy.Diff(base, winner)
-	winner.Name = specName(base) + "-tuned"
+	winner.Name = base.DisplayName() + "-tuned"
 	winner.Description = fmt.Sprintf("tuned from %q: %s over %d trials (tune seed %d), composite %.4f vs baseline 1.0",
-		specName(base), optName, rep.Trials, cfg.Seed, rep.BestComposite)
+		base.DisplayName(), optName, rep.Trials, cfg.Seed, rep.BestComposite)
 	mBestComposite.Set(rep.BestComposite)
 	mTunes.With("ok").Inc()
 	return &Result{Winner: winner, Report: rep, Records: records}, nil
-}
-
-// specName mirrors the scenario plane's display naming.
-func specName(s *policy.Spec) string {
-	if s == nil || s.Name == "" {
-		return "(unnamed)"
-	}
-	return s.Name
 }
 
 // CheckTrialLog validates a JSONL trial log's schema and internal

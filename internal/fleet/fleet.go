@@ -19,6 +19,7 @@ import (
 	"autocomp/internal/lst"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
+	"autocomp/internal/telemetry"
 )
 
 // Size buckets: the paper's Figure 2 reports file-size distribution
@@ -547,6 +548,22 @@ func (f *Fleet) TableCount() int { return len(f.tables) }
 
 // Day returns the current simulation day.
 func (f *Fleet) Day() int { return f.day }
+
+// Summary returns the fleet-wide table, file, metadata-object and
+// tiny-file aggregates in one pass over the tables.
+func (f *Fleet) Summary() telemetry.FleetTrace {
+	s := telemetry.FleetTrace{Tables: len(f.tables)}
+	var tiny int64
+	for _, t := range f.tables {
+		tiny += t.counts[0]
+		s.Files += t.counts[0] + t.counts[1] + t.counts[2]
+		s.MetaObjects += t.MetadataObjects()
+	}
+	if s.Files > 0 {
+		s.TinyFrac = float64(tiny) / float64(s.Files)
+	}
+	return s
+}
 
 // TotalFiles returns the fleet-wide data-file count.
 func (f *Fleet) TotalFiles() int64 {

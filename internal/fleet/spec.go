@@ -136,41 +136,64 @@ func (f *Fleet) ServiceFromSpec(spec *policy.Spec, model CompactionModel, opts S
 	return out, nil
 }
 
+// Cycle is the one record of a completed OODA cycle: the report, the
+// act phase's execution summary, and the stamped decision-trace event.
+// Every consumer — the daemon log, tenant snapshots, scenario traces —
+// reads this record instead of re-deriving its own summary.
+type Cycle struct {
+	Report *core.Report
+	// Stats summarizes the act phase. A serial act phase fills only the
+	// outcome counts (no worker-pool fields, nil SpentGBHr).
+	Stats scheduler.Stats
+	// Event is the CycleEvent the cycle emitted, Seq included.
+	Event telemetry.CycleEvent
+}
+
 // RunCycle performs one OODA cycle on whichever execution plane the
-// spec configured: the worker pool when present (with scheduler stats),
-// the serial act phase otherwise (zero stats). Every completed cycle
-// emits one telemetry.CycleEvent on the default tracer — the decision
-// trace autocompd logs, streams as JSONL, and serves on /statusz.
-func (s *SpecService) RunCycle() (*core.Report, scheduler.Stats, error) {
+// spec configured — the worker pool when present, the serial act phase
+// otherwise — and emits its telemetry.CycleEvent on the service's
+// tracer: the decision trace autocompd logs, streams as JSONL, and
+// serves on /statusz.
+func (s *SpecService) RunCycle() (Cycle, error) {
 	// The cycle cost is measured on the fleet's clock — virtual time, so
 	// the emitted trace (WallMS included) is a deterministic function of
 	// the seed rather than a leak of host wall time.
 	started := s.fleet.clock.Now()
-	var rep *core.Report
-	var stats scheduler.Stats
+	var cyc Cycle
 	var err error
 	if s.Sched != nil {
-		rep, stats, err = s.Sched.RunCycle()
-	} else {
-		rep, err = s.Svc.RunOnce()
+		cyc.Report, cyc.Stats, err = s.Sched.RunCycle()
+	} else if cyc.Report, err = s.Svc.RunOnce(); err == nil {
+		cyc.Stats = serialStats(cyc.Report)
 	}
 	if err != nil {
-		return rep, stats, err
+		return cyc, err
 	}
-	s.emitCycleEvent(rep, stats, s.fleet.clock.Now()-started)
-	return rep, stats, nil
+	cyc.Event = s.tracer.Emit(s.cycleEvent(cyc.Report, cyc.Stats, s.fleet.clock.Now()-started))
+	return cyc, nil
 }
 
-// emitCycleEvent assembles the cycle's decision-trace event from the
+// serialStats tallies a serial act phase's outcomes from its report.
+func serialStats(rep *core.Report) scheduler.Stats {
+	return scheduler.Stats{
+		Done:       len(rep.Results) - rep.Skipped - rep.Errors - rep.Conflicts,
+		Skipped:    rep.Skipped,
+		Conflicted: rep.Conflicts,
+		Failed:     rep.Errors,
+		Conflicts:  rep.Conflicts,
+	}
+}
+
+// cycleEvent assembles the cycle's decision-trace event from the
 // report, the execution stats, the observation feed, and the substrate.
-// Emission is passive: it reads state the cycle already produced and
-// never mutates anything the pipeline consumes.
-func (s *SpecService) emitCycleEvent(rep *core.Report, stats scheduler.Stats, wall time.Duration) {
+// It is passive: it reads state the cycle already produced and never
+// mutates anything the pipeline consumes.
+func (s *SpecService) cycleEvent(rep *core.Report, stats scheduler.Stats, wall time.Duration) telemetry.CycleEvent {
 	d := rep.Decision
 	ev := telemetry.CycleEvent{
 		Day:    s.fleet.Day(),
 		Tenant: s.tenant,
-		Policy: specName(s.Compiled.Spec),
+		Policy: s.Compiled.Spec.DisplayName(),
 		Funnel: telemetry.FunnelTrace{
 			Generated:  d.Generated,
 			AfterPre:   d.AfterPreFilters,
@@ -179,10 +202,26 @@ func (s *SpecService) emitCycleEvent(rep *core.Report, stats scheduler.Stats, wa
 			Ranked:     len(d.Ranked),
 			Selected:   len(d.Selected),
 		},
+		Scan: telemetry.ScanTrace{Mode: "scan", Scanned: s.fleet.TableCount(), Pool: d.Generated},
+		Exec: telemetry.ExecTrace{
+			Done:           stats.Done,
+			Skipped:        stats.Skipped,
+			Conflicted:     stats.Conflicted,
+			Deferred:       stats.Deferred,
+			Failed:         stats.Failed,
+			Conflicts:      stats.Conflicts,
+			Retries:        stats.Retries,
+			Workers:        stats.Workers,
+			Shards:         stats.Shards,
+			MakespanMS:     stats.Makespan.Milliseconds(),
+			UtilizationPct: 100 * stats.Utilization(),
+			MaxQueueDepth:  stats.MaxQueueDepth,
+		},
 		FilesReduced:    rep.FilesReduced,
 		MetadataReduced: rep.MetadataReduced,
 		BytesRewritten:  rep.BytesRewritten,
 		GBHrSpent:       rep.ActualGBHr,
+		Fleet:           s.fleet.Summary(),
 		WallMS:          float64(wall) / float64(time.Millisecond),
 	}
 	if s.Feed != nil {
@@ -197,37 +236,6 @@ func (s *SpecService) emitCycleEvent(rep *core.Report, stats scheduler.Stats, wa
 			DirtyNow:    s.Feed.Tracker.DirtyCount(),
 		}
 		s.prevCache = cc
-	} else {
-		ev.Scan = telemetry.ScanTrace{
-			Mode:    "scan",
-			Scanned: s.fleet.TableCount(),
-			Pool:    d.Generated,
-		}
-	}
-	if s.Sched != nil {
-		ev.Exec = telemetry.ExecTrace{
-			Done:           stats.Done,
-			Skipped:        stats.Skipped,
-			Conflicted:     stats.Conflicted,
-			Deferred:       stats.Deferred,
-			Failed:         stats.Failed,
-			Conflicts:      stats.Conflicts,
-			Retries:        stats.Retries,
-			Workers:        stats.Workers,
-			Shards:         stats.Shards,
-			MakespanMS:     stats.Makespan.Milliseconds(),
-			UtilizationPct: 100 * stats.Utilization(),
-			MaxQueueDepth:  stats.MaxQueueDepth,
-		}
-	} else {
-		done := len(rep.Results) - rep.Skipped - rep.Errors - rep.Conflicts
-		ev.Exec = telemetry.ExecTrace{
-			Done:       done,
-			Skipped:    rep.Skipped,
-			Conflicted: rep.Conflicts,
-			Failed:     rep.Errors,
-			Conflicts:  rep.Conflicts,
-		}
 	}
 	counts := rep.ActionCounts()
 	for _, a := range core.ActionTypes() {
@@ -235,22 +243,8 @@ func (s *SpecService) emitCycleEvent(rep *core.Report, stats scheduler.Stats, wa
 			ev.Outcomes = append(ev.Outcomes, telemetry.OutcomeTrace{Action: a.String(), Done: counts[a]})
 		}
 	}
-	ev.Fleet = telemetry.FleetTrace{
-		Tables:      s.fleet.TableCount(),
-		Files:       s.fleet.TotalFiles(),
-		MetaObjects: s.fleet.TotalMetadataObjects(),
-		TinyFrac:    s.fleet.TinyFileFraction(),
-	}
-	s.tracer.Emit(ev)
+	return ev
 }
 
 // Tracer returns the tracer this service emits CycleEvents to.
 func (s *SpecService) Tracer() *telemetry.Tracer { return s.tracer }
-
-// specName names a compiled spec for trace events.
-func specName(sp *policy.Spec) string {
-	if sp == nil || sp.Name == "" {
-		return "(unnamed)"
-	}
-	return sp.Name
-}

@@ -81,11 +81,7 @@ func flattenValue(path string, v any, out map[string]string) {
 // enabled planes and override layers.
 func Describe(s *Spec) string {
 	var b strings.Builder
-	name := s.Name
-	if name == "" {
-		name = "(unnamed)"
-	}
-	fmt.Fprintf(&b, "policy %s\n", name)
+	fmt.Fprintf(&b, "policy %s\n", s.DisplayName())
 	if s.Description != "" {
 		fmt.Fprintf(&b, "  %s\n", s.Description)
 	}

@@ -270,6 +270,15 @@ type Spec struct {
 	Tables    map[string]*Patch `json:"tables,omitempty"`
 }
 
+// DisplayName names the spec in logs, traces and reports: its Name, or
+// "(unnamed)" for a nil or anonymous spec.
+func (s *Spec) DisplayName() string {
+	if s == nil || s.Name == "" {
+		return "(unnamed)"
+	}
+	return s.Name
+}
+
 // Clone returns a deep copy (via JSON round-trip) so callers can apply
 // overrides without mutating a shared spec.
 func (s *Spec) Clone() *Spec {

@@ -8,7 +8,6 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
-	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 	"autocomp/internal/telemetry"
@@ -144,14 +143,7 @@ func (e *Engine) PolicyName() string {
 // polls its Watcher) never affects the cycle in flight.
 func (e *Engine) ReloadPolicy(ps *policy.Spec) {
 	e.pending = ps
-	e.pendingName = specName(ps)
-}
-
-func specName(ps *policy.Spec) string {
-	if ps == nil || ps.Name == "" {
-		return "(unnamed)"
-	}
-	return ps.Name
+	e.pendingName = ps.DisplayName()
 }
 
 // setPolicy compiles ps against the fleet and swaps the running service.
@@ -168,10 +160,10 @@ func (e *Engine) setPolicy(ps *policy.Spec) error {
 	}
 	svc, err := e.fleet.ServiceFromSpec(ps, e.model, opts)
 	if err != nil {
-		return fmt.Errorf("scenario: compile policy %s: %w", specName(ps), err)
+		return fmt.Errorf("scenario: compile policy %s: %w", ps.DisplayName(), err)
 	}
 	e.svc = svc
-	e.policyName = specName(ps)
+	e.policyName = ps.DisplayName()
 	return nil
 }
 
@@ -271,13 +263,12 @@ func (e *Engine) runCycle(day int) {
 		}
 		reloaded = true
 	}
-	rep, stats, err := e.svc.RunCycle()
+	cyc, err := e.svc.RunCycle()
 	if err != nil {
 		e.err = fmt.Errorf("scenario: day %d cycle: %w", day, err)
 		return
 	}
-	ct := e.cycleTrace(day, reloaded, rep, stats)
-	e.trace.Cycles = append(e.trace.Cycles, ct)
+	e.trace.Cycles = append(e.trace.Cycles, e.cycleTrace(reloaded, cyc))
 	// Telemetry snapshot, published after the trace record is sealed:
 	// strictly passive, so the golden bytes cannot depend on it.
 	mScenarioCycles.With(e.spec.Name).Inc()
@@ -287,52 +278,29 @@ func (e *Engine) runCycle(day int) {
 	}
 	mScenarioInjectedFailures.Add(float64(e.inj.Failures))
 	mScenarioDrops.Add(float64(len(e.inj.Drops)))
-	if err := e.checkInvariants(rep, stats); err != nil {
+	if err := e.checkInvariants(cyc); err != nil {
 		mScenarioInvariantFailures.Inc()
 		e.err = fmt.Errorf("scenario: day %d invariants: %w", day, err)
 		return
 	}
 	if e.OnCycle != nil {
-		e.OnCycle(day, rep)
+		e.OnCycle(day, cyc.Report)
 	}
 }
 
-// cycleTrace builds the day's canonical trace record.
-func (e *Engine) cycleTrace(day int, reloaded bool, rep *core.Report, stats scheduler.Stats) CycleTrace {
-	d := rep.Decision
+// cycleTrace builds the day's canonical trace record around the
+// cycle's emitted event.
+func (e *Engine) cycleTrace(reloaded bool, cyc fleet.Cycle) CycleTrace {
 	ct := CycleTrace{
-		Day:        day,
-		Policy:     e.policyName,
-		Reloaded:   reloaded,
-		Generated:  d.Generated,
-		AfterPre:   d.AfterPreFilters,
-		AfterStats: d.AfterStatsFilter,
-		AfterTrait: d.AfterTraitFilter,
-		Ranked:     len(d.Ranked),
-		Selected:   len(d.Selected),
-
-		FilesReduced:    rep.FilesReduced,
-		MetadataReduced: rep.MetadataReduced,
-		BytesRewritten:  rep.BytesRewritten,
-		ActualGBHr:      rep.ActualGBHr,
-		Inject:          e.inj,
-		Fleet:           e.fleetSnapshot(),
+		CycleEvent:    cyc.Event,
+		Reloaded:      reloaded,
+		Actions:       make([]int, len(core.ActionTypes())),
+		SpendGBHr:     cyc.Stats.SpentGBHr,
+		MakespanHours: cyc.Stats.Makespan.Hours(),
+		QuotaMax:      e.quotaMax(),
+		Inject:        e.inj,
 	}
-	if feed := e.svc.Feed; feed != nil {
-		scan := feed.LastScan()
-		ct.ScanMode = "dirty"
-		if scan.Full {
-			ct.ScanMode = "full"
-		}
-		ct.Scanned = scan.Scanned
-		ct.Pool = scan.Pool
-	} else {
-		ct.ScanMode = "scan"
-		ct.Scanned = e.fleet.TableCount()
-		ct.Pool = d.Generated
-	}
-	ct.Actions = make([]int, len(core.ActionTypes()))
-	for _, c := range d.Selected {
+	for _, c := range cyc.Report.Decision.Selected {
 		for int(c.Action) >= len(ct.Actions) {
 			ct.Actions = append(ct.Actions, 0)
 		}
@@ -341,39 +309,12 @@ func (e *Engine) cycleTrace(day int, reloaded bool, rep *core.Report, stats sche
 			ct.Top = append(ct.Top, c.ID())
 		}
 	}
-	if e.svc.Sched != nil {
-		ct.MakespanHours = stats.Makespan.Hours()
-		ct.Exec = ExecTrace{
-			Done:       stats.Done,
-			Skipped:    stats.Skipped,
-			Conflicted: stats.Conflicted,
-			Deferred:   stats.Deferred,
-			Failed:     stats.Failed,
-			Conflicts:  stats.Conflicts,
-			Retries:    stats.Retries,
-		}
-		ct.SpendGBHr = append([]float64(nil), stats.SpentGBHr...)
-	} else {
-		done := len(rep.Results) - rep.Skipped - rep.Errors - rep.Conflicts
-		ct.Exec = ExecTrace{
-			Done:       done,
-			Skipped:    rep.Skipped,
-			Conflicted: rep.Conflicts,
-			Failed:     rep.Errors,
-			Conflicts:  rep.Conflicts,
-		}
-	}
 	return ct
 }
 
-// fleetSnapshot captures the end-of-cycle fleet state.
-func (e *Engine) fleetSnapshot() FleetSnapshot {
-	s := FleetSnapshot{
-		Tables:      e.fleet.TableCount(),
-		Files:       e.fleet.TotalFiles(),
-		TinyFrac:    e.fleet.TinyFileFraction(),
-		MetaObjects: e.fleet.TotalMetadataObjects(),
-	}
+// quotaMax returns the highest tenant quota utilization in the fleet.
+func (e *Engine) quotaMax() float64 {
+	var highest float64
 	seen := map[string]bool{}
 	for _, t := range e.fleet.Tables() {
 		db := t.Database()
@@ -381,11 +322,11 @@ func (e *Engine) fleetSnapshot() FleetSnapshot {
 			continue
 		}
 		seen[db] = true
-		if u := e.fleet.QuotaUtilization(db); u > s.QuotaMax {
-			s.QuotaMax = u
+		if u := e.fleet.QuotaUtilization(db); u > highest {
+			highest = u
 		}
 	}
-	return s
+	return highest
 }
 
 // checkInvariants audits the cycle against the properties every
@@ -401,35 +342,37 @@ func (e *Engine) fleetSnapshot() FleetSnapshot {
 //   - the incremental plane's retained candidate pool and stats cache
 //     never reference a dropped table or a version beyond the table's
 //     live one.
-func (e *Engine) checkInvariants(rep *core.Report, stats scheduler.Stats) error {
+//
+// A serial act phase reports no shard spend and no workers, so the two
+// execution-plane checks hold vacuously there.
+func (e *Engine) checkInvariants(cyc fleet.Cycle) error {
 	var errs []error
 	live := make(map[string]int64, e.fleet.TableCount())
 	for _, t := range e.fleet.Tables() {
 		live[t.FullName()] = t.Version()
 	}
-	for _, c := range rep.Decision.Selected {
+	for _, c := range cyc.Report.Decision.Selected {
 		if _, ok := live[c.Table.FullName()]; !ok {
 			errs = append(errs, fmt.Errorf("selected candidate %s references a dropped table", c.ID()))
 		}
 	}
-	if e.svc.Sched != nil {
-		if budget := e.svc.Compiled.Sched.ShardBudgetGBHr; budget > 0 {
-			var maxJob float64
-			for _, cr := range rep.Results {
-				if cr.Result.GBHr > maxJob {
-					maxJob = cr.Result.GBHr
-				}
-			}
-			for shard, spent := range stats.SpentGBHr {
-				if spent > budget+maxJob+1e-6 {
-					errs = append(errs, fmt.Errorf("shard %d spent %.3f GBHr, budget %.3f (+max job %.3f)",
-						shard, spent, budget, maxJob))
-				}
+	stats := cyc.Stats
+	if budget := e.svc.Compiled.Sched.ShardBudgetGBHr; budget > 0 {
+		var maxJob float64
+		for _, cr := range cyc.Report.Results {
+			if cr.Result.GBHr > maxJob {
+				maxJob = cr.Result.GBHr
 			}
 		}
-		if stats.MaxWorkersBusy > stats.Workers {
-			errs = append(errs, fmt.Errorf("%d jobs in flight on %d workers", stats.MaxWorkersBusy, stats.Workers))
+		for shard, spent := range stats.SpentGBHr {
+			if spent > budget+maxJob+1e-6 {
+				errs = append(errs, fmt.Errorf("shard %d spent %.3f GBHr, budget %.3f (+max job %.3f)",
+					shard, spent, budget, maxJob))
+			}
 		}
+	}
+	if stats.MaxWorkersBusy > stats.Workers {
+		errs = append(errs, fmt.Errorf("%d jobs in flight on %d workers", stats.MaxWorkersBusy, stats.Workers))
 	}
 	if feed := e.svc.Feed; feed != nil {
 		for _, name := range feed.RetainedTables() {
@@ -456,12 +399,12 @@ func (e *Engine) checkInvariants(rep *core.Report, stats scheduler.Stats) error 
 // Step-wise drivers call it once after the last StepDay; Run does it
 // for you.
 func (e *Engine) Finalize() *Trace {
-	f := FinalTrace{Fleet: e.fleetSnapshot()}
+	f := FinalTrace{Fleet: e.fleet.Summary(), QuotaMax: e.quotaMax()}
 	for i := range e.trace.Cycles {
 		c := &e.trace.Cycles[i]
 		f.FilesReduced += c.FilesReduced
 		f.MetadataReduced += c.MetadataReduced
-		f.ActualGBHr += c.ActualGBHr
+		f.ActualGBHr += c.GBHrSpent
 		f.Conflicts += c.Exec.Conflicts
 		f.Failures += c.Exec.Failed
 		f.InjectedCommits += c.Inject.Commits

@@ -3,11 +3,13 @@ package scenario
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"autocomp/internal/core"
 	"autocomp/internal/policy"
+	"autocomp/internal/telemetry"
 )
 
 func minimalSpec(name string) *Spec {
@@ -149,8 +151,8 @@ func TestWatcherHotReloadSwitchesAtCycleBoundary(t *testing.T) {
 			if (c.Day == reloadAfterDay+1) != c.Reloaded {
 				t.Fatalf("day %d reloaded=%v, want the switch marked exactly once at the boundary", c.Day, c.Reloaded)
 			}
-			if c.Selected > 2 {
-				t.Fatalf("day %d selected %d under top-k 2", c.Day, c.Selected)
+			if c.Funnel.Selected > 2 {
+				t.Fatalf("day %d selected %d under top-k 2", c.Day, c.Funnel.Selected)
 			}
 		}
 	}
@@ -248,5 +250,44 @@ func TestInjectedFailuresSurfaceInTrace(t *testing.T) {
 	}
 	if injected != int64(tr.Final.Failures) {
 		t.Fatalf("totals: %d != %d", injected, tr.Final.Failures)
+	}
+}
+
+// TestCycleRecordParity pins the scenario trace to the cycle's one
+// record: every CycleTrace carries exactly the CycleEvent its tracer
+// stamped, on the worker pool and on the serial act phase alike.
+func TestCycleRecordParity(t *testing.T) {
+	for name, pool := range map[string]bool{"steady-state": true, "hot-partition-skew": false} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := LoadFile(filepath.Join(scenariosDir(), name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tracer := telemetry.NewTracer(spec.Days + 1)
+			eng, err := NewEngineOpts(spec, EngineOptions{Tracer: tracer})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			emitted := map[int64]telemetry.CycleEvent{}
+			for _, ev := range tracer.Recent(spec.Days + 1) {
+				emitted[ev.Seq] = ev
+			}
+			if len(tr.Cycles) != spec.Days || len(emitted) != spec.Days {
+				t.Fatalf("%d cycles, %d emitted events, want %d each", len(tr.Cycles), len(emitted), spec.Days)
+			}
+			for _, c := range tr.Cycles {
+				if !reflect.DeepEqual(c.CycleEvent, emitted[c.Seq]) {
+					t.Fatalf("day %d: trace event differs from the emitted one\ntrace:   %+v\nemitted: %+v",
+						c.Day, c.CycleEvent, emitted[c.Seq])
+				}
+				if (c.Exec.Workers > 0) != pool || (c.SpendGBHr != nil) != pool {
+					t.Fatalf("day %d: workers=%d spend=%v, want pool=%v", c.Day, c.Exec.Workers, c.SpendGBHr, pool)
+				}
+			}
+		})
 	}
 }

@@ -6,29 +6,12 @@ import (
 	"strings"
 
 	"autocomp/internal/core"
+	"autocomp/internal/telemetry"
 )
 
 // TraceVersion is bumped whenever the canonical rendering changes shape,
 // so stale goldens fail loudly instead of diffing confusingly.
 const TraceVersion = 1
-
-// ExecTrace is the cycle's execution-plane outcome (all zeros when the
-// policy runs the serial act phase).
-type ExecTrace struct {
-	Done, Skipped, Conflicted, Deferred, Failed int
-	Conflicts, Retries                          int
-}
-
-// FleetSnapshot is the end-of-cycle fleet state.
-type FleetSnapshot struct {
-	Tables      int
-	Files       int64
-	TinyFrac    float64
-	MetaObjects int64
-	// QuotaMax is the highest tenant quota utilization (0 when quotas
-	// are unlimited).
-	QuotaMax float64
-}
 
 // Injection tallies what the scenario injected during one day: pattern
 // commits/files, dropped tables, and injected commit failures.
@@ -39,22 +22,14 @@ type Injection struct {
 	Failures int64
 }
 
-// CycleTrace is one observe→decide→act cycle of the run.
+// CycleTrace is one observe→decide→act cycle of the run: the
+// CycleEvent the cycle emitted (funnel, scan mode, execution outcomes,
+// effect, fleet state) plus what only the scenario knows.
 type CycleTrace struct {
-	Day    int
-	Policy string
+	telemetry.CycleEvent
 	// Reloaded marks the cycle that first ran under a reloaded policy
 	// (reloads apply at cycle boundaries only).
 	Reloaded bool
-
-	// ScanMode is "full" or "dirty" under the incremental observation
-	// plane, "scan" for full-scan pipelines.
-	ScanMode string
-	Scanned  int
-	Pool     int
-
-	Generated, AfterPre, AfterStats, AfterTrait int
-	Ranked, Selected                            int
 	// Actions counts selected candidates per action type, indexed by
 	// core.ActionType and sized from core.ActionTypes() (a new action
 	// type shows up as a trace diff, not a panic).
@@ -62,8 +37,6 @@ type CycleTrace struct {
 	// Top lists up to eight selected candidate IDs in rank order — the
 	// decision-level fingerprint golden traces lock in.
 	Top []string
-
-	Exec ExecTrace
 	// SpendGBHr is the per-shard committed budget spend (nil without an
 	// execution plane).
 	SpendGBHr []float64
@@ -72,19 +45,16 @@ type CycleTrace struct {
 	// score traces — e.g. the autotune harness — and deliberately not
 	// rendered by Marshal, so golden trace bytes are unaffected.
 	MakespanHours float64
-
-	FilesReduced    int
-	MetadataReduced int
-	BytesRewritten  int64
-	ActualGBHr      float64
-
-	Inject Injection
-	Fleet  FleetSnapshot
+	// QuotaMax is the highest tenant quota utilization at the end of the
+	// cycle (0 when quotas are unlimited).
+	QuotaMax float64
+	Inject   Injection
 }
 
 // FinalTrace is the end-of-run summary and cumulative totals.
 type FinalTrace struct {
-	Fleet           FleetSnapshot
+	Fleet           telemetry.FleetTrace
+	QuotaMax        float64
 	FilesReduced    int
 	MetadataReduced int
 	ActualGBHr      float64
@@ -129,9 +99,10 @@ func (tr *Trace) Marshal() []byte {
 			reload = " reloaded=true"
 		}
 		fmt.Fprintf(&b, "cycle=%d policy=%s%s scan=%s scanned=%d pool=%d\n",
-			c.Day, c.Policy, reload, c.ScanMode, c.Scanned, c.Pool)
+			c.Day, c.Policy, reload, c.Scan.Mode, c.Scan.Scanned, c.Scan.Pool)
+		f := &c.Funnel
 		fmt.Fprintf(&b, "  funnel: generated=%d pre=%d stats=%d trait=%d ranked=%d selected=%d\n",
-			c.Generated, c.AfterPre, c.AfterStats, c.AfterTrait, c.Ranked, c.Selected)
+			f.Generated, f.AfterPre, f.AfterStats, f.AfterTrait, f.Ranked, f.Selected)
 		parts := make([]string, 0, len(c.Actions))
 		for _, a := range core.ActionTypes() {
 			if int(a) < len(c.Actions) && c.Actions[int(a)] > 0 {
@@ -156,26 +127,26 @@ func (tr *Trace) Marshal() []byte {
 			fmt.Fprintf(&b, "  spend_gbhr: %s\n", strings.Join(spend, "/"))
 		}
 		fmt.Fprintf(&b, "  effect: files_reduced=%d metadata_reduced=%d bytes_rewritten=%d actual_gbhr=%s\n",
-			c.FilesReduced, c.MetadataReduced, c.BytesRewritten, fmtF(c.ActualGBHr, 3))
+			c.FilesReduced, c.MetadataReduced, c.BytesRewritten, fmtF(c.GBHrSpent, 3))
 		drops := "-"
 		if len(c.Inject.Drops) > 0 {
 			drops = strings.Join(c.Inject.Drops, ",")
 		}
 		fmt.Fprintf(&b, "  inject: commits=%d files=%d failures=%d drops=%s\n",
 			c.Inject.Commits, c.Inject.Files, c.Inject.Failures, drops)
-		fmt.Fprintf(&b, "  fleet: %s\n", c.Fleet.render())
+		fmt.Fprintf(&b, "  fleet: %s\n", renderFleet(c.Fleet, c.QuotaMax))
 	}
 	b.WriteByte('\n')
-	fmt.Fprintf(&b, "final: %s\n", tr.Final.Fleet.render())
+	fmt.Fprintf(&b, "final: %s\n", renderFleet(tr.Final.Fleet, tr.Final.QuotaMax))
 	fmt.Fprintf(&b, "totals: files_reduced=%d metadata_reduced=%d actual_gbhr=%s conflicts=%d failures=%d injected_commits=%d dropped=%d\n",
 		tr.Final.FilesReduced, tr.Final.MetadataReduced, fmtF(tr.Final.ActualGBHr, 3),
 		tr.Final.Conflicts, tr.Final.Failures, tr.Final.InjectedCommits, tr.Final.Dropped)
 	return []byte(b.String())
 }
 
-func (f FleetSnapshot) render() string {
+func renderFleet(f telemetry.FleetTrace, quotaMax float64) string {
 	return fmt.Sprintf("tables=%d files=%d tiny_frac=%s meta_objects=%d quota_max=%s",
-		f.Tables, f.Files, fmtF(f.TinyFrac, 4), f.MetaObjects, fmtF(f.QuotaMax, 4))
+		f.Tables, f.Files, fmtF(f.TinyFrac, 4), f.MetaObjects, fmtF(quotaMax, 4))
 }
 
 // DiffTraces compares two marshaled traces line by line and returns

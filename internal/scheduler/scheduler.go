@@ -204,12 +204,10 @@ type Job struct {
 	// Result is the executed outcome (terminal states only).
 	Result compaction.Result
 
-	// Enqueued, Started, Finished are pool-clock instants; Waited is the
-	// total time spent queued across attempts.
+	// Enqueued, Started, Finished are pool-clock instants.
 	Enqueued time.Duration
 	Started  time.Duration
 	Finished time.Duration
-	Waited   time.Duration
 
 	seq          int64
 	readyAt      time.Duration
@@ -254,15 +252,9 @@ type Stats struct {
 	// BusyTime sums service time across workers; utilization is
 	// BusyTime / (Workers × Makespan).
 	BusyTime time.Duration
-	// TotalWait sums queue waiting time across jobs and attempts.
-	TotalWait time.Duration
 
-	// MaxQueueDepth and MeanQueueDepth sample the pending-queue length
-	// at every dispatch.
-	MaxQueueDepth  int
-	MeanQueueDepth float64
-	depthSum       float64
-	depthSamples   int
+	// MaxQueueDepth is the longest pending queue seen at a dispatch.
+	MaxQueueDepth int
 
 	// MaxWorkersBusy is the peak number of jobs in flight at once
 	// (bounded by Workers). Per-table concurrency is always ≤ 1 — the
@@ -288,16 +280,6 @@ func (s Stats) TotalSpentGBHr() float64 {
 		t += v
 	}
 	return t
-}
-
-// String renders the one-line operator summary.
-func (s Stats) String() string {
-	return fmt.Sprintf(
-		"scheduler: %d jobs on %dw/%ds: done=%d skipped=%d conflicted=%d deferred=%d failed=%d | conflicts=%d retries=%d | makespan=%v util=%.0f%% qdepth max=%d mean=%.1f",
-		s.Submitted, s.Workers, s.Shards, s.Done, s.Skipped, s.Conflicted,
-		s.Deferred, s.Failed, s.Conflicts, s.Retries,
-		s.Makespan.Round(time.Second), 100*s.Utilization(),
-		s.MaxQueueDepth, s.MeanQueueDepth)
 }
 
 // Pool is the scheduler state machine. It is not safe for concurrent use;
@@ -479,8 +461,6 @@ func (p *Pool) dispatch(j *Job, now time.Duration) {
 	j.Status = StatusRunning
 	j.Attempts++
 	j.Started = now
-	j.Waited += now - j.queuedSince
-	p.stats.TotalWait += now - j.queuedSince
 	mWaitTime.Observe((now - j.queuedSince).Seconds())
 	mWorkersBusy.Set(float64(p.running))
 	mQueueDepth.Set(float64(len(p.pending)))
@@ -489,8 +469,6 @@ func (p *Pool) dispatch(j *Job, now time.Duration) {
 		p.started = true
 		p.firstStart = now
 	}
-	p.stats.depthSum += float64(len(p.pending))
-	p.stats.depthSamples++
 	if len(p.pending) > p.stats.MaxQueueDepth {
 		p.stats.MaxQueueDepth = len(p.pending)
 	}
@@ -617,8 +595,8 @@ func (p *Pool) serviceTime(j *Job) time.Duration {
 	return d
 }
 
-// finalize closes the books on a drained cycle: terminal-conflict and
-// queue-depth aggregates, makespan, and the per-shard spend snapshot.
+// finalize closes the books on a drained cycle: terminal-conflict
+// aggregates, makespan, and the per-shard spend snapshot.
 func (p *Pool) finalize() Stats {
 	p.stats.Conflicted = 0
 	for _, j := range p.jobs {
@@ -630,9 +608,6 @@ func (p *Pool) finalize() Stats {
 		p.stats.Makespan = p.lastFinish - p.firstStart
 		mMakespan.Observe(p.stats.Makespan.Seconds())
 		mOccupancy.Observe(p.stats.Utilization())
-	}
-	if p.stats.depthSamples > 0 {
-		p.stats.MeanQueueDepth = p.stats.depthSum / float64(p.stats.depthSamples)
 	}
 	p.stats.SpentGBHr = append([]float64(nil), p.spent...)
 	return p.stats

@@ -18,6 +18,7 @@ import (
 
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario"
+	"autocomp/internal/telemetry"
 	"autocomp/internal/tenant"
 )
 
@@ -347,8 +348,19 @@ func (s *Server) handleRunTrace(w http.ResponseWriter, r *http.Request, t *tenan
 
 // handleRunEvents: GET /api/tenants/{t}/runs/{id}/events — the run's
 // per-cycle CycleEvents as JSONL, streamed until the run reaches a
-// terminal state (or from ?after=N for a plain poll).
+// terminal state (or from ?after=N for a plain poll), with the event
+// Seq as the cursor.
 func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request, t *tenant.Tenant, run *tenant.Run) {
+	streamAfter(w, r, run.Done(), run.Events, func(ev telemetry.CycleEvent) int64 { return ev.Seq })
+}
+
+// streamAfter serves a cursor-resumable JSONL stream: every record
+// since(after) returns for the ?after=N cursor (default 0), then —
+// unless ?follow=0 — polls for newer records until done closes (one
+// final drain) or the client goes away. cursor reads a record's
+// position, which since must compare strictly (records after N).
+func streamAfter[T any](w http.ResponseWriter, r *http.Request, done <-chan struct{},
+	since func(after int64) []T, cursor func(T) int64) {
 	after := int64(0)
 	if v := r.URL.Query().Get("after"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
@@ -364,9 +376,9 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request, t *tena
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	write := func() {
-		for _, ev := range run.Events(after) {
-			_ = enc.Encode(ev)
-			after = ev.Seq
+		for _, rec := range since(after) {
+			_ = enc.Encode(rec)
+			after = cursor(rec)
 		}
 		if flusher != nil {
 			flusher.Flush()
@@ -380,7 +392,7 @@ func (s *Server) handleRunEvents(w http.ResponseWriter, r *http.Request, t *tena
 	defer ticker.Stop()
 	for {
 		select {
-		case <-run.Done():
+		case <-done:
 			write()
 			return
 		case <-r.Context().Done():

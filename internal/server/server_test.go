@@ -381,6 +381,50 @@ func TestSubmitInlineScenario(t *testing.T) {
 	}
 }
 
+// TestRunEventsCursor pins the run event stream's cursor: a plain poll
+// with ?after=N returns only events with Seq > N, and a malformed cursor
+// is a 400.
+func TestRunEventsCursor(t *testing.T) {
+	ts, _ := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"cursor","days":1,"initial_tables":10}`), &tenant.Snapshot{})
+	spec := `{"spec":{"name":"tiny","seed":9,"days":3,"fleet":{"initial_tables":12}}}`
+	var info tenant.RunInfo
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants/cursor/runs", []byte(spec), &info)
+	runURL := ts.URL + "/api/tenants/cursor/runs/" + info.ID
+	waitFor(t, func() bool {
+		var i tenant.RunInfo
+		doJSON(t, http.MethodGet, runURL, nil, &i)
+		if i.Status == tenant.RunFailed {
+			t.Fatalf("run failed: %s", i.Error)
+		}
+		return i.Status == tenant.RunDone
+	})
+
+	resp, err := http.Get(runURL + "/events?after=1&follow=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var seqs []int64
+	dec := json.NewDecoder(resp.Body)
+	for dec.More() {
+		var ev telemetry.CycleEvent
+		if err := dec.Decode(&ev); err != nil {
+			t.Fatal(err)
+		}
+		seqs = append(seqs, ev.Seq)
+	}
+	if len(seqs) != 2 || seqs[0] != 2 || seqs[1] != 3 {
+		t.Fatalf("after=1 returned seqs %v, want [2 3]", seqs)
+	}
+
+	bad := doJSON(t, http.MethodGet, runURL+"/events?after=abc", nil, &apiError{})
+	if bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("after=abc status = %d, want 400", bad.StatusCode)
+	}
+}
+
 func writeSpec(t *testing.T, path string, sp *policy.Spec) {
 	t.Helper()
 	b, err := sp.Marshal()

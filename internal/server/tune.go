@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 	"sync"
 	"time"
 
@@ -57,11 +56,11 @@ func (j *tuneJob) info() TuneJobInfo {
 }
 
 // eventsAfter returns trial records with Trial > after.
-func (j *tuneJob) eventsAfter(after int) []autotune.TrialRecord {
+func (j *tuneJob) eventsAfter(after int64) []autotune.TrialRecord {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for i, rec := range j.records {
-		if rec.Trial > after {
+		if int64(rec.Trial) > after {
 			out := make([]autotune.TrialRecord, len(j.records)-i)
 			copy(out, j.records[i:])
 			return out
@@ -268,44 +267,5 @@ func (s *Server) handleTuneResult(w http.ResponseWriter, r *http.Request, job *t
 // cursor; ?follow=0 polls). The same shape as /runs/{id}/events, with
 // the trial number as the cursor.
 func (s *Server) handleTuneEvents(w http.ResponseWriter, r *http.Request, job *tuneJob) {
-	after := 0
-	if v := r.URL.Query().Get("after"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "bad after=%q: %v", v, err)
-			return
-		}
-		after = n
-	}
-	follow := r.URL.Query().Get("follow") != "0"
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	write := func() {
-		for _, rec := range job.eventsAfter(after) {
-			_ = enc.Encode(rec)
-			after = rec.Trial
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	write()
-	if !follow {
-		return
-	}
-	ticker := time.NewTicker(25 * time.Millisecond)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-job.done:
-			write()
-			return
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-			write()
-		}
-	}
+	streamAfter(w, r, job.done, job.eventsAfter, func(rec autotune.TrialRecord) int64 { return int64(rec.Trial) })
 }

@@ -124,6 +124,9 @@ func TestTuneAPI(t *testing.T) {
 	if len(tail) != 2 || tail[0].Trial != 3 || tail[1].Trial != 4 {
 		t.Fatalf("after=2 tail: %+v", tail)
 	}
+	if bad := doJSON(t, "GET", ts.URL+"/api/tune/"+info.ID+"/events?after=abc", nil, new(apiError)); bad.StatusCode != http.StatusBadRequest {
+		t.Fatalf("after=abc status = %d, want 400", bad.StatusCode)
+	}
 
 	// The job list includes the finished job.
 	var list []TuneJobInfo

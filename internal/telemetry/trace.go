@@ -74,9 +74,10 @@ type FleetTrace struct {
 // CycleEvent is one observe→decide→act cycle in the decision-trace
 // stream: the funnel, the scan mode, the execution outcomes, the budget
 // spend, and the fleet state it left behind. Events are emitted by
-// fleet.SpecService.RunCycle (the path autocompd and the scenario engine
-// share) and rendered identically into the daemon log, the JSONL trace
-// stream, and /statusz — one snapshot, three views, zero drift.
+// fleet.SpecService.RunCycle (the path autocompd, tenants and the
+// scenario engine share), which also returns the stamped event: the
+// daemon log, the JSONL trace stream, /statusz, tenant snapshots and
+// scenario traces all read this one record.
 type CycleEvent struct {
 	// Seq is the tracer-assigned sequence number (1-based).
 	Seq int64 `json:"seq"`
@@ -181,8 +182,9 @@ func (t *Tracer) SetWriter(w io.Writer) {
 	t.w = w
 }
 
-// Emit appends one cycle event, assigning its sequence number.
-func (t *Tracer) Emit(ev CycleEvent) {
+// Emit appends one cycle event, assigning its sequence number, and
+// returns the stamped event.
+func (t *Tracer) Emit(ev CycleEvent) CycleEvent {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.seq++
@@ -197,6 +199,7 @@ func (t *Tracer) Emit(ev CycleEvent) {
 			_, _ = t.w.Write(append(buf, '\n'))
 		}
 	}
+	return ev
 }
 
 // Last returns the most recent event, if any.

@@ -4,15 +4,6 @@ import (
 	"autocomp/internal/telemetry"
 )
 
-// FleetStats is the tenant's end-of-cycle substrate view served by the
-// management API.
-type FleetStats struct {
-	Tables      int     `json:"tables"`
-	Files       int64   `json:"files"`
-	MetaObjects int64   `json:"meta_objects"`
-	TinyFrac    float64 `json:"tiny_frac"`
-}
-
 // SchedStats describes the tenant's execution plane, when the policy
 // enables one.
 type SchedStats struct {
@@ -37,7 +28,7 @@ type Snapshot struct {
 	PolicyError string `json:"policy_error,omitempty"`
 	Error       string `json:"error,omitempty"`
 
-	Fleet FleetStats `json:"fleet"`
+	Fleet telemetry.FleetTrace `json:"fleet"`
 	// DirtySet is the incremental plane's dirty-set size (nil when the
 	// policy has no trigger section).
 	DirtySet *int `json:"dirty_set,omitempty"`
@@ -61,16 +52,11 @@ func (t *Tenant) Status() Snapshot {
 		Day:         t.day,
 		DaysPlanned: t.cfg.Days,
 		Cycles:      t.tracer.Seq(),
-		Policy:      specName(t.spec),
+		Policy:      t.spec.DisplayName(),
 		Provenance:  t.provenance,
 		PolicyError: t.policyErr,
-		Fleet: FleetStats{
-			Tables:      t.fleet.TableCount(),
-			Files:       t.fleet.TotalFiles(),
-			MetaObjects: t.fleet.TotalMetadataObjects(),
-			TinyFrac:    t.fleet.TinyFileFraction(),
-		},
-		Runs: len(t.runs),
+		Fleet:       t.fleet.Summary(),
+		Runs:        len(t.runs),
 	}
 	if t.err != nil {
 		s.Error = t.err.Error()

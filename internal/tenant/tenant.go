@@ -405,7 +405,7 @@ func (t *Tenant) PolicyInfo() (spec *policy.Spec, name, provenance string) {
 	if t.pending != nil {
 		sp, pv = t.pending, t.pendingPv+" (staged)"
 	}
-	return sp.Clone(), specName(sp), pv
+	return sp.Clone(), sp.DisplayName(), pv
 }
 
 // StepCycle runs one OODA cycle: poll the policy file, apply a staged
@@ -425,31 +425,29 @@ func (t *Tenant) StepCycle() error {
 		if err := t.setPolicyLocked(sp, pv); err != nil {
 			// Validation passed but compilation against the live fleet did
 			// not: report once, keep the running policy.
-			t.reportPolicyErr("policy: swap rejected: %v (keeping %s)", err, specName(t.spec))
+			t.reportPolicyErr("policy: swap rejected: %v (keeping %s)", err, t.spec.DisplayName())
 			mTenantPolicyPushes.With(t.cfg.Name, "swap-failed").Inc()
 		} else {
 			t.policyErr = ""
-			t.logf("policy: %s now running %s (%s)", t.cfg.Name, specName(sp), pv)
+			t.logf("policy: %s now running %s (%s)", t.cfg.Name, sp.DisplayName(), pv)
 		}
 	}
 	t.fleet.AdvanceDay()
-	rep, _, err := t.svc.RunCycle()
+	cyc, err := t.svc.RunCycle()
 	if err != nil {
 		return fmt.Errorf("tenant %s: day %d cycle: %w", t.cfg.Name, t.day+1, err)
 	}
 	t.day++
-	t.lastRep = rep
+	t.lastRep = cyc.Report
 	if err := t.persistLocked(); err != nil {
 		return err
 	}
 	mTenantCycles.With(t.cfg.Name).Inc()
 	mTenantDay.With(t.cfg.Name).Set(float64(t.day))
-	mTenantFilesReduced.With(t.cfg.Name).Add(float64(rep.FilesReduced))
-	mTenantGBHrSpent.With(t.cfg.Name).Add(rep.ActualGBHr)
+	mTenantFilesReduced.With(t.cfg.Name).Add(float64(cyc.Report.FilesReduced))
+	mTenantGBHrSpent.With(t.cfg.Name).Add(cyc.Report.ActualGBHr)
 	if t.opts.OnCycle != nil {
-		if ev, ok := t.tracer.Last(); ok {
-			t.opts.OnCycle(ev, rep)
-		}
+		t.opts.OnCycle(cyc.Event, cyc.Report)
 	}
 	return nil
 }
@@ -463,7 +461,7 @@ func (t *Tenant) pollPolicyLocked() {
 	sp, changed, err := t.opts.PollPolicy()
 	switch {
 	case err != nil:
-		t.reportPolicyErr("policy: reload rejected: %v (keeping %s)", err, specName(t.spec))
+		t.reportPolicyErr("policy: reload rejected: %v (keeping %s)", err, t.spec.DisplayName())
 	case changed:
 		t.pending = sp
 		t.pendingPv = "file"
@@ -533,11 +531,4 @@ func (t *Tenant) setStateLocked(s State) {
 	t.state = s
 	mTenantState.With(t.cfg.Name).Set(float64(s))
 	t.cond.Broadcast()
-}
-
-func specName(sp *policy.Spec) string {
-	if sp == nil || sp.Name == "" {
-		return "(unnamed)"
-	}
-	return sp.Name
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -61,11 +62,11 @@ func baselineFingerprints(t *testing.T, spec *policy.Spec, days int) []string {
 	var prints []string
 	for d := 1; d <= days; d++ {
 		f.AdvanceDay()
-		rep, _, err := svc.RunCycle()
+		cyc, err := svc.RunCycle()
 		if err != nil {
 			t.Fatalf("baseline day %d: %v", d, err)
 		}
-		prints = append(prints, testkit.DecisionFingerprint(rep.Decision))
+		prints = append(prints, testkit.DecisionFingerprint(cyc.Report.Decision))
 	}
 	return prints
 }
@@ -336,4 +337,35 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition never reached")
+}
+
+// TestOnCycleEventParity pins OnCycle to the cycle's one record: the
+// event a hook observes is the one the tenant's tracer stamped last,
+// before and after a swap from the worker pool to the serial act phase.
+func TestOnCycleEventParity(t *testing.T) {
+	var tn *Tenant
+	tn, _ = newTestTenant(t, "record", policy.DefaultSpec(), Options{
+		OnCycle: func(ev telemetry.CycleEvent, _ *core.Report) {
+			last, ok := tn.Tracer().Last()
+			if !ok || !reflect.DeepEqual(ev, last) {
+				t.Fatalf("day %d: OnCycle event differs from the tracer's last\nhook:   %+v\ntracer: %+v", ev.Day, ev, last)
+			}
+			if ev.Seq != tn.Tracer().Seq() || ev.Tenant != "record" {
+				t.Fatalf("day %d: seq %d tenant %q, tracer at seq %d", ev.Day, ev.Seq, ev.Tenant, tn.Tracer().Seq())
+			}
+		},
+	})
+	for d := 1; d <= testDays; d++ {
+		if d == testDays/2 {
+			if _, err := tn.PushPolicy(alternateSpec()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tn.StepCycle(); err != nil {
+			t.Fatalf("day %d: %v", d, err)
+		}
+	}
+	if st := tn.Status(); st.Cycles != testDays || st.LastCycle == nil || st.LastCycle.Exec.Workers != 0 {
+		t.Fatalf("final snapshot: cycles=%d last=%+v, want %d serial cycles", st.Cycles, st.LastCycle, testDays)
+	}
 }

@@ -114,12 +114,12 @@ func TestHotReloadBetweenCycles(t *testing.T) {
 
 	// Cycle 1 under the budget selector: many tables selected.
 	f.AdvanceDay()
-	rep, _, err := svc.RunCycle()
+	cyc, err := svc.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Decision.Selected) <= 2 {
-		t.Fatalf("budget cycle selected %d, want > 2", len(rep.Decision.Selected))
+	if len(cyc.Report.Decision.Selected) <= 2 {
+		t.Fatalf("budget cycle selected %d, want > 2", len(cyc.Report.Decision.Selected))
 	}
 
 	// Edit the file between cycles: top-k 2.
@@ -138,11 +138,11 @@ func TestHotReloadBetweenCycles(t *testing.T) {
 
 	// Cycle 2 runs under the new policy without restarting anything.
 	f.AdvanceDay()
-	rep, _, err = svc.RunCycle()
+	cyc, err = svc.RunCycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Decision.Selected) != 2 {
-		t.Fatalf("reloaded cycle selected %d, want 2", len(rep.Decision.Selected))
+	if len(cyc.Report.Decision.Selected) != 2 {
+		t.Fatalf("reloaded cycle selected %d, want 2", len(cyc.Report.Decision.Selected))
 	}
 }

@@ -57,13 +57,27 @@ families=$(grep -c '^# TYPE' "$metrics")
 [ "$families" -ge 25 ] || { echo "smoke: only $families metric families (need >= 25)"; exit 1; }
 echo "smoke: /metrics serves $families families"
 
-# /statusz: the daemon reports itself done with cycles traced.
+# /statusz: the daemon reports itself done after both cycles, and the
+# default tenant's snapshot agrees with its last traced cycle.
 curl -fsS "http://$addr/statusz" >"$workdir/statusz.json"
-grep -q '"done": true' "$workdir/statusz.json" || { echo "smoke: /statusz not done"; exit 1; }
+python3 - "$workdir/statusz.json" <<'EOF' || exit 1
+import json, sys
+st = json.load(open(sys.argv[1]))
+checks = [
+    (st.get("done") is True, "not done"),
+    (st.get("cycles") == 2, "cycles=%r, want 2" % st.get("cycles")),
+    ((st.get("last_cycle") or {}).get("day") == st.get("day"),
+     "last_cycle.day=%r != day=%r" % ((st.get("last_cycle") or {}).get("day"), st.get("day"))),
+]
+for ok, msg in checks:
+    if not ok:
+        sys.exit("smoke: /statusz " + msg)
+EOF
 echo "smoke: /statusz ok"
 
-# lakectl status renders the scraped trace.
-go run ./cmd/lakectl status "$addr" | grep -q "^day " || { echo "smoke: lakectl status printed no cycles"; exit 1; }
+# lakectl status renders the scraped trace: one line per cycle.
+days=$(go run ./cmd/lakectl status "$addr" | grep -c "^day ")
+[ "$days" -eq 2 ] || { echo "smoke: lakectl status printed $days cycles, want 2"; exit 1; }
 echo "smoke: lakectl status ok"
 
 echo "smoke: PASS"
