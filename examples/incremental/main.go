@@ -42,7 +42,8 @@ func main() {
 
 	// The changefeed: every lst commit in the lake — including tables
 	// created later and maintenance operations — publishes to the
-	// feed's bus; the dirty-set tracker and the stats cache subscribe.
+	// feed's bus, and the feed folds each event into the table's one
+	// record: its trigger, dirty flag and cached observations.
 	feed := changefeed.NewFeedSharded(
 		changefeed.CatalogTriggers(cp, changefeed.TriggerPolicy{EveryCommits: 1}),
 		0, // no periodic reconciliation needed in this walkthrough

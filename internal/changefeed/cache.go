@@ -1,7 +1,6 @@
 package changefeed
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -25,174 +24,64 @@ type CacheCounters struct {
 	Entries int
 }
 
-// cacheStripe is one lock-striped partition of the cache, holding the
-// entries and invalidation epochs of the tables that hash to it.
-type cacheStripe struct {
-	mu sync.Mutex
-	// tables maps table full name → candidate ID → entry, so a commit
-	// event drops all of a table's entries without scanning the cache.
-	tables map[string]map[string]cacheEntry
-	// epochs counts invalidations per table. Writers capture the epoch
-	// before observing and their Put is dropped if it advanced in the
-	// meantime — otherwise a version-preserving mutation (fleet
-	// compaction, metadata rewrite) racing an observation could
-	// re-insert pre-mutation stats under the still-current version,
-	// where no later version advance would ever evict them.
-	epochs map[string]int64
-}
-
-// StatsCache caches observe-phase statistics keyed by (table, candidate
-// ID, table version). Commit events invalidate a table's entries in
-// O(1); version keying covers any invalidation that never arrives. All
-// methods are safe for concurrent use. State is lock-striped by table
-// name with the decide-shard hash (see the package doc), so the sharded
-// decide plane's parallel observe fan-out misses and fills without
-// serializing on one mutex; accounting lives in cache-level atomics and
-// is unchanged by striping.
+// StatsCache is the stats-cache view of the feed's index: observe-phase
+// statistics keyed by (table, candidate ID, table version). Commit
+// events invalidate a table's entries in O(1); version keying covers any
+// invalidation that never arrives. Accounting lives in cache-level
+// atomics and is unchanged by striping. All methods are safe for
+// concurrent use.
 type StatsCache struct {
-	stripes       []*cacheStripe
+	idx           index
 	hits, misses  atomic.Int64
 	invalidations atomic.Int64
 	entries       atomic.Int64
 }
 
-// NewStatsCacheSharded returns an empty cache partitioned across
-// stripes lock stripes (min 1), aligned with the decide-shard mapping.
-func NewStatsCacheSharded(stripes int) *StatsCache {
-	if stripes < 1 {
-		stripes = 1
-	}
-	sc := &StatsCache{stripes: make([]*cacheStripe, stripes)}
-	for i := range sc.stripes {
-		sc.stripes[i] = &cacheStripe{
-			tables: make(map[string]map[string]cacheEntry),
-			epochs: make(map[string]int64),
-		}
-	}
-	return sc
-}
-
-func (sc *StatsCache) stripe(table string) *cacheStripe {
-	return sc.stripes[core.ShardOf(table, len(sc.stripes))]
-}
-
-// Get returns the cached stats for candidate id of table at version, and
-// whether the lookup hit.
-func (sc *StatsCache) Get(table, id string, version int64) (core.Stats, bool) {
-	st := sc.stripe(table)
+// lookup serves candidate id of table at version from the cache under
+// one stripe lock. On a miss it returns the table's record and its
+// invalidation epoch for put; a nil record means the table has left the
+// index (dropped mid-cycle) and the observation is not cached.
+func (sc *StatsCache) lookup(table, id string, version int64) (core.Stats, bool, *tableRecord, int64) {
+	st := sc.idx.of(table)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if e, ok := st.tables[table][id]; ok && e.version == version {
-		sc.hits.Add(1)
-		mCacheHits.Inc()
-		mObservesSaved.Inc()
-		return e.stats, true
+	r := st.tables[table]
+	var epoch int64
+	if r != nil {
+		p := r.poolOf()
+		if e, ok := p.cached[id]; ok && e.version == version {
+			sc.hits.Add(1)
+			mCacheHits.Inc()
+			mObservesSaved.Inc()
+			return e.stats, true, nil, 0
+		}
+		epoch = p.epoch
 	}
 	sc.misses.Add(1)
 	mCacheMisses.Inc()
-	return core.Stats{}, false
+	return core.Stats{}, false, r, epoch
 }
 
-// Put records the stats observed for candidate id of table at version.
-func (sc *StatsCache) Put(table, id string, version int64, s core.Stats) {
-	st := sc.stripe(table)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	sc.putLocked(st, table, id, version, s)
-}
-
-// putLocked inserts under st's lock, held by the caller.
-func (sc *StatsCache) putLocked(st *cacheStripe, table, id string, version int64, s core.Stats) {
-	m, ok := st.tables[table]
-	if !ok {
-		m = make(map[string]cacheEntry)
-		st.tables[table] = m
-	}
-	if _, existed := m[id]; !existed {
-		mCacheEntries.Set(float64(sc.entries.Add(1)))
-	}
-	m[id] = cacheEntry{version: version, stats: s}
-}
-
-// epoch returns the table's invalidation epoch.
-func (sc *StatsCache) epoch(table string) int64 {
-	st := sc.stripe(table)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.epochs[table]
-}
-
-// putAt records the stats only if the table's invalidation epoch still
-// equals epoch — the observation is discarded when an invalidation
-// landed while it was in flight.
-func (sc *StatsCache) putAt(table, id string, version, epoch int64, s core.Stats) {
-	st := sc.stripe(table)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.epochs[table] != epoch {
+// put records the stats observed for candidate id of table at version,
+// unless r has left the index or an invalidation landed since lookup
+// captured epoch.
+func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, id string, version int64, s core.Stats) {
+	if r == nil {
 		return
 	}
-	sc.putLocked(st, table, id, version, s)
-}
-
-// InvalidateTable drops every cached entry of the named table — wired to
-// the bus so any commit (writer or maintenance) evicts the table's
-// observations. Maintenance actions that mutate state without advancing
-// the version (aggregate-model compactions, metadata rewrites) depend on
-// this path; versioned commits would expire naturally.
-func (sc *StatsCache) InvalidateTable(name string) {
-	st := sc.stripe(name)
+	st := sc.idx.of(table)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if m, ok := st.tables[name]; ok {
-		sc.entries.Add(int64(-len(m)))
-		delete(st.tables, name)
+	if st.tables[table] != r || r.pool.epoch != epoch {
+		return
 	}
-	st.epochs[name]++
-	sc.invalidations.Add(1)
-	mCacheInvalidations.Inc()
-	mCacheEntries.Set(float64(sc.entries.Load()))
-}
-
-// Drop removes every trace of a table — entries and its invalidation
-// epoch — when the table leaves the lake, so long-running services do
-// not accrete state for dropped tables. An observation already in
-// flight for the table may re-insert one entry (its captured epoch
-// matches the reset one); the next full scan's RetainOnly prunes it.
-func (sc *StatsCache) Drop(name string) {
-	st := sc.stripe(name)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if m, ok := st.tables[name]; ok {
-		sc.entries.Add(int64(-len(m)))
-		delete(st.tables, name)
+	if r.pool.cached == nil {
+		r.pool.cached = make(map[string]cacheEntry)
 	}
-	delete(st.epochs, name)
-	sc.invalidations.Add(1)
-	mCacheInvalidations.Inc()
-	mCacheEntries.Set(float64(sc.entries.Load()))
-}
-
-// RetainOnly drops every table not in keep — wired to reconciling full
-// scans, whose enumeration is authoritative, so tables that vanished
-// without a Dropped event do not leak cache state.
-func (sc *StatsCache) RetainOnly(keep map[string]struct{}) {
-	for _, st := range sc.stripes {
-		st.mu.Lock()
-		for name, m := range st.tables {
-			if _, ok := keep[name]; !ok {
-				sc.entries.Add(int64(-len(m)))
-				delete(st.tables, name)
-			}
-		}
-		for name := range st.epochs {
-			if _, ok := keep[name]; !ok {
-				delete(st.epochs, name)
-			}
-		}
-		st.mu.Unlock()
+	if _, existed := r.pool.cached[id]; !existed {
+		mCacheEntries.Set(float64(sc.entries.Add(1)))
 	}
-	mCacheEntries.Set(float64(sc.entries.Load()))
+	r.pool.cached[id] = cacheEntry{version: version, stats: s}
 }
 
 // MaxVersions returns, per cached table, the highest version any of its
@@ -201,11 +90,14 @@ func (sc *StatsCache) RetainOnly(keep map[string]struct{}) {
 // serving observations from a state the table never reached.
 func (sc *StatsCache) MaxVersions() map[string]int64 {
 	out := make(map[string]int64)
-	for _, st := range sc.stripes {
+	for _, st := range sc.idx {
 		st.mu.Lock()
-		for name, m := range st.tables {
+		for name, r := range st.tables {
+			if r.pool == nil || len(r.pool.cached) == 0 {
+				continue
+			}
 			var max int64 = -1
-			for _, e := range m {
+			for _, e := range r.pool.cached {
 				if e.version > max {
 					max = e.version
 				}
@@ -274,12 +166,15 @@ func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
 		return o.Inner.Observe(c)
 	}
 	table, id := c.Table.FullName(), c.ID()
-	// The epoch is captured before the version and the observation, so
-	// an invalidation racing this observe drops the Put below instead
-	// of caching pre-mutation stats under a still-current version.
-	epoch := o.Cache.epoch(table)
+	// The lookup captures the invalidation epoch before the observation,
+	// so an invalidation racing this observe drops the put instead of
+	// caching pre-mutation stats under a still-current version. The
+	// version is read first, outside the stripe lock: a version advance
+	// landing in between files the fresh stats under the older version,
+	// which no later lookup asks for.
 	version := v.Version()
-	if s, hit := o.Cache.Get(table, id, version); hit {
+	s, hit, r, epoch := o.Cache.lookup(table, id, version)
+	if hit {
 		if o.Refresh != nil {
 			o.Refresh(c, &s)
 		}
@@ -289,6 +184,6 @@ func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
 	if err != nil {
 		return s, err
 	}
-	o.Cache.putAt(table, id, version, epoch, s)
+	o.Cache.put(table, r, epoch, id, version, s)
 	return s, nil
 }

@@ -36,20 +36,23 @@
 // snapshot scope) need every-cycle regeneration and are outside the
 // parity guarantee.
 //
-// Lock striping: the tracker and the stats cache partition their state
-// across S stripes keyed by core.ShardOf on the table name — the same
-// hash the sharded decide plane (internal/decideshard) partitions
-// tables with, so a decide shard's observations land on stripes no
-// other shard is writing and the decide fan-out never serializes on a
-// global mutex. Striping is invisible at the API: every method keeps
-// its exact single-lock semantics (TakeDirty still returns the dirty
-// set sorted by name, counters still aggregate). NewFeedSharded sizes
-// every stripe count from the decide shard count; a serial pipeline
-// passes 1 and gets one stripe.
+// One index: the feed keeps everything it knows about a table — its
+// reference, pending trigger activity, dirty flag, cache invalidation
+// epoch, cached observations and retained candidates — in one record,
+// and the records in one map striped S ways by core.ShardOf on the
+// table name. That is the hash the sharded decide plane
+// (internal/decideshard) partitions tables with, so a decide shard
+// generates and observes on a stripe no other shard touches and the
+// decide fan-out never serializes on a global mutex. A commit event is
+// handled under one stripe lock that both advances the table's trigger
+// and invalidates its cached observations; a drop is one delete plus a
+// tombstone; a reconciling full scan is one pass over the stripes.
+// Tracker and StatsCache are accounting views over the index whose
+// counters aggregate across stripes. NewFeedSharded sizes the stripe
+// count from the decide shard count; a serial pipeline passes 1.
 package changefeed
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,8 +69,9 @@ type Event struct {
 	// Table is the full table name (database.table).
 	Table string
 	// Ref is the committed table itself, when the publisher has it. The
-	// tracker uses it to hand dirty tables straight to the candidate
-	// generator without a catalog lookup.
+	// feed uses it to hand dirty tables straight to the candidate
+	// generator without a catalog lookup, and to tell a commit that
+	// raced a drop from a new table created under the dropped name.
 	Ref core.Table
 	// Version is the table's metadata version after the commit.
 	Version int64
@@ -147,7 +151,7 @@ type TriggerPolicy struct {
 }
 
 // PolicyFunc supplies the trigger policy for a table. Implementations
-// must be cheap; the tracker consults it on every event.
+// must be cheap; the feed consults it on every writer event.
 type PolicyFunc func(t core.Table) TriggerPolicy
 
 // StaticTriggers applies one trigger policy to every table.
@@ -155,36 +159,13 @@ func StaticTriggers(p TriggerPolicy) PolicyFunc {
 	return func(core.Table) TriggerPolicy { return p }
 }
 
-// tableState is the tracker's per-table record.
-type tableState struct {
-	ref            core.Table
-	pendingCommits int64
-	pendingBytes   int64
-	dirty          bool
-}
-
-// trackerStripe is one lock-striped partition of the tracker's state.
-// A table's stripe is core.ShardOf(name, stripes), so concurrent event
-// handling and decide-shard fan-out contend only within a stripe.
-type trackerStripe struct {
-	mu     sync.Mutex
-	tables map[string]*tableState
-	// dropped tombstones tables removed from the lake: a commit event
-	// racing the drop (its publisher read the hook before detachment)
-	// must not resurrect tracker state for a deleted table. Tombstones
-	// are cleared by the next authoritative full scan.
-	dropped map[string]struct{}
-}
-
-// Tracker maintains the per-table dirty set: which tables have seen
-// enough activity (per their trigger policy) since their last
-// observation to need re-observing. It is a Bus subscriber; all methods
-// are safe for concurrent use. State is lock-striped by table name
-// (see the package doc); counters are tracker-level atomics so striping
-// never changes what the accessors report.
+// Tracker is the dirty-set view of the feed's index: which tables have
+// seen enough activity (per their trigger policy) since their last
+// observation to need re-observing. Its counters are tracker-level
+// atomics, so striping never changes what the accessors report. All
+// methods are safe for concurrent use.
 type Tracker struct {
-	policy  PolicyFunc
-	stripes []*trackerStripe
+	idx index
 
 	events    atomic.Int64
 	triggered atomic.Int64
@@ -193,175 +174,17 @@ type Tracker struct {
 	dirtyNow atomic.Int64
 }
 
-// NewTrackerSharded returns a tracker using policy (nil = every commit)
-// whose state is partitioned across stripes lock stripes (min 1),
-// aligned with the decide-shard mapping.
-func NewTrackerSharded(policy PolicyFunc, stripes int) *Tracker {
-	if stripes < 1 {
-		stripes = 1
-	}
-	tr := &Tracker{policy: policy, stripes: make([]*trackerStripe, stripes)}
-	for i := range tr.stripes {
-		tr.stripes[i] = &trackerStripe{
-			tables:  make(map[string]*tableState),
-			dropped: make(map[string]struct{}),
-		}
-	}
-	return tr
-}
-
-func (tr *Tracker) stripe(name string) *trackerStripe {
-	return tr.stripes[core.ShardOf(name, len(tr.stripes))]
-}
-
-// markDirtyLocked promotes s into the dirty set (no-op when already
+// markDirtyLocked promotes r into the dirty set (no-op when already
 // dirty), maintaining the promotion counter and the telemetry gauge.
-// The caller holds the stripe lock owning s.
-func (tr *Tracker) markDirtyLocked(s *tableState) {
-	if s.dirty {
+// The caller holds r's stripe lock.
+func (tr *Tracker) markDirtyLocked(r *tableRecord) {
+	if r.dirty {
 		return
 	}
-	s.dirty = true
+	r.dirty = true
 	tr.triggered.Add(1)
 	mTriggered.Inc()
 	mDirtyTables.Set(float64(tr.dirtyNow.Add(1)))
-}
-
-// HandleEvent folds one commit event into the dirty-set state: pending
-// activity accumulates until the table's trigger policy fires, at which
-// point the table turns dirty and the accumulators reset. Maintenance
-// events dirty the table immediately (its state changed under the
-// system's own hands; the retained candidate must refresh).
-func (tr *Tracker) HandleEvent(e Event) {
-	tr.events.Add(1)
-	st := tr.stripe(e.Table)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e.Dropped {
-		if s, ok := st.tables[e.Table]; ok && s.dirty {
-			mDirtyTables.Set(float64(tr.dirtyNow.Add(-1)))
-		}
-		delete(st.tables, e.Table)
-		st.dropped[e.Table] = struct{}{}
-		return
-	}
-	if _, gone := st.dropped[e.Table]; gone {
-		// A commit that raced the drop: the table is deleted; ignore.
-		return
-	}
-	s := st.ensureLocked(e.Table, e.Ref)
-	if e.Maintenance {
-		s.pendingCommits, s.pendingBytes = 0, 0
-		tr.markDirtyLocked(s)
-		return
-	}
-	commits := e.Commits
-	if commits < 1 {
-		commits = 1
-	}
-	s.pendingCommits += commits
-	s.pendingBytes += e.Bytes
-	pol := TriggerPolicy{}
-	if tr.policy != nil && s.ref != nil {
-		pol = tr.policy(s.ref)
-	}
-	every := pol.EveryCommits
-	if every < 1 {
-		every = 1
-	}
-	fire := s.pendingCommits >= every ||
-		(pol.BytesWritten > 0 && s.pendingBytes >= pol.BytesWritten)
-	if fire {
-		s.pendingCommits, s.pendingBytes = 0, 0
-		tr.markDirtyLocked(s)
-	}
-}
-
-func (st *trackerStripe) ensureLocked(name string, ref core.Table) *tableState {
-	s, ok := st.tables[name]
-	if !ok {
-		s = &tableState{}
-		st.tables[name] = s
-	}
-	if ref != nil {
-		s.ref = ref
-	}
-	return s
-}
-
-// TakeDirty returns the dirty tables sorted by name and clears their
-// dirty flags — the observation cycle consumes the dirt it is about to
-// observe. Tables whose reference is unknown (events without a Ref)
-// stay dirty until a reconciling full scan supplies one. A cycle that
-// fails after taking (an observer error aborting Decide) does not lose
-// information: candidate regeneration precedes observation, so the
-// taken tables' fresh candidates are already retained and their next
-// observation is a cache miss.
-func (tr *Tracker) TakeDirty() []core.Table {
-	type taken struct {
-		name string
-		ref  core.Table
-	}
-	var all []taken
-	for _, st := range tr.stripes {
-		st.mu.Lock()
-		for name, s := range st.tables {
-			if s.dirty && s.ref != nil {
-				s.dirty = false
-				tr.dirtyNow.Add(-1)
-				all = append(all, taken{name: name, ref: s.ref})
-			}
-		}
-		st.mu.Unlock()
-	}
-	mDirtyTables.Set(float64(tr.dirtyNow.Load()))
-	sort.Slice(all, func(i, j int) bool { return all[i].name < all[j].name })
-	out := make([]core.Table, len(all))
-	for i := range all {
-		out[i] = all[i].ref
-	}
-	return out
-}
-
-// NoteFullScan absorbs a full enumeration — cold start or a
-// reconciling scan. The enumeration is authoritative: every listed
-// table is registered with its dirty flag and pending accumulation
-// cleared (the scan observes it now), and tables absent from the list
-// are forgotten (dropped from the lake without a Dropped event).
-func (tr *Tracker) NoteFullScan(ts []core.Table) {
-	perStripe := make([][]core.Table, len(tr.stripes))
-	for _, t := range ts {
-		s := core.ShardOf(t.FullName(), len(tr.stripes))
-		perStripe[s] = append(perStripe[s], t)
-	}
-	for i, st := range tr.stripes {
-		st.mu.Lock()
-		// The enumeration supersedes drop tombstones: a reused name is a
-		// legitimately new table from here on.
-		st.dropped = make(map[string]struct{})
-		listed := make(map[string]struct{}, len(perStripe[i]))
-		for _, t := range perStripe[i] {
-			listed[t.FullName()] = struct{}{}
-		}
-		// Every survivor is cleared and every absentee deleted, so the
-		// stripe leaves the dirty set entirely.
-		var cleared int64
-		for name, s := range st.tables {
-			if s.dirty {
-				cleared++
-			}
-			if _, ok := listed[name]; !ok {
-				delete(st.tables, name)
-			}
-		}
-		for _, t := range perStripe[i] {
-			s := st.ensureLocked(t.FullName(), t)
-			s.pendingCommits, s.pendingBytes = 0, 0
-			s.dirty = false
-		}
-		mDirtyTables.Set(float64(tr.dirtyNow.Add(-cleared)))
-		st.mu.Unlock()
-	}
 }
 
 // Redirty marks a known table dirty regardless of its trigger policy —
@@ -369,11 +192,11 @@ func (tr *Tracker) NoteFullScan(ts []core.Table) {
 // table unmaintained, so it must be reconsidered next cycle even if no
 // further writer activity crosses the trigger.
 func (tr *Tracker) Redirty(name string) {
-	st := tr.stripe(name)
+	st := tr.idx.of(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if s, ok := st.tables[name]; ok {
-		tr.markDirtyLocked(s)
+	if r, ok := st.tables[name]; ok {
+		tr.markDirtyLocked(r)
 	}
 }
 
@@ -383,7 +206,7 @@ func (tr *Tracker) DirtyCount() int { return int(tr.dirtyNow.Load()) }
 // KnownCount returns how many tables the tracker has seen.
 func (tr *Tracker) KnownCount() int {
 	n := 0
-	for _, st := range tr.stripes {
+	for _, st := range tr.idx {
 		st.mu.Lock()
 		n += len(st.tables)
 		st.mu.Unlock()

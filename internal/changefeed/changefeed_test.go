@@ -55,88 +55,116 @@ func event(t *stubTable, commits, bytes int64, maint bool) changefeed.Event {
 }
 
 func TestIncrementalTrackerTriggers(t *testing.T) {
-	tbl := &stubTable{db: "d", name: "a"}
-	tr := changefeed.NewTrackerSharded(changefeed.StaticTriggers(
-		changefeed.TriggerPolicy{EveryCommits: 3, BytesWritten: 100}), 1)
+	tbl := &stubTable{db: "d", name: "a", smallFiles: 5}
+	feed := changefeed.NewFeedSharded(changefeed.StaticTriggers(
+		changefeed.TriggerPolicy{EveryCommits: 3, BytesWritten: 100}), 0, 1)
+	svc, _, err := feedPipeline([]*stubTable{tbl}, feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := func(want int, after string) {
+		t.Helper()
+		if got := feed.Tracker.DirtyCount(); got != want {
+			t.Fatalf("dirty after %s = %d, want %d", after, got, want)
+		}
+	}
+	// take runs a dirty cycle, which serves exactly the dirty set and
+	// consumes it.
+	take := func(want int) {
+		t.Helper()
+		if _, err := svc.Decide(); err != nil {
+			t.Fatal(err)
+		}
+		if scan := feed.LastScan(); scan.Full || scan.Scanned != want {
+			t.Fatalf("cycle scan = %+v, want a dirty cycle over %d tables", scan, want)
+		}
+		dirty(0, "the cycle")
+	}
+	if _, err := svc.Decide(); err != nil { // cold start
+		t.Fatal(err)
+	}
 
 	// Commits accumulate until the count trigger fires.
-	tr.HandleEvent(event(tbl, 1, 10, false))
-	tr.HandleEvent(event(tbl, 1, 10, false))
-	if got := tr.DirtyCount(); got != 0 {
-		t.Fatalf("dirty after 2/3 commits = %d, want 0", got)
-	}
-	tr.HandleEvent(event(tbl, 1, 10, false))
-	if got := tr.DirtyCount(); got != 1 {
-		t.Fatalf("dirty after 3/3 commits = %d, want 1", got)
-	}
-
-	// TakeDirty consumes the dirt and resets accumulation.
-	took := tr.TakeDirty()
-	if len(took) != 1 || took[0].FullName() != "d.a" {
-		t.Fatalf("TakeDirty = %v", took)
-	}
-	if tr.DirtyCount() != 0 {
-		t.Fatal("dirty not consumed")
-	}
+	feed.Bus.Publish(event(tbl, 1, 10, false))
+	feed.Bus.Publish(event(tbl, 1, 10, false))
+	dirty(0, "2/3 commits")
+	feed.Bus.Publish(event(tbl, 1, 10, false))
+	dirty(1, "3/3 commits")
+	take(1)
+	take(0) // the fire reset the accumulation
 
 	// The byte threshold fires ahead of the commit counter.
-	tr.HandleEvent(event(tbl, 1, 150, false))
-	if got := tr.DirtyCount(); got != 1 {
-		t.Fatalf("dirty after byte burst = %d, want 1", got)
-	}
-	tr.TakeDirty()
+	feed.Bus.Publish(event(tbl, 1, 150, false))
+	dirty(1, "byte burst")
+	take(1)
 
 	// Maintenance events dirty immediately, bypassing the trigger.
-	tr.HandleEvent(event(tbl, 0, 0, true))
-	if got := tr.DirtyCount(); got != 1 {
-		t.Fatalf("dirty after maintenance event = %d, want 1", got)
-	}
-	tr.TakeDirty()
+	feed.Bus.Publish(event(tbl, 0, 0, true))
+	dirty(1, "maintenance event")
+	take(1)
 
 	// Redirty marks a known table without any event.
-	tr.Redirty("d.a")
-	if got := tr.DirtyCount(); got != 1 {
-		t.Fatalf("dirty after Redirty = %d, want 1", got)
+	feed.Tracker.Redirty("d.a")
+	dirty(1, "Redirty")
+	if feed.Tracker.Events() != 5 || feed.Tracker.Triggered() != 4 {
+		t.Fatalf("events=%d triggered=%d, want 5/4", feed.Tracker.Events(), feed.Tracker.Triggered())
 	}
 }
 
 func TestIncrementalStatsCacheAccounting(t *testing.T) {
-	sc := changefeed.NewStatsCacheSharded(1)
-	s := core.Stats{SmallFiles: 7}
+	a := &stubTable{db: "d", name: "a", version: 1, smallFiles: 7}
+	b := &stubTable{db: "d", name: "b", version: 1, smallFiles: 3}
+	feed := changefeed.NewFeedSharded(nil, 0, 1)
+	svc, obs, err := feedPipeline([]*stubTable{a, b}, feed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decide := func() {
+		t.Helper()
+		if _, err := svc.Decide(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counters := func(hits, misses, invalidations int64, entries int) {
+		t.Helper()
+		want := changefeed.CacheCounters{Hits: hits, Misses: misses, Invalidations: invalidations, Entries: entries}
+		if got := feed.Cache.Counters(); got != want {
+			t.Fatalf("counters = %+v, want %+v", got, want)
+		}
+	}
 
-	if _, hit := sc.Get("d.a", "d.a", 1); hit {
-		t.Fatal("hit on empty cache")
-	}
-	sc.Put("d.a", "d.a", 1, s)
-	got, hit := sc.Get("d.a", "d.a", 1)
-	if !hit || got.SmallFiles != 7 {
-		t.Fatalf("get = %+v hit=%v", got, hit)
-	}
-	// A version advance misses even without an invalidation.
-	if _, hit := sc.Get("d.a", "d.a", 2); hit {
-		t.Fatal("hit at advanced version")
-	}
-	// Invalidation drops all of the table's entries.
-	sc.Put("d.a", "d.a#snapshot-expiry", 1, s)
-	sc.InvalidateTable("d.a")
-	if _, hit := sc.Get("d.a", "d.a", 1); hit {
-		t.Fatal("hit after invalidation")
-	}
+	decide() // cold start observes and caches both tables
+	counters(0, 2, 0, 2)
+	decide() // a quiet cycle serves both from the cache
+	counters(2, 2, 0, 2)
 
-	cc := sc.Counters()
-	if cc.Hits != 1 || cc.Misses != 3 || cc.Invalidations != 1 || cc.Entries != 0 {
-		t.Fatalf("counters = %+v", cc)
+	// A version advance misses even without an invalidation, and the
+	// re-observation replaces the table's entry.
+	a.version, a.smallFiles = 2, 9
+	decide()
+	counters(3, 3, 0, 2)
+
+	// A commit event drops exactly its table's entries.
+	feed.Bus.Publish(event(a, 1, storage.MB, false))
+	counters(3, 3, 1, 1)
+	decide()
+	counters(4, 4, 1, 2)
+	if obs.calls != 4 {
+		t.Fatalf("observes = %d, want 4 (one per miss)", obs.calls)
+	}
+	if mv := feed.Cache.MaxVersions(); mv["d.a"] != 2 || mv["d.b"] != 1 {
+		t.Fatalf("MaxVersions = %v, want d.a:2 d.b:1", mv)
 	}
 }
 
-// feedPipeline builds a tiny incremental service over stub tables.
-func feedPipeline(tables []*stubTable, reconcileEvery int) (*core.Service, *changefeed.Feed, *stubObserver, error) {
+// feedPipeline builds a tiny incremental service over stub tables on
+// feed.
+func feedPipeline(tables []*stubTable, feed *changefeed.Feed) (*core.Service, *stubObserver, error) {
 	list := make([]core.Table, len(tables))
 	for i, t := range tables {
 		list[i] = t
 	}
 	obs := &stubObserver{}
-	feed := changefeed.NewFeedSharded(nil, reconcileEvery, 1)
 	cfg := core.Config{
 		Connector: feed.Connector(core.StaticConnector{TableList: list}),
 		Generator: feed.Generator(core.TableScopeGenerator{}),
@@ -145,7 +173,7 @@ func feedPipeline(tables []*stubTable, reconcileEvery int) (*core.Service, *chan
 		Ranker:    core.ThresholdPolicy{Trait: core.FileCountReduction{}, Threshold: 0},
 	}
 	svc, err := core.NewService(cfg)
-	return svc, feed, obs, err
+	return svc, obs, err
 }
 
 func TestIncrementalCacheInvalidationOnCommit(t *testing.T) {
@@ -154,7 +182,8 @@ func TestIncrementalCacheInvalidationOnCommit(t *testing.T) {
 		{db: "d", name: "b", smallFiles: 20},
 		{db: "d", name: "c", smallFiles: 30},
 	}
-	svc, feed, obs, err := feedPipeline(tables, 0)
+	feed := changefeed.NewFeedSharded(nil, 0, 1)
+	svc, obs, err := feedPipeline(tables, feed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -418,15 +447,18 @@ func TestIncrementalFleetParity(t *testing.T) {
 	}
 }
 
-func TestIncrementalDroppedTableForgotten(t *testing.T) {
+// catalogPipeline builds a catalog lake holding the named tables of
+// database d, each with two small files, and a single-stripe
+// incremental service over it with the feed attached to the catalog.
+func catalogPipeline(t *testing.T, names ...string) (*catalog.ControlPlane, *changefeed.Feed, *core.Service) {
+	t.Helper()
 	clock := sim.NewClock()
-	rng := sim.NewRNG(11)
-	fs := storage.NewNameNode(storage.DefaultConfig(), clock, rng)
+	fs := storage.NewNameNode(storage.DefaultConfig(), clock, sim.NewRNG(11))
 	cp := catalog.New(fs, clock)
 	if _, err := cp.CreateDatabase("d", "tenant", 0); err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range []string{"a", "b"} {
+	for _, name := range names {
 		tbl, err := cp.CreateTable("d", lst.TableConfig{Name: name})
 		if err != nil {
 			t.Fatal(err)
@@ -447,9 +479,26 @@ func TestIncrementalDroppedTableForgotten(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Decide(); err != nil { // cold start retains both
+	return cp, feed, svc
+}
+
+// rankedTables runs one decide cycle and returns its ranked tables.
+func rankedTables(t *testing.T, svc *core.Service) ([]string, *core.Decision) {
+	t.Helper()
+	d, err := svc.Decide()
+	if err != nil {
 		t.Fatal(err)
 	}
+	var out []string
+	for _, c := range d.Ranked {
+		out = append(out, c.Table.FullName())
+	}
+	return out, d
+}
+
+func TestIncrementalDroppedTableForgotten(t *testing.T) {
+	cp, feed, svc := catalogPipeline(t, "a", "b")
+	rankedTables(t, svc) // cold start retains both
 	if feed.RetainedCount() != 2 || feed.Tracker.KnownCount() != 2 {
 		t.Fatalf("retained=%d known=%d, want 2/2", feed.RetainedCount(), feed.Tracker.KnownCount())
 	}
@@ -459,20 +508,13 @@ func TestIncrementalDroppedTableForgotten(t *testing.T) {
 	if err := cp.DropTable("d", "a"); err != nil {
 		t.Fatal(err)
 	}
-	if feed.Tracker.KnownCount() != 1 {
-		t.Fatalf("tracker still knows the dropped table: %d", feed.Tracker.KnownCount())
+	if feed.Tracker.KnownCount() != 1 || feed.RetainedCount() != 1 || feed.Cache.Counters().Entries != 1 {
+		t.Fatalf("dropped table not forgotten: known=%d retained=%d entries=%d",
+			feed.Tracker.KnownCount(), feed.RetainedCount(), feed.Cache.Counters().Entries)
 	}
-	d, err := svc.Decide()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Generated != 1 {
-		t.Fatalf("pool after drop = %d, want 1", d.Generated)
-	}
-	for _, c := range d.Ranked {
-		if c.Table.FullName() == "d.a" {
-			t.Fatal("dropped table still in the candidate pool")
-		}
+	ranked, d := rankedTables(t, svc)
+	if d.Generated != 1 || fmt.Sprint(ranked) != "[d.b]" {
+		t.Fatalf("pool after drop = %d ranked %v, want 1 [d.b]", d.Generated, ranked)
 	}
 
 	// A commit event that raced the drop (publisher read the hook
@@ -481,6 +523,40 @@ func TestIncrementalDroppedTableForgotten(t *testing.T) {
 	if feed.Tracker.KnownCount() != 1 || feed.Tracker.DirtyCount() != 0 {
 		t.Fatalf("racing commit resurrected dropped table: known=%d dirty=%d",
 			feed.Tracker.KnownCount(), feed.Tracker.DirtyCount())
+	}
+}
+
+// TestIncrementalRecreatedTableRegisters pins the drop tombstone to the
+// dropped table object: a table created under a dropped table's name is
+// a new table, and its commits must reach the dirty set even when no
+// reconciling full scan ever runs.
+func TestIncrementalRecreatedTableRegisters(t *testing.T) {
+	cp, feed, svc := catalogPipeline(t, "t", "u")
+	if ranked, _ := rankedTables(t, svc); fmt.Sprint(ranked) != "[d.t d.u]" {
+		t.Fatalf("cold start ranked %v, want [d.t d.u]", ranked)
+	}
+	if err := cp.DropTable("d", "t"); err != nil {
+		t.Fatal(err)
+	}
+	recreated, err := cp.CreateTable("d", lst.TableConfig{Name: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := recreated.AppendFiles([]lst.FileSpec{{SizeBytes: storage.MB}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if feed.Tracker.KnownCount() != 2 || feed.Tracker.DirtyCount() != 1 {
+		t.Fatalf("recreated table not tracked: known=%d dirty=%d, want 2/1",
+			feed.Tracker.KnownCount(), feed.Tracker.DirtyCount())
+	}
+	ranked, d := rankedTables(t, svc)
+	if fmt.Sprint(ranked) != "[d.t d.u]" {
+		t.Fatalf("after recreate ranked %v, want [d.t d.u]", ranked)
+	}
+	if d.Ranked[0].Table != core.Table(recreated) {
+		t.Fatal("ranked d.t is not the recreated table")
 	}
 }
 

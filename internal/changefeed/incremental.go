@@ -4,51 +4,24 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"autocomp/internal/core"
 )
 
-// feedPart is one decide shard's slice of the retained candidate pool.
-// Parts are keyed by core.ShardOf on the table name, so the sharded
-// decide plane's per-shard generation touches exactly one part and
-// parts never contend with each other. The atomic mirrors let pool
-// accounting aggregate across parts without taking their locks.
-type feedPart struct {
-	mu sync.Mutex
-	// retained maps table full name → the candidates emitted at the
-	// table's last (re)generation; clean tables re-enter the pool from
-	// here with stats served by the cache.
-	retained map[string][]*core.Candidate
-	// cands and tbls mirror the retained candidate and table counts.
-	cands atomic.Int64
-	tbls  atomic.Int64
-}
-
-// syncLocked refreshes the part's atomic mirrors; the caller holds
-// p.mu.
-func (p *feedPart) syncLocked() {
-	n := 0
-	for _, cs := range p.retained {
-		n += len(cs)
-	}
-	p.cands.Store(int64(n))
-	p.tbls.Store(int64(len(p.retained)))
-}
-
 // Feed bundles one lake's incremental-observation state: the commit
-// bus, the dirty-set tracker, the stats cache, and the retained
-// candidate pool the incremental generator re-emits for clean tables.
-// Build one with NewFeedSharded, attach publishers to Feed.Bus, and wrap
-// a service's connector/generator/observer with Connector, Generator,
-// and Observer — the core pipeline then runs unmodified.
+// bus, and the one index of table records behind the dirty-set tracker,
+// the stats cache, and the retained candidate pool the incremental
+// generator re-emits for clean tables. Build one with NewFeedSharded,
+// attach publishers to Feed.Bus, and wrap a service's
+// connector/generator/observer with Connector, Generator, and Observer —
+// the core pipeline then runs unmodified.
 type Feed struct {
-	// Bus receives commit events; the tracker and cache are subscribed.
+	// Bus receives commit events; the feed is its one subscriber.
 	Bus *Bus
-	// Tracker owns the dirty set.
+	// Tracker is the dirty-set view of the index.
 	Tracker *Tracker
-	// Cache holds version-keyed observations.
+	// Cache is the version-keyed observation view of the index.
 	Cache *StatsCache
 
 	// ReconcileEvery runs a full enumeration every Nth cycle as a
@@ -58,9 +31,9 @@ type Feed struct {
 	// 0 disables reconciliation (cold-start full scan still happens).
 	ReconcileEvery int
 
-	// parts is the retained pool, one part per decide shard. The layout
-	// is fixed at construction; each part's contents have their own lock.
-	parts []*feedPart
+	// policy supplies trigger policies (nil = every commit).
+	policy PolicyFunc
+	idx    index
 
 	// mu guards the cycle state below.
 	mu    sync.Mutex
@@ -72,42 +45,25 @@ type Feed struct {
 	lastPool int
 }
 
-// NewFeedSharded builds a feed: a fresh bus with the tracker (using
-// policy; nil = every commit) and cache invalidation subscribed, and the
-// given reconciliation interval. Serial decide passes shards 1; a
-// sharded decide plane passes its shard count, so the retained pool
-// splits into that many parts and the tracker and cache stripe their
-// locks to match, letting decide shards generate and observe without
-// cross-shard contention. Shard count is fixed per feed; policy
-// hot-reload builds a fresh feed, which is why decide-shard changes
-// only ever take effect at a cycle boundary.
+// NewFeedSharded builds a feed: a fresh bus with the feed subscribed,
+// using policy for triggers (nil = every commit) and the given
+// reconciliation interval. Serial decide passes shards 1; a sharded
+// decide plane passes its shard count, so the index stripes to match
+// and decide shards generate and observe without cross-shard
+// contention. Shard count is fixed per feed; policy hot-reload builds a
+// fresh feed, which is why decide-shard changes only ever take effect
+// at a cycle boundary.
 func NewFeedSharded(policy PolicyFunc, reconcileEvery, shards int) *Feed {
-	if shards < 1 {
-		shards = 1
-	}
+	idx := newIndex(shards)
 	f := &Feed{
 		Bus:            NewBus(),
-		Tracker:        NewTrackerSharded(policy, shards),
-		Cache:          NewStatsCacheSharded(shards),
+		Tracker:        &Tracker{idx: idx},
+		Cache:          &StatsCache{idx: idx},
 		ReconcileEvery: reconcileEvery,
-		parts:          make([]*feedPart, shards),
+		policy:         policy,
+		idx:            idx,
 	}
-	for i := range f.parts {
-		f.parts[i] = &feedPart{retained: make(map[string][]*core.Candidate)}
-	}
-	f.Bus.Subscribe(f.Tracker.HandleEvent)
-	f.Bus.Subscribe(func(e Event) {
-		if e.Dropped {
-			f.Cache.Drop(e.Table)
-			p := f.parts[core.ShardOf(e.Table, len(f.parts))]
-			p.mu.Lock()
-			delete(p.retained, e.Table)
-			p.syncLocked()
-			p.mu.Unlock()
-			return
-		}
-		f.Cache.InvalidateTable(e.Table)
-	})
+	f.Bus.Subscribe(f.handle)
 	return f
 }
 
@@ -122,8 +78,8 @@ func (f *Feed) Connector(full core.Connector) *IncrementalConnector {
 // Generator wraps inner so Candidates() regenerates only the tables the
 // connector served this cycle and re-emits retained candidates for the
 // rest. The wrapper is also a core.ShardedGenerator: a sharded decide
-// plane calls ShardCandidates per shard and each call works one
-// retained-pool part.
+// plane calls ShardCandidates per shard and each call works one index
+// stripe.
 func (f *Feed) Generator(inner core.Generator) *IncrementalGenerator {
 	return &IncrementalGenerator{feed: f, Inner: inner}
 }
@@ -149,18 +105,9 @@ func (f *Feed) beginCycle(full core.Connector) []core.Table {
 	var ts []core.Table
 	if doFull {
 		ts = full.Tables()
-		// The full scan observes everything: register refs, reset
-		// pending accumulation, consume outstanding dirty flags, and
-		// forget tables the authoritative enumeration no longer lists —
-		// in the tracker and in the cache.
-		f.Tracker.NoteFullScan(ts)
-		keep := make(map[string]struct{}, len(ts))
-		for _, t := range ts {
-			keep[t.FullName()] = struct{}{}
-		}
-		f.Cache.RetainOnly(keep)
+		f.reconcile(ts)
 	} else {
-		ts = f.Tracker.TakeDirty()
+		ts = f.takeDirty()
 	}
 	f.mu.Lock()
 	f.scanned = ts
@@ -174,27 +121,20 @@ func (f *Feed) beginCycle(full core.Connector) []core.Table {
 	return ts
 }
 
-// notePool refreshes the emitted-pool accounting from the parts'
-// mirrors. It runs once per generated part; reading the mirrors under
+// notePool refreshes the emitted-pool accounting from the stripes'
+// counts. It runs once per generated stripe; reading the counts under
 // mu makes the last caller leave the exact totals.
 func (f *Feed) notePool() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	var cands, tbls int64
-	for _, p := range f.parts {
-		cands += p.cands.Load()
-		tbls += p.tbls.Load()
+	for _, st := range f.idx {
+		cands += st.retained.Load()
+		tbls += st.retainedTables.Load()
 	}
 	f.lastPool = int(cands)
 	mPoolSize.Set(float64(cands))
 	mRetainedTables.Set(float64(tbls))
-}
-
-// isFull reports whether the current cycle is a full enumeration.
-func (f *Feed) isFull() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.full
 }
 
 // ScanInfo describes the feed's most recent observation cycle.
@@ -256,8 +196,9 @@ func (c *IncrementalConnector) Now() time.Duration { return c.Full.Now() }
 // connector served this cycle, re-emitting every other table's retained
 // candidates unchanged. With a state-deterministic inner generator this
 // keeps the emitted pool set-equal to a full scan's (see the package
-// doc for the exact parity conditions). It implements
-// core.ShardedGenerator over the feed's retained-pool parts.
+// doc for the exact parity conditions). The pool is emitted in no
+// particular order: ranking is the total order core.RankLess. It
+// implements core.ShardedGenerator over the index's stripes.
 type IncrementalGenerator struct {
 	feed *Feed
 	// Inner is the wrapped whole-lake generator.
@@ -268,11 +209,11 @@ type IncrementalGenerator struct {
 func (g *IncrementalGenerator) Name() string { return "incremental(" + g.Inner.Name() + ")" }
 
 // Candidates implements core.Generator. tables must be the list the
-// paired IncrementalConnector returned this cycle; each retained-pool
-// part regenerates its own share of them, exactly as ShardCandidates
-// does for one decide shard.
+// paired IncrementalConnector returned this cycle; each stripe
+// regenerates its own share of them, exactly as ShardCandidates does
+// for one decide shard.
 func (g *IncrementalGenerator) Candidates(tables []core.Table) []*core.Candidate {
-	parts := make([][]core.Table, len(g.feed.parts))
+	parts := make([][]core.Table, len(g.feed.idx))
 	for _, t := range tables {
 		s := core.ShardOf(t.FullName(), len(parts))
 		parts[s] = append(parts[s], t)
@@ -288,47 +229,40 @@ func (g *IncrementalGenerator) Candidates(tables []core.Table) []*core.Candidate
 // slice of the incremental pool. tables must be the shard's partition
 // (by core.ShardOf) of the list the paired connector returned this
 // cycle; the call regenerates exactly those tables within the shard's
-// retained part and re-emits the part's remaining (clean) tables'
-// candidates. shards must be the count the feed was built with — the
-// policy compiler builds feed and decide plane from the same count, so
-// a mismatch is a wiring bug and panics.
+// stripe and emits every candidate the stripe retains: the fresh ones
+// plus the remaining (clean) tables'. shards must be the count the feed
+// was built with — the policy compiler builds feed and decide plane
+// from the same count, so a mismatch is a wiring bug and panics.
 func (g *IncrementalGenerator) ShardCandidates(shard, shards int, tables []core.Table) []*core.Candidate {
 	f := g.feed
-	if shards != len(f.parts) {
-		panic(fmt.Sprintf("changefeed: ShardCandidates for %d decide shards on a feed built for %d", shards, len(f.parts)))
+	if shards != len(f.idx) {
+		panic(fmt.Sprintf("changefeed: ShardCandidates for %d decide shards on a feed built for %d", shards, len(f.idx)))
 	}
-	full := f.isFull()
 	fresh := g.Inner.Candidates(tables)
 
-	p := f.parts[shard]
-	p.mu.Lock()
-	out := fresh
-	if full {
-		// Full rebuild: the part becomes exactly this scan's output;
-		// entries of dropped tables vanish with the old map.
-		p.retained = make(map[string][]*core.Candidate, len(tables))
-	} else {
-		// Replace the regenerated tables' entries (a table whose state
-		// no longer yields candidates drops out), keep the rest.
-		for _, t := range tables {
-			delete(p.retained, t.FullName())
+	st := f.idx[shard]
+	st.mu.Lock()
+	// Replace the regenerated tables' candidates (a table whose state no
+	// longer yields candidates drops out of the pool), keep the rest. A
+	// table dropped since the connector served it has no record and
+	// retains nothing.
+	for _, t := range tables {
+		if r := st.tables[t.FullName()]; r != nil {
+			st.releaseLocked(r)
 		}
 	}
 	for _, c := range fresh {
-		name := c.Table.FullName()
-		p.retained[name] = append(p.retained[name], c)
-	}
-	if !full {
-		out = make([]*core.Candidate, 0, len(fresh))
-		for _, cs := range p.retained {
-			out = append(out, cs...)
+		if r := st.tables[c.Table.FullName()]; r != nil {
+			st.retainLocked(r, c)
 		}
-		// Deterministic pool order; ranking is order-independent (score
-		// plus ID tie-break), so this only stabilizes logs and tests.
-		sort.Slice(out, func(i, j int) bool { return out[i].ID() < out[j].ID() })
 	}
-	p.syncLocked()
-	p.mu.Unlock()
+	out := make([]*core.Candidate, 0, st.retained.Load())
+	for _, r := range st.tables {
+		if r.pool != nil {
+			out = append(out, r.pool.retained...)
+		}
+	}
+	st.mu.Unlock()
 	f.notePool()
 	return out
 }
@@ -336,8 +270,8 @@ func (g *IncrementalGenerator) ShardCandidates(shard, shards int, tables []core.
 // RetainedCount returns how many candidates the feed currently retains.
 func (f *Feed) RetainedCount() int {
 	var n int64
-	for _, p := range f.parts {
-		n += p.cands.Load()
+	for _, st := range f.idx {
+		n += st.retained.Load()
 	}
 	return int(n)
 }
@@ -348,12 +282,14 @@ func (f *Feed) RetainedCount() int {
 // that left the lake).
 func (f *Feed) RetainedTables() []string {
 	var out []string
-	for _, p := range f.parts {
-		p.mu.Lock()
-		for name := range p.retained {
-			out = append(out, name)
+	for _, st := range f.idx {
+		st.mu.Lock()
+		for name, r := range st.tables {
+			if r.pool != nil && len(r.pool.retained) > 0 {
+				out = append(out, name)
+			}
 		}
-		p.mu.Unlock()
+		st.mu.Unlock()
 	}
 	sort.Strings(out)
 	return out

@@ -5,8 +5,8 @@ import "hash/fnv"
 // ShardOf returns the shard a table hashes onto: a stable fnv32a hash of
 // the full table name modulo the shard count. It is the one shard
 // mapping in the system — the scheduler's GBHr budget shards, the decide
-// plane's candidate shards, and the changefeed's cache/tracker stripes
-// all use it, so a table's budget shard and decide shard always align.
+// plane's candidate shards, and the changefeed's index stripes all use
+// it, so a table's budget shard and decide shard always align.
 func ShardOf(fullName string, shards int) int {
 	if shards <= 1 {
 		return 0

@@ -37,7 +37,7 @@
 // Filters, and Traits execute concurrently on disjoint candidate sets
 // and must be safe for that: anything they share internally (stats
 // caches, quota lookups) needs its own synchronization. The changefeed's
-// cache and tracker are lock-striped for exactly this fan-out. Shard
+// per-table index is lock-striped for exactly this fan-out. Shard
 // count is fixed for the engine's lifetime; policy hot-reload swaps in a
 // new engine between cycles, so shard count only ever changes at a cycle
 // boundary.

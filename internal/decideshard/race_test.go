@@ -47,7 +47,7 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 
 	// Writer goroutines: synthetic commit events (and the occasional
 	// drop) against whichever feed is current, racing the decide cycles
-	// below and each other across tracker/cache stripes.
+	// below and each other across the feed's index stripes.
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 3; w++ {

@@ -18,10 +18,10 @@ type IncrOptions struct {
 	// ReconcileEvery runs a reconciling full scan every Nth cycle to
 	// catch missed events (0 = cold-start full scan only).
 	ReconcileEvery int
-	// DecideShards partitions the feed's retained pool and lock stripes
-	// to match a sharded decide plane's shard count (values <= 1 build a
-	// single-partition feed). The wired generator then serves each decide
-	// shard from its own partition with no cross-shard contention.
+	// DecideShards stripes the feed's per-table index to match a sharded
+	// decide plane's shard count (values <= 1 build a single-stripe
+	// feed). The wired generator then serves each decide shard from its
+	// own stripe with no cross-shard contention.
 	DecideShards int
 }
 

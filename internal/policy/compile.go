@@ -81,8 +81,8 @@ type Compiled struct {
 	// DecideShards is the sharded decide plane's shard count (0 or 1 =
 	// serial decide). When > 1, Core.Decider is already attached to a
 	// decideshard engine; consumers building an incremental feed should
-	// pass the same count to changefeed.NewFeedSharded so the retained
-	// pool partitions align with the decide shards.
+	// pass the same count to changefeed.NewFeedSharded so the feed's
+	// index stripes align with the decide shards.
 	DecideShards int
 	// Incremental reports whether the spec enables commit-event-driven
 	// observation; Trigger is the base trigger policy, Triggers the

@@ -16,9 +16,9 @@ import (
 // ErrInjectedFailure is the error injected commit failures report.
 var ErrInjectedFailure = errors.New("scenario: injected commit failure")
 
-// Engine runs one scenario: it owns the virtual clock, the event queue
-// the day structure is scheduled on, the fleet substrate, and the
-// spec-compiled service, and it accumulates the canonical trace. Build
+// Engine runs one scenario: it owns the virtual clock, the fleet
+// substrate, and the spec-compiled service, and it accumulates the
+// canonical trace. Build
 // one with NewEngine and either call Run, or StepDay in a loop (the
 // step-wise form hot-reload harnesses use) followed by Finalize.
 //
@@ -27,7 +27,6 @@ type Engine struct {
 	spec  *Spec
 	opts  EngineOptions
 	clock *sim.Clock
-	queue *sim.EventQueue
 	fleet *fleet.Fleet
 	model fleet.CompactionModel
 
@@ -91,7 +90,6 @@ func NewEngineOpts(spec *Spec, opts EngineOptions) (*Engine, error) {
 		failRNG:  sim.Child(spec.Seed, "scenario/faults/commit-failures"),
 		trace:    &Trace{Scenario: spec.Name, Seed: spec.Seed, Days: spec.Days},
 	}
-	e.queue = sim.NewEventQueue(e.clock)
 	e.fleet = fleet.New(spec.fleetConfig(), e.clock)
 	if err := e.setPolicy(spec.policySpec()); err != nil {
 		return nil, err
@@ -185,10 +183,10 @@ func (r *faultRunner) Run(c *core.Candidate) compaction.Result {
 	return r.inner.Run(c)
 }
 
-// StepDay simulates one day: the fleet's organic growth, the workload
-// patterns, scheduled faults, a staged policy reload (cycle boundary),
-// and the observe→decide→act cycle — each as an event on the engine's
-// queue, in deterministic order at the day's virtual timestamp.
+// StepDay simulates one day at the day's virtual timestamp, in this
+// order: the fleet's organic growth, the workload patterns, scheduled
+// table drops, a staged policy reload (cycle boundary), and the
+// observe→decide→act cycle.
 func (e *Engine) StepDay() error {
 	if e.err != nil {
 		return e.err
@@ -203,16 +201,13 @@ func (e *Engine) StepDay() error {
 	e.day++
 	day := e.day
 	e.inj = Injection{}
-	now := e.clock.Now()
-	e.queue.ScheduleAt(now, func() { e.fleet.AdvanceDay() })
+	e.fleet.AdvanceDay()
 	for _, p := range e.patterns {
-		p := p
-		e.queue.ScheduleAt(now, func() { p.apply(e, day) })
+		p.apply(e, day)
 	}
-	e.queue.ScheduleAt(now, func() { e.applyDrops(day) })
-	e.queue.ScheduleAt(now, func() { e.stageScheduledReload(day) })
-	e.queue.ScheduleAt(now, func() { e.runCycle(day) })
-	e.queue.RunAll()
+	e.applyDrops(day)
+	e.stageScheduledReload(day)
+	e.runCycle(day)
 	return e.err
 }
 

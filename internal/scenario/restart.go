@@ -39,7 +39,7 @@ func (p *backfillPattern) setRNG(r *sim.RNG) { p.rng = r }
 
 // restart performs the scheduled kill/restart fault: snapshot to a real
 // file on disk, tear the runtime down, read the file back, and rebuild
-// everything from the serialized bytes — clock, queue, fleet, pattern
+// everything from the serialized bytes — clock, fleet, pattern
 // and fault RNG streams, and the policy-compiled service. The rebuilt
 // engine's next cycle must be byte-identical to the one the
 // uninterrupted engine would have run.
@@ -73,7 +73,7 @@ func (e *Engine) restart() error {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		return fmt.Errorf("scenario: restart: %w", err)
 	}
-	e.clock, e.queue, e.fleet, e.svc, e.patterns = nil, nil, nil, nil, nil
+	e.clock, e.fleet, e.svc, e.patterns = nil, nil, nil, nil
 	e.dropRNG, e.failRNG = nil, nil
 	read, err := os.ReadFile(path)
 	if err != nil {
@@ -94,7 +94,6 @@ func (e *Engine) reboot(st *restartSnapshot) error {
 		return fmt.Errorf("scenario: restart: %w", err)
 	}
 	e.fleet = f
-	e.queue = sim.NewEventQueue(e.clock)
 	e.day = st.Day
 	e.trace.Cycles = st.Cycles
 	e.dropRNG = sim.NewRNGAt(sim.ChildSeed(e.spec.Seed, "scenario/faults/drops"), st.DropDraws)

@@ -130,7 +130,7 @@ type DropSpec struct {
 
 // RestartSpec schedules a kill/restart fault: at the start of Day,
 // before any of the day's work, the engine snapshots its state to disk,
-// tears the whole runtime down (clock, queue, fleet, patterns, service),
+// tears the whole runtime down (clock, fleet, patterns, service),
 // and rebuilds it from the serialized snapshot — the cold-start recovery
 // a durable deployment performs. A restart is invisible in the canonical
 // trace: the post-recovery cycles must be byte-identical to the

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Sharded-decide parity smoke test: the decide plane's output must not
 # depend on how many shards it runs on. Builds autocompd and runs the
-# same 300-table, 4-day fleet serially and with -decide-shards 4, first
-# full-scan (every table generated per shard) and then incremental with
-# 20% of tables written daily (the changefeed serves each shard from its
-# own retained-pool part). Apart from the "decide plane:" banner line the
-# two outputs of each pair must be byte-identical.
+# same 300-table, 4-day fleet serially and with -decide-shards 4: first
+# full-scan (every table generated per shard), then incremental with 20%
+# of tables written daily (the changefeed serves each shard from its own
+# index stripe), then incremental with a reconciling full scan every
+# second cycle (the one-pass index reconcile on each stripe). Apart from
+# the "decide plane:" banner line the two outputs of each pair must be
+# byte-identical.
 #
 # Run from the repository root: ./scripts/smoke_shard_parity.sh
 set -eu
@@ -38,5 +40,6 @@ check() {
 
 check full-scan
 check incremental -incremental -write-frac 0.2
+check reconciling -incremental -write-frac 0.2 -reconcile-every 2
 
 echo "smoke-shard-parity: PASS"
