@@ -387,7 +387,7 @@ func BenchmarkMOOPRanking(b *testing.B) {
 	cands := mk()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranker.Rank(cands)
+		core.Rank(ranker, cands)
 	}
 }
 

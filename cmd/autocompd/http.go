@@ -5,6 +5,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 
 	"autocomp/internal/telemetry"
 	"autocomp/internal/tenant"
@@ -42,6 +43,17 @@ func statusSnapshot(def *tenant.Tenant, policyPath string) StatusSnapshot {
 		RecentCycles:   telemetry.DefaultTracer().Recent(8),
 	}
 }
+
+// Server timeouts bound how long a client may hold a connection without
+// progress: sending the request headers, sending the whole request, and
+// idling between keep-alive requests. There is deliberately no write
+// timeout: /debug/pprof/profile and the NDJSON /events streams respond
+// for as long as the client asks.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // httpServer pairs the daemon's http.Server with its bound address
 // (useful with ":0") so main can announce it and shut it down
@@ -81,7 +93,12 @@ func serveTelemetry(listen string, status func() StatusSnapshot, register func(*
 	if err != nil {
 		return nil, err
 	}
-	srv := &http.Server{Handler: mux}
+	srv := &http.Server{
+		Handler:           mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	go func() { _ = srv.Serve(ln) }()
 	return &httpServer{srv: srv, addr: ln.Addr().String()}, nil
 }

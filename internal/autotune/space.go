@@ -317,8 +317,13 @@ func lookupField(field string) (fieldDef, error) {
 		}, nil
 	case "scheduler":
 		return fieldDef{
-			kind:  kindChoice,
-			check: func(*policy.Spec) error { return nil },
+			kind: kindChoice,
+			check: func(s *policy.Spec) error {
+				if s.Execution != nil {
+					return errors.New("scheduler choice needs a base without an execution section (the execution plane ignores the scheduler)")
+				}
+				return nil
+			},
 			getS: func(s *policy.Spec) (string, error) {
 				if s.Scheduler == nil {
 					return "sequential", nil

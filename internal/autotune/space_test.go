@@ -3,6 +3,7 @@ package autotune
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"autocomp/internal/policy"
@@ -32,8 +33,19 @@ var numericPool = []struct {
 	{"objectives.compute_cost_gbhr", 0, 1, false, false, true},
 }
 
-// randomSpace builds a valid space over a random subset of the catalog.
-func randomSpace(rng *sim.RNG) *Space {
+// serialBase is DefaultSpec without its execution section: the base a
+// scheduler dimension needs, since the execution plane ignores the
+// act-phase scheduler.
+func serialBase() *policy.Spec {
+	s := policy.DefaultSpec()
+	s.Execution = nil
+	return s
+}
+
+// randomSpace builds a valid space over a random subset of the catalog
+// and returns it with the base it perturbs: DefaultSpec, or serialBase
+// (and no execution dimensions) when the space tunes the scheduler.
+func randomSpace(rng *sim.RNG) (*Space, *policy.Spec) {
 	sp := &Space{Name: "prop"}
 	perm := rng.Perm(len(numericPool))
 	n := 1 + rng.Intn(len(numericPool))
@@ -57,13 +69,20 @@ func randomSpace(rng *sim.RNG) *Space {
 			Choices: []string{"table-scope", "partition-scope", "hybrid-scope"},
 		})
 	}
-	if rng.Bernoulli(0.5) {
-		sp.Dimensions = append(sp.Dimensions, Dimension{
-			Field:   "scheduler",
-			Choices: []string{"sequential", "tables-parallel"},
-		})
+	if !rng.Bernoulli(0.5) {
+		return sp, policy.DefaultSpec()
 	}
-	return sp
+	dims := sp.Dimensions[:0]
+	for _, d := range sp.Dimensions {
+		if !strings.HasPrefix(d.Field, "execution.") {
+			dims = append(dims, d)
+		}
+	}
+	sp.Dimensions = append(dims, Dimension{
+		Field:   "scheduler",
+		Choices: []string{"sequential", "tables-parallel"},
+	})
+	return sp, serialBase()
 }
 
 // TestSpaceRoundTripProperty drives random spaces with random raw
@@ -74,9 +93,8 @@ func randomSpace(rng *sim.RNG) *Space {
 // dimension's bounds.
 func TestSpaceRoundTripProperty(t *testing.T) {
 	rng := sim.NewRNG(42)
-	base := policy.DefaultSpec()
 	for iter := 0; iter < 300; iter++ {
-		sp := randomSpace(rng)
+		sp, base := randomSpace(rng)
 		if err := sp.Validate(base); err != nil {
 			t.Fatalf("iter %d: random space invalid: %v\nspace: %+v", iter, err, sp)
 		}
@@ -313,7 +331,7 @@ func TestEncodeBaseIsWarmStart(t *testing.T) {
 }
 
 func TestChoiceDimensionDecodes(t *testing.T) {
-	base := policy.DefaultSpec()
+	base := serialBase()
 	sp := &Space{Dimensions: []Dimension{
 		{Field: "scheduler", Choices: []string{"sequential", "tables-parallel"}},
 	}}
@@ -334,6 +352,23 @@ func TestChoiceDimensionDecodes(t *testing.T) {
 		if got != want {
 			t.Fatalf("raw %v: scheduler = %q, want %q", raw, got, want)
 		}
+	}
+}
+
+// TestSchedulerDimensionNeedsSerialBase pins that the scheduler choice
+// is refused on a base with an execution section, where the pool
+// orders jobs by rank and every scheduler choice would run the same
+// trial.
+func TestSchedulerDimensionNeedsSerialBase(t *testing.T) {
+	sp := &Space{Dimensions: []Dimension{
+		{Field: "scheduler", Choices: []string{"sequential", "tables-parallel"}},
+	}}
+	err := sp.Validate(policy.DefaultSpec())
+	if err == nil || !strings.Contains(err.Error(), "execution") {
+		t.Fatalf("scheduler dimension on an execution base: err = %v", err)
+	}
+	if err := sp.Validate(serialBase()); err != nil {
+		t.Fatalf("scheduler dimension on a serial base: %v", err)
 	}
 }
 

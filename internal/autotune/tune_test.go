@@ -185,7 +185,8 @@ func TestTunedBeatsDefault(t *testing.T) {
 // TestInvalidPointsScoreAsFailures drives the optimizer into a corner
 // of the space that does not compile (an unregistered scheduler) and
 // asserts the tune survives: the bad trial records as invalid, the
-// winner comes from the valid corner.
+// winner comes from the valid corner. The base has no execution
+// section, the only kind a scheduler dimension may tune.
 func TestInvalidPointsScoreAsFailures(t *testing.T) {
 	sp := &Space{Dimensions: []Dimension{
 		{Field: "scheduler", Choices: []string{"sequential", "no-such-scheduler"}},
@@ -193,6 +194,7 @@ func TestInvalidPointsScoreAsFailures(t *testing.T) {
 	// The 5-point grid over [0,2) lands on raw 0, 0.5, 1.0 — the third
 	// point is the first to floor to the invalid choice index 1.
 	res, log := runTune(t, Config{
+		Base:      serialBase(),
 		Space:     sp,
 		Scenarios: []*scenario.Spec{microScenario("micro", 40)},
 		Optimizer: "grid",

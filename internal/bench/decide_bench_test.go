@@ -82,7 +82,7 @@ func bestDecide(tb testing.TB, svc *core.Service, eng *decideshard.Engine, reps 
 		}
 		el := time.Since(start)
 		c := el
-		if eng != nil && eng.Shards() > 1 {
+		if eng != nil {
 			c = eng.LastCycle().CriticalPath()
 		}
 		if i == 0 || el < wall {

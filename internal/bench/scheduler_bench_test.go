@@ -70,7 +70,9 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 
 // BenchmarkSchedulerDispatch isolates the pure scheduler overhead —
 // queue, leases, budget arbitration, commit bookkeeping — with zero-cost
-// jobs, measuring dispatch throughput in jobs per wall second.
+// jobs, reporting wall microseconds per job at 2k, 8k and 32k jobs. A
+// flat us/job across the job counts means dispatch cost does not grow
+// with queue length; a rising one means it does.
 func BenchmarkSchedulerDispatch(b *testing.B) {
 	mkCands := func(n int) []*core.Candidate {
 		cands := make([]*core.Candidate, n)
@@ -87,23 +89,23 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	runner := core.RunnerFunc(func(c *core.Candidate) compaction.Result {
 		return compaction.Result{Table: c.Table.FullName(), FilesRemoved: 5, FilesAdded: 1, GBHr: 1}
 	})
-	for _, workers := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			const jobs = 2048
-			cands := mkCands(jobs)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				clock := sim.NewClock()
-				q := sim.NewEventQueue(clock)
-				p := scheduler.New(scheduler.Config{Workers: workers, Shards: 8, Seed: 1}, runner, clock)
-				p.Submit(cands)
-				st := scheduler.RunSim(p, q)
-				if st.Done != jobs {
-					b.Fatalf("done = %d", st.Done)
+	for _, jobs := range []int{2048, 8192, 32768} {
+		cands := mkCands(jobs)
+		for _, workers := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("jobs-%d/workers-%d", jobs, workers), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					clock := sim.NewClock()
+					q := sim.NewEventQueue(clock)
+					p := scheduler.New(scheduler.Config{Workers: workers, Shards: 8, Seed: 1}, runner, clock)
+					p.Submit(cands)
+					st := scheduler.RunSim(p, q)
+					if st.Done != jobs {
+						b.Fatalf("done = %d", st.Done)
+					}
 				}
-			}
-			b.ReportMetric(float64(jobs*b.N)/b.Elapsed().Seconds(), "jobs/s")
-		})
+				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(jobs*b.N), "us/job")
+			})
+		}
 	}
 }
 

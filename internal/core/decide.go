@@ -5,18 +5,10 @@ import (
 	"sort"
 )
 
-// Ranker orders candidates for execution (the decide phase, §4.3). Rank
-// sets each candidate's Score and returns candidates in descending score
-// order with deterministic tie-breaking (NFR2). Candidates a policy
-// rejects outright are omitted.
-type Ranker interface {
-	Rank(cands []*Candidate) []*Candidate
-}
-
-// ParallelRanker is a Ranker whose cross-candidate state factors into a
-// cheap, exactly-mergeable per-shard summary, so ranking can fan out
-// across decide shards and still produce the same scores a whole-pool
-// Rank would:
+// Ranker orders candidates for execution (the decide phase, §4.3). Its
+// cross-candidate state factors into a cheap, exactly-mergeable
+// per-shard summary, so ranking fans out across decide shards and still
+// produces the scores a whole-pool ranking would:
 //
 //	stats_s := ShardStats(shard_s)            // per shard, in parallel
 //	global := MergeStats([]any{stats_0, …})   // serial, cheap
@@ -24,21 +16,26 @@ type Ranker interface {
 //
 // The contract RankShard must honor: for any partition of a pool, the
 // multiset of (candidate, Score) pairs across all RankShard outputs
-// equals the Rank output over the whole pool, and each output is sorted
-// by RankLess. The sharded decide plane (internal/decideshard) then
-// k-way-merges the sorted shards into the exact serial ranking; rankers
-// that cannot provide this factorization simply don't implement the
-// interface and are ranked serially.
-type ParallelRanker interface {
-	Ranker
+// equals Rank's output over the whole pool, each output is sorted by
+// RankLess, and candidates the policy rejects outright are omitted. The
+// sharded decide plane (internal/decideshard) then k-way-merges the
+// sorted shards into the exact whole-pool ranking.
+type Ranker interface {
 	// ShardStats summarizes one shard's candidates (nil when the ranker
 	// needs no cross-candidate state).
 	ShardStats(cands []*Candidate) any
 	// MergeStats folds per-shard summaries into the global state handed
 	// to every RankShard call. It must be order-independent.
 	MergeStats(parts []any) any
-	// RankShard scores and sorts one shard against the global state.
+	// RankShard sets each candidate's Score against the global state and
+	// returns the admitted ones sorted by RankLess.
 	RankShard(cands []*Candidate, global any) []*Candidate
+}
+
+// Rank ranks a whole pool: the one-shard case of the Ranker contract,
+// so serial and sharded scores are bit-identical by construction.
+func Rank(r Ranker, cands []*Candidate) []*Candidate {
+	return r.RankShard(cands, r.MergeStats([]any{r.ShardStats(cands)}))
 }
 
 // ThresholdPolicy is the unconstrained-resource decision function (§4.3):
@@ -50,20 +47,15 @@ type ThresholdPolicy struct {
 	Threshold float64
 }
 
-// Rank implements Ranker.
-func (p ThresholdPolicy) Rank(cands []*Candidate) []*Candidate {
-	return p.RankShard(cands, nil)
-}
-
-// ShardStats implements ParallelRanker: threshold admission is purely
+// ShardStats implements Ranker: threshold admission is purely
 // per-candidate, so no cross-shard statistics are needed.
 func (p ThresholdPolicy) ShardStats(cands []*Candidate) any { return nil }
 
-// MergeStats implements ParallelRanker.
+// MergeStats implements Ranker.
 func (p ThresholdPolicy) MergeStats(parts []any) any { return nil }
 
-// RankShard implements ParallelRanker: admission and scoring depend only
-// on the candidate itself, so each shard ranks independently.
+// RankShard implements Ranker: admission and scoring depend only on the
+// candidate itself, so each shard ranks independently.
 func (p ThresholdPolicy) RankShard(cands []*Candidate, _ any) []*Candidate {
 	var out []*Candidate
 	for _, c := range cands {
@@ -120,17 +112,6 @@ func (r MOOPRanker) Validate() error {
 	return nil
 }
 
-// Rank implements Ranker: one ShardStats pass over the whole pool, then
-// RankShard against those bounds — the exact same arithmetic the sharded
-// decide plane runs per shard, so serial and sharded scores are
-// bit-identical by construction.
-func (r MOOPRanker) Rank(cands []*Candidate) []*Candidate {
-	if len(cands) == 0 {
-		return nil
-	}
-	return r.RankShard(cands, r.ShardStats(cands))
-}
-
 // moopBounds carries per-objective trait extrema. Min/max merge exactly
 // across shards (no accumulation, no rounding), which is what makes the
 // sharded MOOP byte-identical to the serial one: the global bounds —
@@ -141,7 +122,7 @@ type moopBounds struct {
 	n        int // candidates folded in; 0 = no bounds yet
 }
 
-// ShardStats implements ParallelRanker: the per-objective min/max over
+// ShardStats implements Ranker: the per-objective min/max over
 // this shard's candidates, the only cross-candidate state min-max
 // normalization needs.
 func (r MOOPRanker) ShardStats(cands []*Candidate) any {
@@ -168,7 +149,7 @@ func (r MOOPRanker) ShardStats(cands []*Candidate) any {
 	return b
 }
 
-// MergeStats implements ParallelRanker: fold per-shard bounds into the
+// MergeStats implements Ranker: fold per-shard bounds into the
 // global ones. Order-independent and exact.
 func (r MOOPRanker) MergeStats(parts []any) any {
 	out := &moopBounds{
@@ -199,12 +180,12 @@ func (r MOOPRanker) MergeStats(parts []any) any {
 	return out
 }
 
-// RankShard implements ParallelRanker: score this shard's candidates
-// against the global bounds and sort them. Normalization follows
+// RankShard implements Ranker: score this shard's candidates against
+// the global bounds and sort them. Normalization follows
 // metrics.MinMaxNormalize exactly — constant traits map to zero, the
 // division uses halved operands so extreme spans cannot overflow, and
-// the result clamps to [0,1] — so the scores match what a whole-pool
-// Rank computes, bit for bit.
+// the result clamps to [0,1] — so the scores match the paper's
+// whole-pool min-max scalarization, bit for bit.
 func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 	if len(cands) == 0 {
 		return nil

@@ -24,7 +24,7 @@ func TestThresholdPolicy(t *testing.T) {
 		mkCand("a.t2", map[string]float64{tr.Name(): 0.5}),
 		mkCand("a.t3", map[string]float64{tr.Name(): 0.2}),
 	}
-	ranked := p.Rank(cands)
+	ranked := Rank(p, cands)
 	if len(ranked) != 2 {
 		t.Fatalf("passed = %d", len(ranked))
 	}
@@ -51,7 +51,7 @@ func TestMOOPRankerBalancesBenefitAndCost(t *testing.T) {
 		mkCand("a.small", map[string]float64{benefit.Name(): 100, cost.Name(): 50}),
 		mkCand("a.zero", map[string]float64{benefit.Name(): 0, cost.Name(): 50}),
 	}
-	ranked := r.Rank(equalCost)
+	ranked := Rank(r, equalCost)
 	if ranked[0].ID() != "a.big" {
 		t.Fatalf("equal-cost winner = %v", ranked[0].ID())
 	}
@@ -60,7 +60,7 @@ func TestMOOPRankerBalancesBenefitAndCost(t *testing.T) {
 		mkCand("a.small", map[string]float64{benefit.Name(): 100, cost.Name(): 50}),
 		mkCand("a.zero", map[string]float64{benefit.Name(): 0, cost.Name(): 40}),
 	}
-	ranked = r.Rank(costly)
+	ranked = Rank(r, costly)
 	if ranked[0].ID() != "a.small" {
 		t.Fatalf("cost-aware winner = %v (scores %v %v %v)",
 			ranked[0].ID(), ranked[0].Score, ranked[1].Score, ranked[2].Score)
@@ -75,7 +75,7 @@ func TestMOOPRankerDeterministicTieBreak(t *testing.T) {
 		mkCand("a.t", map[string]float64{benefit.Name(): 5}),
 		mkCand("m.t", map[string]float64{benefit.Name(): 5}),
 	}
-	ranked := r.Rank(cands)
+	ranked := Rank(r, cands)
 	if ranked[0].ID() != "a.t" || ranked[1].ID() != "m.t" || ranked[2].ID() != "z.t" {
 		t.Fatalf("tie order = %v %v %v", ranked[0].ID(), ranked[1].ID(), ranked[2].ID())
 	}
@@ -105,7 +105,7 @@ func TestMOOPRankerDeterminismProperty(t *testing.T) {
 			}
 			b = append(b, mkCand(id, traitsCopy))
 		}
-		ra, rb := r.Rank(a), r.Rank(b)
+		ra, rb := Rank(r, a), Rank(r, b)
 		if len(ra) != len(vals) || len(rb) != len(vals) {
 			return false
 		}
@@ -187,7 +187,7 @@ func TestMOOPQuotaPressureRaisesPriority(t *testing.T) {
 	b.Stats.QuotaUtilization = 0.05
 	// Add a spread candidate so normalization is non-degenerate.
 	z := mkCand("z.t", map[string]float64{benefit.Name(): 0, "c": 0})
-	ranked := r.Rank([]*Candidate{b, a, z})
+	ranked := Rank(r, []*Candidate{b, a, z})
 	if ranked[0].ID() != "a.t" {
 		t.Fatalf("quota pressure ignored: first = %v", ranked[0].ID())
 	}

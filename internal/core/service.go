@@ -145,7 +145,7 @@ func (cfg *Config) DecideSerial() (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Ranked = cfg.Ranker.Rank(cands)
+	d.Ranked = Rank(cfg.Ranker, cands)
 	d.Selected = cfg.Selector.Select(d.Ranked)
 	d.Plan = cfg.Scheduler.Plan(d.Selected)
 	return d, nil

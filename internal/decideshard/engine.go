@@ -21,14 +21,14 @@
 //  2. The only cross-candidate coupling — MOOP min-max normalization —
 //     factors into per-shard trait extrema merged exactly (min/max has
 //     no accumulation error), after which each shard scores its
-//     candidates with bit-identical arithmetic (core.ParallelRanker).
+//     candidates with bit-identical arithmetic (core.Ranker).
 //  3. Ranking order is a total order (score desc, candidate ID asc) for
 //     unique IDs, so independently sorted shards merge into the exact
 //     serial ordering regardless of shard completion order; MergeRanked
 //     emits it without re-sorting the merged tail.
 //
-// A ranker that is not a core.ParallelRanker cannot be sharded; Decide
-// returns an error for it rather than ranking serially.
+// Every shard count, one included, runs this same path, so the engine's
+// timing stats and critical path mean the same thing at every count.
 //
 // # Concurrency requirements
 //
@@ -44,7 +44,6 @@
 package decideshard
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -56,7 +55,7 @@ import (
 // Options parameterizes an Engine.
 type Options struct {
 	// Shards is the number of decide shards tables hash onto; values
-	// <= 1 decide serially.
+	// below 1 mean one shard.
 	Shards int
 	// Workers bounds the goroutines running shard work; 0 defaults to
 	// min(Shards, GOMAXPROCS). More workers than shards is never useful
@@ -91,7 +90,7 @@ type Engine struct {
 // parallel win; max-shard time plus merge time is what wall time becomes
 // with enough cores).
 type CycleStats struct {
-	// Shards is the cycle's shard count (0 = no sharded cycle yet).
+	// Shards is the cycle's shard count (0 = no cycle yet).
 	Shards int
 	// ShardPipeline is each shard's generate→trait-filter duration;
 	// ShardRank each shard's rank-phase duration.
@@ -119,7 +118,7 @@ func (cs CycleStats) CriticalPath() time.Duration {
 	return max + cs.Merge
 }
 
-// LastCycle returns a copy of the most recent sharded cycle's stats.
+// LastCycle returns a copy of the most recent cycle's stats.
 func (e *Engine) LastCycle() CycleStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -152,9 +151,6 @@ func New(opts Options) *Engine {
 	if w > s {
 		w = s
 	}
-	if w < 1 {
-		w = 1
-	}
 	return &Engine{shards: s, workers: w, clock: opts.Clock}
 }
 
@@ -167,9 +163,6 @@ func (e *Engine) now() time.Duration {
 	return time.Since(procStart)
 }
 
-// Shards returns the engine's shard count.
-func (e *Engine) Shards() int { return e.shards }
-
 // Workers returns the engine's worker-pool bound.
 func (e *Engine) Workers() int { return e.workers }
 
@@ -179,13 +172,6 @@ func (e *Engine) Workers() int { return e.workers }
 func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.shards <= 1 {
-		return cfg.DecideSerial()
-	}
-	pr, ok := cfg.Ranker.(core.ParallelRanker)
-	if !ok {
-		return nil, fmt.Errorf("decideshard: ranker %T does not implement core.ParallelRanker and cannot decide across %d shards", cfg.Ranker, e.shards)
-	}
 	mDecides.Inc()
 	mShardsGauge.Set(float64(e.shards))
 	mWorkersGauge.Set(float64(e.workers))
@@ -220,7 +206,7 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 		if out.cands, out.err = cfg.Refine(cands, &out.funnel); out.err != nil {
 			return
 		}
-		out.stats = pr.ShardStats(out.cands)
+		out.stats = cfg.Ranker.ShardStats(out.cands)
 		e.last.ShardPipeline[s] = e.now() - started
 		mShardSeconds.With("pipeline").Observe(e.last.ShardPipeline[s].Seconds())
 	})
@@ -238,11 +224,11 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 
 	// Phase B: rank per shard against exactly-merged global stats, then
 	// the deterministic k-way merge.
-	global := pr.MergeStats(stats)
+	global := cfg.Ranker.MergeStats(stats)
 	ranked := make([][]*core.Candidate, e.shards)
 	e.runShards(func(s int) {
 		started := e.now()
-		ranked[s] = pr.RankShard(outs[s].cands, global)
+		ranked[s] = cfg.Ranker.RankShard(outs[s].cands, global)
 		e.last.ShardRank[s] = e.now() - started
 		mShardSeconds.With("rank").Observe(e.last.ShardRank[s].Seconds())
 	})
@@ -261,9 +247,6 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 // idle a worker that could take the next one.
 func (e *Engine) runShards(fn func(int)) {
 	w := e.workers
-	if w > e.shards {
-		w = e.shards
-	}
 	if w <= 1 {
 		for s := 0; s < e.shards; s++ {
 			fn(s)

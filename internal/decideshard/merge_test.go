@@ -9,6 +9,7 @@ import (
 
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
+	"autocomp/internal/metrics"
 	"autocomp/internal/sim"
 )
 
@@ -84,14 +85,18 @@ func TestMergeRankedMatchesStableSortProperty(t *testing.T) {
 	}
 }
 
-// TestMOOPShardRankEquivalenceProperty checks the ParallelRanker
-// factorization of the MOOP over 500 random pools: partitioning by
-// core.ShardOf, merging per-shard bounds, ranking each shard against
-// them, and k-way-merging must reproduce the serial Rank bit for bit —
-// same order, same Float64bits of every score. Trait values span
-// adversarial ground (1e±300 magnitudes, negatives, constant columns
-// that collapse the min-max span) and weights are NaN-free but include
-// zeros and wildly skewed magnitudes before normalization.
+// TestMOOPShardRankEquivalenceProperty checks the MOOP ranker against
+// the paper's formula over 500 random pools. The oracle is written out
+// independently of the Ranker contract: metrics.MinMaxNormalize per
+// objective over the whole pool, then the weighted sum in objective
+// order (benefit terms add, cost terms subtract), sorted by
+// core.RankLess. Both core.Rank and the sharded path — partition by
+// core.ShardOf, merge per-shard bounds, rank each shard against them,
+// k-way-merge — must reproduce it bit for bit: same order, same
+// Float64bits of every score. Trait values span adversarial ground
+// (1e±300 magnitudes, negatives, constant columns that collapse the
+// min-max span) and weights are NaN-free but include zeros and wildly
+// skewed magnitudes before normalization.
 func TestMOOPShardRankEquivalenceProperty(t *testing.T) {
 	traitPool := []float64{0, 1, -3.5, 1e-300, 1e300, -1e300, 7, 7, 0.125}
 	weightPool := []float64{0, 1e-8, 0.5, 1, 1e6}
@@ -150,7 +155,21 @@ func TestMOOPShardRankEquivalenceProperty(t *testing.T) {
 			return out
 		}
 
-		serial := capture(ranker.Rank(cands))
+		oracle := capture(moopOracle(objectives, cands))
+		check := func(path string, ranked []*core.Candidate) {
+			t.Helper()
+			got := capture(ranked)
+			if len(got) != len(oracle) {
+				t.Fatalf("case %d: %s ranked %d, oracle %d", ci, path, len(got), len(oracle))
+			}
+			for i := range oracle {
+				if got[i] != oracle[i] {
+					t.Fatalf("case %d (%d objectives): %s position %d: %s/%016x, oracle %s/%016x",
+						ci, nObj, path, i, got[i].id, got[i].bits, oracle[i].id, oracle[i].bits)
+				}
+			}
+		}
+		check("core.Rank", core.Rank(ranker, cands))
 
 		shards := rng.IntBetween(2, 16)
 		parts := make([][]*core.Candidate, shards)
@@ -167,16 +186,35 @@ func TestMOOPShardRankEquivalenceProperty(t *testing.T) {
 		for s, p := range parts {
 			ranked[s] = ranker.RankShard(p, global)
 		}
-		sharded := capture(MergeRanked(ranked))
+		check(fmt.Sprintf("sharded (%d shards)", shards), MergeRanked(ranked))
+	}
+}
 
-		if len(sharded) != len(serial) {
-			t.Fatalf("case %d: sharded ranked %d, serial %d", ci, len(sharded), len(serial))
+// moopOracle scores cands with the paper's scalarized MOOP (§4.3),
+// S_c = Σ_i ±w_i·T'_i,c with T'_i = metrics.MinMaxNormalize over the
+// whole pool, and returns fresh scored copies sorted by core.RankLess.
+func moopOracle(objs []core.Objective, cands []*core.Candidate) []*core.Candidate {
+	norm := make([][]float64, len(objs))
+	for i, o := range objs {
+		raw := make([]float64, len(cands))
+		for j, c := range cands {
+			raw[j] = c.Trait(o.Trait.Name())
 		}
-		for i := range serial {
-			if sharded[i] != serial[i] {
-				t.Fatalf("case %d (%d shards, %d objectives): position %d: sharded %s/%016x, serial %s/%016x",
-					ci, shards, nObj, i, sharded[i].id, sharded[i].bits, serial[i].id, serial[i].bits)
+		norm[i] = metrics.MinMaxNormalize(raw)
+	}
+	out := make([]*core.Candidate, len(cands))
+	for j, c := range cands {
+		score := 0.0
+		for i, o := range objs {
+			term := o.Weight * norm[i][j]
+			if o.Trait.Direction() == core.Cost {
+				score -= term
+			} else {
+				score += term
 			}
 		}
+		out[j] = &core.Candidate{Table: c.Table, Traits: c.Traits, Score: score}
 	}
+	sort.SliceStable(out, func(i, j int) bool { return core.RankLess(out[i], out[j]) })
+	return out
 }

@@ -10,7 +10,6 @@ package decideshard_test
 import (
 	"reflect"
 	"sort"
-	"strings"
 	"testing"
 
 	"autocomp/internal/core"
@@ -198,28 +197,6 @@ func candidateIDs(cands []*core.Candidate) []string {
 	}
 	sort.Strings(ids)
 	return ids
-}
-
-// TestShardRankerWithoutParallelRankErrors checks that a ranker that
-// cannot factor across shards is refused with an error, not a panic or
-// a silent serial rank.
-func TestShardRankerWithoutParallelRankErrors(t *testing.T) {
-	f, _ := testkit.NewFleet(7, 60)
-	f.AdvanceDay()
-	cfg := testkit.Config(t, f, testkit.MaintenanceSpec(10))
-	cfg.Ranker = core.ParetoRanker{Objectives: []core.Objective{{Trait: core.FileCountReduction{}, Weight: 1}}}
-	cfg.Decider = decideshard.New(decideshard.Options{Shards: 4}).Decide
-	svc, err := core.NewService(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := svc.Decide()
-	if err == nil {
-		t.Fatalf("sharded decide with a ParetoRanker returned a decision (%d ranked), want an error", len(d.Ranked))
-	}
-	if !strings.Contains(err.Error(), "ParallelRanker") {
-		t.Fatalf("error %q does not name the missing interface", err)
-	}
 }
 
 // TestShardParityBudgetSelector pins the selector interaction: the

@@ -150,7 +150,7 @@ func RunShard(seed int64, quick bool) (Result, error) {
 			}
 			el := time.Since(start)
 			crit := el
-			if eng != nil && eng.Shards() > 1 {
+			if eng != nil {
 				crit = eng.LastCycle().CriticalPath()
 			}
 			if i == 0 || el < best {

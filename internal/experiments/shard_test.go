@@ -28,8 +28,8 @@ func TestShardShape(t *testing.T) {
 		}
 		// The critical path can never exceed the measured wall time:
 		// it is the slowest shard chain plus the merge, a subset of
-		// the work the wall clock covers.
-		if s.Shards > 1 && s.CriticalPathMS > s.DecideMS {
+		// the work the wall clock covers, at every shard count.
+		if s.CriticalPathMS > s.DecideMS {
 			t.Fatalf("shards=%d: critical path %.2f ms > wall %.2f ms",
 				s.Shards, s.CriticalPathMS, s.DecideMS)
 		}

@@ -351,6 +351,9 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	// Execution plane.
 	if s.Execution != nil {
 		ex := s.Execution
+		if s.Scheduler != nil {
+			fail(fmt.Errorf("policy: scheduler %q cannot be combined with an execution section (the execution plane orders jobs by rank and ignores the scheduler); drop one of scheduler and execution", s.Scheduler.Name))
+		}
 		if ex.Workers < 1 {
 			fail(fmt.Errorf("policy: execution.workers must be >= 1, got %d", ex.Workers))
 		}

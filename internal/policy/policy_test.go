@@ -37,7 +37,6 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			{Trait: C("compute_cost_gbhr"), Weight: 0.3},
 		},
 		Selector:    &Component{Name: "top-k", Params: map[string]any{"k": float64(10)}},
-		Scheduler:   &Component{Name: "tables-parallel", Params: map[string]any{"max_parallel": float64(4)}},
 		Maintenance: &MaintenanceSpec{RetainSnapshots: 10, CheckpointEveryVersions: 50, MinManifestSurplus: 4},
 		Execution: &ExecutionSpec{
 			Workers: 8, Shards: 4, ShardBudgetGBHr: 1024,
@@ -53,22 +52,46 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			"db1.t1": {Trigger: &TriggerSpec{EveryCommits: 1}},
 		},
 	}
-	b, err := orig.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	// The act-phase scheduler only plans the serial act loop, so it
+	// round-trips on a copy without the execution section.
+	serial := orig.Clone()
+	serial.Execution = nil
+	serial.Scheduler = &Component{Name: "tables-parallel", Params: map[string]any{"max_parallel": float64(4)}}
+	for _, spec := range []*Spec{orig, serial} {
+		b, err := spec.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Parse(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(spec, back) {
+			t.Fatalf("round trip mismatch:\norig %+v\nback %+v\ndiff %v", spec, back, Diff(spec, back))
+		}
+		if d := Diff(spec, back); len(d) != 0 {
+			t.Fatalf("diff of round-tripped spec = %v", d)
+		}
+		if err := Validate(back, StubEnv()); err != nil {
+			t.Fatalf("round-tripped spec invalid: %v", err)
+		}
 	}
-	back, err := Parse(b)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestSchedulerWithExecutionRejected pins that a spec naming an
+// act-phase scheduler next to an execution section does not compile:
+// the execution plane orders jobs by rank and never reads the
+// scheduler's plan, so the knob would silently do nothing.
+func TestSchedulerWithExecutionRejected(t *testing.T) {
+	s := DefaultSpec()
+	s.Scheduler = &Component{Name: "tables-parallel"}
+	err := Validate(s, StubEnv())
+	if err == nil || !strings.Contains(err.Error(), "scheduler") || !strings.Contains(err.Error(), "execution") {
+		t.Fatalf("scheduler with execution: err = %v, want an error naming both", err)
 	}
-	if !reflect.DeepEqual(orig, back) {
-		t.Fatalf("round trip mismatch:\norig %+v\nback %+v\ndiff %v", orig, back, Diff(orig, back))
-	}
-	if d := Diff(orig, back); len(d) != 0 {
-		t.Fatalf("diff of round-tripped spec = %v", d)
-	}
-	if err := Validate(back, StubEnv()); err != nil {
-		t.Fatalf("round-tripped spec invalid: %v", err)
+	s.Execution = nil
+	if err := Validate(s, StubEnv()); err != nil {
+		t.Fatalf("scheduler without execution: %v", err)
 	}
 }
 
