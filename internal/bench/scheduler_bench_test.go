@@ -72,13 +72,19 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 // queue, leases, budget arbitration, commit bookkeeping — with zero-cost
 // jobs, reporting wall microseconds per job at 2k, 8k and 32k jobs. A
 // flat us/job across the job counts means dispatch cost does not grow
-// with queue length; a rising one means it does.
+// with queue length; a rising one means it does. The jobs-N rows use
+// distinct tables and no budget, so no job ever waits on a lease or a
+// budget. The siblings rows queue four jobs per table, so each dispatch
+// sets its table's later jobs aside behind the lease; the budget rows
+// give each shard a budget of jobs/16 GBHr, which blocks admissions
+// near the end and then defers about half the jobs.
 func BenchmarkSchedulerDispatch(b *testing.B) {
-	mkCands := func(n int) []*core.Candidate {
+	mkCands := func(n, perTable int) []*core.Candidate {
 		cands := make([]*core.Candidate, n)
 		for i := range cands {
+			t := i / perTable
 			cands[i] = &core.Candidate{
-				Table: benchTable{name: fmt.Sprintf("db%d.t%06d", i%32, i)},
+				Table: benchTable{name: fmt.Sprintf("db%d.t%06d", t%32, t)},
 				Traits: map[string]float64{
 					core.ComputeCost{}.Name(): float64(1 + i%7),
 				},
@@ -89,23 +95,42 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	runner := core.RunnerFunc(func(c *core.Candidate) compaction.Result {
 		return compaction.Result{Table: c.Table.FullName(), FilesRemoved: 5, FilesAdded: 1, GBHr: 1}
 	})
+	drain := func(b *testing.B, cands []*core.Candidate, cfg scheduler.Config) scheduler.Stats {
+		var st scheduler.Stats
+		for i := 0; i < b.N; i++ {
+			clock := sim.NewClock()
+			q := sim.NewEventQueue(clock)
+			p := scheduler.New(cfg, runner, clock)
+			p.Submit(cands)
+			st = scheduler.RunSim(p, q)
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(len(cands)*b.N), "us/job")
+		return st
+	}
 	for _, jobs := range []int{2048, 8192, 32768} {
-		cands := mkCands(jobs)
+		cands := mkCands(jobs, 1)
 		for _, workers := range []int{1, 4, 16} {
 			b.Run(fmt.Sprintf("jobs-%d/workers-%d", jobs, workers), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					clock := sim.NewClock()
-					q := sim.NewEventQueue(clock)
-					p := scheduler.New(scheduler.Config{Workers: workers, Shards: 8, Seed: 1}, runner, clock)
-					p.Submit(cands)
-					st := scheduler.RunSim(p, q)
-					if st.Done != jobs {
-						b.Fatalf("done = %d", st.Done)
-					}
+				if st := drain(b, cands, scheduler.Config{Workers: workers, Shards: 8, Seed: 1}); st.Done != jobs {
+					b.Fatalf("done = %d", st.Done)
 				}
-				b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(jobs*b.N), "us/job")
 			})
 		}
+	}
+	for _, jobs := range []int{2048, 8192, 32768} {
+		siblings := mkCands(jobs, 4)
+		b.Run(fmt.Sprintf("siblings/jobs-%d/workers-16", jobs), func(b *testing.B) {
+			if st := drain(b, siblings, scheduler.Config{Workers: 16, Shards: 8, Seed: 1}); st.Done != jobs {
+				b.Fatalf("done = %d", st.Done)
+			}
+		})
+		cands := mkCands(jobs, 1)
+		b.Run(fmt.Sprintf("budget/jobs-%d/workers-16", jobs), func(b *testing.B) {
+			cfg := scheduler.Config{Workers: 16, Shards: 8, ShardBudgetGBHr: float64(jobs) / 16, Seed: 1}
+			if st := drain(b, cands, cfg); st.Done+st.Deferred != jobs || st.Deferred == 0 {
+				b.Fatalf("done = %d, deferred = %d", st.Done, st.Deferred)
+			}
+		})
 	}
 }
 

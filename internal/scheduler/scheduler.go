@@ -26,12 +26,21 @@
 //     as live writers racing the compactor.
 //
 // The Pool itself is a single-threaded state machine; RunSim in sim.go
-// drives it.
+// drives it. Each queued job sits in exactly one of four places: the
+// ready heap (priority key descending, then submission order), the
+// waiting heap (retries in backoff, by expiry), a per-table parked list
+// (popped while its table's lease was held) or a per-shard blocked list
+// (popped while its shard's budget refused admission). Backoff expiry,
+// lease release, commits and budget exhaustion return jobs to ready, so
+// a dispatch costs O(log n) instead of re-walking the jobs that cannot
+// run, yet it picks the job, defers the jobs and reports the earliest
+// backoff expiry that a priority-order walk of the whole queue would.
 package scheduler
 
 import (
+	"container/heap"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"autocomp/internal/compaction"
@@ -209,6 +218,13 @@ type Job struct {
 	Started  time.Duration
 	Finished time.Duration
 
+	// table is the candidate's table name and key the time-independent
+	// priority sort key, both fixed at Submit. Comparing
+	// base + rate·(now − enqueued) across jobs is equivalent to comparing
+	// base − rate·enqueued, so linear aging never needs re-sorting.
+	table string
+	key   float64
+
 	seq          int64
 	readyAt      time.Duration
 	startVersion int64
@@ -223,12 +239,30 @@ type Job struct {
 	wastedGBHr float64
 }
 
-// key is the time-independent priority sort key. Comparing
-// base + rate·(now − enqueued) across jobs is equivalent to comparing
-// base − rate·enqueued, so linear aging never needs re-sorting.
-func (j *Job) key(rate float64) float64 {
-	return j.BasePriority - rate*j.Enqueued.Hours()
+// jobHeap is a binary heap of queued jobs ordered by before: byPriority
+// for the ready queue, byReadyAt for the waiting queue.
+type jobHeap struct {
+	jobs   []*Job
+	before func(a, b *Job) bool
 }
+
+func (h *jobHeap) Len() int           { return len(h.jobs) }
+func (h *jobHeap) Less(i, k int) bool { return h.before(h.jobs[i], h.jobs[k]) }
+func (h *jobHeap) Swap(i, k int)      { h.jobs[i], h.jobs[k] = h.jobs[k], h.jobs[i] }
+func (h *jobHeap) Push(x any)         { h.jobs = append(h.jobs, x.(*Job)) }
+func (h *jobHeap) Pop() any {
+	n := len(h.jobs) - 1
+	j := h.jobs[n]
+	h.jobs[n] = nil
+	h.jobs = h.jobs[:n]
+	return j
+}
+
+// byPriority is dispatch order: key descending, then submission order.
+func byPriority(a, b *Job) bool { return a.key > b.key || (a.key == b.key && a.seq < b.seq) }
+
+// byReadyAt orders retries by backoff expiry.
+func byReadyAt(a, b *Job) bool { return a.readyAt < b.readyAt }
 
 // Stats summarizes one drained cycle.
 type Stats struct {
@@ -253,7 +287,7 @@ type Stats struct {
 	// BusyTime / (Workers × Makespan).
 	BusyTime time.Duration
 
-	// MaxQueueDepth is the longest pending queue seen at a dispatch.
+	// MaxQueueDepth is the most jobs left queued at a dispatch.
 	MaxQueueDepth int
 
 	// MaxWorkersBusy is the peak number of jobs in flight at once
@@ -290,7 +324,14 @@ type Pool struct {
 	runner core.Runner
 	rng    *sim.RNG
 
-	pending  []*Job // sorted by key desc, seq asc
+	// Every queued job is in exactly one of ready, waiting, parked and
+	// blocked; queued counts them.
+	ready   jobHeap           // key desc, seq asc
+	waiting jobHeap           // retries in backoff, readyAt asc
+	parked  map[string][]*Job // by table: popped while its lease was held
+	blocked [][]*Job          // by shard: popped while admission refused it
+	queued  int
+
 	jobs     []*Job // submission order
 	leases   map[string]*Job
 	running  int
@@ -318,6 +359,10 @@ func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
 		clock:    clock,
 		runner:   runner,
 		rng:      sim.NewRNG(cfg.Seed),
+		ready:    jobHeap{before: byPriority},
+		waiting:  jobHeap{before: byReadyAt},
+		parked:   make(map[string][]*Job),
+		blocked:  make([][]*Job, cfg.Shards),
 		leases:   make(map[string]*Job),
 		spent:    make([]float64, cfg.Shards),
 		reserved: make([]float64, cfg.Shards),
@@ -332,61 +377,62 @@ func (p *Pool) Submit(selected []*core.Candidate) {
 	now := p.clock.Now()
 	for i, c := range selected {
 		p.seq++
+		name := c.Table.FullName()
 		j := &Job{
 			Candidate:    c,
-			Shard:        core.ShardOf(c.Table.FullName(), p.cfg.Shards),
+			Shard:        core.ShardOf(name, p.cfg.Shards),
 			BasePriority: float64(len(selected) - i),
 			Enqueued:     now,
 			queuedSince:  now,
 			seq:          p.seq,
+			table:        name,
 		}
+		j.key = j.BasePriority - p.cfg.AgingRatePerHour*now.Hours()
 		if est := c.Trait(core.ComputeCost{}.Name()); est > 0 {
 			j.estCost = est
 		}
 		p.jobs = append(p.jobs, j)
-		p.enqueue(j)
+		p.enqueue(j, &p.ready)
 		p.stats.Submitted++
 		mSubmitted.Inc()
 	}
-	mQueueDepth.Set(float64(len(p.pending)))
 	if len(selected) > 0 && p.notify != nil {
 		p.notify()
 	}
 }
 
-// enqueue inserts j into pending, keeping key-desc, seq-asc order.
-func (p *Pool) enqueue(j *Job) {
+// enqueue queues j on h: ready for a new job, waiting for a retry.
+func (p *Pool) enqueue(j *Job, h *jobHeap) {
 	j.Status = StatusQueued
-	rate := p.cfg.AgingRatePerHour
-	i := sort.Search(len(p.pending), func(i int) bool {
-		ki, kj := p.pending[i].key(rate), j.key(rate)
-		if ki != kj {
-			return ki < kj
-		}
-		return p.pending[i].seq > j.seq
-	})
-	p.pending = append(p.pending, nil)
-	copy(p.pending[i+1:], p.pending[i:])
-	p.pending[i] = j
+	heap.Push(h, j)
+	p.queued++
+	mQueueDepth.Set(float64(p.queued))
 }
 
 // next pops the highest-priority runnable job, or nil. A job is runnable
 // when its backoff window has passed, no lease is held on its table, and
 // its shard still has budget. Jobs whose shard is exhausted are deferred
 // on the spot (backpressure). earliestReady reports the soonest backoff
-// expiry among the jobs skipped for backoff (0 when none), so drivers
-// know when to wake.
+// expiry among the queued jobs (0 when none), so drivers know when to
+// wake.
+//
+// Popped jobs that cannot run yet are parked on their table's lease or
+// blocked on their shard's admission until a commit frees them, so every
+// job next pops either runs, is deferred, or is set aside once.
 func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
-	for i := 0; i < len(p.pending); i++ {
-		cand := p.pending[i]
-		if p.shardExhausted(cand.Shard) {
+	for p.waiting.Len() > 0 && p.waiting.jobs[0].readyAt <= now {
+		heap.Push(&p.ready, heap.Pop(&p.waiting))
+	}
+	for j == nil && p.ready.Len() > 0 {
+		cand := heap.Pop(&p.ready).(*Job)
+		switch {
+		case p.shardExhausted(cand.Shard):
 			// Backpressure: this shard is out of budget for the cycle.
-			p.pending = append(p.pending[:i], p.pending[i+1:]...)
-			i--
+			p.queued--
 			cand.Status = StatusDeferred
 			cand.Finished = now
 			cand.Result = compaction.Result{
-				Table:   cand.Candidate.Table.FullName(),
+				Table:   cand.table,
 				Skipped: true,
 				// Conflict-aborted attempts before the deferral already
 				// burned budget; keep the report consistent with spend.
@@ -399,28 +445,23 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 			// window like any other finish (a retried job can be
 			// deferred after the last successful commit).
 			p.noteFinish(now)
-			continue
-		}
-		if cand.readyAt > now {
-			if earliestReady == 0 || cand.readyAt < earliestReady {
-				earliestReady = cand.readyAt
-			}
-			continue
-		}
-		if _, held := p.leases[cand.Candidate.Table.FullName()]; held {
+		case p.leases[cand.table] != nil:
+			p.parked[cand.table] = append(p.parked[cand.table], cand)
 			mLeaseWaits.Inc()
-			continue
-		}
-		if !p.shardAdmits(cand) {
+		case !p.shardAdmits(cand):
 			// Reserved in-flight estimates would bust the budget: the job
-			// stays queued and is reconsidered when a commit releases its
-			// reservation.
-			continue
+			// waits for a commit on its shard to release a reservation.
+			p.blocked[cand.Shard] = append(p.blocked[cand.Shard], cand)
+		default:
+			p.queued--
+			j = cand
 		}
-		p.pending = append(p.pending[:i], p.pending[i+1:]...)
-		return cand, earliestReady
 	}
-	return nil, earliestReady
+	mQueueDepth.Set(float64(p.queued))
+	if p.waiting.Len() > 0 {
+		earliestReady = p.waiting.jobs[0].readyAt
+	}
+	return j, earliestReady
 }
 
 func (p *Pool) shardExhausted(shard int) bool {
@@ -447,11 +488,10 @@ func (p *Pool) shardAdmits(j *Job) bool {
 // dispatch marks j running under its table lease and records the start
 // snapshot version for the commit-time staleness check.
 func (p *Pool) dispatch(j *Job, now time.Duration) {
-	name := j.Candidate.Table.FullName()
-	if prev, held := p.leases[name]; held {
-		panic(fmt.Sprintf("scheduler: lease violation on %s (held by job %d)", name, prev.seq))
+	if prev, held := p.leases[j.table]; held {
+		panic(fmt.Sprintf("scheduler: lease violation on %s (held by job %d)", j.table, prev.seq))
 	}
-	p.leases[name] = j
+	p.leases[j.table] = j
 	p.reserved[j.Shard] += j.estCost
 	p.inFlight[j.Shard]++
 	p.running++
@@ -463,14 +503,13 @@ func (p *Pool) dispatch(j *Job, now time.Duration) {
 	j.Started = now
 	mWaitTime.Observe((now - j.queuedSince).Seconds())
 	mWorkersBusy.Set(float64(p.running))
-	mQueueDepth.Set(float64(len(p.pending)))
 	j.startVersion = p.versionOf(j.Candidate.Table)
 	if !p.started {
 		p.started = true
 		p.firstStart = now
 	}
-	if len(p.pending) > p.stats.MaxQueueDepth {
-		p.stats.MaxQueueDepth = len(p.pending)
+	if p.queued > p.stats.MaxQueueDepth {
+		p.stats.MaxQueueDepth = p.queued
 	}
 }
 
@@ -485,11 +524,17 @@ func (p *Pool) versionOf(t core.Table) int64 {
 // table's snapshot version and either retries (writers advanced the table
 // past the staleness bound) or executes the runner and charges the shard.
 func (p *Pool) commit(j *Job, now time.Duration) {
-	name := j.Candidate.Table.FullName()
-	if p.leases[name] != j {
-		panic(fmt.Sprintf("scheduler: commit without lease on %s", name))
+	if p.leases[j.table] != j {
+		panic(fmt.Sprintf("scheduler: commit without lease on %s", j.table))
 	}
-	delete(p.leases, name)
+	delete(p.leases, j.table)
+	if parked, ok := p.parked[j.table]; ok {
+		p.requeue(parked)
+		delete(p.parked, j.table)
+	}
+	// After the spend below: a commit is the only event that loosens
+	// its shard's admission or exhausts its budget.
+	defer p.unblock(j.Shard)
 	p.running--
 	p.reserved[j.Shard] -= j.estCost
 	p.inFlight[j.Shard]--
@@ -517,7 +562,7 @@ func (p *Pool) commit(j *Job, now time.Duration) {
 				mJobs.With("conflicted").Inc()
 				j.Finished = now
 				j.Result = compaction.Result{
-					Table:         name,
+					Table:         j.table,
 					Conflict:      true,
 					ConflictCount: j.Attempts,
 					GBHr:          j.wastedGBHr,
@@ -529,7 +574,7 @@ func (p *Pool) commit(j *Job, now time.Duration) {
 			mRetries.Inc()
 			j.readyAt = now + p.backoff(j.Attempts)
 			j.queuedSince = now
-			p.enqueue(j)
+			p.enqueue(j, &p.waiting)
 			return
 		}
 	}
@@ -563,6 +608,49 @@ func (p *Pool) commit(j *Job, now time.Duration) {
 		mJobs.With("done").Inc()
 	}
 	p.noteFinish(now)
+}
+
+// unblock returns to ready the blocked jobs shard now admits. Once the
+// shard's budget is exhausted it returns every waiting, parked and
+// blocked job of the shard, so the pass that reaches each one defers it
+// where a priority-order walk of the whole queue would.
+func (p *Pool) unblock(shard int) {
+	exhausted := p.shardExhausted(shard)
+	blocked := p.blocked[shard]
+	p.blocked[shard] = blocked[:0]
+	for _, b := range blocked {
+		if exhausted || p.shardAdmits(b) {
+			heap.Push(&p.ready, b)
+		} else {
+			p.blocked[shard] = append(p.blocked[shard], b)
+		}
+	}
+	if !exhausted {
+		return
+	}
+	waiting := p.waiting.jobs
+	p.waiting.jobs = waiting[:0]
+	for _, w := range waiting {
+		if w.Shard == shard {
+			heap.Push(&p.ready, w)
+		} else {
+			p.waiting.jobs = append(p.waiting.jobs, w)
+		}
+	}
+	heap.Init(&p.waiting)
+	for table, parked := range p.parked {
+		if parked[0].Shard == shard {
+			p.requeue(parked)
+			delete(p.parked, table)
+		}
+	}
+}
+
+// requeue returns set-aside jobs to the ready heap.
+func (p *Pool) requeue(js []*Job) {
+	for _, j := range js {
+		heap.Push(&p.ready, j)
+	}
 }
 
 // noteFinish records a terminal transition: it closes the makespan
@@ -618,12 +706,13 @@ func (p *Pool) finalize() Stats {
 func (p *Pool) Jobs() []*Job { return p.jobs }
 
 // Idle reports whether the pool has neither queued nor running jobs.
-func (p *Pool) Idle() bool { return len(p.pending) == 0 && p.running == 0 }
+func (p *Pool) Idle() bool { return p.queued == 0 && p.running == 0 }
 
 // FoldInto adds every terminal job's outcome to a core report, so the
 // scheduled act phase feeds the same estimator/feedback loop as the
 // serial one.
 func (p *Pool) FoldInto(rep *core.Report) {
+	rep.Results = slices.Grow(rep.Results, len(p.jobs))
 	for _, j := range p.jobs {
 		switch j.Status {
 		case StatusQueued, StatusRunning:

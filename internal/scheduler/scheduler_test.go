@@ -245,6 +245,26 @@ func TestShardBudgetBackpressure(t *testing.T) {
 	}
 }
 
+func TestQueueDepthGaugeZeroWhenIdle(t *testing.T) {
+	// One shard, 10 GBHr budget, 5 GBHr per job on one worker: the second
+	// commit exhausts the budget and the next pass defers the last three
+	// jobs after the final dispatch. The depth gauge must follow them out
+	// of the queue instead of keeping the depth the last dispatch saw.
+	p, q := newSimPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(5))
+	var cands []*core.Candidate
+	for i := 0; i < 5; i++ {
+		cands = append(cands, cand(&memTable{name: fmt.Sprintf("t%d", i)}, 1))
+	}
+	p.Submit(cands)
+	st := RunSim(p, q)
+	if st.Done != 2 || st.Deferred != 3 || !p.Idle() {
+		t.Fatalf("done=%d deferred=%d idle=%v, want 2/3/true", st.Done, st.Deferred, p.Idle())
+	}
+	if got := mQueueDepth.Value(); got != 0 {
+		t.Fatalf("queue depth gauge = %v on an idle pool, want 0", got)
+	}
+}
+
 func TestShardsArbitrateIndependently(t *testing.T) {
 	// Two tables that hash to different shards; budget admits one job per
 	// shard. Both shards should commit one job each.

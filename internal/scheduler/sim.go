@@ -31,8 +31,8 @@ func RunSim(p *Pool, q *sim.EventQueue) Stats {
 		// Every queued job is either dispatchable, backoff-delayed (a
 		// wake event exists), or budget-deferred on sight — an empty
 		// event queue with work left means the driver lost an event.
-		panic(fmt.Sprintf("scheduler: event queue drained with %d jobs pending, %d running",
-			len(p.pending), p.running))
+		panic(fmt.Sprintf("scheduler: event queue drained with %d jobs queued, %d running",
+			p.queued, p.running))
 	}
 	return p.finalize()
 }

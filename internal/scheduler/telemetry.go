@@ -25,7 +25,7 @@ var (
 		"Commit aborts that re-queued the job with backoff.")
 	mLeaseWaits = telemetry.Default().Counter(
 		"autocomp_sched_lease_waits_total",
-		"Dispatch passes skipping a runnable job because its table lease was held.")
+		"Jobs parked at dispatch behind a held table lease, counted once per parking, not per dispatch pass.")
 	mQueueDepth = telemetry.Default().Gauge(
 		"autocomp_sched_queue_depth",
 		"Pending jobs in the most recently active pool.")
