@@ -21,17 +21,20 @@
 //	})
 //	report, err := svc.RunOnce()
 //
-// For full control, assemble core.Config yourself; this package only
-// re-exports the common pieces.
+// New compiles the options into a policy spec against the catalog
+// substrate, the construction every AutoComp pipeline goes through. This
+// package only re-exports the common pieces.
 package autocomp
 
 import (
+	"errors"
 	"time"
 
 	"autocomp/internal/catalog"
 	"autocomp/internal/cluster"
 	"autocomp/internal/compaction"
 	"autocomp/internal/core"
+	"autocomp/internal/policy"
 )
 
 // Re-exported core types: the OODA pipeline's building blocks.
@@ -92,10 +95,10 @@ const (
 // candidates, ΔF + GBHr traits, quota-adaptive MOOP weights, and top-k or
 // budget selection.
 type Options struct {
-	// Catalog is the control plane holding the tables.
+	// Catalog is the control plane holding the tables (required).
 	Catalog *catalog.ControlPlane
 	// Cluster runs the rewrite jobs (a dedicated compaction cluster in
-	// the paper's deployment).
+	// the paper's deployment; required).
 	Cluster *cluster.Cluster
 
 	// TargetFileSize is the compaction target (default 512 MB).
@@ -127,11 +130,34 @@ type Options struct {
 }
 
 // New builds a Service over an OpenHouse-style catalog with the paper's
-// production configuration.
+// production configuration: it compiles the options' policy spec
+// against the catalog substrate, as every other pipeline is built.
 func New(opts Options) (*Service, error) {
+	if opts.Catalog == nil {
+		return nil, errors.New("autocomp: Options.Catalog is required")
+	}
+	if opts.Cluster == nil {
+		return nil, errors.New("autocomp: Options.Cluster is required")
+	}
 	if opts.TargetFileSize <= 0 {
 		opts.TargetFileSize = 512 << 20
 	}
+	env, bindings := policy.CatalogSubstrate(opts.Catalog, &compaction.Executor{
+		Cluster:        opts.Cluster,
+		TargetFileSize: opts.TargetFileSize,
+		AppPrefix:      "compaction/",
+	})
+	comp, err := policy.Compile(opts.spec(), env, bindings)
+	if err != nil {
+		return nil, err
+	}
+	comp.Core.OnReport = opts.OnReport
+	return core.NewService(comp.Core)
+}
+
+// spec is the pipeline the options describe, defaults applied. A
+// negative MinTableAge or MinSmallFiles drops that filter.
+func (opts Options) spec() *policy.Spec {
 	if opts.BenefitWeight == 0 && opts.CostWeight == 0 {
 		opts.BenefitWeight, opts.CostWeight = 0.7, 0.3
 	}
@@ -141,58 +167,35 @@ func New(opts Options) (*Service, error) {
 	if opts.MinSmallFiles == 0 {
 		opts.MinSmallFiles = 2
 	}
-
-	clock := opts.Catalog.Clock()
-	exec := &compaction.Executor{
-		Cluster:        opts.Cluster,
-		TargetFileSize: opts.TargetFileSize,
-		AppPrefix:      "compaction/",
-	}
-	ccfg := opts.Cluster.Config()
-	slots := float64(ccfg.Executors * ccfg.ExecutorCores)
-	perSlot := 1 / (1/ccfg.ScanBytesPerSec + 1/ccfg.WriteBytesPerSec)
-	cost := core.ComputeCost{
-		ExecutorMemoryGB:    ccfg.ExecutorMemoryGB * float64(ccfg.Executors),
-		RewriteBytesPerHour: perSlot * slots * 3600,
-	}
-
-	var gen core.Generator = core.TableScopeGenerator{}
+	gen := "table-scope"
 	if opts.HybridScope {
-		gen = core.HybridScopeGenerator{}
+		gen = "hybrid-scope"
 	}
-	var sel core.Selector = core.SelectAll{}
+	s := &policy.Spec{
+		Name:       "autocomp",
+		Generators: []policy.Component{policy.C(gen)},
+		Traits:     []policy.Component{policy.C("file_count_reduction"), policy.C("compute_cost_gbhr")},
+		Objectives: []policy.ObjectiveSpec{
+			{Trait: policy.C("file_count_reduction"), Weight: opts.BenefitWeight},
+			{Trait: policy.C("compute_cost_gbhr"), Weight: opts.CostWeight},
+		},
+		QuotaAdaptive: opts.QuotaAdaptive,
+		Scheduler:     &policy.Component{Name: "tables-parallel"},
+	}
+	if opts.MinTableAge > 0 {
+		s.PreFilters = append(s.PreFilters, policy.Component{Name: "min-table-age",
+			Params: map[string]any{"min": opts.MinTableAge.String()}})
+	}
+	s.PreFilters = append(s.PreFilters, policy.C("not-intermediate"))
+	if opts.MinSmallFiles > 0 {
+		s.StatsFilters = []policy.Component{{Name: "min-small-files",
+			Params: map[string]any{"min": float64(opts.MinSmallFiles)}}}
+	}
 	switch {
 	case opts.BudgetGBHr > 0:
-		sel = core.BudgetSelector{BudgetGBHr: opts.BudgetGBHr}
+		s.Selector = &policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": opts.BudgetGBHr}}
 	case opts.TopK > 0:
-		sel = core.TopK{K: opts.TopK}
+		s.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(opts.TopK)}}
 	}
-	ranker := core.MOOPRanker{Objectives: []core.Objective{
-		{Trait: core.FileCountReduction{}, Weight: opts.BenefitWeight},
-		{Trait: cost, Weight: opts.CostWeight},
-	}}
-	if opts.QuotaAdaptive {
-		ranker.DynamicWeights = core.QuotaAdaptiveWeights()
-	}
-
-	return core.NewService(core.Config{
-		Connector: core.CatalogConnector{CP: opts.Catalog},
-		Generator: gen,
-		PreFilters: []core.Filter{
-			core.MinTableAge{Min: opts.MinTableAge, Now: clock.Now},
-			core.NotIntermediate{},
-		},
-		Observer: core.StatsObserver{
-			TargetFileSize: opts.TargetFileSize,
-			Quota:          opts.Catalog.QuotaUtilization,
-			Now:            clock.Now,
-		},
-		StatsFilters: []core.Filter{core.MinSmallFiles{Min: opts.MinSmallFiles}},
-		Traits:       []core.Trait{core.FileCountReduction{}, cost},
-		Ranker:       ranker,
-		Selector:     sel,
-		Scheduler:    core.TablesParallelPartitionsSequential{},
-		Runner:       core.ExecutorRunner{Exec: exec},
-		OnReport:     opts.OnReport,
-	})
+	return s
 }

@@ -380,31 +380,6 @@ func buildLake(seed int64, databases int, persistRoot string) *bench.Env {
 	return env
 }
 
-// catalogEnv returns the policy-compilation environment of a lake.
-func catalogEnv(env *bench.Env) policy.Env {
-	return policy.Env{
-		Now:                 env.Clock.Now,
-		TargetFileSize:      env.TargetFileSize,
-		ExecutorMemoryGB:    env.ExecutorMemoryGB(),
-		RewriteBytesPerHour: env.RewriteBytesPerHour(),
-	}
-}
-
-// catalogBindings returns the catalog substrate bindings (decide-only:
-// no runner). The catalog itself is bound so its stored per-database
-// and per-table policies layer on top of the spec.
-func catalogBindings(env *bench.Env) policy.Bindings {
-	return policy.Bindings{
-		Connector: core.CatalogConnector{CP: env.CP},
-		Observer: core.StatsObserver{
-			TargetFileSize: env.TargetFileSize,
-			Quota:          env.CP.QuotaUtilization,
-			Now:            env.Clock.Now,
-		},
-		Catalog: env.CP,
-	}
-}
-
 // overview prints the operator's lake summary plus a decide-phase dry
 // run.
 func overview(env *bench.Env, top int) {
@@ -565,7 +540,8 @@ func dryRun(env *bench.Env, spec *policy.Spec) *core.Decision {
 			DecideWorkers: decideWorkers,
 		}
 	}
-	comp, err := policy.Compile(spec, catalogEnv(env), catalogBindings(env))
+	penv, bindings := policy.CatalogSubstrate(env.CP, env.Exec)
+	comp, err := policy.Compile(spec, penv, bindings)
 	if err != nil {
 		log.Fatal(err)
 	}

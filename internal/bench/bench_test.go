@@ -34,7 +34,7 @@ func TestEnvDefaults(t *testing.T) {
 	if env.WriteCluster.Config().Executors != 7 {
 		t.Fatalf("write executors = %d", env.WriteCluster.Config().Executors)
 	}
-	if env.RewriteBytesPerHour() <= 0 || env.ExecutorMemoryGB() != 64*3 {
+	if cc := env.CompactionCluster; cc.RewriteBytesPerHour() <= 0 || cc.ExecutorMemoryGB() != 64*3 {
 		t.Fatal("throughput/memory accessors")
 	}
 }

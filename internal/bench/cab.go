@@ -9,6 +9,7 @@ import (
 	"autocomp/internal/engine"
 	"autocomp/internal/lst"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/workload"
 )
 
@@ -238,44 +239,39 @@ func (r *cabRun) load(plan *workload.Plan) error {
 	return nil
 }
 
-// buildService wires AutoComp per the strategy.
+// buildService compiles the strategy's policy spec against the lake.
 func (r *cabRun) buildService() (*core.Service, error) {
-	env := r.env
-	var gen core.Generator = core.TableScopeGenerator{}
-	statsFilters := []core.Filter{core.MinSmallFiles{Min: 2}}
-	if r.cfg.Strategy.Kind == MOOPHybrid {
-		gen = core.HybridScopeGenerator{}
+	st := r.cfg.Strategy
+	spec := &policy.Spec{
+		Name:         st.Kind.String(),
+		Generators:   []policy.Component{policy.C("table-scope")},
+		StatsFilters: []policy.Component{{Name: "min-small-files", Params: map[string]any{"min": float64(2)}}},
+		Traits:       []policy.Component{policy.C("file_count_reduction"), policy.C("compute_cost_gbhr")},
+		Objectives: []policy.ObjectiveSpec{
+			{Trait: policy.C("file_count_reduction"), Weight: st.BenefitWeight},
+			{Trait: policy.C("compute_cost_gbhr"), Weight: st.CostWeight},
+		},
+		Scheduler: &policy.Component{Name: "tables-parallel"},
+	}
+	if st.TopK > 0 {
+		spec.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(st.TopK)}}
+	}
+	if st.Kind == MOOPHybrid {
+		spec.Generators = []policy.Component{policy.C("hybrid-scope")}
 		// Fine-grained work units make the §3.3 recent-write filter
 		// usable: hot partitions are deferred to a later run instead of
 		// racing their writers (table-scope candidates are always
 		// "recently written" on live tables, so the legacy table-scope
 		// configuration cannot apply it).
-		statsFilters = append(statsFilters, core.CandidateQuiet{
-			Min: 20 * time.Minute,
-			Now: env.Clock.Now,
-		})
+		spec.StatsFilters = append(spec.StatsFilters, policy.Component{Name: "candidate-quiet",
+			Params: map[string]any{"min": (20 * time.Minute).String()}})
 	}
-	costTrait := core.ComputeCost{
-		ExecutorMemoryGB:    env.ExecutorMemoryGB(),
-		RewriteBytesPerHour: env.RewriteBytesPerHour(),
+	penv, bindings := policy.CatalogSubstrate(r.env.CP, r.env.Exec)
+	comp, err := policy.Compile(spec, penv, bindings)
+	if err != nil {
+		return nil, err
 	}
-	return core.NewService(core.Config{
-		Connector: core.CatalogConnector{CP: env.CP},
-		Generator: gen,
-		Observer: core.StatsObserver{
-			TargetFileSize: env.TargetFileSize,
-			Quota:          env.CP.QuotaUtilization,
-			Now:            env.Clock.Now,
-		},
-		StatsFilters: statsFilters,
-		Traits:       []core.Trait{core.FileCountReduction{}, costTrait},
-		Ranker: core.MOOPRanker{Objectives: []core.Objective{
-			{Trait: core.FileCountReduction{}, Weight: r.cfg.Strategy.BenefitWeight},
-			{Trait: costTrait, Weight: r.cfg.Strategy.CostWeight},
-		}},
-		Selector:  core.TopK{K: r.cfg.Strategy.TopK},
-		Scheduler: core.TablesParallelPartitionsSequential{},
-	})
+	return core.NewService(comp.Core)
 }
 
 // schedule installs sampling, queries, and compaction triggers.

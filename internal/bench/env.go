@@ -100,22 +100,3 @@ func NewEnv(cfg EnvConfig) *Env {
 	env.Strict = cfg.StrictRewriteConflicts
 	return env
 }
-
-// RewriteBytesPerHour returns the compaction cluster's steady-state
-// rewrite throughput (all task slots, read+write amortized), the
-// RewriteBytesPerHour term of the §4.2 cost estimator. Real jobs run
-// slower than this ideal (startup, per-file overhead, wave rounding),
-// which is exactly the §7 cost underestimation.
-func (e *Env) RewriteBytesPerHour() float64 {
-	cfg := e.CompactionCluster.Config()
-	slots := float64(cfg.Executors * cfg.ExecutorCores)
-	perSlot := 1 / (1/cfg.ScanBytesPerSec + 1/cfg.WriteBytesPerSec)
-	return perSlot * slots * 3600
-}
-
-// ExecutorMemoryGB returns the total memory allocated to the compaction
-// job's executors, the paper's ExecutorMemoryGB term.
-func (e *Env) ExecutorMemoryGB() float64 {
-	cfg := e.CompactionCluster.Config()
-	return cfg.ExecutorMemoryGB * float64(cfg.Executors)
-}

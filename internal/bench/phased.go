@@ -7,6 +7,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/engine"
 	"autocomp/internal/lst"
+	"autocomp/internal/policy"
 	"autocomp/internal/workload"
 )
 
@@ -127,15 +128,13 @@ func RunPhased(cfg PhasedRunConfig) (*PhasedResult, error) {
 		if cfg.Hook.Trait == HookEntropy {
 			trait = core.FileEntropy{TargetFileSize: env.TargetFileSize}
 		}
+		_, bindings := policy.CatalogSubstrate(env.CP, env.Exec)
 		hook = &core.AfterWriteHook{
-			Observer: core.StatsObserver{
-				TargetFileSize: env.TargetFileSize,
-				Now:            env.Clock.Now,
-			},
+			Observer:  bindings.Observer,
 			Trait:     trait,
 			Threshold: cfg.Hook.Threshold,
 			Mode:      core.Immediate,
-			Runner:    core.ExecutorRunner{Exec: env.Exec},
+			Runner:    bindings.Runner,
 		}
 	}
 

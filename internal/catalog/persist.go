@@ -128,7 +128,7 @@ func (cp *ControlPlane) saveManifestLocked() error {
 	if err != nil {
 		return err
 	}
-	return cp.log.WriteRootFile(manifestName, append(data, '\n'))
+	return cp.log.WriteSubFile(manifestName, append(data, '\n'))
 }
 
 // persistLocked saves the manifest when a log is attached; callers that
@@ -151,7 +151,7 @@ func (cp *ControlPlane) persistLocked() error {
 func Restore(store *lstlog.Store, fs *storage.NameNode, clock *sim.Clock) (*ControlPlane, error) {
 	cp := New(fs, clock)
 	cp.log = store
-	data, err := store.ReadRootFile(manifestName)
+	data, err := store.ReadSubFile(manifestName)
 	if errors.Is(err, os.ErrNotExist) {
 		return cp, nil
 	}

@@ -174,7 +174,23 @@ func (c *Cluster) EstimateDuration(spec JobSpec) time.Duration {
 // GBHrFor returns the compute cost of running spec for the estimated
 // duration: ExecutorMemoryGB × executors × hours.
 func (c *Cluster) GBHrFor(d time.Duration) float64 {
-	return c.cfg.ExecutorMemoryGB * float64(c.cfg.Executors) * d.Hours()
+	return c.ExecutorMemoryGB() * d.Hours()
+}
+
+// ExecutorMemoryGB returns the memory a job's executors hold, the
+// ExecutorMemoryGB term of the §4.2 cost estimator.
+func (c *Cluster) ExecutorMemoryGB() float64 {
+	return c.cfg.ExecutorMemoryGB * float64(c.cfg.Executors)
+}
+
+// RewriteBytesPerHour returns the steady-state rewrite throughput (all
+// task slots, read+write amortized), the RewriteBytesPerHour term of
+// the §4.2 cost estimator. Real jobs run slower than this ideal
+// (startup, per-file overhead, wave rounding), which is exactly the §7
+// cost underestimation.
+func (c *Cluster) RewriteBytesPerHour() float64 {
+	perSlot := 1 / (1/c.cfg.ScanBytesPerSec + 1/c.cfg.WriteBytesPerSec)
+	return perSlot * float64(c.TaskSlots()) * 3600
 }
 
 // Submit runs spec starting at the current virtual time, queueing behind

@@ -203,29 +203,6 @@ func TestObserverPartitionScope(t *testing.T) {
 	}
 }
 
-func TestPrecomputedObserver(t *testing.T) {
-	l := newLake(t)
-	l.addTable(t, "db1", "a", false, []partLayout{{"", 2, 10 * mb}})
-	cands := TableScopeGenerator{}.Candidates(l.connector().Tables())
-	po := PrecomputedObserver{ByID: map[string]Stats{"db1.a": {FileCount: 42, SmallFiles: 41}}}
-	s, err := po.Observe(cands[0])
-	if err != nil || s.FileCount != 42 {
-		t.Fatalf("precomputed = %+v, %v", s, err)
-	}
-	// Fallback path.
-	po2 := PrecomputedObserver{Fallback: l.observer()}
-	s2, _ := po2.Observe(cands[0])
-	if s2.FileCount != 2 {
-		t.Fatalf("fallback = %+v", s2)
-	}
-	// No entry, no fallback → zero stats.
-	po3 := PrecomputedObserver{}
-	s3, _ := po3.Observe(cands[0])
-	if s3.FileCount != 0 {
-		t.Fatal("empty observer returned stats")
-	}
-}
-
 func TestFilters(t *testing.T) {
 	l := newLake(t)
 	young := l.addTable(t, "db1", "young", false, []partLayout{{"", 5, 10 * mb}})

@@ -22,12 +22,12 @@ func TestLayoutDebtTrait(t *testing.T) {
 }
 
 func TestAccessFrequencyTrait(t *testing.T) {
-	c := &Candidate{Stats: Stats{Custom: map[string]float64{"read_rate": 0.4}}}
+	c := &Candidate{Stats: Stats{ReadRate: 0.4}}
 	if (AccessFrequency{}).Value(c) != 0.4 {
 		t.Fatal("access frequency trait")
 	}
 	if (AccessFrequency{}).Value(&Candidate{}) != 0 {
-		t.Fatal("missing custom stat must read 0")
+		t.Fatal("missing read rate must read 0")
 	}
 }
 

@@ -46,7 +46,9 @@ type Stats struct {
 	NewestFileAt     time.Duration
 	WriteCount       int64
 	QuotaUtilization float64
-	Custom           map[string]float64
+	// ReadRate is how often the candidate is read (usage metric, §4.1/§8);
+	// zero when the connector cannot measure access patterns.
+	ReadRate float64
 }
 
 // Observer extracts statistics for a candidate (the observe phase).
@@ -100,26 +102,6 @@ func (o StatsObserver) Observe(c *Candidate) (Stats, error) {
 		s.QuotaUtilization = o.Quota(c.Table.Database())
 	}
 	return s, nil
-}
-
-// PrecomputedObserver serves stats computed elsewhere (e.g. a metadata
-// warehouse): useful for fleet-scale runs where touching every file is
-// infeasible. Missing candidates fall back to the Fallback observer when
-// set, or empty stats.
-type PrecomputedObserver struct {
-	ByID     map[string]Stats
-	Fallback Observer
-}
-
-// Observe implements Observer.
-func (o PrecomputedObserver) Observe(c *Candidate) (Stats, error) {
-	if s, ok := o.ByID[c.ID()]; ok {
-		return s, nil
-	}
-	if o.Fallback != nil {
-		return o.Fallback.Observe(c)
-	}
-	return Stats{}, nil
 }
 
 // Filter refines the candidate pool; filters run before observe, after

@@ -195,11 +195,11 @@ func (LayoutDebt) Value(c *Candidate) float64 {
 	return float64(c.Stats.UnclusteredBytes)
 }
 
-// AccessFrequency surfaces how often a candidate is read (the custom
-// "read_rate" statistic, reads/day), implementing §8's workload-awareness
-// direction: compacting hot tables buys more query-time savings per GBHr
-// than compacting cold ones. Connectors that cannot measure access
-// patterns leave the statistic absent and the trait reads 0.
+// AccessFrequency surfaces how often a candidate is read (the ReadRate
+// statistic), implementing §8's workload-awareness direction:
+// compacting hot tables buys more query-time savings per GBHr than
+// compacting cold ones. Connectors that cannot measure access patterns
+// leave the statistic zero and the trait reads 0.
 type AccessFrequency struct{}
 
 // Name implements Trait.
@@ -209,12 +209,7 @@ func (AccessFrequency) Name() string { return "access_frequency" }
 func (AccessFrequency) Direction() Direction { return Benefit }
 
 // Value implements Trait.
-func (AccessFrequency) Value(c *Candidate) float64 {
-	if c.Stats.Custom == nil {
-		return 0
-	}
-	return c.Stats.Custom["read_rate"]
-}
+func (AccessFrequency) Value(c *Candidate) float64 { return c.Stats.ReadRate }
 
 // TraitFunc adapts a function into a Trait, the extension point for
 // custom deployments (NFR1).

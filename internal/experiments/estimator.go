@@ -7,6 +7,7 @@ import (
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
 	"autocomp/internal/metrics"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -106,26 +107,23 @@ func RunEstimator(seed int64, quick bool) (Result, error) {
 		}
 	}
 
-	ledger := &core.EstimatorLedger{}
-	cost := core.ComputeCost{
-		ExecutorMemoryGB:    env.ExecutorMemoryGB(),
-		RewriteBytesPerHour: env.RewriteBytesPerHour(),
-	}
-	svc, err := core.NewService(core.Config{
-		Connector: core.CatalogConnector{CP: env.CP},
-		Generator: core.TableScopeGenerator{},
-		Observer: core.StatsObserver{
-			TargetFileSize: env.TargetFileSize,
-			Now:            env.Clock.Now,
+	spec := &policy.Spec{
+		Name:       "est",
+		Generators: []policy.Component{policy.C("table-scope")},
+		Traits:     []policy.Component{policy.C("file_count_reduction"), policy.C("compute_cost_gbhr")},
+		Objectives: []policy.ObjectiveSpec{
+			{Trait: policy.C("file_count_reduction"), Weight: 0.7},
+			{Trait: policy.C("compute_cost_gbhr"), Weight: 0.3},
 		},
-		Traits: []core.Trait{core.FileCountReduction{}, cost},
-		Ranker: core.MOOPRanker{Objectives: []core.Objective{
-			{Trait: core.FileCountReduction{}, Weight: 0.7},
-			{Trait: cost, Weight: 0.3},
-		}},
-		Runner:   core.ExecutorRunner{Exec: env.Exec},
-		OnReport: []func(*core.Report){ledger.Observe},
-	})
+	}
+	penv, bindings := policy.CatalogSubstrate(env.CP, env.Exec)
+	comp, err := policy.Compile(spec, penv, bindings)
+	if err != nil {
+		return nil, err
+	}
+	ledger := &core.EstimatorLedger{}
+	comp.Core.OnReport = []func(*core.Report){ledger.Observe}
+	svc, err := core.NewService(comp.Core)
 	if err != nil {
 		return nil, err
 	}

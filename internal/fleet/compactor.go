@@ -51,9 +51,9 @@ func (o Observer) Observe(c *core.Candidate) (core.Stats, error) {
 		SinceLastWrite:   now - t.lastWrite,
 		WriteCount:       t.writes,
 		QuotaUtilization: o.Fleet.QuotaUtilization(t.db),
-		// Custom usage metrics (§4.1/§8): the fleet knows how often the
-		// daily scan workload reads each table.
-		Custom: map[string]float64{"read_rate": t.scanShare},
+		// The fleet knows how often the daily scan workload reads each
+		// table (§4.1/§8 usage metric).
+		ReadRate: t.scanShare,
 	}, nil
 }
 

@@ -98,10 +98,10 @@ func TestFleetObserverExposesReadRate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Custom == nil {
-		t.Fatal("custom stats missing")
+	if tbl.scanShare == 0 {
+		t.Fatal("table has no scan share to expose")
 	}
-	if got := stats.Custom["read_rate"]; got != tbl.scanShare {
-		t.Fatalf("read_rate = %v, want %v", got, tbl.scanShare)
+	if got := stats.ReadRate; got != tbl.scanShare {
+		t.Fatalf("ReadRate = %v, want %v", got, tbl.scanShare)
 	}
 }

@@ -114,22 +114,11 @@ func (s *Store) RemoveTable(db, name string) error {
 	return os.RemoveAll(s.TableDir(db, name))
 }
 
-// WriteRootFile atomically writes a file directly under the store root
-// (the control plane keeps its manifest here). The write obeys the
-// store's fsync policy.
-func (s *Store) WriteRootFile(name string, data []byte) error {
-	return writeFileAtomic(filepath.Join(s.root, name), data, s.fsync)
-}
-
-// ReadRootFile reads a file under the store root.
-func (s *Store) ReadRootFile(name string) ([]byte, error) {
-	return os.ReadFile(filepath.Join(s.root, name))
-}
-
 // WriteSubFile atomically writes a file at a slash-relative path under
-// the store root, creating parent directories. Hosts persist their own
-// control state (e.g. tenant fleet snapshots) alongside the lake with
-// it, under the store's fsync policy.
+// the store root, creating parent directories. The control plane keeps
+// its manifest here, and hosts persist their own control state (e.g.
+// tenant fleet snapshots) alongside the lake, under the store's fsync
+// policy.
 func (s *Store) WriteSubFile(rel string, data []byte) error {
 	path := filepath.Join(s.root, filepath.FromSlash(rel))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
