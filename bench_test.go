@@ -364,30 +364,59 @@ func BenchmarkBinPack(b *testing.B) {
 	}
 }
 
+// BenchmarkMOOPRanking ranks whole candidate pools with static MOOP
+// weights at fleet scale: 2k, 20k and 100k data-compaction candidates
+// with spread scores, and a tie-heavy 20k pool whose scores take three
+// values and whose candidates carry maintenance actions, so most
+// comparisons fall through to the candidate IDs.
 func BenchmarkMOOPRanking(b *testing.B) {
-	rng := sim.NewRNG(benchSeed)
 	cost := core.TraitFunc{TraitName: "compute_cost_gbhr", Dir: core.Cost}
 	ranker := core.MOOPRanker{Objectives: []core.Objective{
 		{Trait: core.FileCountReduction{}, Weight: 0.7},
 		{Trait: cost, Weight: 0.3},
 	}}
-	mk := func() []*core.Candidate {
-		cands := make([]*core.Candidate, 2000)
+	actions := []core.ActionType{
+		core.ActionSnapshotExpiry, core.ActionMetadataCheckpoint, core.ActionManifestRewrite,
+	}
+	mk := func(n int, ties bool) []*core.Candidate {
+		rng := sim.NewRNG(benchSeed)
+		cands := make([]*core.Candidate, n)
 		for i := range cands {
-			cands[i] = &core.Candidate{
-				Table: benchTable{name: fmt.Sprintf("db.t%04d", i)},
+			c := &core.Candidate{
+				Table: benchTable{name: fmt.Sprintf("db.t%06d", i)},
 				Traits: map[string]float64{
 					"file_count_reduction": float64(rng.Intn(10000)),
 					"compute_cost_gbhr":    rng.Float64() * 100,
 				},
 			}
+			if ties {
+				// A constant cost normalizes to 0, so the score is
+				// 0.7 × one of three normalized reductions.
+				c.Traits["file_count_reduction"] = float64(rng.Intn(3))
+				c.Traits["compute_cost_gbhr"] = 1
+				c.Action = actions[rng.Intn(len(actions))]
+			}
+			cands[i] = c
 		}
 		return cands
 	}
-	cands := mk()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.Rank(ranker, cands)
+	for _, row := range []struct {
+		name string
+		n    int
+		ties bool
+	}{
+		{"n=2k", 2_000, false},
+		{"n=20k", 20_000, false},
+		{"n=100k", 100_000, false},
+		{"ties/n=20k", 20_000, true},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			cands := mk(row.n, row.ties)
+			b.ReportAllocs()
+			for b.Loop() {
+				core.Rank(ranker, cands)
+			}
+		})
 	}
 }
 

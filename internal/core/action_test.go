@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"autocomp/internal/compaction"
@@ -25,20 +24,36 @@ func TestActionTypeStrings(t *testing.T) {
 	}
 }
 
+// TestCandidateIDCarriesAction pins the ID bytes for every scope ×
+// action: rankings tie-break on them, the decision surface prints them,
+// and distinct actions on one table must not collide in rankings.
 func TestCandidateIDCarriesAction(t *testing.T) {
 	l := newLake(t)
 	tbl := l.addTable(t, "db1", "t1", false, []partLayout{{"", 2, mb}})
-	data := &Candidate{Table: tbl}
-	if strings.Contains(data.ID(), "#") {
-		t.Fatalf("data candidate id = %q", data.ID())
+	cases := []struct {
+		scope  Scope
+		action ActionType
+		want   string
+	}{
+		{ScopeTable, ActionDataCompaction, "db1.t1"},
+		{ScopeTable, ActionSnapshotExpiry, "db1.t1#snapshot-expiry"},
+		{ScopeTable, ActionMetadataCheckpoint, "db1.t1#metadata-checkpoint"},
+		{ScopeTable, ActionManifestRewrite, "db1.t1#manifest-rewrite"},
+		{ScopeTable, ActionType(99), "db1.t1#unknown"},
+		{ScopePartition, ActionDataCompaction, "db1.t1/p"},
+		{ScopePartition, ActionSnapshotExpiry, "db1.t1/p#snapshot-expiry"},
+		{ScopePartition, ActionMetadataCheckpoint, "db1.t1/p#metadata-checkpoint"},
+		{ScopePartition, ActionManifestRewrite, "db1.t1/p#manifest-rewrite"},
+		{ScopeSnapshot, ActionDataCompaction, "db1.t1@fresh"},
+		{ScopeSnapshot, ActionSnapshotExpiry, "db1.t1@fresh#snapshot-expiry"},
+		{ScopeSnapshot, ActionMetadataCheckpoint, "db1.t1@fresh#metadata-checkpoint"},
+		{ScopeSnapshot, ActionManifestRewrite, "db1.t1@fresh#manifest-rewrite"},
 	}
-	ckpt := &Candidate{Table: tbl, Action: ActionMetadataCheckpoint}
-	if ckpt.ID() != "db1.t1#metadata-checkpoint" {
-		t.Fatalf("checkpoint candidate id = %q", ckpt.ID())
-	}
-	// Distinct actions on one table must not collide in rankings.
-	if data.ID() == ckpt.ID() {
-		t.Fatal("ids collide across actions")
+	for _, tc := range cases {
+		c := &Candidate{Table: tbl, Scope: tc.scope, Action: tc.action, Partition: "p"}
+		if got := c.ID(); got != tc.want {
+			t.Errorf("%s × %s: ID() = %q, want %q", tc.scope, tc.action, got, tc.want)
+		}
 	}
 }
 

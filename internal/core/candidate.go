@@ -14,7 +14,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"autocomp/internal/lst"
@@ -149,19 +148,20 @@ type Candidate struct {
 }
 
 // ID returns a stable identifier used for deterministic tie-breaking
-// (NFR2) and reporting.
+// (NFR2) and reporting: the table's full name, then "/partition" or
+// "@fresh" by scope, then "#action" for maintenance actions.
 func (c *Candidate) ID() string {
-	id := c.Table.FullName()
+	sep, part, hash, action := "", "", "", ""
 	switch c.Scope {
 	case ScopePartition:
-		id = fmt.Sprintf("%s/%s", id, c.Partition)
+		sep, part = "/", c.Partition
 	case ScopeSnapshot:
-		id = fmt.Sprintf("%s@fresh", id)
+		sep = "@fresh"
 	}
 	if c.Action != ActionDataCompaction {
-		id = fmt.Sprintf("%s#%s", id, c.Action)
+		hash, action = "#", c.Action.String()
 	}
-	return id
+	return c.Table.FullName() + sep + part + hash + action
 }
 
 // Files returns the candidate's file set according to its scope.

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 )
 
 // Ranker orders candidates for execution (the decide phase, §4.3). Its
@@ -17,7 +19,7 @@ import (
 // The contract RankShard must honor: for any partition of a pool, the
 // multiset of (candidate, Score) pairs across all RankShard outputs
 // equals Rank's output over the whole pool, each output is sorted by
-// RankLess, and candidates the policy rejects outright are omitted. The
+// RankCompare, and candidates the policy rejects outright are omitted. The
 // sharded decide plane (internal/decideshard) then k-way-merges the
 // sorted shards into the exact whole-pool ranking.
 type Ranker interface {
@@ -28,7 +30,7 @@ type Ranker interface {
 	// to every RankShard call. It must be order-independent.
 	MergeStats(parts []any) any
 	// RankShard sets each candidate's Score against the global state and
-	// returns the admitted ones sorted by RankLess.
+	// returns the admitted ones in a new slice sorted by RankCompare.
 	RankShard(cands []*Candidate, global any) []*Candidate
 }
 
@@ -65,8 +67,7 @@ func (p ThresholdPolicy) RankShard(cands []*Candidate, _ any) []*Candidate {
 			out = append(out, c)
 		}
 	}
-	sortByScore(out)
-	return out
+	return rankSorted(out)
 }
 
 // Objective is one weighted term of the scalarized MOOP function.
@@ -191,10 +192,17 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 		return nil
 	}
 	b, _ := global.(*moopBounds)
-	out := make([]*Candidate, len(cands))
-	copy(out, cands)
-	for _, c := range out {
-		weights := r.weightsFor(c)
+	static := make([]float64, len(r.Objectives))
+	for i, o := range r.Objectives {
+		static[i] = o.Weight
+	}
+	for _, c := range cands {
+		weights := static
+		if r.DynamicWeights != nil {
+			if w := r.DynamicWeights(c); len(w) == len(r.Objectives) {
+				weights = w
+			}
+		}
 		score := 0.0
 		for i, o := range r.Objectives {
 			var norm float64
@@ -217,21 +225,7 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 		}
 		c.Score = score
 	}
-	sortByScore(out)
-	return out
-}
-
-func (r MOOPRanker) weightsFor(c *Candidate) []float64 {
-	if r.DynamicWeights != nil {
-		if w := r.DynamicWeights(c); len(w) == len(r.Objectives) {
-			return w
-		}
-	}
-	w := make([]float64, len(r.Objectives))
-	for i, o := range r.Objectives {
-		w[i] = o.Weight
-	}
-	return w
+	return rankSorted(cands)
 }
 
 // QuotaAdaptiveWeights returns a DynamicWeights function for a
@@ -256,24 +250,65 @@ func QuotaAdaptiveWeights() func(c *Candidate) []float64 {
 	}
 }
 
-// RankLess is the ranking order: descending score, ties broken by
-// candidate ID so identical inputs always produce identical rankings
-// (NFR2). It is a total order whenever candidate IDs are unique — true
-// for every generator configuration shipped here — which is what lets
-// the sharded decide plane merge independently sorted shards into the
-// exact serial ordering.
-func RankLess(a, b *Candidate) bool {
-	if a.Score != b.Score {
-		return a.Score > b.Score
+// RankCompare is the ranking order as a three-way comparison, the form
+// slices.SortFunc takes: descending score, ties broken by candidate ID
+// so identical inputs always produce identical rankings (NFR2). Scores
+// compare with != and >, so −0 and +0 tie. It is a total order whenever
+// candidate IDs are unique — true for every generator configuration
+// shipped here — which is what lets the sharded decide plane merge
+// independently sorted shards into the exact serial ordering.
+func RankCompare(a, b *Candidate) int {
+	if c := compareScores(a.Score, b.Score); c != 0 {
+		return c
 	}
-	return a.ID() < b.ID()
+	return strings.Compare(a.ID(), b.ID())
 }
 
-// sortByScore orders by RankLess.
-func sortByScore(cands []*Candidate) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		return RankLess(cands[i], cands[j])
+// compareScores orders scores descending.
+func compareScores(a, b float64) int {
+	if a != b {
+		if a > b {
+			return -1
+		}
+		return 1
+	}
+	return 0
+}
+
+// rankKey is one candidate's sort key: its score and its position in
+// the ranker's input.
+type rankKey struct {
+	score float64
+	pos   int
+}
+
+// rankSorted returns cands permuted into RankCompare order, in a new
+// slice. It sorts flat keys with pdqsort, so a comparison whose scores
+// differ reads no candidate, and it breaks RankCompare ties by input
+// position, so the result equals a stable sort's for every pool without
+// NaN scores, duplicate IDs included.
+func rankSorted(cands []*Candidate) []*Candidate {
+	if len(cands) == 0 {
+		return nil
+	}
+	keys := make([]rankKey, len(cands))
+	for i, c := range cands {
+		keys[i] = rankKey{score: c.Score, pos: i}
+	}
+	slices.SortFunc(keys, func(a, b rankKey) int {
+		if c := compareScores(a.score, b.score); c != 0 {
+			return c
+		}
+		if c := strings.Compare(cands[a.pos].ID(), cands[b.pos].ID()); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	})
+	out := make([]*Candidate, len(cands))
+	for i, k := range keys {
+		out[i] = cands[k.pos]
+	}
+	return out
 }
 
 // Selector picks the work units to execute from the ranked list (§4.3).

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -121,6 +125,95 @@ func TestMOOPRankerDeterminismProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rankLessRef is the comparator the ranking's stable sort used before
+// RankCompare: descending score, then candidate ID. It is the reference
+// order for TestRankMatchesStableSortProperty.
+func rankLessRef(a, b *Candidate) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ID() < b.ID()
+}
+
+// TestRankMatchesStableSortProperty checks Rank against its reference
+// over 400 random pools: for MOOPRanker (static and quota-adaptive
+// weights) and ThresholdPolicy, Rank must return the same pointers, in
+// the same order, as stable-sorting the admitted input by rankLessRef,
+// and must leave its input slice as it was. The pools are full of ties:
+// trait values come from tiny pools (the threshold's includes signed
+// zero and infinities), and IDs come from six tables across every
+// scope × action, so duplicate IDs are common.
+func TestRankMatchesStableSortProperty(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	rawPool := []float64{-1.5, 0, negZero, 0.25, 2.5, math.Inf(1), math.Inf(-1)}
+	thresholds := []float64{math.Inf(-1), 0, 0.25}
+	moopPool := []float64{0, 1, 5, 10}
+	benefit := TraitFunc{TraitName: "b", Dir: Benefit}
+	cost := TraitFunc{TraitName: "c", Dir: Cost}
+	static := MOOPRanker{Objectives: []Objective{
+		{Trait: benefit, Weight: 0.6},
+		{Trait: cost, Weight: 0.4},
+	}}
+	adaptive := MOOPRanker{Objectives: static.Objectives, DynamicWeights: QuotaAdaptiveWeights()}
+	for ci := 0; ci < 400; ci++ {
+		rng := rand.New(rand.NewPCG(19, uint64(ci)))
+		n := rng.IntN(40)
+		if ci%4 == 0 {
+			n = rng.IntN(400) // past pdqsort's insertion-sort cutoff
+		}
+		cands := make([]*Candidate, n)
+		for i := range cands {
+			cands[i] = &Candidate{
+				Table:     fakeTable{name: fmt.Sprintf("db%d.t%d", rng.IntN(2), rng.IntN(3))},
+				Scope:     Scope(rng.IntN(3)),
+				Action:    ActionTypes()[rng.IntN(len(ActionTypes()))],
+				Partition: fmt.Sprintf("p%d", rng.IntN(2)),
+				Stats:     Stats{QuotaUtilization: float64(rng.IntN(3)) / 2},
+				Traits: map[string]float64{
+					"raw": rawPool[rng.IntN(len(rawPool))],
+					"b":   moopPool[rng.IntN(len(moopPool))],
+					"c":   moopPool[rng.IntN(len(moopPool))],
+				},
+			}
+		}
+		check := func(name string, r Ranker, admit func(*Candidate) bool) {
+			t.Helper()
+			in := slices.Clone(cands)
+			got := Rank(r, cands)
+			if !slices.Equal(cands, in) {
+				t.Fatalf("case %d: %s permuted its input", ci, name)
+			}
+			var want []*Candidate
+			for _, c := range in {
+				if admit(c) {
+					want = append(want, c)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool { return rankLessRef(want[i], want[j]) })
+			if len(got) != len(want) {
+				t.Fatalf("case %d: %s ranked %d, reference %d", ci, name, len(got), len(want))
+			}
+			for i := range want {
+				if math.IsNaN(got[i].Score) {
+					t.Fatalf("case %d: %s scored %s NaN", ci, name, got[i].ID())
+				}
+				if got[i] != want[i] {
+					t.Fatalf("case %d: %s position %d: %s (%v), reference %s (%v)",
+						ci, name, i, got[i].ID(), got[i].Score, want[i].ID(), want[i].Score)
+				}
+			}
+		}
+		all := func(*Candidate) bool { return true }
+		check("static MOOP", static, all)
+		check("quota-adaptive MOOP", adaptive, all)
+		threshold := thresholds[rng.IntN(len(thresholds))]
+		check(fmt.Sprintf("threshold %v", threshold), ThresholdPolicy{
+			Trait:     TraitFunc{TraitName: "raw", Dir: Benefit},
+			Threshold: threshold,
+		}, func(c *Candidate) bool { return c.Trait("raw") >= threshold })
 	}
 }
 

@@ -2,12 +2,13 @@ package decideshard
 
 import "autocomp/internal/core"
 
-// MergeRanked merges per-shard rankings — each sorted by core.RankLess —
-// into one fully ranked list with a deterministic k-way heap. The output
-// equals sorting the concatenation (in shard order) with the serial
-// ranker's stable sort: RankLess decides between heads, and when two
-// heads compare equal both ways (tied score and tied ID, only possible
-// with duplicate candidate IDs) the lower shard index wins, mirroring
+// MergeRanked merges per-shard rankings — each sorted by core.RankCompare
+// with ties in input order — into one fully ranked list with a
+// deterministic k-way heap. The output equals stable-sorting the
+// concatenation (in shard order) by RankCompare, which is what the
+// serial ranker returns: RankCompare decides between heads, and when two
+// heads compare equal (tied score and tied ID, only possible with
+// duplicate candidate IDs) the lower shard index wins, mirroring
 // stable-sort order over shard-concatenated input. Emitting straight
 // from the heap is O(n log S) and never re-sorts the merged tail —
 // selectors consume a ready-ordered list.
@@ -40,12 +41,8 @@ func MergeRanked(shards [][]*core.Candidate) []*core.Candidate {
 		pos   int
 	}
 	less := func(a, b *cursor) bool {
-		ca, cb := a.part[a.pos], b.part[b.pos]
-		if core.RankLess(ca, cb) {
-			return true
-		}
-		if core.RankLess(cb, ca) {
-			return false
+		if c := core.RankCompare(a.part[a.pos], b.part[b.pos]); c != 0 {
+			return c < 0
 		}
 		return a.shard < b.shard
 	}

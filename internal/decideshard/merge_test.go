@@ -3,7 +3,7 @@ package decideshard
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"testing"
 	"time"
 
@@ -34,7 +34,7 @@ func (t mergeTable) FilesInPartition(string) []lst.DataFile { return nil }
 // TestMergeRankedMatchesStableSortProperty drives 500 random cases
 // through MergeRanked and checks the defining property: merging
 // per-shard stable-sorted rankings equals stable-sorting the shard
-// concatenation with core.RankLess. Scores are drawn from a tiny pool
+// concatenation by core.RankCompare. Scores are drawn from a tiny pool
 // (deliberate ties, signed zero, infinities) and candidate IDs are
 // sometimes duplicated across shards, so the heap's lower-shard
 // tie-break — the stable-sort mirror — is exercised, not just the happy
@@ -68,9 +68,9 @@ func TestMergeRankedMatchesStableSortProperty(t *testing.T) {
 		}
 		want := make([]*core.Candidate, len(all))
 		copy(want, all)
-		sort.SliceStable(want, func(i, j int) bool { return core.RankLess(want[i], want[j]) })
+		slices.SortStableFunc(want, core.RankCompare)
 		for _, p := range parts {
-			sort.SliceStable(p, func(i, j int) bool { return core.RankLess(p[i], p[j]) })
+			slices.SortStableFunc(p, core.RankCompare)
 		}
 		got := MergeRanked(parts)
 		if len(got) != len(want) {
@@ -90,7 +90,7 @@ func TestMergeRankedMatchesStableSortProperty(t *testing.T) {
 // independently of the Ranker contract: metrics.MinMaxNormalize per
 // objective over the whole pool, then the weighted sum in objective
 // order (benefit terms add, cost terms subtract), sorted by
-// core.RankLess. Both core.Rank and the sharded path — partition by
+// core.RankCompare. Both core.Rank and the sharded path — partition by
 // core.ShardOf, merge per-shard bounds, rank each shard against them,
 // k-way-merge — must reproduce it bit for bit: same order, same
 // Float64bits of every score. Trait values span adversarial ground
@@ -192,7 +192,7 @@ func TestMOOPShardRankEquivalenceProperty(t *testing.T) {
 
 // moopOracle scores cands with the paper's scalarized MOOP (§4.3),
 // S_c = Σ_i ±w_i·T'_i,c with T'_i = metrics.MinMaxNormalize over the
-// whole pool, and returns fresh scored copies sorted by core.RankLess.
+// whole pool, and returns fresh scored copies sorted by core.RankCompare.
 func moopOracle(objs []core.Objective, cands []*core.Candidate) []*core.Candidate {
 	norm := make([][]float64, len(objs))
 	for i, o := range objs {
@@ -215,6 +215,6 @@ func moopOracle(objs []core.Objective, cands []*core.Candidate) []*core.Candidat
 		}
 		out[j] = &core.Candidate{Table: c.Table, Traits: c.Traits, Score: score}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return core.RankLess(out[i], out[j]) })
+	slices.SortStableFunc(out, core.RankCompare)
 	return out
 }

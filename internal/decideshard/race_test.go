@@ -90,7 +90,7 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 		// reproducible — but they must stay well-formed: ranked order
 		// intact, selection within the ranking, funnel monotone.
 		for i := 1; i < len(d.Ranked); i++ {
-			if core.RankLess(d.Ranked[i], d.Ranked[i-1]) {
+			if core.RankCompare(d.Ranked[i], d.Ranked[i-1]) < 0 {
 				t.Fatalf("day %d: ranked order violated at position %d", day, i)
 			}
 		}

@@ -50,7 +50,7 @@ func (o Observer) Observe(c *core.Candidate) (core.Stats, error) {
 		TableAge:         now - t.created,
 		SinceLastWrite:   now - t.lastWrite,
 		WriteCount:       t.writes,
-		QuotaUtilization: o.Fleet.QuotaUtilization(t.db),
+		QuotaUtilization: o.Fleet.QuotaUtilization(t.Database()),
 		// The fleet knows how often the daily scan workload reads each
 		// table (§4.1/§8 usage metric).
 		ReadRate: t.scanShare,
@@ -155,7 +155,7 @@ func (r Runner) CompactTable(t *Table) compaction.Result {
 	}
 	t.counts[BucketFull] += outFiles
 	t.bytes[BucketFull] += mergeBytes
-	t.fleet.addDBFiles(t.db, outFiles-drained)
+	t.fleet.addDBFiles(t.Database(), outFiles-drained)
 	t.fleet.publish(t, 0, 0, true)
 
 	res.FilesRemoved = int(mergeable)

@@ -35,7 +35,10 @@ func BucketBounds() []int64 { return []int64{128 * storage.MB, 512 * storage.MB}
 
 // Table is one production table in aggregate form.
 type Table struct {
-	db, name    string
+	// full is "db.name", stored once so FullName never allocates;
+	// Database and Name are its substrings on either side of dot.
+	full        string
+	dot         int32
 	partitioned bool
 	partitions  int
 
@@ -75,14 +78,19 @@ type Table struct {
 	fleet *Fleet
 }
 
+// setName stores the table's database and name as one "db.name" string.
+func (t *Table) setName(db, name string) {
+	t.full, t.dot = db+"."+name, int32(len(db))
+}
+
 // Database implements core.Table.
-func (t *Table) Database() string { return t.db }
+func (t *Table) Database() string { return t.full[:t.dot] }
 
 // Name implements core.Table.
-func (t *Table) Name() string { return t.name }
+func (t *Table) Name() string { return t.full[t.dot+1:] }
 
 // FullName implements core.Table.
-func (t *Table) FullName() string { return t.db + "." + t.name }
+func (t *Table) FullName() string { return t.full }
 
 // Spec implements core.Table.
 func (t *Table) Spec() lst.PartitionSpec {
@@ -145,7 +153,7 @@ func (t *Table) WriterCommit(n int64) {
 	}
 	t.counts[BucketTiny] += n
 	t.bytes[BucketTiny] += n * t.avgNewFile
-	t.fleet.addDBFiles(t.db, n)
+	t.fleet.addDBFiles(t.Database(), n)
 	t.lastWrite = t.fleet.clock.Now()
 	t.writes++
 	t.commitMetadata(1)
@@ -490,13 +498,12 @@ func (f *Fleet) onboard() *Table {
 	i := f.onboarded
 	f.onboarded++
 	t := &Table{
-		db:          fmt.Sprintf("db%03d", i%f.cfg.Databases),
-		name:        fmt.Sprintf("t%06d", i),
 		partitioned: f.rngTables.Bernoulli(0.6),
 		created:     f.clock.Now(),
 		lastWrite:   f.clock.Now(),
 		fleet:       f,
 	}
+	t.setName(fmt.Sprintf("db%03d", i%f.cfg.Databases), fmt.Sprintf("t%06d", i))
 	if t.partitioned {
 		t.partitions = f.rngTables.IntBetween(10, 400)
 	} else {
@@ -531,7 +538,7 @@ func (f *Fleet) onboard() *Table {
 	// 50 files, each leaving a metadata.json version and a manifest.
 	t.commitMetadata(files/50 + 1)
 	f.tables = append(f.tables, t)
-	f.addDBFiles(t.db, files)
+	f.addDBFiles(t.Database(), files)
 	mOnboarded.Inc()
 	// Onboarding is the table's first appearance on the changefeed, so
 	// an incremental observer discovers it without waiting for a
@@ -663,7 +670,7 @@ func (f *Fleet) AdvanceDay() {
 		}
 		t.counts[BucketTiny] += n
 		t.bytes[BucketTiny] += n * t.avgNewFile
-		f.addDBFiles(t.db, n)
+		f.addDBFiles(t.Database(), n)
 		t.lastWrite = f.clock.Now()
 		t.writes++
 		// The day's files land in batched commits (~20 files each), each
@@ -746,7 +753,7 @@ func (f *Fleet) DropTable(fullName string) bool {
 			continue
 		}
 		f.tables = append(f.tables[:i], f.tables[i+1:]...)
-		f.addDBFiles(t.db, -(t.counts[0] + t.counts[1] + t.counts[2]))
+		f.addDBFiles(t.Database(), -(t.counts[0] + t.counts[1] + t.counts[2]))
 		mDropped.Inc()
 		if f.bus != nil {
 			f.bus.Publish(changefeed.Event{

@@ -82,7 +82,7 @@ func (f *Fleet) Snapshot() *State {
 	}
 	for _, t := range f.tables {
 		ts := TableState{
-			DB: t.db, Name: t.name,
+			DB: t.Database(), Name: t.Name(),
 			Partitioned: t.partitioned, Partitions: t.partitions,
 			Counts: t.counts, Bytes: t.bytes,
 			Created: t.created, LastWrite: t.lastWrite, Writes: t.writes,
@@ -133,7 +133,6 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 	f.tables = make([]*Table, 0, len(st.Tables))
 	for _, ts := range st.Tables {
 		t := &Table{
-			db: ts.DB, name: ts.Name,
 			partitioned: ts.Partitioned, partitions: ts.Partitions,
 			counts: ts.Counts, bytes: ts.Bytes,
 			created: ts.Created, lastWrite: ts.LastWrite, writes: ts.Writes,
@@ -143,6 +142,7 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 			versionsSinceCkpt: ts.VersionsSinceCkpt,
 			fleet:             f,
 		}
+		t.setName(ts.DB, ts.Name)
 		if len(ts.Props) > 0 {
 			t.props = make(map[string]string, len(ts.Props))
 			for k, v := range ts.Props {
@@ -150,7 +150,7 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 			}
 		}
 		f.tables = append(f.tables, t)
-		f.addDBFiles(t.db, t.counts[0]+t.counts[1]+t.counts[2])
+		f.addDBFiles(t.Database(), t.counts[0]+t.counts[1]+t.counts[2])
 	}
 	f.refreshGauges()
 	return f, nil

@@ -59,6 +59,13 @@ func TestPersistFleetRoundTrip(t *testing.T) {
 		restored.RunDailyScans()
 		restored.Tables()[d%len(restored.Tables())].WriterCommit(5)
 	}
+	for _, f := range []*Fleet{orig, restored} {
+		for _, tb := range f.Tables() {
+			if tb.FullName() != tb.Database()+"."+tb.Name() {
+				t.Fatalf("table %q: database %q, name %q", tb.FullName(), tb.Database(), tb.Name())
+			}
+		}
+	}
 
 	want, got := orig.Snapshot(), restored.Snapshot()
 	if !reflect.DeepEqual(want, got) {
