@@ -240,7 +240,6 @@ func handWired(opts Options) (*Service, error) {
 		Observer: core.StatsObserver{
 			TargetFileSize: opts.TargetFileSize,
 			Quota:          opts.Catalog.QuotaUtilization,
-			Now:            clock.Now,
 		},
 		StatsFilters: []core.Filter{core.MinSmallFiles{Min: opts.MinSmallFiles}},
 		Traits:       []core.Trait{core.FileCountReduction{}, cost},

@@ -60,8 +60,8 @@ func main() {
 		Connector: feed.Connector(core.CatalogConnector{CP: cp}),
 		Generator: feed.Generator(core.TableScopeGenerator{}),
 		Observer: feed.Observer(
-			core.StatsObserver{TargetFileSize: target, Quota: cp.QuotaUtilization, Now: clock.Now},
-			changefeed.StatsObserverRefresher(clock.Now, cp.QuotaUtilization),
+			core.StatsObserver{TargetFileSize: target, Quota: cp.QuotaUtilization},
+			cp.QuotaUtilization,
 		),
 		StatsFilters: []core.Filter{core.MinSmallFiles{Min: 2}},
 		Traits:       []core.Trait{core.FileCountReduction{}, cost},

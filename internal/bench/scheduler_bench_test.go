@@ -145,7 +145,6 @@ func (t benchTable) Mode() lst.WriteMode                    { return lst.CopyOnW
 func (t benchTable) Prop(string) string                     { return "" }
 func (t benchTable) Created() time.Duration                 { return 0 }
 func (t benchTable) LastWrite() time.Duration               { return 0 }
-func (t benchTable) WriteCount() int64                      { return 0 }
 func (t benchTable) FileCount() int                         { return 50 }
 func (t benchTable) TotalBytes() int64                      { return 1 << 30 }
 func (t benchTable) Partitions() []string                   { return nil }

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"autocomp/internal/lst"
 	"autocomp/internal/lstlog"
@@ -478,9 +477,4 @@ func (cp *ControlPlane) TableCountLocked() int {
 		n += len(ts)
 	}
 	return n
-}
-
-// TableAge returns how long ago the table was created.
-func (cp *ControlPlane) TableAge(t *lst.Table) time.Duration {
-	return cp.clock.Now() - t.Created()
 }

@@ -173,16 +173,6 @@ func TestRunRetention(t *testing.T) {
 	}
 }
 
-func TestTableAge(t *testing.T) {
-	cp, clock := newCP()
-	cp.CreateDatabase("db", "t", 0)
-	tbl, _ := cp.CreateTable("db", lst.TableConfig{Name: "x"})
-	clock.Advance(3 * time.Hour)
-	if got := cp.TableAge(tbl); got != 3*time.Hour {
-		t.Fatalf("age = %v", got)
-	}
-}
-
 func TestDatabasesSorted(t *testing.T) {
 	cp, _ := newCP()
 	cp.CreateDatabase("b", "t", 0)

@@ -117,7 +117,6 @@ func decide(t *testing.T, cp *catalog.ControlPlane, clock *sim.Clock) []string {
 		Observer: core.StatsObserver{
 			TargetFileSize: env.TargetFileSize,
 			Quota:          cp.QuotaUtilization,
-			Now:            clock.Now,
 		},
 		Catalog: cp,
 	})

@@ -2,13 +2,31 @@ package changefeed
 
 import (
 	"sync/atomic"
-	"time"
 
 	"autocomp/internal/core"
 )
 
-// cacheEntry is one cached observation.
+// unit identifies a work unit within one table: exactly what
+// Candidate.ID distinguishes beyond the table's name.
+type unit struct {
+	action    core.ActionType
+	scope     core.Scope
+	partition string // set for core.ScopePartition only
+}
+
+// unitOf returns c's work unit.
+func unitOf(c *core.Candidate) unit {
+	u := unit{action: c.Action, scope: c.Scope}
+	if c.Scope == core.ScopePartition {
+		u.partition = c.Partition
+	}
+	return u
+}
+
+// cacheEntry is one cached observation: a work unit's statistics at a
+// table version.
 type cacheEntry struct {
+	unit    unit
 	version int64
 	stats   core.Stats
 }
@@ -25,8 +43,10 @@ type CacheCounters struct {
 }
 
 // StatsCache is the stats-cache view of the feed's index: observe-phase
-// statistics keyed by (table, candidate ID, table version). Commit
-// events invalidate a table's entries in O(1); version keying covers any
+// statistics keyed by table, work unit and table version. Each table's
+// record holds its observations in a short slice, one entry per work
+// unit, so a lookup scans only its own table's units. Commit events
+// invalidate a table's entries in O(1); version keying covers any
 // invalidation that never arrives. Accounting lives in cache-level
 // atomics and is unchanged by striping. All methods are safe for
 // concurrent use.
@@ -37,11 +57,11 @@ type StatsCache struct {
 	entries       atomic.Int64
 }
 
-// lookup serves candidate id of table at version from the cache under
+// lookup serves work unit u of table at version from the cache under
 // one stripe lock. On a miss it returns the table's record and its
 // invalidation epoch for put; a nil record means the table has left the
 // index (dropped mid-cycle) and the observation is not cached.
-func (sc *StatsCache) lookup(table, id string, version int64) (core.Stats, bool, *tableRecord, int64) {
+func (sc *StatsCache) lookup(table string, u unit, version int64) (core.Stats, bool, *tableRecord, int64) {
 	st := sc.idx.of(table)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -49,7 +69,7 @@ func (sc *StatsCache) lookup(table, id string, version int64) (core.Stats, bool,
 	var epoch int64
 	if r != nil {
 		p := r.poolOf()
-		if e, ok := p.cached[id]; ok && e.version == version {
+		if e := p.entry(u); e != nil && e.version == version {
 			sc.hits.Add(1)
 			mCacheHits.Inc()
 			mObservesSaved.Inc()
@@ -62,10 +82,10 @@ func (sc *StatsCache) lookup(table, id string, version int64) (core.Stats, bool,
 	return core.Stats{}, false, r, epoch
 }
 
-// put records the stats observed for candidate id of table at version,
+// put records the stats observed for work unit u of table at version,
 // unless r has left the index or an invalidation landed since lookup
 // captured epoch.
-func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, id string, version int64, s core.Stats) {
+func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, u unit, version int64, s core.Stats) {
 	if r == nil {
 		return
 	}
@@ -75,13 +95,12 @@ func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, id string, 
 	if st.tables[table] != r || r.pool.epoch != epoch {
 		return
 	}
-	if r.pool.cached == nil {
-		r.pool.cached = make(map[string]cacheEntry)
+	if e := r.pool.entry(u); e != nil {
+		e.version, e.stats = version, s
+		return
 	}
-	if _, existed := r.pool.cached[id]; !existed {
-		mCacheEntries.Set(float64(sc.entries.Add(1)))
-	}
-	r.pool.cached[id] = cacheEntry{version: version, stats: s}
+	r.pool.cached = append(r.pool.cached, cacheEntry{unit: u, version: version, stats: s})
+	mCacheEntries.Set(float64(sc.entries.Add(1)))
 }
 
 // MaxVersions returns, per cached table, the highest version any of its
@@ -120,40 +139,20 @@ func (sc *StatsCache) Counters() CacheCounters {
 }
 
 // CachingObserver consults the stats cache before falling back to the
-// full (expensive) observer: a hit serves the cached statistics with the
-// time- and quota-dependent fields refreshed; a miss delegates to Inner
-// and caches the result at the table's current version. Tables that do
-// not expose a version bypass the cache entirely.
+// full (expensive) observer: a hit serves the cached statistics with
+// quota utilization re-read, a miss delegates to Inner and caches the
+// result at the table's current version. Tables that do not expose a
+// version bypass the cache entirely.
 type CachingObserver struct {
 	// Inner is the full observer consulted on a miss.
 	Inner core.Observer
 	// Cache holds prior observations.
 	Cache *StatsCache
-	// Refresh, when set, is called on every hit to update the fields a
-	// fresh observation would derive from the current clock or from
-	// state outside the table (TableAge, SinceLastWrite, quota
-	// utilization) — required for byte-identical decision parity with a
-	// full scan. It must mirror exactly what Inner sets.
-	Refresh func(c *core.Candidate, s *core.Stats)
-}
-
-// StatsObserverRefresher returns a Refresh function mirroring
-// core.StatsObserver: it recomputes the table ages from now, the write
-// count from the table, and — when quota is non-nil — the tenant's
-// quota utilization, the fields a fresh StatsObserver observation
-// derives from outside the candidate's (unchanged) file set.
-func StatsObserverRefresher(now func() time.Duration, quota func(db string) float64) func(*core.Candidate, *core.Stats) {
-	return func(c *core.Candidate, s *core.Stats) {
-		if now != nil {
-			n := now()
-			s.TableAge = n - c.Table.Created()
-			s.SinceLastWrite = n - c.Table.LastWrite()
-		}
-		s.WriteCount = c.Table.WriteCount()
-		if quota != nil {
-			s.QuotaUtilization = quota(c.Table.Database())
-		}
-	}
+	// Quota, when set, supplies the per-database quota utilization a hit
+	// re-reads for data-compaction candidates: quota is the one observed
+	// statistic that moves without the table's version. It must be the
+	// source Inner reads; maintenance observers leave quota zero.
+	Quota func(db string) float64
 }
 
 // Observe implements core.Observer. Entries are keyed by the table's
@@ -165,7 +164,7 @@ func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
 	if !ok || o.Cache == nil {
 		return o.Inner.Observe(c)
 	}
-	table, id := c.Table.FullName(), c.ID()
+	table, u := c.Table.FullName(), unitOf(c)
 	// The lookup captures the invalidation epoch before the observation,
 	// so an invalidation racing this observe drops the put instead of
 	// caching pre-mutation stats under a still-current version. The
@@ -173,10 +172,10 @@ func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
 	// landing in between files the fresh stats under the older version,
 	// which no later lookup asks for.
 	version := v.Version()
-	s, hit, r, epoch := o.Cache.lookup(table, id, version)
+	s, hit, r, epoch := o.Cache.lookup(table, u, version)
 	if hit {
-		if o.Refresh != nil {
-			o.Refresh(c, &s)
+		if o.Quota != nil && c.Action == core.ActionDataCompaction {
+			s.QuotaUtilization = o.Quota(c.Table.Database())
 		}
 		return s, nil
 	}
@@ -184,6 +183,6 @@ func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
 	if err != nil {
 		return s, err
 	}
-	o.Cache.put(table, r, epoch, id, version, s)
+	o.Cache.put(table, r, epoch, u, version, s)
 	return s, nil
 }

@@ -2,6 +2,7 @@ package changefeed_test
 
 import (
 	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -20,6 +21,7 @@ type stubTable struct {
 	db, name   string
 	version    int64
 	smallFiles int
+	parts      []string
 }
 
 func (t *stubTable) Database() string                       { return t.db }
@@ -30,10 +32,9 @@ func (t *stubTable) Mode() lst.WriteMode                    { return lst.CopyOnW
 func (t *stubTable) Prop(string) string                     { return "" }
 func (t *stubTable) Created() time.Duration                 { return 0 }
 func (t *stubTable) LastWrite() time.Duration               { return 0 }
-func (t *stubTable) WriteCount() int64                      { return t.version }
 func (t *stubTable) FileCount() int                         { return t.smallFiles }
 func (t *stubTable) TotalBytes() int64                      { return int64(t.smallFiles) * storage.MB }
-func (t *stubTable) Partitions() []string                   { return nil }
+func (t *stubTable) Partitions() []string                   { return t.parts }
 func (t *stubTable) LiveFiles() []lst.DataFile              { return nil }
 func (t *stubTable) FilesInPartition(string) []lst.DataFile { return nil }
 func (t *stubTable) Version() int64                         { return t.version }
@@ -228,6 +229,111 @@ func TestIncrementalCacheInvalidationOnCommit(t *testing.T) {
 	cc := feed.Cache.Counters()
 	if cc.Hits != 5 { // 3 quiet + 2 clean tables on the commit cycle
 		t.Fatalf("cache hits = %d, want 5", cc.Hits)
+	}
+}
+
+// twoActionGenerator proposes snapshot expiry and a metadata checkpoint
+// for every table: two table-scope work units that differ only in
+// action.
+type twoActionGenerator struct{}
+
+func (twoActionGenerator) Name() string { return "two-action" }
+
+func (twoActionGenerator) Candidates(tables []core.Table) []*core.Candidate {
+	var out []*core.Candidate
+	for _, t := range tables {
+		out = append(out,
+			&core.Candidate{Table: t, Action: core.ActionSnapshotExpiry},
+			&core.Candidate{Table: t, Action: core.ActionMetadataCheckpoint})
+	}
+	return out
+}
+
+// unitObserver returns statistics unique to each work unit (a hash of
+// the candidate ID in DeltaFiles), so a cache serving one unit another
+// unit's observation shows in the stats.
+type unitObserver struct{ calls int }
+
+func unitMark(id string) int {
+	h := fnv.New32a()
+	h.Write([]byte(id))
+	return int(h.Sum32())
+}
+
+func (o *unitObserver) Observe(c *core.Candidate) (core.Stats, error) {
+	o.calls++
+	return core.Stats{SmallFiles: c.Table.(*stubTable).smallFiles, DeltaFiles: unitMark(c.ID())}, nil
+}
+
+func TestIncrementalCacheKeysWorkUnits(t *testing.T) {
+	// Table a has three partitions, so it yields one table-scope and
+	// three partition-scope data units plus two maintenance units; b is
+	// unpartitioned and yields three units.
+	a := &stubTable{db: "d", name: "a", version: 1, smallFiles: 7, parts: []string{"p0", "p1", "p2"}}
+	b := &stubTable{db: "d", name: "b", version: 1, smallFiles: 3}
+	const units = 9
+	feed := changefeed.NewFeedSharded(nil, 2, 1) // cycle 2 reconciles
+	obs := &unitObserver{}
+	svc, err := core.NewService(core.Config{
+		Connector: feed.Connector(core.StaticConnector{TableList: []core.Table{a, b}}),
+		Generator: feed.Generator(core.MultiGenerator{
+			core.TableScopeGenerator{}, core.PartitionScopeGenerator{}, twoActionGenerator{},
+		}),
+		Observer: feed.Observer(obs, nil),
+		Traits:   []core.Trait{core.FileCountReduction{}},
+		Ranker:   core.ThresholdPolicy{Trait: core.FileCountReduction{}, Threshold: 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// decide runs a cycle and checks that every unit was served its own
+	// observation.
+	decide := func() {
+		t.Helper()
+		d, err := svc.Decide()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(d.Ranked) != units {
+			t.Fatalf("ranked %d candidates, want %d", len(d.Ranked), units)
+		}
+		for _, c := range d.Ranked {
+			if c.Stats.DeltaFiles != unitMark(c.ID()) {
+				t.Fatalf("%s was served another unit's observation", c.ID())
+			}
+		}
+	}
+	counters := func(hits, misses, invalidations int64, entries int) {
+		t.Helper()
+		want := changefeed.CacheCounters{Hits: hits, Misses: misses, Invalidations: invalidations, Entries: entries}
+		if got := feed.Cache.Counters(); got != want {
+			t.Fatalf("counters = %+v, want %+v", got, want)
+		}
+	}
+	decide() // cold start: every unit misses and gets its own entry
+	counters(0, units, 0, units)
+	if obs.calls != units {
+		t.Fatalf("cold start observes = %d, want %d", obs.calls, units)
+	}
+
+	// The reconciling full scan regenerates every unit as a fresh
+	// candidate; each is served from the cache.
+	decide()
+	if !feed.LastScan().Full {
+		t.Fatal("cycle 2 did not reconcile")
+	}
+	counters(units, units, 0, units)
+	if obs.calls != units {
+		t.Fatalf("reconcile observes = %d, want %d (all cached)", obs.calls, units)
+	}
+
+	// One event on a invalidates all six of its units and none of b's.
+	feed.Bus.Publish(event(a, 1, storage.MB, false))
+	counters(units, units, 1, 3)
+	decide()
+	counters(units+3, units+6, 1, units)
+	if obs.calls != units+6 {
+		t.Fatalf("post-event observes = %d, want %d", obs.calls, units+6)
 	}
 }
 

@@ -85,10 +85,10 @@ func (f *Feed) Generator(inner core.Generator) *IncrementalGenerator {
 }
 
 // Observer wraps inner in a CachingObserver over the feed's cache.
-// refresh must mirror the clock- and quota-dependent fields inner sets
-// (see CachingObserver.Refresh).
-func (f *Feed) Observer(inner core.Observer, refresh func(*core.Candidate, *core.Stats)) CachingObserver {
-	return CachingObserver{Inner: inner, Cache: f.Cache, Refresh: refresh}
+// quota must be the quota source inner reads, or nil when inner sets
+// none (see CachingObserver.Quota).
+func (f *Feed) Observer(inner core.Observer, quota func(db string) float64) CachingObserver {
+	return CachingObserver{Inner: inner, Cache: f.Cache, Quota: quota}
 }
 
 // beginCycle starts an observation cycle: a full enumeration at cold

@@ -30,12 +30,23 @@ type poolState struct {
 	// pre-mutation stats under the still-current version, where no later
 	// version advance would ever evict them.
 	epoch int64
-	// cached maps candidate ID → the observation recorded for it.
-	cached map[string]cacheEntry
+	// cached holds one observation per work unit, in the order they
+	// were first observed.
+	cached []cacheEntry
 	// retained holds the candidates emitted at the table's last
 	// (re)generation; clean tables re-enter the pool from here with
 	// stats served by the cache.
 	retained []*core.Candidate
+}
+
+// entry returns the cached observation of work unit u, or nil.
+func (p *poolState) entry(u unit) *cacheEntry {
+	for i := range p.cached {
+		if p.cached[i].unit == u {
+			return &p.cached[i]
+		}
+	}
+	return nil
 }
 
 // poolOf returns r's pool state, allocating it on first use.

@@ -31,7 +31,6 @@ type Table interface {
 	Prop(key string) string
 	Created() time.Duration
 	LastWrite() time.Duration
-	WriteCount() int64
 	FileCount() int
 	TotalBytes() int64
 	Partitions() []string

@@ -87,7 +87,6 @@ func (l *lake) observer() StatsObserver {
 	return StatsObserver{
 		TargetFileSize: target,
 		Quota:          l.cp.QuotaUtilization,
-		Now:            l.clock.Now,
 	}
 }
 
@@ -181,9 +180,6 @@ func TestStatsObserver(t *testing.T) {
 	}
 	if stats.SmallBytes != 40*mb || stats.TotalBytes != 640*mb {
 		t.Fatalf("bytes = %+v", stats)
-	}
-	if stats.TableAge != time.Hour {
-		t.Fatalf("age = %v", stats.TableAge)
 	}
 	if len(stats.FileSizes) != 5 {
 		t.Fatalf("file sizes = %d", len(stats.FileSizes))

@@ -330,26 +330,20 @@ func (s TopK) Select(ranked []*Candidate) []*Candidate {
 
 // BudgetSelector greedily fits as many high-priority candidates as
 // possible within a compute budget, reading each candidate's estimated
-// cost from CostTrait — the paper's dynamic-k selection (§4.3, §7:
-// 226 TBHr ⇒ k≈2500). Candidates whose cost exceeds the remaining budget
-// are skipped, not terminal: a cheaper lower-ranked candidate may still
-// fit.
+// cost from its compute_cost_gbhr trait — the paper's dynamic-k
+// selection (§4.3, §7: 226 TBHr ⇒ k≈2500). Candidates whose cost
+// exceeds the remaining budget are skipped, not terminal: a cheaper
+// lower-ranked candidate may still fit.
 type BudgetSelector struct {
 	// BudgetGBHr is the total compute budget per run.
 	BudgetGBHr float64
-	// CostTrait names the trait holding each candidate's estimated
-	// GBHr (defaults to "compute_cost_gbhr").
-	CostTrait string
 	// MaxK optionally caps the number selected regardless of budget.
 	MaxK int
 }
 
 // Select implements Selector.
 func (s BudgetSelector) Select(ranked []*Candidate) []*Candidate {
-	costName := s.CostTrait
-	if costName == "" {
-		costName = ComputeCost{}.Name()
-	}
+	costName := ComputeCost{}.Name()
 	var out []*Candidate
 	remaining := s.BudgetGBHr
 	for _, c := range ranked {

@@ -26,25 +26,23 @@ type Stats struct {
 	// Metadata-layer statistics (§2, cause iv), filled for maintenance
 	// candidates by a metadata-aware observer.
 	//
-	// MetadataObjects and MetadataBytes cover the table's metadata files
-	// (metadata.json versions, manifests, checkpoints); Snapshots is the
-	// retained history length.
-	MetadataObjects int
-	MetadataBytes   int64
-	Snapshots       int
+	// MetadataBytes is the metadata volume the candidate's action reads
+	// (the table's metadata files, or just the dropped ones for expiry).
+	MetadataBytes int64
 	// MetadataReducible estimates the net metadata-object reduction the
 	// candidate's action would achieve — the maintenance analogue of
 	// SmallFiles for ΔF.
 	MetadataReducible int
 
 	// Custom statistics (§4.1: access patterns, usage metrics, ...).
-	TableAge       time.Duration
-	SinceLastWrite time.Duration
-	// NewestFileAt is the add-time of the candidate's youngest file;
-	// unlike SinceLastWrite it is scoped to the candidate (a partition
-	// candidate only reflects writes to that partition).
-	NewestFileAt     time.Duration
-	WriteCount       int64
+	//
+	// NewestFileAt is the add-time of the candidate's youngest file,
+	// scoped to the candidate (a partition candidate only reflects
+	// writes to that partition). Table-level ages are not observed:
+	// filters read Table.Created and Table.LastWrite directly.
+	NewestFileAt time.Duration
+	// QuotaUtilization is the database's namespace quota in use, the
+	// one observed statistic that moves without the table's version.
 	QuotaUtilization float64
 	// ReadRate is how often the candidate is read (usage metric, §4.1/§8);
 	// zero when the connector cannot measure access patterns.
@@ -63,8 +61,6 @@ type StatsObserver struct {
 	TargetFileSize int64
 	// Quota supplies per-database quota utilization; nil means 0.
 	Quota func(db string) float64
-	// Now supplies virtual time for age computations; nil means 0.
-	Now func() time.Duration
 }
 
 // Observe implements Observer.
@@ -91,13 +87,6 @@ func (o StatsObserver) Observe(c *Candidate) (Stats, error) {
 			s.NewestFileAt = f.AddedAt
 		}
 	}
-	now := time.Duration(0)
-	if o.Now != nil {
-		now = o.Now()
-	}
-	s.TableAge = now - c.Table.Created()
-	s.SinceLastWrite = now - c.Table.LastWrite()
-	s.WriteCount = c.Table.WriteCount()
 	if o.Quota != nil {
 		s.QuotaUtilization = o.Quota(c.Table.Database())
 	}

@@ -30,7 +30,6 @@ func (f fakeTable) Mode() lst.WriteMode                    { return lst.CopyOnWr
 func (f fakeTable) Prop(string) string                     { return "" }
 func (f fakeTable) Created() time.Duration                 { return 0 }
 func (f fakeTable) LastWrite() time.Duration               { return 0 }
-func (f fakeTable) WriteCount() int64                      { return 0 }
 func (f fakeTable) FileCount() int                         { return 0 }
 func (f fakeTable) TotalBytes() int64                      { return 0 }
 func (f fakeTable) Partitions() []string                   { return f.parts }

@@ -24,7 +24,6 @@ func (t mergeTable) Mode() lst.WriteMode                    { return lst.CopyOnW
 func (t mergeTable) Prop(string) string                     { return "" }
 func (t mergeTable) Created() time.Duration                 { return 0 }
 func (t mergeTable) LastWrite() time.Duration               { return 0 }
-func (t mergeTable) WriteCount() int64                      { return 0 }
 func (t mergeTable) FileCount() int                         { return 1 }
 func (t mergeTable) TotalBytes() int64                      { return 1 }
 func (t mergeTable) Partitions() []string                   { return nil }

@@ -40,16 +40,12 @@ func (o Observer) Observe(c *core.Candidate) (core.Stats, error) {
 	if !ok {
 		return core.Stats{}, fmt.Errorf("fleet: observer requires *fleet.Table, got %T", c.Table)
 	}
-	now := o.Fleet.clock.Now()
 	return core.Stats{
 		FileCount:        t.FileCount(),
 		TotalBytes:       t.TotalBytes(),
 		SmallFiles:       int(t.SmallFiles()),
 		SmallBytes:       t.SmallBytes(),
 		DeltaFiles:       0,
-		TableAge:         now - t.created,
-		SinceLastWrite:   now - t.lastWrite,
-		WriteCount:       t.writes,
 		QuotaUtilization: o.Fleet.QuotaUtilization(t.Database()),
 		// The fleet knows how often the daily scan workload reads each
 		// table (§4.1/§8 usage metric).

@@ -167,9 +167,6 @@ func (t *Table) Created() time.Duration { return t.created }
 // LastWrite implements core.Table.
 func (t *Table) LastWrite() time.Duration { return t.lastWrite }
 
-// WriteCount implements core.Table.
-func (t *Table) WriteCount() int64 { return t.writes }
-
 // FileCount implements core.Table.
 func (t *Table) FileCount() int { return int(t.counts[0] + t.counts[1] + t.counts[2]) }
 

@@ -218,9 +218,6 @@ func TestObserverAndConnector(t *testing.T) {
 	if stats.FileCount == 0 || stats.SmallFiles == 0 {
 		t.Fatalf("stats = %+v", stats)
 	}
-	if stats.TableAge <= 0 {
-		t.Fatal("age missing")
-	}
 	if conn.Now() != clock.Now() {
 		t.Fatal("connector clock")
 	}

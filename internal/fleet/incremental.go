@@ -40,7 +40,7 @@ func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Confi
 	f.AttachChangefeed(feed.Bus)
 	cfg.Connector = feed.Connector(cfg.Connector)
 	cfg.Generator = feed.Generator(cfg.Generator)
-	cfg.Observer = feed.Observer(cfg.Observer, f.statsRefresher())
+	cfg.Observer = feed.Observer(cfg.Observer, f.QuotaUtilization)
 	// Terminal conflicts leave the table unmaintained without a state
 	// change, so no commit event re-dirties it; reconsider it next
 	// cycle anyway. (Successful maintenance publishes its own event.)
@@ -55,20 +55,4 @@ func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Confi
 		}
 	})
 	return cfg, feed
-}
-
-// statsRefresher mirrors the clock- and quota-dependent fields the
-// fleet's observers set, so a cache hit is byte-identical to a fresh
-// observation: fleet.Observer derives TableAge/SinceLastWrite from the
-// clock and QuotaUtilization from the tenant's (shared, mutable) quota;
-// maintenance.Observer sets the ages but never the quota.
-func (f *Fleet) statsRefresher() func(*core.Candidate, *core.Stats) {
-	return func(c *core.Candidate, s *core.Stats) {
-		now := f.clock.Now()
-		s.TableAge = now - c.Table.Created()
-		s.SinceLastWrite = now - c.Table.LastWrite()
-		if c.Action == core.ActionDataCompaction {
-			s.QuotaUtilization = f.QuotaUtilization(c.Table.Database())
-		}
-	}
 }

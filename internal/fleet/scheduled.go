@@ -98,7 +98,7 @@ func (s *ScheduledService) RunCycle() (*core.Report, scheduler.Stats, error) {
 		RetryBase:        s.opts.RetryBase,
 		RetryMax:         s.opts.RetryMax,
 		AgingRatePerHour: s.opts.AgingRatePerHour,
-		ServiceTime:      scheduler.EstimatedServiceTime(s.model.ExecutorMemoryGB),
+		ExecutorMemoryGB: s.model.ExecutorMemoryGB,
 		Seed:             s.fleet.rngExec.Int63(),
 	}, s.svc.Runner(), sub)
 	pool.Submit(dec.Selected)

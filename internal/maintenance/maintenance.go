@@ -131,8 +131,6 @@ type Observer struct {
 	// Policies supplies the retention targets estimates depend on; nil
 	// means DefaultPolicy.
 	Policies PolicySource
-	// Now supplies virtual time for age statistics; nil means 0.
-	Now func() time.Duration
 }
 
 // Observe implements core.Observer.
@@ -152,18 +150,7 @@ func (o Observer) Observe(c *core.Candidate) (core.Stats, error) {
 		pol = o.Policies.PolicyFor(c.Table.Database(), c.Table.Name())
 	}
 	ms := mt.MetadataStats()
-	now := time.Duration(0)
-	if o.Now != nil {
-		now = o.Now()
-	}
-	s := core.Stats{
-		MetadataObjects: ms.Objects,
-		MetadataBytes:   ms.Bytes,
-		Snapshots:       ms.Snapshots,
-		TableAge:        now - c.Table.Created(),
-		SinceLastWrite:  now - c.Table.LastWrite(),
-		WriteCount:      c.Table.WriteCount(),
-	}
+	s := core.Stats{MetadataBytes: ms.Bytes}
 	avg := int64(0)
 	if ms.Objects > 0 {
 		avg = ms.Bytes / int64(ms.Objects)

@@ -14,9 +14,8 @@ import (
 // with per-database quota, rewrite them on the executor, and layer the
 // catalog's stored policies over the spec's overrides.
 func CatalogSubstrate(cp *catalog.ControlPlane, exec *compaction.Executor) (Env, Bindings) {
-	now := cp.Clock().Now
 	env := Env{
-		Now:                 now,
+		Now:                 cp.Clock().Now,
 		TargetFileSize:      exec.TargetFileSize,
 		ExecutorMemoryGB:    exec.Cluster.ExecutorMemoryGB(),
 		RewriteBytesPerHour: exec.Cluster.RewriteBytesPerHour(),
@@ -26,7 +25,6 @@ func CatalogSubstrate(cp *catalog.ControlPlane, exec *compaction.Executor) (Env,
 		Observer: core.StatsObserver{
 			TargetFileSize: exec.TargetFileSize,
 			Quota:          cp.QuotaUtilization,
-			Now:            now,
 		},
 		Runner:  core.ExecutorRunner{Exec: exec},
 		Catalog: cp,

@@ -334,7 +334,7 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	if s.Maintenance != nil {
 		out.Maintenance = s.Maintenance.policy()
 		cfg.Generator = maintenance.Generator{Data: gen, Policies: out.Source}
-		cfg.Observer = maintenance.Observer{Base: b.Observer, Policies: out.Source, Now: env.Now}
+		cfg.Observer = maintenance.Observer{Base: b.Observer, Policies: out.Source}
 		cfg.Runner = maintenance.Runner{
 			Data:                b.Runner,
 			Policies:            out.Source,

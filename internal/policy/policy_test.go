@@ -387,7 +387,6 @@ func (fakeTable) Mode() lst.WriteMode                    { return lst.CopyOnWrit
 func (fakeTable) Prop(string) string                     { return "" }
 func (fakeTable) Created() time.Duration                 { return 0 }
 func (fakeTable) LastWrite() time.Duration               { return 0 }
-func (fakeTable) WriteCount() int64                      { return 0 }
 func (fakeTable) FileCount() int                         { return 0 }
 func (fakeTable) TotalBytes() int64                      { return 0 }
 func (fakeTable) Partitions() []string                   { return nil }

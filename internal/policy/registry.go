@@ -394,11 +394,7 @@ var builtins = func() *Registry {
 		if budget <= 0 {
 			return nil, fmt.Errorf("policy: budget selector requires a positive \"budget_gbhr\"")
 		}
-		return core.BudgetSelector{
-			BudgetGBHr: budget,
-			CostTrait:  a.String("cost_trait", ""),
-			MaxK:       a.Int("max_k", 0),
-		}, nil
+		return core.BudgetSelector{BudgetGBHr: budget, MaxK: a.Int("max_k", 0)}, nil
 	})
 
 	// Act-phase schedulers (§4.4).

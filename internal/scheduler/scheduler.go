@@ -81,10 +81,11 @@ type Config struct {
 	// negative disables aging.
 	AgingRatePerHour float64
 
-	// ServiceTime models how long a job occupies its worker before it is
-	// ready to commit. Nil uses EstimatedServiceTime with
-	// DefaultExecutorMemoryGB.
-	ServiceTime func(*core.Candidate) time.Duration
+	// ExecutorMemoryGB prices a job's service time: its decide-time
+	// compute_cost_gbhr estimate over this memory yields the hours it
+	// occupies a worker, floored at MinServiceTime. Zero or negative
+	// means DefaultExecutorMemoryGB.
+	ExecutorMemoryGB float64
 
 	// Seed drives the deterministic backoff jitter.
 	Seed int64
@@ -104,8 +105,8 @@ const (
 	// DefaultAgingRate is the priority points a queued job gains per
 	// hour when Config.AgingRatePerHour is unset.
 	DefaultAgingRate = 1.0
-	// DefaultExecutorMemoryGB prices service times from the
-	// compute_cost_gbhr trait when no ServiceTime is configured.
+	// DefaultExecutorMemoryGB prices service times when
+	// Config.ExecutorMemoryGB is unset.
 	DefaultExecutorMemoryGB = 64.0
 	// MinServiceTime floors modeled service times: even a trivial job
 	// pays scheduling and startup latency.
@@ -133,27 +134,10 @@ func (cfg Config) withDefaults() Config {
 	} else if cfg.AgingRatePerHour < 0 {
 		cfg.AgingRatePerHour = 0
 	}
-	if cfg.ServiceTime == nil {
-		cfg.ServiceTime = EstimatedServiceTime(DefaultExecutorMemoryGB)
+	if cfg.ExecutorMemoryGB <= 0 {
+		cfg.ExecutorMemoryGB = DefaultExecutorMemoryGB
 	}
 	return cfg
-}
-
-// EstimatedServiceTime derives a job's service time from its decide-time
-// compute_cost_gbhr trait: GBHr over the executor memory yields hours of
-// occupancy, floored at MinServiceTime.
-func EstimatedServiceTime(executorMemoryGB float64) func(*core.Candidate) time.Duration {
-	if executorMemoryGB <= 0 {
-		executorMemoryGB = DefaultExecutorMemoryGB
-	}
-	return func(c *core.Candidate) time.Duration {
-		gbhr := c.Trait(core.ComputeCost{}.Name())
-		d := time.Duration(gbhr / executorMemoryGB * float64(time.Hour))
-		if d < MinServiceTime {
-			d = MinServiceTime
-		}
-		return d
-	}
 }
 
 // Status is a job's lifecycle state.
@@ -230,7 +214,8 @@ type Job struct {
 	startVersion int64
 	queuedSince  time.Duration
 	// estCost is the decide-time compute_cost_gbhr estimate, reserved
-	// against the shard budget while the job is in flight.
+	// against the shard budget while the job is in flight; it also
+	// prices the job's service time.
 	estCost float64
 	// wastedGBHr accumulates the cost of commit-aborted attempts: the
 	// work ran for its full service time and was thrown away, so it
@@ -674,13 +659,10 @@ func (p *Pool) backoff(attempt int) time.Duration {
 	return time.Duration(p.rng.Jitter(float64(d), 0.2))
 }
 
-// serviceTime models j's worker occupancy.
+// serviceTime models j's worker occupancy from its decide-time cost
+// estimate.
 func (p *Pool) serviceTime(j *Job) time.Duration {
-	d := p.cfg.ServiceTime(j.Candidate)
-	if d <= 0 {
-		d = MinServiceTime
-	}
-	return d
+	return max(time.Duration(j.estCost/p.cfg.ExecutorMemoryGB*float64(time.Hour)), MinServiceTime)
 }
 
 // finalize closes the books on a drained cycle: terminal-conflict

@@ -28,7 +28,6 @@ func (t *memTable) Mode() lst.WriteMode                    { return lst.CopyOnWr
 func (t *memTable) Prop(string) string                     { return "" }
 func (t *memTable) Created() time.Duration                 { return 0 }
 func (t *memTable) LastWrite() time.Duration               { return 0 }
-func (t *memTable) WriteCount() int64                      { return 0 }
 func (t *memTable) FileCount() int                         { return 100 }
 func (t *memTable) TotalBytes() int64                      { return 1 << 30 }
 func (t *memTable) Partitions() []string                   { return nil }
@@ -37,7 +36,7 @@ func (t *memTable) FilesInPartition(string) []lst.DataFile { return nil }
 func (t *memTable) Version() int64                         { return t.version.Load() }
 
 // cand builds a candidate whose compute_cost_gbhr trait yields the given
-// service time under EstimatedServiceTime(64).
+// service time at the default 64 GB of executor memory.
 func cand(t *memTable, serviceHours float64) *core.Candidate {
 	return &core.Candidate{
 		Table:  t,
@@ -459,13 +458,21 @@ func TestRunSimRejectsForeignClock(t *testing.T) {
 }
 
 func TestEstimatedServiceTime(t *testing.T) {
-	st := EstimatedServiceTime(64)
-	c := &core.Candidate{Traits: map[string]float64{core.ComputeCost{}.Name(): 128}}
-	if got := st(c); got != 2*time.Hour {
-		t.Fatalf("service time = %v, want 2h", got)
-	}
-	if got := st(&core.Candidate{}); got != MinServiceTime {
-		t.Fatalf("floor = %v", got)
+	tbl := &memTable{name: "t"}
+	for _, tc := range []struct {
+		memoryGB, gbhr float64
+		want           time.Duration
+	}{
+		{0, 128, 2 * time.Hour}, // default 64 GB
+		{32, 128, 4 * time.Hour},
+		{64, 0, MinServiceTime},
+		{64, 0.001, MinServiceTime},
+	} {
+		p, _ := newSimPool(Config{ExecutorMemoryGB: tc.memoryGB}, okRunner(0))
+		p.Submit([]*core.Candidate{{Table: tbl, Traits: map[string]float64{core.ComputeCost{}.Name(): tc.gbhr}}})
+		if got := p.serviceTime(p.jobs[0]); got != tc.want {
+			t.Errorf("memory %v GB, %v GBHr: service time = %v, want %v", tc.memoryGB, tc.gbhr, got, tc.want)
+		}
 	}
 }
 

@@ -8,10 +8,11 @@ import (
 )
 
 // RunSim drains the pool on a discrete-event queue: workers are modeled
-// job slots, service times come from Config.ServiceTime, and every
-// dispatch, commit, and backoff retry is an event on q. The pool's clock
-// must be q's clock. The run is fully deterministic: the same submitted
-// plan, config, and seed produce byte-identical stats and results.
+// job slots, service times come from each job's cost estimate (see
+// Config.ExecutorMemoryGB), and every dispatch, commit, and backoff
+// retry is an event on q. The pool's clock must be q's clock. The run
+// is fully deterministic: the same submitted plan, config, and seed
+// produce byte-identical stats and results.
 //
 // Other processes (live writers racing the compactor, metric samplers)
 // may schedule their own events on q before or during the run; they

@@ -39,11 +39,11 @@ type Server struct {
 	// GOMAXPROCS). The worker count never changes a tune's result bytes.
 	TuneWorkers int
 
-	// Tune-job registry (POST /api/tune).
-	tuneMu    sync.Mutex
-	tunes     map[string]*tuneJob
-	tuneOrder []string
-	tuneSeq   int
+	// Tune-job registry (POST /api/tune), in submission order and
+	// pruned at each submit (see keepTunes).
+	tuneMu  sync.Mutex
+	tunes   []*tuneJob
+	tuneSeq int
 }
 
 // Register mounts every management route on mux.

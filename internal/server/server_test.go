@@ -381,6 +381,47 @@ func TestSubmitInlineScenario(t *testing.T) {
 	}
 }
 
+// TestFinishedRunRetention submits two more tiny inline runs than a
+// tenant keeps, one after another: the two oldest are forgotten (404)
+// and the list holds the newest tenant.KeepRuns.
+func TestFinishedRunRetention(t *testing.T) {
+	ts, _ := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"keep","days":1,"initial_tables":10}`), &tenant.Snapshot{})
+	runs := ts.URL + "/api/tenants/keep/runs"
+	spec := []byte(`{"spec":{"name":"tiny","seed":9,"days":1,"fleet":{"initial_tables":8}}}`)
+	var ids []string
+	for range tenant.KeepRuns + 2 {
+		var info tenant.RunInfo
+		if resp := doJSON(t, http.MethodPost, runs, spec, &info); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d", resp.StatusCode)
+		}
+		ids = append(ids, info.ID)
+		waitFor(t, func() bool {
+			var i tenant.RunInfo
+			doJSON(t, http.MethodGet, runs+"/"+info.ID, nil, &i)
+			if i.Status == tenant.RunFailed {
+				t.Fatalf("run %s failed: %s", info.ID, i.Error)
+			}
+			return i.Status == tenant.RunDone
+		})
+	}
+	var list []tenant.RunInfo
+	doJSON(t, http.MethodGet, runs, nil, &list)
+	if len(list) != tenant.KeepRuns || list[0].ID != ids[2] || list[len(list)-1].ID != ids[len(ids)-1] {
+		t.Fatalf("kept %d runs from %s, want %d from %s", len(list), list[0].ID, tenant.KeepRuns, ids[2])
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if resp := doJSON(t, http.MethodGet, runs+"/"+id, nil, nil); resp.StatusCode != want {
+			t.Fatalf("GET run %s = %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+}
+
 // TestRunEventsCursor pins the run event stream's cursor: a plain poll
 // with ?after=N returns only events with Seq > N, and a malformed cursor
 // is a 400.

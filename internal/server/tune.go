@@ -4,12 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"autocomp/internal/autotune"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario"
+	"autocomp/internal/tenant"
 )
 
 // tuneJob is one asynchronous tune run hosted by the daemon. It mirrors
@@ -27,6 +29,11 @@ type tuneJob struct {
 	result  *autotune.Result
 	done    chan struct{}
 }
+
+// keepTunes bounds the tune jobs the daemon keeps: each submit keeps the
+// newest keepTunes jobs, the new one included, and any older job still
+// running. A forgotten id answers 404.
+const keepTunes = 16
 
 // TuneJobInfo is the wire snapshot of a tune job.
 type TuneJobInfo struct {
@@ -101,10 +108,15 @@ func (s *Server) registerTune(mux *http.ServeMux) {
 func (s *Server) withTune(h func(http.ResponseWriter, *http.Request, *tuneJob)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("tune")
+		var job *tuneJob
 		s.tuneMu.Lock()
-		job, ok := s.tunes[id]
+		for _, j := range s.tunes {
+			if j.id == id {
+				job = j
+			}
+		}
 		s.tuneMu.Unlock()
-		if !ok {
+		if job == nil {
 			writeError(w, http.StatusNotFound, "no tune job %q", id)
 			return
 		}
@@ -167,9 +179,6 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.tuneMu.Lock()
-	if s.tunes == nil {
-		s.tunes = map[string]*tuneJob{}
-	}
 	s.tuneSeq++
 	job := &tuneJob{
 		id:      fmt.Sprintf("tune-%d", s.tuneSeq),
@@ -177,8 +186,8 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 		status:  "running",
 		done:    make(chan struct{}),
 	}
-	s.tunes[job.id] = job
-	s.tuneOrder = append(s.tuneOrder, job.id)
+	s.tunes = tenant.KeepNewest(append(s.tunes, job), keepTunes,
+		func(j *tuneJob) <-chan struct{} { return j.done })
 	s.tuneMu.Unlock()
 
 	cfg := autotune.Config{
@@ -222,10 +231,7 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 // handleListTunes: GET /api/tune → job snapshots in submission order.
 func (s *Server) handleListTunes(w http.ResponseWriter, r *http.Request) {
 	s.tuneMu.Lock()
-	jobs := make([]*tuneJob, 0, len(s.tuneOrder))
-	for _, id := range s.tuneOrder {
-		jobs = append(jobs, s.tunes[id])
-	}
+	jobs := slices.Clone(s.tunes)
 	s.tuneMu.Unlock()
 	out := make([]TuneJobInfo, 0, len(jobs))
 	for _, j := range jobs {

@@ -166,3 +166,45 @@ func TestTuneAPIRejects(t *testing.T) {
 		t.Fatalf("missing job: %d", resp.StatusCode)
 	}
 }
+
+// TestFinishedTuneRetention submits two more one-trial tune jobs than
+// the daemon keeps, one after another: the two oldest are forgotten
+// (404) and the list holds the newest keepTunes.
+func TestFinishedTuneRetention(t *testing.T) {
+	ts, _ := newTestServer(t)
+	body := []byte(`{
+		"space": {"name": "one", "dimensions": [{"field": "execution.workers", "min": 1, "max": 4}]},
+		"specs": [{"name": "tiny", "seed": 9, "days": 1, "fleet": {"initial_tables": 8}}],
+		"budget": 1
+	}`)
+	var ids []string
+	for range keepTunes + 2 {
+		var info TuneJobInfo
+		if resp := doJSON(t, "POST", ts.URL+"/api/tune", body, &info); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit status = %d", resp.StatusCode)
+		}
+		ids = append(ids, info.ID)
+		waitFor(t, func() bool {
+			doJSON(t, "GET", ts.URL+"/api/tune/"+info.ID, nil, &info)
+			if info.Status == "error" {
+				t.Fatalf("tune %s failed: %s", info.ID, info.Error)
+			}
+			return info.Status == "done"
+		})
+	}
+	var list []TuneJobInfo
+	doJSON(t, "GET", ts.URL+"/api/tune", nil, &list)
+	if len(list) != keepTunes || list[0].ID != ids[2] || list[len(list)-1].ID != ids[len(ids)-1] {
+		t.Fatalf("kept %d jobs from %s, want %d from %s", len(list), list[0].ID, keepTunes, ids[2])
+	}
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
+		}
+		if resp := doJSON(t, "GET", ts.URL+"/api/tune/"+id, nil, nil); resp.StatusCode != want {
+			t.Fatalf("GET tune %s = %d, want %d", id, resp.StatusCode, want)
+		}
+	}
+
+}

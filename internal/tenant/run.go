@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"autocomp/internal/scenario"
@@ -102,6 +103,32 @@ func (r *Run) Events(afterSeq int64) []telemetry.CycleEvent {
 	return out
 }
 
+// KeepRuns bounds the runs a tenant keeps for the management API: each
+// submit keeps the newest KeepRuns runs, the new one included, and any
+// older run still running. A forgotten id is unknown (404 over the API).
+const KeepRuns = 16
+
+// KeepNewest returns jobs without the finished ones older than the
+// newest keep, in order, compacting jobs in place; done returns a job's
+// completion channel. The management API bounds its scenario runs and
+// tune jobs with it.
+func KeepNewest[J any](jobs []J, keep int, done func(J) <-chan struct{}) []J {
+	old := len(jobs) - keep
+	kept := jobs[:0]
+	for i, j := range jobs {
+		select {
+		case <-done(j):
+			if i < old {
+				continue // an older finished job
+			}
+		default:
+		}
+		kept = append(kept, j)
+	}
+	clear(jobs[len(kept):])
+	return kept
+}
+
 // SubmitRun validates spec and starts it on its own goroutine,
 // returning the registered run immediately. The run is independent of
 // the tenant's live lake; only its telemetry carries the tenant label.
@@ -123,30 +150,29 @@ func (t *Tenant) SubmitRun(spec *scenario.Spec) (*Run, error) {
 		status: RunPending,
 		done:   make(chan struct{}),
 	}
-	t.runs[r.id] = r
-	t.runIDs = append(t.runIDs, r.id)
+	t.runs = KeepNewest(append(t.runs, r), KeepRuns, (*Run).Done)
 	t.mu.Unlock()
 	go r.execute(t.cfg.Name)
 	return r, nil
 }
 
-// Run returns the identified run.
+// Run returns the identified run, if the tenant still keeps it.
 func (t *Tenant) Run(id string) (*Run, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	r, ok := t.runs[id]
-	return r, ok
+	for _, r := range t.runs {
+		if r.id == id {
+			return r, true
+		}
+	}
+	return nil, false
 }
 
-// Runs returns the tenant's runs in submission order.
+// Runs returns the runs the tenant keeps, in submission order.
 func (t *Tenant) Runs() []*Run {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]*Run, 0, len(t.runIDs))
-	for _, id := range t.runIDs {
-		out = append(out, t.runs[id])
-	}
-	return out
+	return slices.Clone(t.runs)
 }
 
 // execute drives the scenario engine to completion, stepping day by

@@ -35,6 +35,7 @@ type Snapshot struct {
 	// Sched describes the worker pool (nil when cycles act serially).
 	Sched *SchedStats `json:"sched,omitempty"`
 
+	// Runs counts the scenario runs the tenant keeps (see KeepRuns).
 	Runs int `json:"runs"`
 	// LastCycle is the most recent decision-trace event, if any.
 	LastCycle *telemetry.CycleEvent `json:"last_cycle,omitempty"`

@@ -220,8 +220,7 @@ type Tenant struct {
 	tracer *telemetry.Tracer
 	opts   Options
 
-	runs    map[string]*Run
-	runIDs  []string
+	runs    []*Run // submission order, bounded by SubmitRun
 	nextRun int
 
 	done chan struct{}
@@ -250,7 +249,6 @@ func New(cfg Config, spec *policy.Spec, opts Options) (*Tenant, error) {
 		model:  fleet.DefaultModel(512 * storage.MB),
 		tracer: opts.Tracer,
 		opts:   opts,
-		runs:   make(map[string]*Run),
 		done:   make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)

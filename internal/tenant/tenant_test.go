@@ -369,3 +369,18 @@ func TestOnCycleEventParity(t *testing.T) {
 		t.Fatalf("final snapshot: cycles=%d last=%+v, want %d serial cycles", st.Cycles, st.LastCycle, testDays)
 	}
 }
+
+func TestKeepNewestKeepsRunning(t *testing.T) {
+	running := &Run{id: "running", done: make(chan struct{})}
+	runs := []*Run{running}
+	for range KeepRuns + 1 {
+		r := &Run{done: make(chan struct{})}
+		close(r.done)
+		runs = append(runs, r)
+	}
+	oldestKept := runs[len(runs)-KeepRuns]
+	kept := KeepNewest(runs, KeepRuns, (*Run).Done)
+	if len(kept) != KeepRuns+1 || kept[0] != running || kept[1] != oldestKept {
+		t.Fatalf("kept %d runs, want the running run and the newest %d finished", len(kept), KeepRuns)
+	}
+}
