@@ -3,56 +3,46 @@ package scenario
 import (
 	"errors"
 	"fmt"
+	"os"
 
 	"autocomp/internal/compaction"
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/sim"
-	"autocomp/internal/storage"
 	"autocomp/internal/telemetry"
 )
 
 // ErrInjectedFailure is the error injected commit failures report.
 var ErrInjectedFailure = errors.New("scenario: injected commit failure")
 
-// Engine runs one scenario: it owns the virtual clock, the fleet
-// substrate, and the spec-compiled service, and it accumulates the
-// canonical trace. Build
-// one with NewEngine and either call Run, or StepDay in a loop (the
-// step-wise form hot-reload harnesses use) followed by Finalize.
+// Engine runs one scenario: it drives a fleet.Lake day by day, layers
+// the scenario's patterns and faults onto it, and accumulates the
+// canonical trace. Build one with NewEngine and either call Run, or
+// StepDay in a loop (the step-wise form hot-reload harnesses use)
+// followed by Finalize.
 //
 // The engine is single-threaded and not safe for concurrent use.
 type Engine struct {
-	spec  *Spec
-	opts  EngineOptions
-	clock *sim.Clock
-	fleet *fleet.Fleet
-	model fleet.CompactionModel
-
-	svc        *fleet.SpecService
-	policyName string
+	spec    *Spec
+	runOpts fleet.SpecRunOptions
+	lake    *fleet.Lake
+	// storage replaces every policy's storage section: nil (memory), or
+	// the run's own temp store when restarts are scheduled.
+	storage *policy.StorageSpec
 
 	// pending is a staged policy reload, applied at the next cycle
 	// boundary — never mid-cycle, mirroring the daemon's between-cycle
 	// Watcher poll.
-	pending     *policy.Spec
-	pendingName string
+	pending *policy.Spec
 
 	patterns []pattern
 	dropRNG  *sim.RNG
 	failRNG  *sim.RNG
 
-	day   int
 	inj   Injection
 	trace *Trace
 	err   error
-
-	// OnCycle, when set, runs after each cycle's trace record is
-	// appended — harnesses use it to inspect mid-run state or to stage a
-	// reload from "inside" the run and assert it only lands on the next
-	// cycle.
-	OnCycle func(day int, rep *core.Report)
 }
 
 // EngineOptions carries host-side wiring that is not part of the
@@ -82,18 +72,35 @@ func NewEngineOpts(spec *Spec, opts EngineOptions) (*Engine, error) {
 	}
 	e := &Engine{
 		spec:     spec,
-		opts:     opts,
-		clock:    sim.NewClock(),
-		model:    fleet.DefaultModel(512 * storage.MB),
+		runOpts:  fleet.SpecRunOptions{Tenant: opts.Tenant, Tracer: opts.Tracer},
 		patterns: buildPatterns(spec),
 		dropRNG:  sim.Child(spec.Seed, "scenario/faults/drops"),
 		failRNG:  sim.Child(spec.Seed, "scenario/faults/commit-failures"),
 		trace:    &Trace{Scenario: spec.Name, Seed: spec.Seed, Days: spec.Days},
 	}
-	e.fleet = fleet.New(spec.fleetConfig(), e.clock)
-	if err := e.setPolicy(spec.policySpec()); err != nil {
-		return nil, err
+	if f := spec.Faults; f != nil {
+		e.runOpts.WriterCommitsPerHour = f.WriterCommitsPerHour
+		if f.CommitFailureProb > 0 {
+			prob := f.CommitFailureProb
+			e.runOpts.WrapRunner = func(inner core.Runner) core.Runner {
+				return &faultRunner{engine: e, inner: inner, prob: prob}
+			}
+		}
+		if len(f.Restarts) > 0 {
+			dir, err := os.MkdirTemp("", "scenario-restart-*")
+			if err != nil {
+				return nil, fmt.Errorf("scenario: restart store: %w", err)
+			}
+			e.storage = &policy.StorageSpec{Backend: policy.StorageBackendLog, Root: dir}
+		}
 	}
+	ps := spec.policySpec()
+	lake, err := fleet.OpenLake(spec.Name, spec.fleetConfig(), e.runPolicy(ps), e.runOpts)
+	if err != nil {
+		e.removeStore()
+		return nil, fmt.Errorf("scenario: compile policy %s: %w", ps.DisplayName(), err)
+	}
+	e.lake = lake
 	return e, nil
 }
 
@@ -108,7 +115,7 @@ func Run(spec *Spec) (*Trace, error) {
 
 // Run executes the remaining days and finalizes the trace.
 func (e *Engine) Run() (*Trace, error) {
-	for e.day < e.spec.Days {
+	for e.lake.Day() < e.spec.Days {
 		if err := e.StepDay(); err != nil {
 			return nil, err
 		}
@@ -116,53 +123,27 @@ func (e *Engine) Run() (*Trace, error) {
 	return e.Finalize(), nil
 }
 
-// Day returns the last completed simulation day.
-func (e *Engine) Day() int { return e.day }
-
-// Fleet exposes the substrate (inspection; mutating it mid-run breaks
-// the trace's meaning, not its determinism).
-func (e *Engine) Fleet() *fleet.Fleet { return e.fleet }
-
-// Service exposes the current spec-compiled service.
-func (e *Engine) Service() *fleet.SpecService { return e.svc }
-
-// PolicyName returns the name of the policy the next cycle will run
-// under (staged reloads included).
-func (e *Engine) PolicyName() string {
-	if e.pending != nil {
-		return e.pendingName
-	}
-	return e.policyName
-}
-
 // ReloadPolicy stages a validated policy spec for hot reload. The swap
-// happens at the next cycle boundary — a reload staged mid-cycle (e.g.
-// from an OnCycle hook, or between StepDay calls the way autocompd
-// polls its Watcher) never affects the cycle in flight.
+// happens at the next cycle boundary — a reload staged between StepDay
+// calls (the way autocompd polls its Watcher) never affects a cycle
+// already run.
 func (e *Engine) ReloadPolicy(ps *policy.Spec) {
 	e.pending = ps
-	e.pendingName = ps.DisplayName()
 }
 
-// setPolicy compiles ps against the fleet and swaps the running service.
-func (e *Engine) setPolicy(ps *policy.Spec) error {
-	opts := fleet.SpecRunOptions{Tenant: e.opts.Tenant, Tracer: e.opts.Tracer}
-	if f := e.spec.Faults; f != nil {
-		opts.WriterCommitsPerHour = f.WriterCommitsPerHour
-		if f.CommitFailureProb > 0 {
-			prob := f.CommitFailureProb
-			opts.WrapRunner = func(inner core.Runner) core.Runner {
-				return &faultRunner{engine: e, inner: inner, prob: prob}
-			}
-		}
+// runPolicy returns a copy of ps whose storage section is the run's
+// own: a scenario never reads or writes a store its policy names.
+func (e *Engine) runPolicy(ps *policy.Spec) *policy.Spec {
+	ps = ps.Clone()
+	ps.Storage = e.storage
+	return ps
+}
+
+// removeStore deletes the run's restart store, if it has one.
+func (e *Engine) removeStore() {
+	if e.storage != nil {
+		os.RemoveAll(e.storage.Root)
 	}
-	svc, err := e.fleet.ServiceFromSpec(ps, e.model, opts)
-	if err != nil {
-		return fmt.Errorf("scenario: compile policy %s: %w", ps.DisplayName(), err)
-	}
-	e.svc = svc
-	e.policyName = ps.DisplayName()
-	return nil
 }
 
 // faultRunner fails data-compaction jobs with the configured
@@ -184,84 +165,53 @@ func (r *faultRunner) Run(c *core.Candidate) compaction.Result {
 }
 
 // StepDay simulates one day at the day's virtual timestamp, in this
-// order: the fleet's organic growth, the workload patterns, scheduled
-// table drops, a staged policy reload (cycle boundary), and the
-// observe→decide→act cycle.
+// order: a scheduled kill/restart, a staged or scheduled policy reload
+// (cycle boundary), the fleet's organic growth, the workload patterns,
+// scheduled table drops, and the observe→decide→act cycle. A failed
+// day ends the run.
 func (e *Engine) StepDay() error {
 	if e.err != nil {
 		return e.err
 	}
-	if e.day >= e.spec.Days {
+	day := e.lake.Day() + 1
+	if day > e.spec.Days {
 		return fmt.Errorf("scenario: %s has only %d days", e.spec.Name, e.spec.Days)
 	}
-	if err := e.applyRestarts(e.day + 1); err != nil {
-		e.err = err
-		return e.err
+	if e.err = e.stepDay(day); e.err != nil {
+		e.removeStore()
 	}
-	e.day++
-	day := e.day
-	e.inj = Injection{}
-	e.fleet.AdvanceDay()
-	for _, p := range e.patterns {
-		p.apply(e, day)
-	}
-	e.applyDrops(day)
-	e.stageScheduledReload(day)
-	e.runCycle(day)
 	return e.err
 }
 
-// applyDrops executes the day's scheduled table-drop faults: each drop
-// removes a randomly chosen live table mid-run.
-func (e *Engine) applyDrops(day int) {
-	if e.spec.Faults == nil {
-		return
-	}
-	for _, d := range e.spec.Faults.Drops {
-		if d.Day != day {
-			continue
-		}
-		for i := 0; i < d.Tables; i++ {
-			tables := e.fleet.Tables()
-			if len(tables) == 0 {
-				break
-			}
-			t := tables[e.dropRNG.Intn(len(tables))]
-			name := t.FullName()
-			if e.fleet.DropTable(name) {
-				e.inj.Drops = append(e.inj.Drops, name)
-			}
+// stepDay runs day; any error it returns ends the run.
+func (e *Engine) stepDay(day int) error {
+	if e.spec.restartsOn(day) {
+		if err := e.restart(); err != nil {
+			return err
 		}
 	}
-}
-
-// stageScheduledReload stages the declarative reload pinned to day.
-func (e *Engine) stageScheduledReload(day int) {
 	for _, r := range e.spec.Reloads {
 		if r.Day == day {
-			e.ReloadPolicy(r.Policy.Clone())
+			e.pending = r.Policy
 		}
 	}
-}
-
-// runCycle applies any staged reload (cycle boundary), runs one
-// observe→decide→act cycle, records its trace, and checks the run
-// invariants.
-func (e *Engine) runCycle(day int) {
-	reloaded := false
-	if e.pending != nil {
+	reloaded := e.pending != nil
+	if reloaded {
 		ps := e.pending
 		e.pending = nil
-		if err := e.setPolicy(ps); err != nil {
-			e.err = err
-			return
+		if err := e.lake.SetPolicy(e.runPolicy(ps)); err != nil {
+			return fmt.Errorf("scenario: compile policy %s: %w", ps.DisplayName(), err)
 		}
-		reloaded = true
 	}
-	cyc, err := e.svc.RunCycle()
+	e.inj = Injection{}
+	cyc, err := e.lake.Step(func(f *fleet.Fleet) {
+		for _, p := range e.patterns {
+			p.apply(f, &e.inj, day)
+		}
+		e.applyDrops(f, day)
+	})
 	if err != nil {
-		e.err = fmt.Errorf("scenario: day %d cycle: %w", day, err)
-		return
+		return fmt.Errorf("scenario: %w", err)
 	}
 	e.trace.Cycles = append(e.trace.Cycles, e.cycleTrace(reloaded, cyc))
 	// Telemetry snapshot, published after the trace record is sealed:
@@ -275,11 +225,49 @@ func (e *Engine) runCycle(day int) {
 	mScenarioDrops.Add(float64(len(e.inj.Drops)))
 	if err := e.checkInvariants(cyc); err != nil {
 		mScenarioInvariantFailures.Inc()
-		e.err = fmt.Errorf("scenario: day %d invariants: %w", day, err)
+		return fmt.Errorf("scenario: day %d invariants: %w", day, err)
+	}
+	return nil
+}
+
+// restart performs a scheduled kill/restart fault: the running lake is
+// dropped and reopened from the run's store, the way a daemon tenant
+// boots. The patterns' and injectors' streams and the trace live in the
+// engine, so they carry on across the restart.
+func (e *Engine) restart() error {
+	day := e.lake.Day()
+	lake, err := fleet.OpenLake(e.spec.Name, e.spec.fleetConfig(), e.lake.Spec(), e.runOpts)
+	if err != nil {
+		return fmt.Errorf("scenario: restart: %w", err)
+	}
+	if lake.Day() != day {
+		return fmt.Errorf("scenario: restart resumed at day %d, want %d", lake.Day(), day)
+	}
+	e.lake = lake
+	return nil
+}
+
+// applyDrops executes the day's scheduled table-drop faults: each drop
+// removes a randomly chosen live table mid-run.
+func (e *Engine) applyDrops(f *fleet.Fleet, day int) {
+	if e.spec.Faults == nil {
 		return
 	}
-	if e.OnCycle != nil {
-		e.OnCycle(day, cyc.Report)
+	for _, d := range e.spec.Faults.Drops {
+		if d.Day != day {
+			continue
+		}
+		for i := 0; i < d.Tables; i++ {
+			tables := f.Tables()
+			if len(tables) == 0 {
+				break
+			}
+			t := tables[e.dropRNG.Intn(len(tables))]
+			name := t.FullName()
+			if f.DropTable(name) {
+				e.inj.Drops = append(e.inj.Drops, name)
+			}
+		}
 	}
 }
 
@@ -309,15 +297,16 @@ func (e *Engine) cycleTrace(reloaded bool, cyc fleet.Cycle) CycleTrace {
 
 // quotaMax returns the highest tenant quota utilization in the fleet.
 func (e *Engine) quotaMax() float64 {
+	f := e.lake.Fleet()
 	var highest float64
 	seen := map[string]bool{}
-	for _, t := range e.fleet.Tables() {
+	for _, t := range f.Tables() {
 		db := t.Database()
 		if seen[db] {
 			continue
 		}
 		seen[db] = true
-		if u := e.fleet.QuotaUtilization(db); u > highest {
+		if u := f.QuotaUtilization(db); u > highest {
 			highest = u
 		}
 	}
@@ -342,8 +331,9 @@ func (e *Engine) quotaMax() float64 {
 // execution-plane checks hold vacuously there.
 func (e *Engine) checkInvariants(cyc fleet.Cycle) error {
 	var errs []error
-	live := make(map[string]int64, e.fleet.TableCount())
-	for _, t := range e.fleet.Tables() {
+	f, svc := e.lake.Fleet(), e.lake.Service()
+	live := make(map[string]int64, f.TableCount())
+	for _, t := range f.Tables() {
 		live[t.FullName()] = t.Version()
 	}
 	for _, c := range cyc.Report.Decision.Selected {
@@ -352,7 +342,7 @@ func (e *Engine) checkInvariants(cyc fleet.Cycle) error {
 		}
 	}
 	stats := cyc.Stats
-	if budget := e.svc.Compiled.Sched.ShardBudgetGBHr; budget > 0 {
+	if budget := svc.Compiled.Sched.ShardBudgetGBHr; budget > 0 {
 		var maxJob float64
 		for _, cr := range cyc.Report.Results {
 			if cr.Result.GBHr > maxJob {
@@ -369,7 +359,7 @@ func (e *Engine) checkInvariants(cyc fleet.Cycle) error {
 	if stats.MaxWorkersBusy > stats.Workers {
 		errs = append(errs, fmt.Errorf("%d jobs in flight on %d workers", stats.MaxWorkersBusy, stats.Workers))
 	}
-	if feed := e.svc.Feed; feed != nil {
+	if feed := svc.Feed; feed != nil {
 		for _, name := range feed.RetainedTables() {
 			if _, ok := live[name]; !ok {
 				errs = append(errs, fmt.Errorf("retained candidate pool references dropped table %s", name))
@@ -390,11 +380,12 @@ func (e *Engine) checkInvariants(cyc fleet.Cycle) error {
 	return errors.Join(errs...)
 }
 
-// Finalize computes the end-of-run summary and returns the trace.
-// Step-wise drivers call it once after the last StepDay; Run does it
-// for you.
+// Finalize computes the end-of-run summary, removes the run's restart
+// store and returns the trace. Step-wise drivers call it once after the
+// last StepDay; Run does it for you.
 func (e *Engine) Finalize() *Trace {
-	f := FinalTrace{Fleet: e.fleet.Summary(), QuotaMax: e.quotaMax()}
+	e.removeStore()
+	f := FinalTrace{Fleet: e.lake.Fleet().Summary(), QuotaMax: e.quotaMax()}
 	for i := range e.trace.Cycles {
 		c := &e.trace.Cycles[i]
 		f.FilesReduced += c.FilesReduced
@@ -408,7 +399,3 @@ func (e *Engine) Finalize() *Trace {
 	e.trace.Final = f
 	return e.trace
 }
-
-// Trace returns the trace accumulated so far (cycles only until
-// Finalize runs).
-func (e *Engine) Trace() *Trace { return e.trace }

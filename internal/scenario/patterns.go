@@ -9,9 +9,9 @@ import (
 
 // pattern is one compiled temporal write pattern. apply runs at most
 // once per simulated day, after the fleet's organic growth and before
-// the day's observe→decide→act cycle.
+// the day's observe→decide→act cycle, and tallies its commits in inj.
 type pattern interface {
-	apply(e *Engine, day int)
+	apply(f *fleet.Fleet, inj *Injection, day int)
 }
 
 // buildPatterns compiles the scenario's workload section. Each pattern
@@ -66,7 +66,7 @@ func withPatternDefaults(ps PatternSpec, days int) PatternSpec {
 // workload.
 type steadyPattern struct{}
 
-func (steadyPattern) apply(*Engine, int) {}
+func (steadyPattern) apply(*fleet.Fleet, *Injection, int) {}
 
 // burstPattern hits a random fraction of the fleet with a batch of
 // writer commits on recurring days — the diurnal/batch-window burst
@@ -76,17 +76,16 @@ type burstPattern struct {
 	rng  *sim.RNG
 }
 
-func (p *burstPattern) apply(e *Engine, day int) {
+func (p *burstPattern) apply(f *fleet.Fleet, inj *Injection, day int) {
 	s := p.spec
 	if day < s.FromDay || day > s.ToDay || (day-s.FromDay)%s.EveryDays != 0 {
 		return
 	}
-	tables := e.fleet.Tables()
-	for _, t := range tables {
+	for _, t := range f.Tables() {
 		if !p.rng.Bernoulli(s.TablesFraction) {
 			continue
 		}
-		e.commitStorm(t, s.Commits, s.FilesPerCommit)
+		inj.commitStorm(t, s.Commits, s.FilesPerCommit)
 	}
 }
 
@@ -97,12 +96,12 @@ type backfillPattern struct {
 	rng  *sim.RNG
 }
 
-func (p *backfillPattern) apply(e *Engine, day int) {
+func (p *backfillPattern) apply(f *fleet.Fleet, inj *Injection, day int) {
 	s := p.spec
 	if day != s.Day {
 		return
 	}
-	for _, t := range e.fleet.Tables() {
+	for _, t := range f.Tables() {
 		if s.Database != "" && t.Database() != s.Database {
 			continue
 		}
@@ -112,7 +111,7 @@ func (p *backfillPattern) apply(e *Engine, day int) {
 		if commits < 1 {
 			commits = 1
 		}
-		e.commitStorm(t, commits, s.FilesPerCommit)
+		inj.commitStorm(t, commits, s.FilesPerCommit)
 	}
 }
 
@@ -124,22 +123,22 @@ type hotSkewPattern struct {
 	spec PatternSpec
 }
 
-func (p *hotSkewPattern) apply(e *Engine, day int) {
+func (p *hotSkewPattern) apply(f *fleet.Fleet, inj *Injection, day int) {
 	s := p.spec
 	if day < s.FromDay || day > s.ToDay {
 		return
 	}
-	for _, t := range e.fleet.MostFragmented(s.Tables) {
-		e.commitStorm(t, s.Commits, s.FilesPerCommit)
+	for _, t := range f.MostFragmented(s.Tables) {
+		inj.commitStorm(t, s.Commits, s.FilesPerCommit)
 	}
 }
 
 // commitStorm lands commits writer commits of files small files each on
 // t and accounts them in the day's injection counters.
-func (e *Engine) commitStorm(t *fleet.Table, commits, files int) {
+func (inj *Injection) commitStorm(t *fleet.Table, commits, files int) {
 	for i := 0; i < commits; i++ {
 		t.WriterCommit(int64(files))
 	}
-	e.inj.Commits += int64(commits)
-	e.inj.Files += int64(commits) * int64(files)
+	inj.Commits += int64(commits)
+	inj.Files += int64(commits) * int64(files)
 }

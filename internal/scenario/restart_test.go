@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -8,11 +9,11 @@ import (
 )
 
 // restartSpec builds the compositional scenario the restart battery
-// runs: burst + backfill patterns (both own RNG streams that must be
-// re-pinned across a restart), table drops and injected commit
-// failures (the scenario-side fault streams), live writer commits
-// racing the execution plane, and a mid-run policy reload (recovery
-// must re-derive the reloaded policy, not the base one).
+// runs: burst + backfill patterns (both own RNG streams that must carry
+// on across a restart), table drops and injected commit failures (the
+// scenario-side fault streams), live writer commits racing the
+// execution plane, and a mid-run policy reload (recovery must reopen
+// the lake under the reloaded policy, not the base one).
 func restartSpec(restarts []RestartSpec) *Spec {
 	reload := policy.DefaultSpec()
 	reload.Name = "tight-topk"
@@ -41,7 +42,7 @@ func restartSpec(restarts []RestartSpec) *Spec {
 }
 
 // TestPersistScenarioRestartParity is the recovery acceptance check: a
-// run that is killed and rebuilt from its disk snapshot — twice, once
+// run whose lake is killed and reopened from its store — twice, once
 // before and once after the policy reload — emits a canonical trace
 // byte-identical to the uninterrupted run's. Restarts are invisible.
 func TestPersistScenarioRestartParity(t *testing.T) {
@@ -58,7 +59,7 @@ func TestPersistScenarioRestartParity(t *testing.T) {
 	}
 }
 
-// TestPersistScenarioRestartEveryDay stresses the snapshot/reboot path
+// TestPersistScenarioRestartEveryDay stresses the persist/reopen path
 // itself: restarting at the start of every eligible day still matches
 // the clean trace.
 func TestPersistScenarioRestartEveryDay(t *testing.T) {
@@ -121,5 +122,62 @@ func TestPersistScenarioRestartValidation(t *testing.T) {
 				t.Fatalf("Validate() = %v, want error containing %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestScenarioIgnoresPolicyStorage guards that a scenario never reads or
+// writes a store its own policy names: with the base and reload
+// policies naming a log root, two runs print the uninterrupted run's
+// trace and the root stays empty. With restarts scheduled the run
+// persists to its own temp store, which is gone when the run finishes
+// or fails.
+func TestScenarioIgnoresPolicyStorage(t *testing.T) {
+	root, tmp := t.TempDir(), t.TempDir()
+	t.Setenv("TMPDIR", tmp)
+	clean, err := Run(restartSpec(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := &policy.StorageSpec{Backend: policy.StorageBackendLog, Root: root}
+	for _, restarts := range [][]RestartSpec{nil, {{Day: 3}, {Day: 6}}} {
+		spec := restartSpec(restarts)
+		spec.Policy = policy.DefaultSpec()
+		spec.Policy.Storage = named
+		spec.Reloads[0].Policy.Storage = named
+		for run := 1; run <= 2; run++ {
+			tr, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if diff := DiffTraces(clean.Marshal(), tr.Marshal()); diff != nil {
+				t.Fatalf("restarts %v, run %d diverged:\n%s", restarts, run, joinLines(diff))
+			}
+			expectEmptyDir(t, root)
+			expectEmptyDir(t, tmp)
+		}
+	}
+
+	eng, err := NewEngine(restartSpec([]RestartSpec{{Day: 3}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.StepDay(); err != nil {
+		t.Fatal(err)
+	}
+	eng.ReloadPolicy(&policy.Spec{Name: "bad", Generators: []policy.Component{{Name: "no-such-generator"}}})
+	if err := eng.StepDay(); err == nil {
+		t.Fatal("a reload that cannot compile did not fail the day")
+	}
+	expectEmptyDir(t, tmp)
+}
+
+func expectEmptyDir(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("%s holds %d entries (first %s), want none", dir, len(entries), entries[0].Name())
 	}
 }

@@ -129,10 +129,10 @@ type DropSpec struct {
 }
 
 // RestartSpec schedules a kill/restart fault: at the start of Day,
-// before any of the day's work, the engine snapshots its state to disk,
-// tears the whole runtime down (clock, fleet, patterns, service),
-// and rebuilds it from the serialized snapshot — the cold-start recovery
-// a durable deployment performs. A restart is invisible in the canonical
+// before any of the day's work, the engine drops its fleet.Lake and
+// reopens it from the run's own store — the cold-start recovery a
+// durable daemon tenant performs. The scenario's random streams and its
+// trace carry on in memory. A restart is invisible in the canonical
 // trace: the post-recovery cycles must be byte-identical to the
 // uninterrupted run's (golden-locked).
 type RestartSpec struct {
@@ -363,7 +363,7 @@ func (s *Spec) Validate() error {
 			}
 		}
 	}
-	env := policyEnvForValidation()
+	env := fleet.ValidationEnv()
 	if s.Policy != nil {
 		if err := policy.Validate(s.Policy, env); err != nil {
 			errs = append(errs, fmt.Errorf("scenario: policy: %w", err))
@@ -388,18 +388,6 @@ func (s *Spec) Validate() error {
 	return errors.Join(errs...)
 }
 
-// policyEnvForValidation validates embedded policy specs against the
-// fleet's modeling defaults (the same constants NewEngine compiles
-// against, minus the live clock).
-func policyEnvForValidation() policy.Env {
-	model := fleet.DefaultModel(512 * 1024 * 1024)
-	return policy.Env{
-		TargetFileSize:      model.TargetFileSize,
-		ExecutorMemoryGB:    model.ExecutorMemoryGB,
-		RewriteBytesPerHour: model.RewriteBytesPerHour,
-	}
-}
-
 // fleetConfig maps the fleet topology onto the substrate's config.
 func (s *Spec) fleetConfig() fleet.Config {
 	return fleet.Config{
@@ -415,10 +403,23 @@ func (s *Spec) fleetConfig() fleet.Config {
 }
 
 // policySpec returns the scenario's base policy (DefaultSpec when
-// unset), cloned so engine runs never mutate the loaded scenario.
+// unset).
 func (s *Spec) policySpec() *policy.Spec {
 	if s.Policy != nil {
-		return s.Policy.Clone()
+		return s.Policy
 	}
 	return policy.DefaultSpec()
+}
+
+// restartsOn reports whether a kill/restart fault is scheduled for the
+// start of day.
+func (s *Spec) restartsOn(day int) bool {
+	if s.Faults != nil {
+		for _, r := range s.Faults.Restarts {
+			if r.Day == day {
+				return true
+			}
+		}
+	}
+	return false
 }

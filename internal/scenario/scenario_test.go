@@ -7,7 +7,7 @@ import (
 	"strings"
 	"testing"
 
-	"autocomp/internal/core"
+	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/telemetry"
 )
@@ -106,7 +106,7 @@ func TestWatcherHotReloadSwitchesAtCycleBoundary(t *testing.T) {
 	base := policy.DefaultSpec()
 	writeSpec(base)
 
-	w, loaded, err := policy.NewWatcher(path, policyEnvForValidation())
+	w, loaded, err := policy.NewWatcher(path, fleet.ValidationEnv())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,9 +158,8 @@ func TestWatcherHotReloadSwitchesAtCycleBoundary(t *testing.T) {
 	}
 }
 
-// TestReloadStagedMidCycleAppliesNextCycle stages a reload from inside
-// cycle processing (the OnCycle hook runs while the day's cycle event is
-// still executing): the in-flight cycle must complete under the old
+// TestReloadStagedMidCycleAppliesNextCycle stages a reload between
+// StepDay calls, after day 2's cycle has run: that cycle keeps the old
 // policy and the very next cycle runs the new one.
 func TestReloadStagedMidCycleAppliesNextCycle(t *testing.T) {
 	spec := minimalSpec("mid-cycle-reload")
@@ -171,15 +170,15 @@ func TestReloadStagedMidCycleAppliesNextCycle(t *testing.T) {
 	tight := policy.DefaultSpec()
 	tight.Name = "tight"
 	tight.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(1)}}
-	eng.OnCycle = func(day int, _ *core.Report) {
+	for day := 1; day <= spec.Days; day++ {
+		if err := eng.StepDay(); err != nil {
+			t.Fatal(err)
+		}
 		if day == 2 {
 			eng.ReloadPolicy(tight)
 		}
 	}
-	tr, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := eng.Finalize()
 	wantPolicy := map[int]string{1: "default", 2: "default", 3: "tight", 4: "tight"}
 	for _, c := range tr.Cycles {
 		if c.Policy != wantPolicy[c.Day] {

@@ -13,11 +13,12 @@ import (
 // execution.decide_shards: 4 must produce traces byte-identical to the
 // committed goldens their serial runs wrote. The subset covers the
 // default execution plane (steady-state), a mid-run policy reload
-// (policy-reload), and the incremental observation plane with table
-// drops (table-drops-incremental), whose retained candidate pool is
-// partitioned per decide shard.
+// (policy-reload), the incremental observation plane with table drops
+// (table-drops-incremental), whose retained candidate pool is
+// partitioned per decide shard, and a reload from full scan into that
+// plane on a burst-and-drop day (reload-incremental).
 func TestScenarioGoldenTracesShardedDecide(t *testing.T) {
-	for _, name := range []string{"steady-state", "policy-reload", "table-drops-incremental"} {
+	for _, name := range []string{"steady-state", "policy-reload", "table-drops-incremental", "reload-incremental"} {
 		t.Run(name, func(t *testing.T) {
 			s, err := LoadFile(filepath.Join(scenariosDir(), name+".json"))
 			if err != nil {

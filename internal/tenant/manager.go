@@ -32,7 +32,8 @@ func NewManager() *Manager {
 }
 
 // Add registers a tenant under its name (created state; call Start to
-// run it). Names are unique per manager.
+// run it) and publishes it in the tenant gauges. Names are unique per
+// manager; a rejected name leaves the gauges untouched.
 func (m *Manager) Add(t *Tenant) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -45,6 +46,8 @@ func (m *Manager) Add(t *Tenant) error {
 	}
 	m.tenants[name] = t
 	m.order = append(m.order, name)
+	mTenants.Add(1)
+	mTenantState.With(name).Set(float64(t.State()))
 	return nil
 }
 
@@ -115,7 +118,7 @@ func (m *Manager) runLoop(t *Tenant) {
 		for t.state == StatePaused && !t.stopRq && !m.isClosing() {
 			t.cond.Wait()
 		}
-		if t.stopRq || m.isClosing() || t.day >= t.cfg.Days {
+		if t.stopRq || m.isClosing() || t.lake.Day() >= t.cfg.Days {
 			t.setStateLocked(StateStopped)
 			t.mu.Unlock()
 			return

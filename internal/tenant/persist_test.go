@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 )
 
@@ -67,7 +68,7 @@ func TestPersistTenantRestartParity(t *testing.T) {
 	}
 	stepDays(t, second, cfg.Days-6)
 
-	want, got := clean.fleet.Snapshot(), second.fleet.Snapshot()
+	want, got := clean.lake.Fleet().Snapshot(), second.lake.Fleet().Snapshot()
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("restored tenant's fleet diverged from the uninterrupted run\nwant RNG %+v day %d\ngot  RNG %+v day %d",
 			want.RNG, want.Day, got.RNG, got.Day)
@@ -147,7 +148,11 @@ func TestPersistTenantStateFileShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st diskState
+	var st struct {
+		Name  string       `json:"name"`
+		Day   int          `json:"day"`
+		Fleet *fleet.State `json:"fleet"`
+	}
 	if err := json.Unmarshal(b, &st); err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ const (
 
 // Run is one scenario execution submitted to a tenant over the
 // management API. The engine runs on its own goroutine with its own
-// fleet, clock, and RNG streams (scenario engines never touch the
+// fleet.Lake and RNG streams (scenario engines never touch the
 // tenant's live lake), emitting per-cycle CycleEvents on a private
 // tracer that the API streams as JSONL and, on completion, producing
 // the canonical trace bytes golden files are compared against.

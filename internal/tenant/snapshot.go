@@ -46,30 +46,31 @@ type Snapshot struct {
 func (t *Tenant) Status() Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	svc := t.lake.Service()
 	s := Snapshot{
 		Name:        t.cfg.Name,
 		State:       t.state,
 		Seed:        t.cfg.Seed,
-		Day:         t.day,
+		Day:         t.lake.Day(),
 		DaysPlanned: t.cfg.Days,
 		Cycles:      t.tracer.Seq(),
-		Policy:      t.spec.DisplayName(),
+		Policy:      t.lake.Spec().DisplayName(),
 		Provenance:  t.provenance,
 		PolicyError: t.policyErr,
-		Fleet:       t.fleet.Summary(),
+		Fleet:       t.lake.Fleet().Summary(),
 		Runs:        len(t.runs),
 	}
 	if t.err != nil {
 		s.Error = t.err.Error()
 	}
-	if t.svc.Feed != nil {
-		n := t.svc.Feed.Tracker.DirtyCount()
+	if svc.Feed != nil {
+		n := svc.Feed.Tracker.DirtyCount()
 		s.DirtySet = &n
 	}
-	if t.svc.Sched != nil && t.svc.Compiled.HasExecution {
+	if svc.Sched != nil && svc.Compiled.HasExecution {
 		s.Sched = &SchedStats{
-			Workers: t.svc.Compiled.Sched.Workers,
-			Shards:  t.svc.Compiled.Sched.Shards,
+			Workers: svc.Compiled.Sched.Workers,
+			Shards:  svc.Compiled.Sched.Shards,
 		}
 	}
 	if ev, ok := t.tracer.Last(); ok {

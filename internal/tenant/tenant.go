@@ -28,10 +28,7 @@ import (
 
 	"autocomp/internal/core"
 	"autocomp/internal/fleet"
-	"autocomp/internal/lstlog"
 	"autocomp/internal/policy"
-	"autocomp/internal/sim"
-	"autocomp/internal/storage"
 	"autocomp/internal/telemetry"
 )
 
@@ -187,31 +184,23 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// Tenant is one lake hosted by the daemon: fleet substrate, compiled
-// pipeline, policy source, lifecycle state, and scenario runs. All
-// exported methods are safe for concurrent use; cycle execution is
-// serialized under the tenant's lock, so a policy push or a status read
-// never observes a half-run cycle.
+// Tenant is one lake hosted by the daemon: a fleet.Lake (fleet
+// substrate, compiled pipeline, durable store), its policy source,
+// lifecycle state, and scenario runs. All exported methods are safe for
+// concurrent use; cycle execution is serialized under the tenant's
+// lock, so a policy push or a status read never observes a half-run
+// cycle.
 type Tenant struct {
-	cfg   Config
-	model fleet.CompactionModel
+	cfg Config
 
 	mu     sync.Mutex
 	cond   *sync.Cond
 	state  State
 	stopRq bool
-	day    int
 	err    error
 
-	fleet *fleet.Fleet
-	svc   *fleet.SpecService
-	// store is the tenant's durable backend, nil under the in-memory
-	// backend. Resolved from the compiled policy's storage section at
-	// every swap; when set, each completed cycle persists the lake and
-	// New restores it.
-	store      *lstlog.Store
+	lake       *fleet.Lake
 	lastRep    *core.Report
-	spec       *policy.Spec
 	provenance string
 	pending    *policy.Spec // staged policy push, swapped at the next boundary
 	pendingPv  string
@@ -226,9 +215,10 @@ type Tenant struct {
 	done chan struct{}
 }
 
-// New builds a tenant at day 0: its fleet from the config's seed and
-// topology, its pipeline from spec (cloned; nil means
-// policy.DefaultSpec), with the config's budget override applied.
+// New builds a tenant: its lake at day 0 from the config's seed and
+// topology (or restored from the durable store its policy names), its
+// pipeline from spec (cloned; nil means policy.DefaultSpec), with the
+// config's budget override applied.
 func New(cfg Config, spec *policy.Spec, opts Options) (*Tenant, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -245,45 +235,30 @@ func New(cfg Config, spec *policy.Spec, opts Options) (*Tenant, error) {
 		}
 	}
 	t := &Tenant{
-		cfg:    cfg,
-		model:  fleet.DefaultModel(512 * storage.MB),
-		tracer: opts.Tracer,
-		opts:   opts,
-		done:   make(chan struct{}),
+		cfg:        cfg,
+		tracer:     opts.Tracer,
+		opts:       opts,
+		provenance: opts.Provenance,
+		done:       make(chan struct{}),
 	}
 	t.cond = sync.NewCond(&t.mu)
 	if t.tracer == nil {
 		t.tracer = telemetry.NewTracer(telemetry.DefaultTraceDepth)
 	}
-	t.fleet = fleet.New(cfg.fleetConfig(), sim.NewClock())
-	t.provenance = opts.Provenance
 	if t.provenance == "" {
 		t.provenance = "config"
 	}
-	if err := t.setPolicyLocked(spec, t.provenance); err != nil {
-		return nil, err
+	// When the policy names a durable backend holding this tenant's
+	// state, the lake opens restored from it (cold-start recovery).
+	lake, err := fleet.OpenLake(cfg.Name, cfg.fleetConfig(), spec, fleet.SpecRunOptions{
+		WriterCommitsPerHour: cfg.WriterCommitsPerHour,
+		Tenant:               cfg.Name,
+		Tracer:               t.tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("tenant %s: %w", cfg.Name, err)
 	}
-	// Cold-start recovery: when the policy names a durable backend and
-	// the store holds this tenant's state, rebuild the lake from it (and
-	// recompile the pipeline against the restored substrate) instead of
-	// simulating a fresh one. Compilation consumes no RNG draws, so the
-	// restored tenant's next cycle is byte-identical to the cycle an
-	// uninterrupted tenant would have run.
-	if t.store != nil {
-		restored, day, err := t.loadPersisted()
-		if err != nil {
-			return nil, err
-		}
-		if restored != nil {
-			t.fleet = restored
-			t.day = day
-			if err := t.setPolicyLocked(spec, t.provenance); err != nil {
-				return nil, err
-			}
-		}
-	}
-	mTenants.Add(1)
-	mTenantState.With(cfg.Name).Set(float64(StateCreated))
+	t.lake = lake
 	return t, nil
 }
 
@@ -302,7 +277,7 @@ func (t *Tenant) Tracer() *telemetry.Tracer { return t.tracer }
 func (t *Tenant) Service() *fleet.SpecService {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.svc
+	return t.lake.Service()
 }
 
 // Done is closed when the tenant reaches a terminal state under a
@@ -320,7 +295,7 @@ func (t *Tenant) State() State {
 func (t *Tenant) Day() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.day
+	return t.lake.Day()
 }
 
 // Err returns the error that stopped the tenant, if any.
@@ -339,34 +314,6 @@ func (t *Tenant) LastReport() *core.Report {
 	return t.lastRep
 }
 
-// policyEnv is the validation environment for this tenant's pushes and
-// reloads: the cost-model constants without the live clock, so
-// validation is safe while a cycle holds the tenant lock.
-func (t *Tenant) policyEnv() policy.Env {
-	return policy.Env{
-		TargetFileSize:      t.model.TargetFileSize,
-		ExecutorMemoryGB:    t.model.ExecutorMemoryGB,
-		RewriteBytesPerHour: t.model.RewriteBytesPerHour,
-	}
-}
-
-// setPolicyLocked compiles sp against the fleet and swaps the running
-// pipeline. Callers hold t.mu (or own the tenant exclusively).
-func (t *Tenant) setPolicyLocked(sp *policy.Spec, provenance string) error {
-	svc, err := t.fleet.ServiceFromSpec(sp, t.model, fleet.SpecRunOptions{
-		WriterCommitsPerHour: t.cfg.WriterCommitsPerHour,
-		Tenant:               t.cfg.Name,
-		Tracer:               t.tracer,
-	})
-	if err != nil {
-		return err
-	}
-	t.svc = svc
-	t.spec = sp
-	t.provenance = provenance
-	return t.resolveStoreLocked()
-}
-
 // PushPolicy validates sp and stages it for an atomic swap at the next
 // cycle boundary — the over-the-wire twin of the file watcher's hot
 // reload. It returns the field-wise diff against the currently staged
@@ -377,13 +324,13 @@ func (t *Tenant) PushPolicy(sp *policy.Spec) ([]string, error) {
 		return nil, errors.New("tenant: nil policy spec")
 	}
 	sp = sp.Clone()
-	if err := policy.Validate(sp, t.policyEnv()); err != nil {
+	if err := policy.Validate(sp, fleet.ValidationEnv()); err != nil {
 		mTenantPolicyPushes.With(t.cfg.Name, "rejected").Inc()
 		return nil, err
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	base := t.spec
+	base := t.lake.Spec()
 	if t.pending != nil {
 		base = t.pending
 	}
@@ -399,7 +346,7 @@ func (t *Tenant) PushPolicy(sp *policy.Spec) ([]string, error) {
 func (t *Tenant) PolicyInfo() (spec *policy.Spec, name, provenance string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	sp, pv := t.spec, t.provenance
+	sp, pv := t.lake.Spec(), t.provenance
 	if t.pending != nil {
 		sp, pv = t.pending, t.pendingPv+" (staged)"
 	}
@@ -420,28 +367,24 @@ func (t *Tenant) StepCycle() error {
 	if t.pending != nil {
 		sp, pv := t.pending, t.pendingPv
 		t.pending, t.pendingPv = nil, ""
-		if err := t.setPolicyLocked(sp, pv); err != nil {
+		if err := t.lake.SetPolicy(sp); err != nil {
 			// Validation passed but compilation against the live fleet did
 			// not: report once, keep the running policy.
-			t.reportPolicyErr("policy: swap rejected: %v (keeping %s)", err, t.spec.DisplayName())
+			t.reportPolicyErr("policy: swap rejected: %v (keeping %s)", err, t.lake.Spec().DisplayName())
 			mTenantPolicyPushes.With(t.cfg.Name, "swap-failed").Inc()
 		} else {
+			t.provenance = pv
 			t.policyErr = ""
 			t.logf("policy: %s now running %s (%s)", t.cfg.Name, sp.DisplayName(), pv)
 		}
 	}
-	t.fleet.AdvanceDay()
-	cyc, err := t.svc.RunCycle()
+	cyc, err := t.lake.Step(nil)
 	if err != nil {
-		return fmt.Errorf("tenant %s: day %d cycle: %w", t.cfg.Name, t.day+1, err)
+		return fmt.Errorf("tenant %s: %w", t.cfg.Name, err)
 	}
-	t.day++
 	t.lastRep = cyc.Report
-	if err := t.persistLocked(); err != nil {
-		return err
-	}
 	mTenantCycles.With(t.cfg.Name).Inc()
-	mTenantDay.With(t.cfg.Name).Set(float64(t.day))
+	mTenantDay.With(t.cfg.Name).Set(float64(t.lake.Day()))
 	mTenantFilesReduced.With(t.cfg.Name).Add(float64(cyc.Report.FilesReduced))
 	mTenantGBHrSpent.With(t.cfg.Name).Add(cyc.Report.ActualGBHr)
 	if t.opts.OnCycle != nil {
@@ -459,7 +402,7 @@ func (t *Tenant) pollPolicyLocked() {
 	sp, changed, err := t.opts.PollPolicy()
 	switch {
 	case err != nil:
-		t.reportPolicyErr("policy: reload rejected: %v (keeping %s)", err, t.spec.DisplayName())
+		t.reportPolicyErr("policy: reload rejected: %v (keeping %s)", err, t.lake.Spec().DisplayName())
 	case changed:
 		t.pending = sp
 		t.pendingPv = "file"

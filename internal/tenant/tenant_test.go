@@ -279,6 +279,37 @@ func TestManagerDuplicateName(t *testing.T) {
 	}
 }
 
+// TestDuplicateCreateKeepsGauges pins the tenant gauges to registered
+// tenants: a create rejected for its taken name neither counts in
+// autocomp_tenants nor resets the running tenant's state gauge.
+func TestDuplicateCreateKeepsGauges(t *testing.T) {
+	mgr := NewManager()
+	tn, err := mgr.Create(Config{Name: "gauged", Days: 1000, InitialTables: 5}, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Start(tn); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		tn.Stop()
+		<-tn.Done()
+	}()
+	if err := tn.Pause(); err != nil {
+		t.Fatal(err)
+	}
+	registered := mTenants.Value()
+	if _, err := mgr.Create(Config{Name: "gauged", InitialTables: 5}, nil, Options{}); err == nil {
+		t.Fatal("duplicate tenant name accepted")
+	}
+	if got := mTenants.Value(); got != registered {
+		t.Fatalf("autocomp_tenants = %v after a rejected create, want %v", got, registered)
+	}
+	if got := mTenantState.With("gauged").Value(); got != float64(StatePaused) {
+		t.Fatalf("autocomp_tenant_state{gauged} = %v after a rejected create, want %v (paused)", got, float64(StatePaused))
+	}
+}
+
 // TestConfigValidation exercises Config.normalize.
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{}, nil, Options{}); err == nil {

@@ -2,8 +2,9 @@
 # Management-plane smoke test: boot autocompd as a serving daemon on an
 # ephemeral port, then drive the HTTP control API end to end — create a
 # second tenant next to the flag-built default, push a policy diff over
-# the wire, submit a shipped scenario through the runs API and poll it
-# to completion (asserting the trace matches the committed golden), and
+# the wire, submit shipped scenarios (steady-state, and kill-restart,
+# which restarts its lake mid-run) through the runs API and poll them to
+# completion (asserting each trace matches its committed golden), and
 # finish with a graceful SIGTERM drain.
 #
 # Run from the repository root: ./scripts/smoke_mgmt.sh
@@ -62,28 +63,36 @@ grep -q "no-such-generator" "$workdir/badpush.json" \
   || { echo "smoke-mgmt: 422 body does not carry the compile error"; cat "$workdir/badpush.json"; exit 1; }
 echo "smoke-mgmt: invalid policy rejected with compile errors"
 
-# Submit a shipped scenario through the runs API and poll to done.
-code=$(curl -sS -o "$workdir/run.json" -w '%{http_code}' -X POST "http://$addr/api/tenants/t2/runs" \
-  -d '{"scenario":"steady-state"}')
-[ "$code" = "202" ] || { echo "smoke-mgmt: run submit returned $code"; cat "$workdir/run.json"; exit 1; }
-run_id=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/run.json" | head -1)
-[ -n "$run_id" ] || { echo "smoke-mgmt: run submit returned no id"; cat "$workdir/run.json"; exit 1; }
+# Submit a shipped scenario through the runs API, poll it to done, and
+# require its trace to match the committed golden byte-for-byte.
+run_scenario() {
+  name=$1
+  code=$(curl -sS -o "$workdir/run.json" -w '%{http_code}' -X POST "http://$addr/api/tenants/t2/runs" \
+    -d "{\"scenario\":\"$name\"}")
+  [ "$code" = "202" ] || { echo "smoke-mgmt: $name run submit returned $code"; cat "$workdir/run.json"; exit 1; }
+  run_id=$(sed -n 's/.*"id": "\([^"]*\)".*/\1/p' "$workdir/run.json" | head -1)
+  [ -n "$run_id" ] || { echo "smoke-mgmt: $name run submit returned no id"; cat "$workdir/run.json"; exit 1; }
 
-status=""
-for _ in $(seq 1 300); do
-  status=$(curl -fsS "http://$addr/api/tenants/t2/runs/$run_id" | sed -n 's/.*"status": "\([^"]*\)".*/\1/p')
-  [ "$status" = "done" ] && break
-  [ "$status" = "failed" ] && { echo "smoke-mgmt: run failed"; curl -fsS "http://$addr/api/tenants/t2/runs/$run_id"; exit 1; }
-  sleep 0.2
-done
-[ "$status" = "done" ] || { echo "smoke-mgmt: run never completed (status=$status)"; exit 1; }
-echo "smoke-mgmt: API-submitted run $run_id completed"
+  status=""
+  for _ in $(seq 1 300); do
+    status=$(curl -fsS "http://$addr/api/tenants/t2/runs/$run_id" | sed -n 's/.*"status": "\([^"]*\)".*/\1/p')
+    [ "$status" = "done" ] && break
+    [ "$status" = "failed" ] && { echo "smoke-mgmt: $name run failed"; curl -fsS "http://$addr/api/tenants/t2/runs/$run_id"; exit 1; }
+    sleep 0.2
+  done
+  [ "$status" = "done" ] || { echo "smoke-mgmt: $name run never completed (status=$status)"; exit 1; }
+  echo "smoke-mgmt: API-submitted $name run $run_id completed"
 
-# The run's trace is byte-identical to the committed golden.
-curl -fsS "http://$addr/api/tenants/t2/runs/$run_id/trace" >"$workdir/trace.out"
-cmp -s "$workdir/trace.out" examples/scenarios/golden/steady-state.trace \
-  || { echo "smoke-mgmt: API run trace differs from committed golden"; exit 1; }
-echo "smoke-mgmt: run trace matches committed golden byte-for-byte"
+  curl -fsS "http://$addr/api/tenants/t2/runs/$run_id/trace" >"$workdir/trace.out"
+  cmp -s "$workdir/trace.out" "examples/scenarios/golden/$name.trace" \
+    || { echo "smoke-mgmt: $name API run trace differs from committed golden"; exit 1; }
+  echo "smoke-mgmt: $name run trace matches committed golden byte-for-byte"
+}
+
+run_scenario steady-state
+# kill-restart reopens its lake from the run's temp store twice, inside
+# the daemon: the restart must stay invisible in the trace.
+run_scenario kill-restart
 
 # Graceful shutdown: SIGTERM drains tenants and exits cleanly.
 kill -TERM "$pid"
