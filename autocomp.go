@@ -79,7 +79,8 @@ type (
 var (
 	// NewService validates and builds a Service from a full Config.
 	NewService = core.NewService
-	// QuotaAdaptiveWeights is the production weighting w1=0.5(1+u).
+	// QuotaAdaptiveWeights is the production weighting w1=0.5(1+u); its
+	// function appends (w1, w2) to the buffer MOOPRanker passes in.
 	QuotaAdaptiveWeights = core.QuotaAdaptiveWeights
 )
 

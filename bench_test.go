@@ -368,13 +368,18 @@ func BenchmarkBinPack(b *testing.B) {
 // weights at fleet scale: 2k, 20k and 100k data-compaction candidates
 // with spread scores, and a tie-heavy 20k pool whose scores take three
 // values and whose candidates carry maintenance actions, so most
-// comparisons fall through to the candidate IDs.
+// comparisons fall through to the candidate IDs. The pools are oriented
+// by core.Orient from their stats, as the decide phase orients them.
 func BenchmarkMOOPRanking(b *testing.B) {
-	cost := core.TraitFunc{TraitName: "compute_cost_gbhr", Dir: core.Cost}
+	cost := core.ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: float64(3 * storage.TB)}
 	ranker := core.MOOPRanker{Objectives: []core.Objective{
 		{Trait: core.FileCountReduction{}, Weight: 0.7},
 		{Trait: cost, Weight: 0.3},
 	}}
+	set, err := core.NewTraitSet([]core.Trait{core.FileCountReduction{}, cost})
+	if err != nil {
+		b.Fatal(err)
+	}
 	actions := []core.ActionType{
 		core.ActionSnapshotExpiry, core.ActionMetadataCheckpoint, core.ActionManifestRewrite,
 	}
@@ -384,20 +389,19 @@ func BenchmarkMOOPRanking(b *testing.B) {
 		for i := range cands {
 			c := &core.Candidate{
 				Table: benchTable{name: fmt.Sprintf("db.t%06d", i)},
-				Traits: map[string]float64{
-					"file_count_reduction": float64(rng.Intn(10000)),
-					"compute_cost_gbhr":    rng.Float64() * 100,
-				},
+				Stats: core.Stats{SmallFiles: rng.Intn(10000), SmallBytes: rng.Int63n(5 * storage.TB)},
 			}
 			if ties {
-				// A constant cost normalizes to 0, so the score is
-				// 0.7 × one of three normalized reductions.
-				c.Traits["file_count_reduction"] = float64(rng.Intn(3))
-				c.Traits["compute_cost_gbhr"] = 1
+				// Maintenance actions cost their metadata bytes; a
+				// constant cost normalizes to 0, so the score is 0.7 ×
+				// one of three normalized reductions.
+				c.Stats.SmallFiles = rng.Intn(3)
+				c.Stats.MetadataBytes = storage.GB
 				c.Action = actions[rng.Intn(len(actions))]
 			}
 			cands[i] = c
 		}
+		core.Orient(cands, set)
 		return cands
 	}
 	for _, row := range []struct {
@@ -418,6 +422,37 @@ func BenchmarkMOOPRanking(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOrient orients a 100k-candidate pool with the unified
+// maintenance trait list (ΔF, ΔM, GBHr). Orient cuts every vector from
+// one slab, so allocs/op must read 1 at any pool size.
+func BenchmarkOrient(b *testing.B) {
+	set, err := core.NewTraitSet([]core.Trait{
+		core.FileCountReduction{}, core.MetadataReduction{},
+		core.ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: float64(3 * storage.TB)},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := sim.NewRNG(benchSeed)
+	cands := make([]*core.Candidate, 100_000)
+	for i := range cands {
+		cands[i] = &core.Candidate{
+			Table: benchTable{name: fmt.Sprintf("db.t%06d", i)},
+			Stats: core.Stats{
+				SmallFiles:        rng.Intn(10000),
+				SmallBytes:        rng.Int63n(5 * storage.TB),
+				MetadataReducible: rng.Intn(100),
+			},
+		}
+	}
+	b.Run("n=100k", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			core.Orient(cands, set)
+		}
+	})
 }
 
 // benchTable is a minimal core.Table for ranking benchmarks.

@@ -137,5 +137,5 @@ func top(d *core.Decision) string {
 		return "(none)"
 	}
 	c := d.Ranked[0]
-	return fmt.Sprintf("%s (ΔF %.0f)", c.ID(), c.Trait(core.FileCountReduction{}.Name()))
+	return fmt.Sprintf("%s (ΔF %.0f)", c.ID(), c.Trait(core.SlotFileCountReduction))
 }

@@ -84,10 +84,8 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 		for i := range cands {
 			t := i / perTable
 			cands[i] = &core.Candidate{
-				Table: benchTable{name: fmt.Sprintf("db%d.t%06d", t%32, t)},
-				Traits: map[string]float64{
-					core.ComputeCost{}.Name(): float64(1 + i%7),
-				},
+				Table:  benchTable{name: fmt.Sprintf("db%d.t%06d", t%32, t)},
+				Traits: []float64{core.SlotComputeCost: float64(1 + i%7)},
 			}
 		}
 		return cands

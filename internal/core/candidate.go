@@ -141,8 +141,11 @@ type Candidate struct {
 	// or after this virtual time belong to the work unit.
 	FreshSince time.Duration
 
-	Stats  Stats
-	Traits map[string]float64
+	Stats Stats
+	// TraitSet numbers Traits' slots; Orient sets both.
+	TraitSet *TraitSet
+	// Traits holds the orient phase's values, indexed by TraitSet slot.
+	Traits []float64
 	Score  float64
 }
 
@@ -181,8 +184,14 @@ func (c *Candidate) Files() []lst.DataFile {
 	}
 }
 
-// Trait returns a computed trait value (0 when absent).
-func (c *Candidate) Trait(name string) float64 { return c.Traits[name] }
+// Trait returns the value in a trait slot: 0 when the vector does not
+// reach it, as for Slot's -1 or a candidate not yet oriented.
+func (c *Candidate) Trait(slot int) float64 {
+	if uint(slot) < uint(len(c.Traits)) {
+		return c.Traits[slot]
+	}
+	return 0
+}
 
 // Generator produces candidates from tables (the entry of the observe
 // phase). Implementations must be deterministic and table-local:

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -264,12 +265,12 @@ func TestNotIntermediateFilter(t *testing.T) {
 }
 
 func TestMaxTraitValueFilter(t *testing.T) {
-	c := &Candidate{Traits: map[string]float64{"compute_cost_gbhr": 100}}
-	f := MaxTraitValue{TraitName: "compute_cost_gbhr", Max: 50}
+	c := &Candidate{Traits: []float64{SlotComputeCost: 100}}
+	f := MaxTraitValue{TraitName: "compute_cost_gbhr", Slot: SlotComputeCost, Max: 50}
 	if f.Keep(c) {
 		t.Fatal("over-budget candidate kept")
 	}
-	c.Traits["compute_cost_gbhr"] = 10
+	c.Traits[SlotComputeCost] = 10
 	if !f.Keep(c) {
 		t.Fatal("cheap candidate dropped")
 	}
@@ -342,14 +343,89 @@ func TestTraitFunc(t *testing.T) {
 
 func TestOrientComputesAllTraits(t *testing.T) {
 	c := &Candidate{Stats: Stats{SmallFiles: 3, SmallBytes: 30 * mb, FileCount: 4}}
-	Orient([]*Candidate{c}, []Trait{
-		FileCountReduction{},
+	set, err := NewTraitSet([]Trait{
+		RelativeFileCountReduction{},
 		ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: float64(storage.GB)},
+		FileCountReduction{},
 	})
-	if c.Trait("file_count_reduction") != 3 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	Orient([]*Candidate{c}, set)
+	if c.TraitSet != set || len(c.Traits) != 4 {
+		t.Fatalf("set %p, traits = %v", c.TraitSet, c.Traits)
+	}
+	if c.Trait(SlotFileCountReduction) != 3 {
 		t.Fatalf("traits = %v", c.Traits)
 	}
-	if c.Trait("compute_cost_gbhr") == 0 {
+	if c.Trait(SlotComputeCost) == 0 {
 		t.Fatal("cost trait missing")
+	}
+	if c.Trait(SlotMetadataReduction) != 0 {
+		t.Fatalf("uncomputed metadata slot = %v", c.Trait(SlotMetadataReduction))
+	}
+	if got := c.Trait(set.Slot("relative_file_count_reduction")); got != 0.75 {
+		t.Fatalf("relative ΔF = %v", got)
+	}
+	if c.Trait(set.Slot("file_entropy")) != 0 {
+		t.Fatal("a trait outside the set must read 0")
+	}
+}
+
+// TestTraitSetNumbering pins slot numbering: the three fixed slots
+// first whether or not the list computes them, then the list's other
+// traits in list order, and a repeated name rejected.
+func TestTraitSetNumbering(t *testing.T) {
+	set, err := NewTraitSet([]Trait{FileEntropy{}, ComputeCost{}, QuotaPressure{}, FileCountReduction{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"file_count_reduction", "metadata_reduction", "compute_cost_gbhr", "file_entropy", "quota_pressure"}
+	if set.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", set.Len(), len(want))
+	}
+	for slot, name := range want {
+		if got := set.Slot(name); got != slot {
+			t.Fatalf("Slot(%s) = %d, want %d", name, got, slot)
+		}
+	}
+	if set.Computes("metadata_reduction") || !set.Computes("compute_cost_gbhr") || !set.Computes("file_entropy") {
+		t.Fatal("Computes must list exactly the traits given")
+	}
+	if set.Slot("delta_file_debt") != -1 || (*TraitSet)(nil).Slot("file_count_reduction") != -1 {
+		t.Fatal("a missing trait must have slot -1")
+	}
+	for _, dup := range [][]Trait{
+		{FileCountReduction{}, FileCountReduction{}},
+		{FileEntropy{}, ComputeCost{}, FileEntropy{TargetFileSize: 1}},
+	} {
+		if _, err := NewTraitSet(dup); err == nil || !strings.Contains(err.Error(), dup[0].Name()) {
+			t.Fatalf("duplicate %s: err = %v", dup[0].Name(), err)
+		}
+	}
+}
+
+// TestOrientAllocsFlat guards Orient's one slab per call: the
+// allocations it makes do not grow with the pool.
+func TestOrientAllocsFlat(t *testing.T) {
+	set, err := NewTraitSet([]Trait{
+		FileCountReduction{}, MetadataReduction{},
+		ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: 1e12}, FileEntropy{TargetFileSize: target},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := func(n int) []*Candidate {
+		cands := make([]*Candidate, n)
+		for i := range cands {
+			cands[i] = &Candidate{Stats: Stats{SmallFiles: i, SmallBytes: int64(i) * mb, FileSizes: []int64{mb, target}}}
+		}
+		return cands
+	}
+	small, large := pool(10), pool(10_000)
+	a := testing.AllocsPerRun(20, func() { Orient(small, set) })
+	b := testing.AllocsPerRun(20, func() { Orient(large, set) })
+	if a != b || b > 1 {
+		t.Fatalf("Orient allocs: %v at 10 candidates, %v at 10k; want one, flat", a, b)
 	}
 }

@@ -34,6 +34,16 @@ type Ranker interface {
 	RankShard(cands []*Candidate, global any) []*Candidate
 }
 
+// slotOf resolves a trait's slot in the set cands were oriented with
+// (-1 when they were not). One Orient call stamps a whole pool with one
+// set, so rankers resolve their slots once per call.
+func slotOf(cands []*Candidate, t Trait) int {
+	if len(cands) == 0 {
+		return -1
+	}
+	return cands[0].TraitSet.Slot(t.Name())
+}
+
 // Rank ranks a whole pool: the one-shard case of the Ranker contract,
 // so serial and sharded scores are bit-identical by construction.
 func Rank(r Ranker, cands []*Candidate) []*Candidate {
@@ -59,9 +69,10 @@ func (p ThresholdPolicy) MergeStats(parts []any) any { return nil }
 // RankShard implements Ranker: admission and scoring depend only on the
 // candidate itself, so each shard ranks independently.
 func (p ThresholdPolicy) RankShard(cands []*Candidate, _ any) []*Candidate {
+	slot := slotOf(cands, p.Trait)
 	var out []*Candidate
 	for _, c := range cands {
-		v := c.Trait(p.Trait.Name())
+		v := c.Trait(slot)
 		if v >= p.Threshold {
 			c.Score = v
 			out = append(out, c)
@@ -86,10 +97,20 @@ type Objective struct {
 // with T'_i,c = (T_i,c − min T_i) / (max T_i − min T_i).
 type MOOPRanker struct {
 	Objectives []Objective
-	// DynamicWeights, when set, returns per-candidate weights (summing
-	// to 1) overriding the static ones — the LinkedIn deployment derives
-	// w1 from quota utilization (§7).
-	DynamicWeights func(c *Candidate) []float64
+	// DynamicWeights, when set, appends per-candidate weights (summing
+	// to 1) to dst and returns the result, overriding the static ones —
+	// the LinkedIn deployment derives w1 from quota utilization (§7).
+	// RankShard passes a buffer it reuses for every candidate.
+	DynamicWeights func(c *Candidate, dst []float64) []float64
+}
+
+// slots resolves each objective's trait slot in cands' set.
+func (r MOOPRanker) slots(cands []*Candidate) []int {
+	out := make([]int, len(r.Objectives))
+	for i, o := range r.Objectives {
+		out[i] = slotOf(cands, o.Trait)
+	}
+	return out
 }
 
 // Validate checks that weights are present and sum to 1 (±1e-6).
@@ -131,9 +152,10 @@ func (r MOOPRanker) ShardStats(cands []*Candidate) any {
 		min: make([]float64, len(r.Objectives)),
 		max: make([]float64, len(r.Objectives)),
 	}
+	slots := r.slots(cands)
 	for _, c := range cands {
-		for i, o := range r.Objectives {
-			v := c.Trait(o.Trait.Name())
+		for i, slot := range slots {
+			v := c.Trait(slot)
 			if b.n == 0 {
 				b.min[i], b.max[i] = v, v
 				continue
@@ -196,11 +218,13 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 	for i, o := range r.Objectives {
 		static[i] = o.Weight
 	}
+	slots := r.slots(cands)
+	buf := make([]float64, 0, len(r.Objectives))
 	for _, c := range cands {
 		weights := static
 		if r.DynamicWeights != nil {
-			if w := r.DynamicWeights(c); len(w) == len(r.Objectives) {
-				weights = w
+			if buf = r.DynamicWeights(c, buf[:0]); len(buf) == len(r.Objectives) {
+				weights = buf
 			}
 		}
 		score := 0.0
@@ -208,7 +232,7 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 			var norm float64
 			if b != nil && b.n > 0 && b.max[i] != b.min[i] {
 				span := b.max[i]/2 - b.min[i]/2
-				norm = (c.Trait(o.Trait.Name())/2 - b.min[i]/2) / span
+				norm = (c.Trait(slots[i])/2 - b.min[i]/2) / span
 				if norm < 0 {
 					norm = 0
 				}
@@ -235,9 +259,9 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 //	w1 = 0.5 × (1 + UsedQuota/TotalQuota),  w2 = 1 − w1
 //
 // A tenant at quota gets w1 = 1 (pure benefit); an empty tenant gets
-// w1 = 0.5 (balanced).
-func QuotaAdaptiveWeights() func(c *Candidate) []float64 {
-	return func(c *Candidate) []float64 {
+// w1 = 0.5 (balanced). The function appends (w1, w2) to dst.
+func QuotaAdaptiveWeights() func(c *Candidate, dst []float64) []float64 {
+	return func(c *Candidate, dst []float64) []float64 {
 		u := c.Stats.QuotaUtilization
 		if u < 0 {
 			u = 0
@@ -246,7 +270,7 @@ func QuotaAdaptiveWeights() func(c *Candidate) []float64 {
 			u = 1
 		}
 		w1 := 0.5 * (1 + u)
-		return []float64{w1, 1 - w1}
+		return append(dst, w1, 1-w1)
 	}
 }
 
@@ -330,7 +354,7 @@ func (s TopK) Select(ranked []*Candidate) []*Candidate {
 
 // BudgetSelector greedily fits as many high-priority candidates as
 // possible within a compute budget, reading each candidate's estimated
-// cost from its compute_cost_gbhr trait — the paper's dynamic-k
+// cost from its compute_cost_gbhr slot — the paper's dynamic-k
 // selection (§4.3, §7: 226 TBHr ⇒ k≈2500). Candidates whose cost
 // exceeds the remaining budget are skipped, not terminal: a cheaper
 // lower-ranked candidate may still fit.
@@ -343,14 +367,13 @@ type BudgetSelector struct {
 
 // Select implements Selector.
 func (s BudgetSelector) Select(ranked []*Candidate) []*Candidate {
-	costName := ComputeCost{}.Name()
 	var out []*Candidate
 	remaining := s.BudgetGBHr
 	for _, c := range ranked {
 		if s.MaxK > 0 && len(out) >= s.MaxK {
 			break
 		}
-		cost := c.Trait(costName)
+		cost := c.Trait(SlotComputeCost)
 		if cost > remaining {
 			continue
 		}

@@ -8,16 +8,38 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"autocomp/internal/metrics"
 )
 
-// mkCand builds a bare candidate with preset traits for ranking tests.
-func mkCand(id string, traits map[string]float64) *Candidate {
-	return &Candidate{
-		Table:  fakeTable{name: id},
-		Scope:  ScopeTable,
-		Traits: traits,
-		Stats:  Stats{},
+// rankSet numbers every trait name the ranking tests use, so their
+// hand-built candidates share one set, as one Orient call's do.
+var rankSet, _ = NewTraitSet([]Trait{
+	FileCountReduction{}, ComputeCost{}, RelativeFileCountReduction{},
+	TraitFunc{TraitName: "raw"}, TraitFunc{TraitName: "b"}, TraitFunc{TraitName: "c"},
+})
+
+// rankVec returns the rankSet vector holding name-keyed values.
+func rankVec(vals map[string]float64) []float64 {
+	v := make([]float64, rankSet.Len())
+	for name, x := range vals {
+		slot := rankSet.Slot(name)
+		if slot < 0 {
+			panic("rankSet has no trait " + name)
+		}
+		v[slot] = x
 	}
+	return v
+}
+
+// mkCand builds a bare candidate with preset traits for ranking tests
+// (no vector when traits is nil).
+func mkCand(id string, traits map[string]float64) *Candidate {
+	c := &Candidate{Table: fakeTable{name: id}, Scope: ScopeTable}
+	if traits != nil {
+		c.TraitSet, c.Traits = rankSet, rankVec(traits)
+	}
+	return c
 }
 
 func TestThresholdPolicy(t *testing.T) {
@@ -172,11 +194,12 @@ func TestRankMatchesStableSortProperty(t *testing.T) {
 				Action:    ActionTypes()[rng.IntN(len(ActionTypes()))],
 				Partition: fmt.Sprintf("p%d", rng.IntN(2)),
 				Stats:     Stats{QuotaUtilization: float64(rng.IntN(3)) / 2},
-				Traits: map[string]float64{
+				TraitSet:  rankSet,
+				Traits: rankVec(map[string]float64{
 					"raw": rawPool[rng.IntN(len(rawPool))],
 					"b":   moopPool[rng.IntN(len(moopPool))],
 					"c":   moopPool[rng.IntN(len(moopPool))],
-				},
+				}),
 			}
 		}
 		check := func(name string, r Ranker, admit func(*Candidate) bool) {
@@ -213,7 +236,164 @@ func TestRankMatchesStableSortProperty(t *testing.T) {
 		check(fmt.Sprintf("threshold %v", threshold), ThresholdPolicy{
 			Trait:     TraitFunc{TraitName: "raw", Dir: Benefit},
 			Threshold: threshold,
-		}, func(c *Candidate) bool { return c.Trait("raw") >= threshold })
+		}, func(c *Candidate) bool { return c.Trait(rankSet.Slot("raw")) >= threshold })
+	}
+}
+
+// TestSlotRankingMatchesNameKeyedProperty checks slot-read ranking
+// against a name-keyed reference kept here, over 300 random cases. Each
+// case draws a trait list (fixed-slot names among them, in random
+// order), a pool whose values live in per-candidate name-keyed maps and
+// reach the vectors through Orient, a ranker (threshold, static MOOP or
+// quota-adaptive MOOP; objectives may name a trait the list lacks,
+// which reads 0 both ways) and a split into shards. Every shard's
+// RankShard output must list the candidates the reference admits, in
+// the reference's order, with bit-identical scores.
+func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
+	namePool := []string{"file_count_reduction", "metadata_reduction", "compute_cost_gbhr", "x0", "x1", "x2"}
+	valuePool := []float64{-2, 0, 0.5, 1, 1, 3, 7, 1e6}
+	for ci := 0; ci < 300; ci++ {
+		rng := rand.New(rand.NewPCG(23, uint64(ci)))
+		vals := map[*Candidate]map[string]float64{}
+		names := slices.Clone(namePool)
+		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
+		names = names[:1+rng.IntN(len(names)-1)]
+		dir := func() Direction { return Direction(rng.IntN(2)) }
+		traits := make([]Trait, len(names))
+		for i, name := range names {
+			traits[i] = TraitFunc{TraitName: name, Dir: dir(), Fn: func(c *Candidate) float64 { return vals[c][name] }}
+		}
+		set, err := NewTraitSet(traits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := make([]*Candidate, rng.IntN(80))
+		for i := range cands {
+			c := &Candidate{
+				Table: fakeTable{name: fmt.Sprintf("db%d.t%03d", rng.IntN(3), i)},
+				Stats: Stats{QuotaUtilization: float64(rng.IntN(5))/2 - 0.5},
+			}
+			vals[c] = map[string]float64{}
+			for _, name := range names {
+				vals[c][name] = valuePool[rng.IntN(len(valuePool))]
+			}
+			cands[i] = c
+		}
+		Orient(cands, set)
+
+		// The ranker and its name-keyed reference: admit and score.
+		objTrait := func() Trait {
+			if rng.IntN(6) == 0 {
+				return TraitFunc{TraitName: namePool[rng.IntN(len(namePool))], Dir: dir()}
+			}
+			return traits[rng.IntN(len(traits))]
+		}
+		var r Ranker
+		var admit func(*Candidate) bool
+		var score func(cs []*Candidate) map[*Candidate]float64
+		kind := rng.IntN(3)
+		switch kind {
+		case 0:
+			tr, min := objTrait(), valuePool[rng.IntN(len(valuePool))]
+			r = ThresholdPolicy{Trait: tr, Threshold: min}
+			admit = func(c *Candidate) bool { return vals[c][tr.Name()] >= min }
+			score = func(cs []*Candidate) map[*Candidate]float64 {
+				out := map[*Candidate]float64{}
+				for _, c := range cs {
+					out[c] = vals[c][tr.Name()]
+				}
+				return out
+			}
+		default:
+			n := 1 + rng.IntN(3)
+			if kind == 2 {
+				n = 2 // benefit, cost
+			}
+			objs := make([]Objective, n)
+			sum := 0.0
+			for i := range objs {
+				objs[i] = Objective{Trait: objTrait(), Weight: float64(1 + rng.IntN(4))}
+				sum += objs[i].Weight
+			}
+			for i := range objs {
+				objs[i].Weight /= sum
+			}
+			moop := MOOPRanker{Objectives: objs}
+			if kind == 2 {
+				moop.DynamicWeights = QuotaAdaptiveWeights()
+			}
+			r = moop
+			admit = func(*Candidate) bool { return true }
+			score = func(cs []*Candidate) map[*Candidate]float64 {
+				norm := make([][]float64, len(objs))
+				for i, o := range objs {
+					raw := make([]float64, len(cs))
+					for j, c := range cs {
+						raw[j] = vals[c][o.Trait.Name()]
+					}
+					norm[i] = metrics.MinMaxNormalize(raw)
+				}
+				out := map[*Candidate]float64{}
+				for j, c := range cs {
+					var w []float64
+					for _, o := range objs {
+						w = append(w, o.Weight)
+					}
+					if kind == 2 {
+						u := math.Min(math.Max(c.Stats.QuotaUtilization, 0), 1)
+						w1 := 0.5 * (1 + u)
+						w = []float64{w1, 1 - w1}
+					}
+					s := 0.0
+					for i, o := range objs {
+						if o.Trait.Direction() == Cost {
+							s -= w[i] * norm[i][j]
+						} else {
+							s += w[i] * norm[i][j]
+						}
+					}
+					out[c] = s
+				}
+				return out
+			}
+		}
+		ref := score(cands)
+
+		shards := 1 + rng.IntN(5)
+		parts := make([][]*Candidate, shards)
+		for _, c := range cands {
+			s := rng.IntN(shards)
+			parts[s] = append(parts[s], c)
+		}
+		stats := make([]any, shards)
+		for s, p := range parts {
+			stats[s] = r.ShardStats(p)
+		}
+		global := r.MergeStats(stats)
+		for s, p := range parts {
+			got := r.RankShard(p, global)
+			var want []*Candidate
+			for _, c := range p {
+				if admit(c) {
+					want = append(want, c)
+				}
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				if a, b := ref[want[i]], ref[want[j]]; a != b {
+					return a > b
+				}
+				return want[i].ID() < want[j].ID()
+			})
+			if len(got) != len(want) {
+				t.Fatalf("case %d (kind %d, %d shards): shard %d ranked %d, reference %d", ci, kind, shards, s, len(got), len(want))
+			}
+			for i, c := range want {
+				if got[i] != c || math.Float64bits(got[i].Score) != math.Float64bits(ref[c]) {
+					t.Fatalf("case %d (kind %d, %d shards): shard %d position %d: %s (%v), reference %s (%v)",
+						ci, kind, shards, s, i, got[i].ID(), got[i].Score, c.ID(), ref[c])
+				}
+			}
+		}
 	}
 }
 
@@ -242,7 +422,8 @@ func TestMOOPValidate(t *testing.T) {
 }
 
 func TestQuotaAdaptiveWeights(t *testing.T) {
-	w := QuotaAdaptiveWeights()
+	weights := QuotaAdaptiveWeights()
+	w := func(c *Candidate) []float64 { return weights(c, nil) }
 	c := &Candidate{Stats: Stats{QuotaUtilization: 0}}
 	got := w(c)
 	if got[0] != 0.5 || got[1] != 0.5 {
@@ -262,6 +443,11 @@ func TestQuotaAdaptiveWeights(t *testing.T) {
 	c.Stats.QuotaUtilization = 2
 	if got := w(c); got[0] != 1 {
 		t.Fatalf("overfull tenant w1 = %v", got[0])
+	}
+	// Appends to dst in place when it has room.
+	buf := make([]float64, 0, 2)
+	if got := weights(c, buf); len(got) != 2 || &got[0] != &buf[:1][0] {
+		t.Fatalf("weights(c, buf) = %v, not appended to buf", got)
 	}
 }
 
@@ -304,6 +490,7 @@ func TestTopKSelector(t *testing.T) {
 
 func TestBudgetSelectorGreedyFill(t *testing.T) {
 	cost := ComputeCost{}.Name()
+	slot := SlotComputeCost
 	cands := []*Candidate{
 		mkCand("a.1", map[string]float64{cost: 60}),
 		mkCand("a.2", map[string]float64{cost: 30}),
@@ -318,7 +505,7 @@ func TestBudgetSelectorGreedyFill(t *testing.T) {
 	}
 	var total float64
 	for _, c := range sel {
-		total += c.Trait(cost)
+		total += c.Trait(slot)
 	}
 	if total > 100 {
 		t.Fatalf("budget exceeded: %v", total)
@@ -351,7 +538,7 @@ func TestBudgetSelectorNeverExceedsProperty(t *testing.T) {
 		sel := BudgetSelector{BudgetGBHr: float64(budget)}.Select(cands)
 		var total float64
 		for _, c := range sel {
-			total += c.Trait(cost)
+			total += c.Trait(SlotComputeCost)
 		}
 		return total <= float64(budget)
 	}

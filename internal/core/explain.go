@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -31,17 +32,20 @@ func (d *Decision) Explain(maxRows int) string {
 		selected[c] = true
 	}
 
-	// Collect the union of trait names across ranked candidates for
-	// stable columns.
-	traitNames := map[string]bool{}
+	// Columns: the union of the trait names the ranked candidates'
+	// sets compute, sorted for stable output.
+	var names []string
+	var last *TraitSet
 	for _, c := range d.Ranked {
-		for name := range c.Traits {
-			traitNames[name] = true
+		if c.TraitSet == last {
+			continue
 		}
-	}
-	names := make([]string, 0, len(traitNames))
-	for name := range traitNames {
-		names = append(names, name)
+		last = c.TraitSet
+		for _, t := range last.Traits() {
+			if !slices.Contains(names, t.Name()) {
+				names = append(names, t.Name())
+			}
+		}
 	}
 	sort.Strings(names)
 
@@ -60,7 +64,7 @@ func (d *Decision) Explain(maxRows int) string {
 			fmt.Sprintf("%.4f", c.Score),
 		}
 		for _, name := range names {
-			row = append(row, fmt.Sprintf("%.3f", c.Trait(name)))
+			row = append(row, fmt.Sprintf("%.3f", c.Trait(c.TraitSet.Slot(name))))
 		}
 		mark := ""
 		if selected[c] {

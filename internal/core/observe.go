@@ -248,14 +248,16 @@ func (f MinMetadataReduction) Keep(c *Candidate) bool {
 // exceeds the allocated budget (§4.2).
 type MaxTraitValue struct {
 	TraitName string
-	Max       float64
+	// Slot is TraitName's slot in the pipeline's TraitSet.
+	Slot int
+	Max  float64
 }
 
 // Name implements Filter.
 func (f MaxTraitValue) Name() string { return "max-" + f.TraitName }
 
 // Keep implements Filter.
-func (f MaxTraitValue) Keep(c *Candidate) bool { return c.Trait(f.TraitName) <= f.Max }
+func (f MaxTraitValue) Keep(c *Candidate) bool { return c.Trait(f.Slot) <= f.Max }
 
 // ApplyFilters keeps the candidates every filter accepts, preserving
 // order.

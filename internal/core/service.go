@@ -22,6 +22,8 @@ type Config struct {
 	TraitFilters []Filter // after orient (traits available)
 
 	Observer Observer
+	// Traits is the orient phase's list; NewService numbers it into a
+	// TraitSet and rejects a name listed twice.
 	Traits   []Trait
 	Ranker   Ranker
 	Selector Selector
@@ -46,6 +48,9 @@ type Config struct {
 	// instead of leaking host wall time into the metric stream; nil
 	// means the process wall clock.
 	Clock func() time.Duration
+
+	// traitSet numbers Traits; NewService sets it.
+	traitSet *TraitSet
 }
 
 // procStart anchors the wall-clock fallback for latency stamps.
@@ -79,6 +84,11 @@ func NewService(cfg Config) (*Service, error) {
 	if len(cfg.Traits) == 0 {
 		return nil, fmt.Errorf("core: at least one Trait is required")
 	}
+	set, err := NewTraitSet(cfg.Traits)
+	if err != nil {
+		return nil, err
+	}
+	cfg.traitSet = set
 	if cfg.Ranker == nil {
 		return nil, fmt.Errorf("core: Config.Ranker is required")
 	}
@@ -157,8 +167,18 @@ func (cfg *Config) DecideSerial() (*Decision, error) {
 // stage's pool size is added to d's funnel counts, so a sharded decide
 // plane refines every shard into its own Decision and sums them, while
 // DecideSerial refines the whole pool once.
+//
+// A retained candidate's vector from an earlier cycle is dropped up
+// front, so filters before orient read 0 for every candidate alike and
+// a candidate they drop keeps no earlier slab alive.
 func (cfg *Config) Refine(cands []*Candidate, d *Decision) ([]*Candidate, error) {
+	if cfg.traitSet == nil {
+		return nil, fmt.Errorf("core: Config has no trait numbering; build the pipeline with NewService")
+	}
 	d.Generated += len(cands)
+	for _, c := range cands {
+		c.TraitSet, c.Traits = nil, nil
+	}
 
 	cands = ApplyFilters(cands, cfg.PreFilters)
 	d.AfterPreFilters += len(cands)
@@ -171,7 +191,7 @@ func (cfg *Config) Refine(cands []*Candidate, d *Decision) ([]*Candidate, error)
 	cands = ApplyFilters(cands, cfg.StatsFilters)
 	d.AfterStatsFilter += len(cands)
 
-	Orient(cands, cfg.Traits)
+	Orient(cands, cfg.traitSet)
 	cands = ApplyFilters(cands, cfg.TraitFilters)
 	d.AfterTraitFilter += len(cands)
 	return cands, nil
@@ -252,15 +272,15 @@ func (s *Service) Act(d *Decision) (*Report, error) {
 
 // add folds one result into the report.
 func (r *Report) add(c *Candidate, res compaction.Result) {
-	est := c.Trait(FileCountReduction{}.Name())
+	est := c.Trait(SlotFileCountReduction)
 	if c.Action != ActionDataCompaction {
-		est = c.Trait(MetadataReduction{}.Name())
+		est = c.Trait(SlotMetadataReduction)
 	}
 	cr := CandidateResult{
 		Candidate:          c,
 		Result:             res,
 		EstimatedReduction: est,
-		EstimatedGBHr:      c.Trait(ComputeCost{}.Name()),
+		EstimatedGBHr:      c.Trait(SlotComputeCost),
 	}
 	r.Results = append(r.Results, cr)
 	noteResult(cr)

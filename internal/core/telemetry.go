@@ -57,6 +57,35 @@ var (
 		"Compute spent by executed actions (GB-hours), wasted retry work included.")
 )
 
+// Outcomes of an executed result, indexing outcomeNames.
+const (
+	outcomeDone = iota
+	outcomeConflicted
+	outcomeFailed
+	outcomeSkipped
+)
+
+// outcomeNames label mActions' outcome dimension.
+var outcomeNames = [...]string{
+	outcomeDone:       "done",
+	outcomeConflicted: "conflicted",
+	outcomeFailed:     "failed",
+	outcomeSkipped:    "skipped",
+}
+
+// mActionResults caches mActions' series by action type and outcome
+// index, since noteResult runs once per executed job. Its last row
+// holds the "unknown" action, which every out-of-range type renders as.
+var mActionResults = func() [][len(outcomeNames)]*telemetry.LazyCounter {
+	out := make([][len(outcomeNames)]*telemetry.LazyCounter, len(ActionTypes())+1)
+	for a := range out {
+		for o, name := range outcomeNames {
+			out[a][o] = mActions.Lazy(ActionType(a).String(), name)
+		}
+	}
+	return out
+}()
+
 // noteDecision records the funnel counts and score spread of one decision.
 func noteDecision(d *Decision, wallSeconds float64) {
 	mCycles.Inc()
@@ -86,18 +115,22 @@ func noteDecision(d *Decision, wallSeconds float64) {
 
 // noteResult records one executed candidate result.
 func noteResult(cr CandidateResult) {
-	outcome := "done"
+	outcome := outcomeDone
 	switch {
 	case cr.Result.Conflict:
-		outcome = "conflicted"
+		outcome = outcomeConflicted
 	case cr.Result.Err != nil:
-		outcome = "failed"
+		outcome = outcomeFailed
 	case cr.Result.Skipped:
-		outcome = "skipped"
+		outcome = outcomeSkipped
 	}
-	mActions.With(cr.Candidate.Action.String(), outcome).Inc()
+	row := len(mActionResults) - 1
+	if a := cr.Candidate.Action; a >= 0 && int(a) < row {
+		row = int(a)
+	}
+	mActionResults[row][outcome].Inc()
 	mGBHrSpent.Add(cr.Result.GBHr)
-	if outcome == "done" {
+	if outcome == outcomeDone {
 		mBytesRewritten.Add(float64(cr.Result.BytesRewritten))
 		if cr.Candidate.Action == ActionDataCompaction {
 			mFilesReduced.Add(float64(cr.Result.Reduction()))

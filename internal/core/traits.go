@@ -1,6 +1,10 @@
 package core
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
+)
 
 // Direction classifies a trait as something compaction wants to maximize
 // (a benefit) or minimize (a cost) (§4.2).
@@ -228,14 +232,88 @@ func (t TraitFunc) Direction() Direction { return t.Dir }
 // Value implements Trait.
 func (t TraitFunc) Value(c *Candidate) float64 { return t.Fn(c) }
 
-// Orient computes every trait for every candidate.
-func Orient(cands []*Candidate, traits []Trait) {
-	for _, c := range cands {
-		if c.Traits == nil {
-			c.Traits = make(map[string]float64, len(traits))
+// Fixed trait slots. The act phase and the report read these three
+// traits whether or not a policy computes them, so every TraitSet
+// reserves them the first slots; a slot its list does not compute reads
+// 0.
+const (
+	SlotFileCountReduction = iota
+	SlotMetadataReduction
+	SlotComputeCost
+	fixedSlots
+)
+
+// TraitSet numbers a pipeline's trait list into the dense slots of
+// Candidate.Traits, once per policy: the fixed slots first, then the
+// list's other traits in list order. Numbering depends on the list
+// alone, so a slot resolved against one TraitSet holds in every TraitSet
+// numbered from the same list. Readers resolve the slots they need once,
+// when built or once per call, and then index vectors.
+type TraitSet struct {
+	names  []string // by slot
+	traits []Trait  // the list, in list order
+	slots  []int    // traits[i]'s slot
+}
+
+// NewTraitSet numbers traits. It rejects a list naming a trait twice.
+func NewTraitSet(traits []Trait) (*TraitSet, error) {
+	s := &TraitSet{
+		names:  []string{FileCountReduction{}.Name(), MetadataReduction{}.Name(), ComputeCost{}.Name()},
+		traits: slices.Clone(traits),
+		slots:  make([]int, len(traits)),
+	}
+	for i, t := range traits {
+		name := t.Name()
+		slot := s.Slot(name)
+		if slot >= 0 && slices.Contains(s.slots[:i], slot) {
+			return nil, fmt.Errorf("core: trait %q is listed twice", name)
 		}
-		for _, t := range traits {
-			c.Traits[t.Name()] = t.Value(c)
+		if slot < 0 {
+			slot = len(s.names)
+			s.names = append(s.names, name)
+		}
+		s.slots[i] = slot
+	}
+	return s, nil
+}
+
+// Len returns the vector length: the number of slots.
+func (s *TraitSet) Len() int { return len(s.names) }
+
+// Slot returns the named trait's slot, or -1 when the set (nil included)
+// has none. Candidate.Trait reads -1 as 0.
+func (s *TraitSet) Slot(name string) int {
+	if s == nil {
+		return -1
+	}
+	return slices.Index(s.names, name)
+}
+
+// Traits returns the numbered list: the traits Orient computes.
+func (s *TraitSet) Traits() []Trait {
+	if s == nil {
+		return nil
+	}
+	return s.traits
+}
+
+// Computes reports whether the list computes the named trait (a fixed
+// slot has a slot either way).
+func (s *TraitSet) Computes(name string) bool {
+	return slices.ContainsFunc(s.Traits(), func(t Trait) bool { return t.Name() == name })
+}
+
+// Orient computes set's traits for every candidate into a fresh vector,
+// all cut from one slab, so a call allocates once however large the
+// pool. A candidate's earlier vector is replaced, never rewritten: a
+// retained candidate re-oriented every cycle keeps no older slab alive.
+func Orient(cands []*Candidate, set *TraitSet) {
+	n := set.Len()
+	slab := make([]float64, n*len(cands))
+	for i, c := range cands {
+		c.TraitSet, c.Traits = set, slab[i*n:(i+1)*n:(i+1)*n]
+		for j, t := range set.traits {
+			c.Traits[set.slots[j]] = t.Value(c)
 		}
 	}
 }

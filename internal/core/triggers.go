@@ -78,8 +78,9 @@ func (h *AfterWriteHook) OnWrite(t Table) (HookResult, error) {
 		return HookResult{}, err
 	}
 	c.Stats = stats
-	Orient([]*Candidate{c}, []Trait{h.Trait})
-	v := c.Trait(h.Trait.Name())
+	set, _ := NewTraitSet([]Trait{h.Trait}) // one trait cannot repeat
+	Orient([]*Candidate{c}, set)
+	v := c.Trait(set.Slot(h.Trait.Name()))
 	hr := HookResult{Candidate: c, TraitValue: v}
 	if v < h.Threshold {
 		return hr, nil

@@ -123,22 +123,31 @@ func TestMOOPShardRankEquivalenceProperty(t *testing.T) {
 			}
 		}
 		ranker := core.MOOPRanker{Objectives: objectives}
+		traits := make([]core.Trait, nObj)
+		for i, o := range objectives {
+			traits[i] = o.Trait
+		}
+		set, err := core.NewTraitSet(traits)
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		nCands := rng.Intn(60)
 		constant := rng.Bernoulli(0.2) // collapse one trait's span to zero
 		cands := make([]*core.Candidate, nCands)
 		for i := range cands {
-			traits := make(map[string]float64, nObj)
+			vec := make([]float64, set.Len())
 			for j := 0; j < nObj; j++ {
 				v := traitPool[rng.Intn(len(traitPool))]
 				if constant && j == 0 {
 					v = 42
 				}
-				traits[fmt.Sprintf("t%d", j)] = v
+				vec[set.Slot(fmt.Sprintf("t%d", j))] = v
 			}
 			cands[i] = &core.Candidate{
-				Table:  mergeTable{fmt.Sprintf("db%d.t%04d", rng.Intn(8), i)},
-				Traits: traits,
+				Table:    mergeTable{fmt.Sprintf("db%d.t%04d", rng.Intn(8), i)},
+				TraitSet: set,
+				Traits:   vec,
 			}
 		}
 
@@ -197,7 +206,7 @@ func moopOracle(objs []core.Objective, cands []*core.Candidate) []*core.Candidat
 	for i, o := range objs {
 		raw := make([]float64, len(cands))
 		for j, c := range cands {
-			raw[j] = c.Trait(o.Trait.Name())
+			raw[j] = c.Trait(c.TraitSet.Slot(o.Trait.Name()))
 		}
 		norm[i] = metrics.MinMaxNormalize(raw)
 	}
@@ -212,7 +221,7 @@ func moopOracle(objs []core.Objective, cands []*core.Candidate) []*core.Candidat
 				score += term
 			}
 		}
-		out[j] = &core.Candidate{Table: c.Table, Traits: c.Traits, Score: score}
+		out[j] = &core.Candidate{Table: c.Table, TraitSet: c.TraitSet, Traits: c.Traits, Score: score}
 	}
 	slices.SortStableFunc(out, core.RankCompare)
 	return out

@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"strings"
 	"testing"
 
+	"autocomp/internal/core"
 	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
@@ -108,5 +110,80 @@ func TestMaintenanceServiceHoldsMetadataSteady(t *testing.T) {
 	unified := run(newAged(), unifiedSpec)
 	if unified >= dataOnly {
 		t.Fatalf("unified metadata %d >= data-only %d", unified, dataOnly)
+	}
+}
+
+// TestUncomputedMetadataSlotReadsZero runs the unified spec with and
+// without metadata_reduction in its traits. Without it the trait's fixed
+// slot reads 0: every maintenance result's decide-time estimate is 0,
+// though its candidate's stats show reducible metadata, while data
+// results still carry ΔF and GBHr, and Explain shows no
+// metadata_reduction column.
+func TestUncomputedMetadataSlotReadsZero(t *testing.T) {
+	run := func(spec *policy.Spec) *core.Report {
+		t.Helper()
+		cfg := DefaultConfig()
+		cfg.InitialTables = 60
+		f := New(cfg, sim.NewClock())
+		ss, err := f.ServiceFromSpec(spec, DefaultModel(512*storage.MB), SpecRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for d := 0; d < 3; d++ {
+			f.AdvanceDay()
+		}
+		rep, err := ss.Svc.RunOnce()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	unified := policy.DefaultSpec()
+	unified.Execution = nil
+	noMeta := unified.Clone()
+	noMeta.Traits = []policy.Component{policy.C("file_count_reduction"), policy.C("compute_cost_gbhr")}
+	noMeta.Objectives = []policy.ObjectiveSpec{
+		{Trait: policy.C("file_count_reduction"), Weight: 0.7},
+		{Trait: policy.C("compute_cost_gbhr"), Weight: 0.3},
+	}
+	for _, tc := range []struct {
+		spec     *policy.Spec
+		withMeta bool
+	}{{unified, true}, {noMeta, false}} {
+		rep := run(tc.spec)
+		var data, maint int
+		for _, cr := range rep.Results {
+			c := cr.Candidate
+			if cr.EstimatedGBHr != c.Trait(core.SlotComputeCost) || cr.EstimatedGBHr <= 0 {
+				t.Fatalf("withMeta=%v: %s estimated %v GBHr", tc.withMeta, c.ID(), cr.EstimatedGBHr)
+			}
+			want := float64(c.Stats.SmallFiles)
+			if c.Action != core.ActionDataCompaction {
+				maint++
+				if want = 0; tc.withMeta {
+					want = float64(c.Stats.MetadataReducible)
+				}
+				if c.Stats.MetadataReducible <= 0 {
+					t.Fatalf("%s passed min-metadata-reduction with nothing reducible", c.ID())
+				}
+			} else {
+				data++
+			}
+			if cr.EstimatedReduction != want {
+				t.Fatalf("withMeta=%v: %s estimated reduction %v, want %v", tc.withMeta, c.ID(), cr.EstimatedReduction, want)
+			}
+		}
+		if data == 0 || maint == 0 {
+			t.Fatalf("withMeta=%v: %d data and %d maintenance results; the check would be vacuous", tc.withMeta, data, maint)
+		}
+		header := strings.SplitN(rep.Decision.Explain(5), "\n", 4)[2]
+		for _, col := range []string{"compute_cost_gbhr", "file_count_reduction"} {
+			if !strings.Contains(header, col) {
+				t.Fatalf("withMeta=%v: explain header lacks %s: %q", tc.withMeta, col, header)
+			}
+		}
+		if strings.Contains(header, "metadata_reduction") != tc.withMeta {
+			t.Fatalf("withMeta=%v: explain header %q", tc.withMeta, header)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"time"
 
 	"autocomp/internal/changefeed"
@@ -107,6 +108,9 @@ type Compiled struct {
 type Builder struct {
 	Env Env
 	reg *Registry
+	// traits numbers the spec's trait list for the filters that read a
+	// trait slot (nil until Compile has built the traits).
+	traits *core.TraitSet
 }
 
 // NewBuilder returns a Builder over env's registry.
@@ -219,6 +223,45 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		gen = core.MultiGenerator(gens)
 	}
 
+	// Traits, numbered before the filters that read their slots.
+	if len(s.Traits) == 0 {
+		fail(errors.New("policy: spec needs at least one trait"))
+	}
+	var traits []core.Trait
+	listed := make(map[string]Component, len(s.Traits))
+	for _, c := range s.Traits {
+		t, err := bld.Trait(c)
+		if err != nil {
+			fail(err)
+			continue
+		}
+		if _, dup := listed[t.Name()]; dup {
+			fail(fmt.Errorf("policy: trait %q is listed twice in traits", t.Name()))
+			continue
+		}
+		traits = append(traits, t)
+		listed[t.Name()] = c
+	}
+	bld.traits, _ = core.NewTraitSet(traits) // names are unique by now
+	// rankedTrait builds an objective or threshold trait: it must name a
+	// listed trait, whose slot the ranker reads, and any params it gives
+	// must be that entry's.
+	rankedTrait := func(point string, c Component) (core.Trait, bool) {
+		t, err := bld.Trait(c)
+		if err != nil {
+			fail(fmt.Errorf("%s: %w", point, err))
+			return nil, false
+		}
+		l, ok := listed[t.Name()]
+		switch {
+		case !ok:
+			fail(fmt.Errorf("policy: %s trait %q is not in the traits list", point, t.Name()))
+		case len(c.Params) > 0 && !reflect.DeepEqual(c.Params, l.Params):
+			fail(fmt.Errorf("policy: %s trait %q has params that differ from its traits entry, whose values the ranker reads", point, t.Name()))
+		}
+		return t, true
+	}
+
 	buildFilters := func(point string, cs []Component) []core.Filter {
 		var out []core.Filter
 		for _, c := range cs {
@@ -235,49 +278,21 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	stats := buildFilters("stats_filters", s.StatsFilters)
 	traitFs := buildFilters("trait_filters", s.TraitFilters)
 
-	// Traits.
-	if len(s.Traits) == 0 {
-		fail(errors.New("policy: spec needs at least one trait"))
-	}
-	var traits []core.Trait
-	traitNames := make(map[string]bool, len(s.Traits))
-	for _, c := range s.Traits {
-		t, err := bld.Trait(c)
-		if err != nil {
-			fail(err)
-			continue
-		}
-		traits = append(traits, t)
-		traitNames[t.Name()] = true
-	}
-
 	// Ranker: MOOP objectives or threshold.
 	var ranker core.Ranker
 	switch {
 	case s.Threshold != nil && len(s.Objectives) > 0:
 		fail(errors.New("policy: objectives and threshold are mutually exclusive"))
 	case s.Threshold != nil:
-		t, err := bld.Trait(s.Threshold.Trait)
-		if err != nil {
-			fail(fmt.Errorf("threshold: %w", err))
-			break
+		if t, ok := rankedTrait("threshold", s.Threshold.Trait); ok {
+			ranker = core.ThresholdPolicy{Trait: t, Threshold: s.Threshold.Min}
 		}
-		if !traitNames[t.Name()] {
-			fail(fmt.Errorf("policy: threshold trait %q is not in the traits list", t.Name()))
-		}
-		ranker = core.ThresholdPolicy{Trait: t, Threshold: s.Threshold.Min}
 	case len(s.Objectives) > 0:
 		objs := make([]core.Objective, 0, len(s.Objectives))
 		for _, o := range s.Objectives {
-			t, err := bld.Trait(o.Trait)
-			if err != nil {
-				fail(fmt.Errorf("objectives: %w", err))
-				continue
+			if t, ok := rankedTrait("objective", o.Trait); ok {
+				objs = append(objs, core.Objective{Trait: t, Weight: o.Weight})
 			}
-			if !traitNames[t.Name()] {
-				fail(fmt.Errorf("policy: objective trait %q is not in the traits list", t.Name()))
-			}
-			objs = append(objs, core.Objective{Trait: t, Weight: o.Weight})
 		}
 		r := core.MOOPRanker{Objectives: objs}
 		if s.QuotaAdaptive {

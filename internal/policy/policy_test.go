@@ -175,6 +175,104 @@ func TestObjectiveTraitMustBeComputed(t *testing.T) {
 	}
 }
 
+// TestTraitMistakesRejected pins the three trait mistakes Compile
+// rejects, each with an error naming the trait: a name listed twice in
+// traits (the last entry used to win), an objective or threshold trait
+// whose params differ from its traits entry (they were ignored), and a
+// max-trait filter naming a trait the list does not compute (it read 0
+// and kept everything).
+func TestTraitMistakesRejected(t *testing.T) {
+	cost := func(mem float64) Component {
+		return Component{Name: "compute_cost_gbhr", Params: map[string]any{"executor_memory_gb": mem}}
+	}
+	maxTrait := func(name string) Component {
+		return Component{Name: "max-trait", Params: map[string]any{"trait": name, "max": float64(5)}}
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(s *Spec)
+		want []string
+	}{
+		{"duplicate trait", func(s *Spec) {
+			s.Traits = append(s.Traits, C("file_count_reduction"))
+		}, []string{`trait "file_count_reduction" is listed twice`}},
+		{"duplicate trait with other params", func(s *Spec) {
+			s.Traits = append(s.Traits, cost(32))
+		}, []string{`trait "compute_cost_gbhr" is listed twice`}},
+		{"objective params differ", func(s *Spec) {
+			s.Traits[1] = cost(32)
+			s.Objectives[1].Trait = cost(64)
+		}, []string{`objective trait "compute_cost_gbhr" has params that differ`}},
+		{"objective params on a bare entry", func(s *Spec) {
+			s.Objectives[1].Trait = cost(64)
+		}, []string{`objective trait "compute_cost_gbhr" has params that differ`}},
+		{"threshold params differ", func(s *Spec) {
+			s.Objectives, s.QuotaAdaptive = nil, false
+			s.Traits = append(s.Traits, Component{Name: "file_entropy", Params: map[string]any{"target_file_size": float64(1 << 20)}})
+			s.Threshold = &ThresholdSpec{Trait: Component{Name: "file_entropy", Params: map[string]any{"target_file_size": float64(1 << 30)}}, Min: 1}
+		}, []string{`threshold trait "file_entropy" has params that differ`}},
+		{"max-trait typo", func(s *Spec) {
+			s.TraitFilters = []Component{maxTrait("compute_cost")}
+		}, []string{`max-trait trait "compute_cost" is not in the traits list`}},
+		{"max-trait on an uncomputed fixed slot", func(s *Spec) {
+			s.TraitFilters = []Component{maxTrait("metadata_reduction")}
+		}, []string{`max-trait trait "metadata_reduction" is not in the traits list`}},
+		{"nested max-trait", func(s *Spec) {
+			s.TraitFilters = []Component{{Name: "for-action", Params: map[string]any{
+				"action": "data-compaction",
+				"filter": map[string]any{"name": "max-trait", "params": map[string]any{"trait": "file_entropy"}},
+			}}}
+		}, []string{`max-trait trait "file_entropy" is not in the traits list`}},
+		{"all three at once", func(s *Spec) {
+			s.Traits = []Component{C("file_count_reduction"), cost(32), C("file_count_reduction")}
+			s.Objectives[1].Trait = cost(64)
+			s.TraitFilters = []Component{maxTrait("compute_cost")}
+		}, []string{
+			`trait "file_count_reduction" is listed twice`,
+			`objective trait "compute_cost_gbhr" has params that differ`,
+			`max-trait trait "compute_cost" is not in the traits list`,
+		}},
+	} {
+		s := DefaultDataSpec(true)
+		tc.edit(s)
+		err := Validate(s, StubEnv())
+		for _, want := range tc.want {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s: err = %v, want it to contain %q", tc.name, err, want)
+			}
+		}
+	}
+}
+
+// TestTraitReferencesAccepted pins what the trait checks still accept:
+// a bare objective naming a traits entry with params, params equal to
+// the entry's, and a max-trait filter on a listed trait, which reads
+// that trait's slot.
+func TestTraitReferencesAccepted(t *testing.T) {
+	s := DefaultDataSpec(true)
+	s.Traits = []Component{
+		C("file_count_reduction"),
+		{Name: "compute_cost_gbhr", Params: map[string]any{"executor_memory_gb": float64(32)}},
+		{Name: "file_entropy", Params: map[string]any{"target_file_size": float64(1 << 20)}},
+	}
+	s.TraitFilters = []Component{
+		{Name: "max-trait", Params: map[string]any{"trait": "file_entropy", "max": float64(9)}},
+		{Name: "max-trait", Params: map[string]any{"trait": "compute_cost_gbhr", "max": float64(9)}},
+	}
+	for _, obj := range []Component{C("compute_cost_gbhr"), s.Traits[1]} {
+		s.Objectives[1].Trait = obj
+		comp, err := Compile(s, StubEnv(), Bindings{})
+		if err != nil {
+			t.Fatalf("objective %v: %v", obj, err)
+		}
+		for i, want := range []int{3, core.SlotComputeCost} {
+			if f, ok := comp.Core.TraitFilters[i].(core.MaxTraitValue); !ok || f.Slot != want {
+				t.Fatalf("trait filter %d = %#v, want slot %d", i, comp.Core.TraitFilters[i], want)
+			}
+		}
+	}
+}
+
 func TestThresholdAndObjectivesExclusive(t *testing.T) {
 	s := DefaultDataSpec(true)
 	s.Threshold = &ThresholdSpec{Trait: C("file_count_reduction"), Min: 10}

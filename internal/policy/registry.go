@@ -321,12 +321,15 @@ var builtins = func() *Registry {
 		}
 		return core.MinMetadataReduction{Min: min}, nil
 	})
-	r.Register(KindFilter, "max-trait", func(_ *Builder, a *Args) (any, error) {
+	r.Register(KindFilter, "max-trait", func(b *Builder, a *Args) (any, error) {
 		trait := a.String("trait", "")
 		if trait == "" {
 			return nil, fmt.Errorf("policy: max-trait requires a \"trait\" name")
 		}
-		return core.MaxTraitValue{TraitName: trait, Max: a.Float("max", 0)}, nil
+		if !b.traits.Computes(trait) {
+			return nil, fmt.Errorf("policy: max-trait trait %q is not in the traits list", trait)
+		}
+		return core.MaxTraitValue{TraitName: trait, Slot: b.traits.Slot(trait), Max: a.Float("max", 0)}, nil
 	})
 	r.Register(KindFilter, "for-action", func(b *Builder, a *Args) (any, error) {
 		action, err := ParseAction(a.String("action", ""))

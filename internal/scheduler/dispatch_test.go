@@ -150,7 +150,7 @@ func TestDispatchMatchesScanProperty(t *testing.T) {
 				}
 				cands[i] = &core.Candidate{
 					Table:  tables[rng.Intn(ntables)],
-					Traits: map[string]float64{core.ComputeCost{}.Name(): est},
+					Traits: []float64{core.SlotComputeCost: est},
 				}
 			}
 			return cands
@@ -177,7 +177,7 @@ func TestDispatchMatchesScanProperty(t *testing.T) {
 				Table:        c.Table.FullName(),
 				FilesRemoved: 4,
 				FilesAdded:   1,
-				GBHr:         c.Trait(core.ComputeCost{}.Name()) * (0.5 + rng.Float64()),
+				GBHr:         c.Trait(core.SlotComputeCost) * (0.5 + rng.Float64()),
 			}
 		})
 		clock := sim.NewClock()

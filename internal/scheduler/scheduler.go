@@ -373,7 +373,7 @@ func (p *Pool) Submit(selected []*core.Candidate) {
 			table:        name,
 		}
 		j.key = j.BasePriority - p.cfg.AgingRatePerHour*now.Hours()
-		if est := c.Trait(core.ComputeCost{}.Name()); est > 0 {
+		if est := c.Trait(core.SlotComputeCost); est > 0 {
 			j.estCost = est
 		}
 		p.jobs = append(p.jobs, j)
@@ -425,7 +425,7 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 			}
 			p.stats.Deferred++
 			mDeferrals.Inc()
-			mJobs.With("deferred").Inc()
+			mJobsDeferred.Inc()
 			// Deferral is a terminal outcome: it closes the makespan
 			// window like any other finish (a retried job can be
 			// deferred after the last successful commit).
@@ -544,7 +544,7 @@ func (p *Pool) commit(j *Job, now time.Duration) {
 			mSchedSpend.Add(j.estCost)
 			if j.Attempts >= p.cfg.MaxAttempts {
 				j.Status = StatusConflicted
-				mJobs.With("conflicted").Inc()
+				mJobsConflicted.Inc()
 				j.Finished = now
 				j.Result = compaction.Result{
 					Table:         j.table,
@@ -577,20 +577,20 @@ func (p *Pool) commit(j *Job, now time.Duration) {
 	case res.Err != nil:
 		j.Status = StatusFailed
 		p.stats.Failed++
-		mJobs.With("failed").Inc()
+		mJobsFailed.Inc()
 	case res.Conflict:
 		j.Status = StatusConflicted
 		p.stats.Conflicts++
 		mConflicts.Inc()
-		mJobs.With("conflicted").Inc()
+		mJobsConflicted.Inc()
 	case res.Skipped:
 		j.Status = StatusDone
 		p.stats.Skipped++
-		mJobs.With("skipped").Inc()
+		mJobsSkipped.Inc()
 	default:
 		j.Status = StatusDone
 		p.stats.Done++
-		mJobs.With("done").Inc()
+		mJobsDone.Inc()
 	}
 	p.noteFinish(now)
 }

@@ -40,7 +40,7 @@ func (t *memTable) Version() int64                         { return t.version.Lo
 func cand(t *memTable, serviceHours float64) *core.Candidate {
 	return &core.Candidate{
 		Table:  t,
-		Traits: map[string]float64{core.ComputeCost{}.Name(): serviceHours * 64},
+		Traits: []float64{core.SlotComputeCost: serviceHours * 64},
 	}
 }
 
@@ -295,7 +295,7 @@ func TestShardReservationBoundsOvershoot(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		cands = append(cands, &core.Candidate{
 			Table:  &memTable{name: fmt.Sprintf("t%d", i)},
-			Traits: map[string]float64{core.ComputeCost{}.Name(): 9},
+			Traits: []float64{core.SlotComputeCost: 9},
 		})
 	}
 	p, q := newSimPool(Config{Workers: 8, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(9))
@@ -316,7 +316,7 @@ func TestShardAdmissionSurvivesFloatResidue(t *testing.T) {
 	mk := func(name string, est float64) *core.Candidate {
 		return &core.Candidate{
 			Table:  &memTable{name: name},
-			Traits: map[string]float64{core.ComputeCost{}.Name(): est},
+			Traits: []float64{core.SlotComputeCost: est},
 		}
 	}
 	p, q := newSimPool(Config{Workers: 2, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(0.5))
@@ -469,7 +469,7 @@ func TestEstimatedServiceTime(t *testing.T) {
 		{64, 0.001, MinServiceTime},
 	} {
 		p, _ := newSimPool(Config{ExecutorMemoryGB: tc.memoryGB}, okRunner(0))
-		p.Submit([]*core.Candidate{{Table: tbl, Traits: map[string]float64{core.ComputeCost{}.Name(): tc.gbhr}}})
+		p.Submit([]*core.Candidate{{Table: tbl, Traits: []float64{core.SlotComputeCost: tc.gbhr}}})
 		if got := p.serviceTime(p.jobs[0]); got != tc.want {
 			t.Errorf("memory %v GB, %v GBHr: service time = %v, want %v", tc.memoryGB, tc.gbhr, got, tc.want)
 		}

@@ -51,3 +51,12 @@ var (
 		"autocomp_sched_budget_deferrals_total",
 		"Jobs pushed to the next cycle by shard-budget backpressure.")
 )
+
+// mJobs' series by status, cached because the pool bumps one per job.
+var (
+	mJobsDone       = mJobs.Lazy("done")
+	mJobsSkipped    = mJobs.Lazy("skipped")
+	mJobsFailed     = mJobs.Lazy("failed")
+	mJobsConflicted = mJobs.Lazy("conflicted")
+	mJobsDeferred   = mJobs.Lazy("deferred")
+)

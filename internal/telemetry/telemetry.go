@@ -259,6 +259,36 @@ func (v CounterVec) With(values ...string) Counter {
 	return Counter{s: v.f.seriesFor(values)}
 }
 
+// LazyCounter is one series of a CounterVec, looked up on first use and
+// cached: a hot path that bumps a fixed label tuple skips With's key
+// join and lock, and the series appears in the exposition only once it
+// is first touched, as With's would. Safe for concurrent use.
+type LazyCounter struct {
+	f      *family
+	values []string
+	s      atomic.Pointer[series]
+}
+
+// Lazy returns the counter under the given label values, resolved on its
+// first Inc.
+func (v CounterVec) Lazy(values ...string) *LazyCounter {
+	if len(values) != len(v.f.labels) {
+		panic(fmt.Sprintf("telemetry: %s expects %d label values, got %d", v.f.name, len(v.f.labels), len(values)))
+	}
+	return &LazyCounter{f: v.f, values: values}
+}
+
+// Inc adds one.
+func (c *LazyCounter) Inc() {
+	s := c.s.Load()
+	if s == nil {
+		// Racing first uses resolve the same series.
+		s = c.f.seriesFor(c.values)
+		c.s.Store(s)
+	}
+	s.addFloat(1)
+}
+
 // GaugeVec is a gauge family with a label schema.
 type GaugeVec struct{ f *family }
 

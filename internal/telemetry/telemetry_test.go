@@ -74,6 +74,42 @@ func TestRegistryConcurrentHammer(t *testing.T) {
 	}
 }
 
+// TestLazyCounterCreatesSeriesOnFirstUse pins LazyCounter's contract:
+// a handle adds no series until its first Inc, so the exposition lists
+// what With would have, and concurrent first uses share one series
+// without losing an increment.
+func TestLazyCounterCreatesSeriesOnFirstUse(t *testing.T) {
+	r := NewRegistry()
+	cv := r.CounterVec("lazy_jobs_total", "lazily resolved counter", "status")
+	done, failed := cv.Lazy("done"), cv.Lazy("failed")
+	if strings.Contains(r.Render(), "lazy_jobs_total{") {
+		t.Fatalf("series exist before first use:\n%s", r.Render())
+	}
+	const workers, perWorker = 8, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				done.Inc()
+			}
+		}()
+	}
+	wg.Wait()
+	cv.With("done").Inc()
+	if v, ok := r.Value("lazy_jobs_total", "done"); !ok || v != workers*perWorker+1 {
+		t.Fatalf("done = %v (ok %v), want %d", v, ok, workers*perWorker+1)
+	}
+	if _, ok := r.Value("lazy_jobs_total", "failed"); ok {
+		t.Fatal("an unused handle created its series")
+	}
+	failed.Inc()
+	if v, _ := r.Value("lazy_jobs_total", "failed"); v != 1 {
+		t.Fatalf("failed = %v", v)
+	}
+}
+
 func TestCounterIgnoresNegativeAdd(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("mono_total", "monotonic")
