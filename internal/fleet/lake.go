@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 
 	"autocomp/internal/lstlog"
@@ -165,15 +166,16 @@ func (l *Lake) load() (*lakeState, error) {
 	return &st, nil
 }
 
-// persist writes the lake's state to its store, if it has one.
+// persist writes the lake's state to its store, if it has one,
+// streaming it into the store's atomic temp file. A failed encode or
+// write leaves the previous cycle's state file in place.
 func (l *Lake) persist() error {
 	if l.store == nil {
 		return nil
 	}
-	b, err := json.Marshal(&lakeState{Name: l.name, Day: l.day, Fleet: l.fleet.Snapshot()})
-	if err == nil {
-		err = l.store.WriteSubFile(l.stateRel(), b)
-	}
+	err := l.store.StreamSubFile(l.stateRel(), func(w io.Writer) error {
+		return writeLakeState(w, l.name, l.day, l.fleet)
+	})
 	if err != nil {
 		return fmt.Errorf("persist: %w", err)
 	}

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"autocomp/internal/sim"
@@ -65,7 +66,23 @@ type State struct {
 // part of it — observation-plane attachments are reconstructed by the
 // harness after Restore, as at first boot.
 func (f *Fleet) Snapshot() *State {
-	st := &State{
+	st := f.header()
+	st.Tables = make([]TableState, 0, len(f.tables))
+	for _, t := range f.tables {
+		ts := t.state()
+		if len(ts.Props) > 0 {
+			ts.Props = maps.Clone(ts.Props)
+		} else {
+			ts.Props = nil
+		}
+		st.Tables = append(st.Tables, ts)
+	}
+	return &st
+}
+
+// header is the fleet's State without its tables.
+func (f *Fleet) header() State {
+	return State{
 		Config:        f.cfg,
 		Day:           f.day,
 		Onboarded:     f.onboarded,
@@ -78,28 +95,23 @@ func (f *Fleet) Snapshot() *State {
 			Scans:  f.rngScans.Draws(),
 			Exec:   f.rngExec.Draws(),
 		},
-		Tables: make([]TableState, 0, len(f.tables)),
 	}
-	for _, t := range f.tables {
-		ts := TableState{
-			DB: t.Database(), Name: t.Name(),
-			Partitioned: t.partitioned, Partitions: t.partitions,
-			Counts: t.counts, Bytes: t.bytes,
-			Created: t.created, LastWrite: t.lastWrite, Writes: t.writes,
-			GrowthPerDay: t.growthPerDay, AvgNewFile: t.avgNewFile, ScanShare: t.scanShare,
-			MetaJSONs: t.metaJSONs, Manifests: t.manifests, Checkpoints: t.checkpoints,
-			MetaBytes: t.metaBytes, Snapshots: t.snapshots, Commits: t.commits,
-			VersionsSinceCkpt: t.versionsSinceCkpt,
-		}
-		if len(t.props) > 0 {
-			ts.Props = make(map[string]string, len(t.props))
-			for k, v := range t.props {
-				ts.Props[k] = v
-			}
-		}
-		st.Tables = append(st.Tables, ts)
+}
+
+// state is the table's TableState. Its Props is the table's own map,
+// which Snapshot copies and the lake's state stream only reads.
+func (t *Table) state() TableState {
+	return TableState{
+		DB: t.Database(), Name: t.Name(),
+		Partitioned: t.partitioned, Partitions: t.partitions,
+		Counts: t.counts, Bytes: t.bytes,
+		Created: t.created, LastWrite: t.lastWrite, Writes: t.writes,
+		GrowthPerDay: t.growthPerDay, AvgNewFile: t.avgNewFile, ScanShare: t.scanShare,
+		MetaJSONs: t.metaJSONs, Manifests: t.manifests, Checkpoints: t.checkpoints,
+		MetaBytes: t.metaBytes, Snapshots: t.snapshots, Commits: t.commits,
+		VersionsSinceCkpt: t.versionsSinceCkpt,
+		Props:             t.props,
 	}
-	return st
 }
 
 // Restore rebuilds a fleet from a snapshot without re-running its

@@ -23,6 +23,7 @@ package lstlog
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -120,11 +121,19 @@ func (s *Store) RemoveTable(db, name string) error {
 // tenant fleet snapshots) alongside the lake, under the store's fsync
 // policy.
 func (s *Store) WriteSubFile(rel string, data []byte) error {
+	return s.StreamSubFile(rel, writeBytes(data))
+}
+
+// StreamSubFile is WriteSubFile for content too large to build in
+// memory first: write streams it into the temp file that then replaces
+// the target. If write fails, the target keeps its previous content and
+// the temp file is removed.
+func (s *Store) StreamSubFile(rel string, write func(io.Writer) error) error {
 	path := filepath.Join(s.root, filepath.FromSlash(rel))
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("lstlog: %w", err)
 	}
-	return writeFileAtomic(path, data, s.fsync)
+	return writeFileAtomic(path, write, s.fsync)
 }
 
 // ReadSubFile reads a slash-relative file under the store root.
@@ -132,17 +141,27 @@ func (s *Store) ReadSubFile(rel string) ([]byte, error) {
 	return os.ReadFile(filepath.Join(s.root, filepath.FromSlash(rel)))
 }
 
-// writeFileAtomic writes data to path via a temp file and rename, so a
-// crash mid-write never leaves a half-written file at path. With sync
-// set, the file is fsynced before the rename and the directory after.
-func writeFileAtomic(path string, data []byte, sync bool) error {
+// writeBytes is a writeFileAtomic callback that writes data.
+func writeBytes(data []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	}
+}
+
+// writeFileAtomic writes path's content through write into a temp file
+// and renames it over path, so a crash or a failed write never leaves a
+// half-written file at path; the temp file is removed on any error.
+// With sync set, the file is fsynced before the rename and the
+// directory after.
+func writeFileAtomic(path string, write func(io.Writer) error, sync bool) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".tmp-*")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
 		os.Remove(tmpName)
 		return err

@@ -68,7 +68,7 @@ func (l *TableLog) Append(a lst.Action) error {
 	if err != nil {
 		return fmt.Errorf("lstlog: encoding action: %w", err)
 	}
-	if err := writeFileAtomic(filepath.Join(l.dir, actionFileName(lsn)), append(data, '\n'), l.fsync); err != nil {
+	if err := writeFileAtomic(filepath.Join(l.dir, actionFileName(lsn)), writeBytes(append(data, '\n')), l.fsync); err != nil {
 		return fmt.Errorf("lstlog: appending lsn %d: %w", lsn, err)
 	}
 	l.next = lsn + 1
@@ -79,7 +79,7 @@ func (l *TableLog) Append(a lst.Action) error {
 			return fmt.Errorf("lstlog: encoding compacted artifact: %w", err)
 		}
 		name := compactedFileName(0, lsn)
-		if err := writeFileAtomic(filepath.Join(l.dir, name), append(data, '\n'), l.fsync); err != nil {
+		if err := writeFileAtomic(filepath.Join(l.dir, name), writeBytes(append(data, '\n')), l.fsync); err != nil {
 			return fmt.Errorf("lstlog: writing %s: %w", name, err)
 		}
 	}

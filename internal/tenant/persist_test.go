@@ -1,6 +1,7 @@
 package tenant
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -136,7 +137,7 @@ func TestPersistTenantConfigMismatch(t *testing.T) {
 }
 
 // TestPersistTenantStateFileShape pins the on-disk schema the smoke
-// script and operators rely on.
+// script and operators rely on, byte for byte.
 func TestPersistTenantStateFileShape(t *testing.T) {
 	root := t.TempDir()
 	tn, err := New(persistCfg(), durableSpec(root), Options{})
@@ -158,5 +159,10 @@ func TestPersistTenantStateFileShape(t *testing.T) {
 	}
 	if st.Name != "alpha" || st.Day != 1 || st.Fleet == nil || len(st.Fleet.Tables) == 0 {
 		t.Fatalf("state file shape: name=%q day=%d fleet=%v", st.Name, st.Day, st.Fleet != nil)
+	}
+	// The file is streamed by hand; its bytes must still be exactly
+	// encoding/json's rendering of what they decode to.
+	if re, err := json.Marshal(&st); err != nil || !bytes.Equal(re, b) {
+		t.Fatalf("state file (%d bytes) is not json.Marshal of its decoded value (%d bytes, %v)", len(b), len(re), err)
 	}
 }
