@@ -434,8 +434,7 @@ func overview(env *bench.Env, top int) {
 		},
 		Selector: topKSelector(top),
 	}
-	d := dryRun(env, spec)
-	fmt.Println(d.Explain(top))
+	dryRun(env, spec, top)
 }
 
 // metadataView prints the maintenance subsystem's view of the lake:
@@ -509,8 +508,7 @@ func metadataView(env *bench.Env, top int) {
 		Selector:    topKSelector(top),
 		Maintenance: &policy.MaintenanceSpec{RetainSnapshots: 10, CheckpointEveryVersions: 10, MinManifestSurplus: 4},
 	}
-	d := dryRun(env, spec)
-	fmt.Println(d.Explain(top))
+	dryRun(env, spec, top)
 }
 
 // topKSelector returns a top-k selector component, or nil (compile
@@ -527,9 +525,10 @@ func topKSelector(top int) *policy.Component {
 // set (-decide-shards/-decide-workers) — same bytes out, parallel in.
 var decideShards, decideWorkers int
 
-// dryRun compiles a spec against the catalog substrate and runs the
-// decide phase only.
-func dryRun(env *bench.Env, spec *policy.Spec) *core.Decision {
+// dryRun compiles a spec against the catalog substrate, runs the decide
+// phase only, and prints the decision and the rounds the compiled
+// scheduler would run its selection in.
+func dryRun(env *bench.Env, spec *policy.Spec, top int) {
 	if decideShards > 1 {
 		// The decide knobs live on the execution section; a decide-only
 		// dry run never schedules jobs, so one worker slot satisfies the
@@ -553,5 +552,13 @@ func dryRun(env *bench.Env, spec *policy.Spec) *core.Decision {
 	if err != nil {
 		log.Fatal(err)
 	}
-	return d
+	fmt.Print(d.Explain(top))
+	if rounds := comp.Core.Scheduler.Plan(d.Selected); len(rounds) > 0 {
+		fmt.Printf("plan: %d round(s):", len(rounds))
+		for _, round := range rounds {
+			fmt.Printf(" [%d]", len(round))
+		}
+		fmt.Println()
+	}
+	fmt.Println()
 }

@@ -121,6 +121,7 @@ type cabRun struct {
 	t0     time.Duration
 	res    *CABResult
 	svc    *core.Service
+	sched  core.Scheduler // the strategy's compiled act-phase scheduler
 	runner core.ExecutorRunner
 }
 
@@ -155,11 +156,9 @@ func RunCAB(cfg CABRunConfig) (*CABResult, error) {
 		return nil, err
 	}
 	if cfg.Strategy.Kind != NoCompaction {
-		svc, err := r.buildService()
-		if err != nil {
+		if err := r.buildService(); err != nil {
 			return nil, err
 		}
-		r.svc = svc
 	}
 	r.schedule(gen, plan)
 	env.Events.RunAll()
@@ -239,8 +238,9 @@ func (r *cabRun) load(plan *workload.Plan) error {
 	return nil
 }
 
-// buildService compiles the strategy's policy spec against the lake.
-func (r *cabRun) buildService() (*core.Service, error) {
+// buildService compiles the strategy's policy spec against the lake and
+// keeps the service and its scheduler.
+func (r *cabRun) buildService() error {
 	st := r.cfg.Strategy
 	spec := &policy.Spec{
 		Name:         st.Kind.String(),
@@ -269,9 +269,11 @@ func (r *cabRun) buildService() (*core.Service, error) {
 	penv, bindings := policy.CatalogSubstrate(r.env.CP, r.env.Exec)
 	comp, err := policy.Compile(spec, penv, bindings)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return core.NewService(comp.Core)
+	r.svc, err = core.NewService(comp.Core)
+	r.sched = comp.Core.Scheduler
+	return err
 }
 
 // schedule installs sampling, queries, and compaction triggers.
@@ -390,8 +392,8 @@ func (r *cabRun) noteResult(res engine.Result) {
 }
 
 // runCompaction performs one AutoComp cycle: Decide synchronously, then
-// execute the plan rounds as two-phase ops interleaved with the workload
-// (round i+1 starts once round i's commits finish).
+// execute the selection's rounds as two-phase ops interleaved with the
+// workload (round i+1 starts once round i's commits finish).
 func (r *cabRun) runCompaction() {
 	d, err := r.svc.Decide()
 	if err != nil {
@@ -400,16 +402,17 @@ func (r *cabRun) runCompaction() {
 	r.res.CompactionRuns++
 	rep := &core.Report{Decision: d}
 	env := r.env
+	rounds := r.sched.Plan(d.Selected)
 
 	var runRound func(i int)
 	runRound = func(i int) {
-		if i >= len(d.Plan) {
+		if i >= len(rounds) {
 			r.svc.Feedback(rep)
 			return
 		}
 		now := env.Clock.Now()
 		maxEnd := now
-		for _, cand := range d.Plan[i] {
+		for _, cand := range rounds[i] {
 			cand := cand
 			op, err := r.runner.StartCandidate(cand)
 			if err != nil {

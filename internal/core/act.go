@@ -9,9 +9,9 @@ import (
 
 // Scheduler turns the selected candidates into an execution plan: a
 // sequence of rounds; candidates within one round may run in parallel,
-// rounds run strictly one after another (the act phase, §4.4).
+// rounds run strictly one after another (the act phase, §4.4). Decide
+// ends at selection: Service.Act plans its rounds from the selection.
 type Scheduler interface {
-	Name() string
 	Plan(selected []*Candidate) [][]*Candidate
 }
 
@@ -19,9 +19,6 @@ type Scheduler interface {
 // conservative choice when compaction shares a cluster with user
 // transactions (§4.4).
 type SequentialScheduler struct{}
-
-// Name implements Scheduler.
-func (SequentialScheduler) Name() string { return "sequential" }
 
 // Plan implements Scheduler.
 func (SequentialScheduler) Plan(selected []*Candidate) [][]*Candidate {
@@ -40,11 +37,6 @@ func (SequentialScheduler) Plan(selected []*Candidate) [][]*Candidate {
 type TablesParallelPartitionsSequential struct {
 	// MaxParallel caps work units per round (0 = unlimited).
 	MaxParallel int
-}
-
-// Name implements Scheduler.
-func (TablesParallelPartitionsSequential) Name() string {
-	return "tables-parallel-partitions-sequential"
 }
 
 // Plan implements Scheduler.

@@ -77,15 +77,6 @@ func (d *Decision) Explain(maxRows int) string {
 	if len(d.Ranked) > maxRows {
 		fmt.Fprintf(&b, "... and %d more ranked candidates\n", len(d.Ranked)-maxRows)
 	}
-
-	// Execution plan shape.
-	if len(d.Plan) > 0 {
-		fmt.Fprintf(&b, "plan: %d round(s):", len(d.Plan))
-		for _, round := range d.Plan {
-			fmt.Fprintf(&b, " [%d]", len(round))
-		}
-		b.WriteByte('\n')
-	}
 	return b.String()
 }
 

@@ -19,7 +19,7 @@ func TestDecisionExplain(t *testing.T) {
 	out := d.Explain(10)
 	for _, want := range []string{
 		"funnel:", "2 generated", "1 selected",
-		"db1.frag", "file_count_reduction", "yes", "plan: 1 round(s)",
+		"db1.frag", "file_count_reduction", "yes",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("explain missing %q:\n%s", want, out)

@@ -112,8 +112,8 @@ func NewService(cfg Config) (*Service, error) {
 func (s *Service) Runner() Runner { return s.cfg.Runner }
 
 // Decision is the output of the observe–orient–decide phases: the ranked
-// and selected candidates plus the execution plan, with pool sizes at
-// each refinement point for explainability (NFR2).
+// and selected candidates, with pool sizes at each refinement point for
+// explainability (NFR2). The act phase plans how the selection runs.
 type Decision struct {
 	At time.Duration
 
@@ -124,11 +124,10 @@ type Decision struct {
 
 	Ranked   []*Candidate
 	Selected []*Candidate
-	Plan     [][]*Candidate
 }
 
 // Decide runs candidate generation, observe, orient, and decide, without
-// acting. Event-driven harnesses use it to execute the plan themselves.
+// acting. Event-driven harnesses use it to act on the selection.
 // When a Decider is configured it runs the decide pass; the serial path
 // otherwise.
 func (s *Service) Decide() (*Decision, error) {
@@ -157,7 +156,6 @@ func (cfg *Config) DecideSerial() (*Decision, error) {
 	}
 	d.Ranked = Rank(cfg.Ranker, cands)
 	d.Selected = cfg.Selector.Select(d.Ranked)
-	d.Plan = cfg.Scheduler.Plan(d.Selected)
 	return d, nil
 }
 
@@ -252,15 +250,15 @@ func (r *Report) ActionCounts() map[ActionType]int {
 	return out
 }
 
-// Act executes a decision's plan with the configured Runner: rounds run
-// sequentially; candidates within a round are issued back to back (their
-// jobs overlap on the cluster's job slots).
+// Act runs a decision's selection with the configured Runner in the
+// Scheduler's rounds: rounds run sequentially; candidates within a round
+// are issued back to back (their jobs overlap on the cluster's job slots).
 func (s *Service) Act(d *Decision) (*Report, error) {
 	if s.cfg.Runner == nil {
 		return nil, fmt.Errorf("core: Config.Runner is required to Act")
 	}
 	rep := &Report{Decision: d}
-	for _, round := range d.Plan {
+	for _, round := range s.cfg.Scheduler.Plan(d.Selected) {
 		for _, c := range round {
 			res := s.cfg.Runner.Run(c)
 			rep.add(c, res)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +92,54 @@ func TestSchedulerMaxParallel(t *testing.T) {
 	}
 	if total != 5 {
 		t.Fatalf("plan lost candidates: %d", total)
+	}
+}
+
+// TestActRunsSchedulerRounds pins that Act runs a decision's selection
+// in the rounds the configured scheduler plans, round by round, and not
+// in selection order.
+func TestActRunsSchedulerRounds(t *testing.T) {
+	t1, t2 := fakeTable{name: "t1"}, fakeTable{name: "t2"}
+	d := &Decision{Selected: []*Candidate{
+		{Table: t1, Scope: ScopePartition, Partition: "p1"},
+		{Table: t1, Scope: ScopePartition, Partition: "p2"},
+		{Table: t2, Scope: ScopePartition, Partition: "p1"},
+		{Table: t1, Scope: ScopePartition, Partition: "p3"},
+	}}
+	l := newLake(t)
+	for _, tc := range []struct {
+		sched Scheduler
+		want  string
+	}{
+		{TablesParallelPartitionsSequential{}, "t1/p1 t2/p1 t1/p2 t1/p3"},
+		{SequentialScheduler{}, "t1/p1 t1/p2 t2/p1 t1/p3"},
+	} {
+		var ran []string
+		svc, err := NewService(Config{
+			Connector: l.connector(),
+			Generator: PartitionScopeGenerator{},
+			Observer:  l.observer(),
+			Traits:    []Trait{FileCountReduction{}},
+			Ranker:    MOOPRanker{Objectives: []Objective{{Trait: FileCountReduction{}, Weight: 1}}},
+			Scheduler: tc.sched,
+			Runner: RunnerFunc(func(c *Candidate) compaction.Result {
+				ran = append(ran, c.ID())
+				return compaction.Result{Table: c.Table.FullName()}
+			}),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := svc.Act(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := strings.Join(ran, " "); got != tc.want {
+			t.Fatalf("%T ran %q, want %q", tc.sched, got, tc.want)
+		}
+		if len(rep.Results) != len(d.Selected) {
+			t.Fatalf("%T: %d results for %d selected", tc.sched, len(rep.Results), len(d.Selected))
+		}
 	}
 }
 

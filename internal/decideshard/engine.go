@@ -10,8 +10,8 @@
 //
 // The engine's contract is not "similar decisions faster" but the same
 // bytes: Decide returns exactly what core's serial pass returns — same
-// funnel counts, same ranked order, same scores, same selection and
-// plan. Three properties deliver this:
+// funnel counts, same ranked order, same scores, same selection. Three
+// properties deliver this:
 //
 //  1. Candidate partitioning is by table: every core.Generator is
 //     table-local and a core.ShardedGenerator partitions its own pool,
@@ -238,7 +238,6 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 	mMergeSeconds.Observe(e.last.Merge.Seconds())
 
 	d.Selected = cfg.Selector.Select(d.Ranked)
-	d.Plan = cfg.Scheduler.Plan(d.Selected)
 	return d, nil
 }
 

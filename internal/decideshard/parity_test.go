@@ -2,10 +2,10 @@ package decideshard_test
 
 // Decision-parity suite: the sharded decide plane must be byte-identical
 // to the serial pass — same funnel counts, same ranked order and scores,
-// same selection and plan — across seeds, shard counts, ranker kinds,
-// and the full maintenance action mix. The fingerprints compared here
-// print every ranked candidate with its score at full float precision,
-// so "parity" means the bits, not the gist.
+// same selection — across seeds, shard counts, ranker kinds, and the
+// full maintenance action mix. The fingerprints compared here print
+// every ranked candidate with its score at full float precision, so
+// "parity" means the bits, not the gist.
 
 import (
 	"reflect"

@@ -124,6 +124,17 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 	if st == nil {
 		return nil, fmt.Errorf("fleet: nil snapshot")
 	}
+	// A stream cannot sit before its first draw: replaying a negative
+	// count would start the stream over while it still reported the
+	// count, so every restore would repeat the draws already made.
+	for _, s := range []struct {
+		name  string
+		draws int64
+	}{{"tables", st.RNG.Tables}, {"writes", st.RNG.Writes}, {"scans", st.RNG.Scans}, {"exec", st.RNG.Exec}} {
+		if s.draws < 0 {
+			return nil, fmt.Errorf("fleet: rng stream %q at negative position %d", s.name, s.draws)
+		}
+	}
 	if now := clock.Now(); now < st.Now {
 		clock.Set(st.Now)
 	} else if now > st.Now {

@@ -2,9 +2,13 @@ package fleet
 
 import (
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 )
 
@@ -90,5 +94,62 @@ func TestPersistFleetRoundTrip(t *testing.T) {
 				Open      int64
 				MetaOpen  int64
 			}{got.Day, got.Onboarded, got.OpenCalls, got.MetaOpenCalls})
+	}
+}
+
+// TestRestoreRejectsNegativeRNGPosition requires Restore to refuse a
+// snapshot whose RNG stream sits at a negative draw count, naming the
+// stream, and a durable lake whose fleet.json holds one to fail to open
+// rather than replay draws it already made.
+func TestRestoreRejectsNegativeRNGPosition(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InitialTables, cfg.Databases = 60, 3
+	f := New(cfg, sim.NewClock())
+	f.AdvanceDay()
+	for _, stream := range []struct {
+		name string
+		pos  func(*RNGState) *int64
+	}{
+		{"tables", func(r *RNGState) *int64 { return &r.Tables }},
+		{"writes", func(r *RNGState) *int64 { return &r.Writes }},
+		{"scans", func(r *RNGState) *int64 { return &r.Scans }},
+		{"exec", func(r *RNGState) *int64 { return &r.Exec }},
+	} {
+		st := f.Snapshot()
+		*stream.pos(&st.RNG) = -3
+		_, err := Restore(st, sim.NewClock())
+		if err == nil || !strings.Contains(err.Error(), `"`+stream.name+`"`) {
+			t.Fatalf("restore with %s at -3 = %v, want an error naming the stream", stream.name, err)
+		}
+	}
+
+	root := t.TempDir()
+	sp := policy.DefaultSpec()
+	sp.Storage = &policy.StorageSpec{Backend: policy.StorageBackendLog, Root: root, Fsync: "always"}
+	l, err := OpenLake("alpha", cfg, sp, SpecRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Step(nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "tenants", "alpha", "fleet.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st lakeState
+	if err := json.Unmarshal(data, &st); err != nil {
+		t.Fatal(err)
+	}
+	st.Fleet.RNG.Writes = -3
+	if data, err = json.Marshal(st); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenLake("alpha", cfg, sp, SpecRunOptions{}); err == nil || !strings.Contains(err.Error(), `"writes"`) {
+		t.Fatalf("open with a negative writes position = %v, want a restore error naming the stream", err)
 	}
 }

@@ -115,9 +115,9 @@ func Config(tb interface {
 }
 
 // DecisionFingerprint serializes everything a Decide() produced: the
-// funnel counts, every ranked candidate with its score, the selection,
-// and the plan. Two pipelines are decision-equivalent only when these
-// bytes match.
+// funnel counts, every ranked candidate with its score, and the
+// selection. Two pipelines are decision-equivalent only when these bytes
+// match.
 func DecisionFingerprint(d *core.Decision) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "t=%v gen=%d pre=%d stats=%d trait=%d\n",
@@ -128,16 +128,11 @@ func DecisionFingerprint(d *core.Decision) string {
 	for _, c := range d.Selected {
 		fmt.Fprintf(&b, "S %s\n", c.ID())
 	}
-	for i, round := range d.Plan {
-		for _, c := range round {
-			fmt.Fprintf(&b, "P%d %s\n", i, c.ID())
-		}
-	}
 	return b.String()
 }
 
-// PlanID flattens a decision's selected plan into one comparable
-// string — the coarser fingerprint for plan-level parity checks.
+// PlanID flattens a decision's selection into one comparable string —
+// the coarser fingerprint for selection-level parity checks.
 func PlanID(d *core.Decision) string {
 	ids := make([]string, len(d.Selected))
 	for i, c := range d.Selected {
