@@ -72,7 +72,10 @@ func BenchmarkSchedulerCycle(b *testing.B) {
 // queue, leases, budget arbitration, commit bookkeeping — with zero-cost
 // jobs, reporting wall microseconds per job at 2k, 8k and 32k jobs. A
 // flat us/job across the job counts means dispatch cost does not grow
-// with queue length; a rising one means it does. The jobs-N rows use
+// with queue length; a rising one means it does. With -benchmem,
+// allocs/op counts one drain: about one per job on the jobs-N rows (the
+// completion event's closure), so it too should grow only with the job
+// count. The jobs-N rows use
 // distinct tables and no budget, so no job ever waits on a lease or a
 // budget. The siblings rows queue four jobs per table, so each dispatch
 // sets its table's later jobs aside behind the lease; the budget rows

@@ -121,10 +121,10 @@ func (s *ScheduledService) RunCycle() (*core.Report, scheduler.Stats, error) {
 func (s *ScheduledService) scheduleWriters(q *sim.EventQueue, pool *scheduler.Pool, selected []*core.Candidate) {
 	wrng := s.fleet.rngExec.Fork()
 	hot := make([]*Table, 0, len(selected))
-	seen := make(map[string]bool, len(selected))
+	seen := make(map[*Table]bool, len(selected))
 	for _, c := range selected {
-		if t, ok := c.Table.(*Table); ok && !seen[t.FullName()] {
-			seen[t.FullName()] = true
+		if t, ok := c.Table.(*Table); ok && !seen[t] {
+			seen[t] = true
 			hot = append(hot, t)
 		}
 	}

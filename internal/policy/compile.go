@@ -14,6 +14,12 @@ import (
 	"autocomp/internal/storage"
 )
 
+// MaxShards bounds execution.shards and execution.decide_shards. The
+// scheduler and the decide engine size per-shard slices from these
+// counts every cycle, and tables hash onto shards modulo a uint32, so a
+// count of 1<<32 would divide by zero.
+const MaxShards = 1 << 16
+
 // Env is the modeling environment components default their parameters
 // from: the substrate's clock and the cost model's constants. A zero Env
 // compiles (components fall back to zero defaults), but real deployments
@@ -371,6 +377,12 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		}
 		if ex.Workers < 1 {
 			fail(fmt.Errorf("policy: execution.workers must be >= 1, got %d", ex.Workers))
+		}
+		if ex.Shards > MaxShards {
+			fail(fmt.Errorf("policy: execution.shards must be at most %d, got %d", MaxShards, ex.Shards))
+		}
+		if ex.DecideShards > MaxShards {
+			fail(fmt.Errorf("policy: execution.decide_shards must be at most %d, got %d", MaxShards, ex.DecideShards))
 		}
 		if ex.DecideShards < 0 {
 			fail(fmt.Errorf("policy: execution.decide_shards must be non-negative, got %d", ex.DecideShards))

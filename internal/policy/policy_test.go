@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -602,5 +603,35 @@ func TestCustomComponentRegistration(t *testing.T) {
 	env.Registry = reg
 	if err := Validate(s, env); err != nil {
 		t.Fatalf("custom registry: %v", err)
+	}
+}
+
+// TestShardCountsBounded pins the MaxShards bound on both shard counts:
+// 1<<32 and 1<<32+1 fail to compile with an error naming the field and
+// the value (the first divides by zero when a table hashes onto its
+// shard, the second hashes every table to shard 0), and 65,536
+// compiles.
+func TestShardCountsBounded(t *testing.T) {
+	for _, tc := range []struct {
+		field string
+		set   func(ex *ExecutionSpec, n int)
+	}{
+		{"execution.shards", func(ex *ExecutionSpec, n int) { ex.Shards = n }},
+		{"execution.decide_shards", func(ex *ExecutionSpec, n int) { ex.DecideShards = n }},
+	} {
+		for _, n := range []int{1 << 32, 1<<32 + 1, MaxShards} {
+			s := DefaultSpec()
+			tc.set(s.Execution, n)
+			_, err := Compile(s, StubEnv(), Bindings{})
+			if n <= MaxShards {
+				if err != nil {
+					t.Errorf("%s %d: %v", tc.field, n, err)
+				}
+				continue
+			}
+			if want := fmt.Sprintf("%s must be at most %d, got %d", tc.field, MaxShards, n); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s %d: err = %v, want it to contain %q", tc.field, n, err, want)
+			}
+		}
 	}
 }

@@ -26,15 +26,18 @@
 //     as live writers racing the compactor.
 //
 // The Pool itself is a single-threaded state machine; RunSim in sim.go
-// drives it. Each queued job sits in exactly one of four places: the
-// ready heap (priority key descending, then submission order), the
-// waiting heap (retries in backoff, by expiry), a per-table parked list
-// (popped while its table's lease was held) or a per-shard blocked list
-// (popped while its shard's budget refused admission). Backoff expiry,
-// lease release, commits and budget exhaustion return jobs to ready, so
-// a dispatch costs O(log n) instead of re-walking the jobs that cannot
-// run, yet it picks the job, defers the jobs and reports the earliest
-// backoff expiry that a priority-order walk of the whole queue would.
+// drives it. Each queued job sits in exactly one of five places: the
+// submitted run (jobs from Submit, already in dispatch order), the ready
+// heap (priority key descending, then submission order), the waiting
+// heap (retries in backoff, by expiry), a per-table parked list (popped
+// while its table's lease was held) or a per-shard blocked list (popped
+// while its shard's budget refused admission). Backoff expiry, lease
+// release, commits and budget exhaustion return jobs to the ready heap,
+// and a dispatch pops whichever of the run's head and the heap's top
+// comes first, so it costs O(log n) instead of re-walking the jobs that
+// cannot run, yet it picks the job, defers the jobs and reports the
+// earliest backoff expiry that a priority-order walk of the whole queue
+// would.
 package scheduler
 
 import (
@@ -309,15 +312,17 @@ type Pool struct {
 	runner core.Runner
 	rng    *sim.RNG
 
-	// Every queued job is in exactly one of ready, waiting, parked and
-	// blocked; queued counts them.
+	// Every queued job is in exactly one of run[head:], ready, waiting,
+	// parked and blocked; queued counts them.
+	run     []*Job            // submitted in dispatch order, key desc
+	head    int               // run's next job
 	ready   jobHeap           // key desc, seq asc
 	waiting jobHeap           // retries in backoff, readyAt asc
 	parked  map[string][]*Job // by table: popped while its lease was held
 	blocked [][]*Job          // by shard: popped while admission refused it
 	queued  int
 
-	jobs     []*Job // submission order
+	jobs     []*Job // submission order, into one slab per Submit
 	leases   map[string]*Job
 	running  int
 	spent    []float64
@@ -358,12 +363,27 @@ func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
 
 // Submit enqueues the ranked, selected candidates. Rank order sets base
 // priority: the first candidate gets the highest.
+//
+// One call's jobs share an enqueue instant, so their keys fall strictly
+// in submission order and they join the run as they come, with no heap
+// push. Only a mid-run Submit can bring a job that sorts before the
+// run's tail; that job goes to the ready heap instead.
 func (p *Pool) Submit(selected []*core.Candidate) {
+	if len(selected) == 0 {
+		return
+	}
 	now := p.clock.Now()
+	if p.head == len(p.run) {
+		p.run, p.head = p.run[:0], 0
+	}
+	p.jobs = slices.Grow(p.jobs, len(selected))
+	p.run = slices.Grow(p.run, len(selected))
+	slab := make([]Job, len(selected))
 	for i, c := range selected {
 		p.seq++
 		name := c.Table.FullName()
-		j := &Job{
+		j := &slab[i]
+		*j = Job{
 			Candidate:    c,
 			Shard:        core.ShardOf(name, p.cfg.Shards),
 			BasePriority: float64(len(selected) - i),
@@ -377,21 +397,19 @@ func (p *Pool) Submit(selected []*core.Candidate) {
 			j.estCost = est
 		}
 		p.jobs = append(p.jobs, j)
-		p.enqueue(j, &p.ready)
-		p.stats.Submitted++
-		mSubmitted.Inc()
+		if p.head == len(p.run) || byPriority(p.run[len(p.run)-1], j) {
+			p.run = append(p.run, j)
+		} else {
+			heap.Push(&p.ready, j)
+		}
 	}
-	if len(selected) > 0 && p.notify != nil {
+	p.queued += len(selected)
+	p.stats.Submitted += len(selected)
+	mQueueDepth.Set(float64(p.queued))
+	mSubmitted.Add(float64(len(selected)))
+	if p.notify != nil {
 		p.notify()
 	}
-}
-
-// enqueue queues j on h: ready for a new job, waiting for a retry.
-func (p *Pool) enqueue(j *Job, h *jobHeap) {
-	j.Status = StatusQueued
-	heap.Push(h, j)
-	p.queued++
-	mQueueDepth.Set(float64(p.queued))
 }
 
 // next pops the highest-priority runnable job, or nil. A job is runnable
@@ -408,8 +426,16 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 	for p.waiting.Len() > 0 && p.waiting.jobs[0].readyAt <= now {
 		heap.Push(&p.ready, heap.Pop(&p.waiting))
 	}
-	for j == nil && p.ready.Len() > 0 {
-		cand := heap.Pop(&p.ready).(*Job)
+	for j == nil && (p.head < len(p.run) || p.ready.Len() > 0) {
+		// The run is sorted and the heap yields its minimum, so the
+		// first of the two under byPriority is the queue's first.
+		var cand *Job
+		if p.head < len(p.run) && (p.ready.Len() == 0 || byPriority(p.run[p.head], p.ready.jobs[0])) {
+			cand = p.run[p.head]
+			p.head++
+		} else {
+			cand = heap.Pop(&p.ready).(*Job)
+		}
 		switch {
 		case p.shardExhausted(cand.Shard):
 			// Backpressure: this shard is out of budget for the cycle.
@@ -559,7 +585,10 @@ func (p *Pool) commit(j *Job, now time.Duration) {
 			mRetries.Inc()
 			j.readyAt = now + p.backoff(j.Attempts)
 			j.queuedSince = now
-			p.enqueue(j, &p.waiting)
+			j.Status = StatusQueued
+			heap.Push(&p.waiting, j)
+			p.queued++
+			mQueueDepth.Set(float64(p.queued))
 			return
 		}
 	}

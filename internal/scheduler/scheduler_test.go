@@ -1,8 +1,10 @@
 package scheduler
 
 import (
+	"cmp"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -485,6 +487,81 @@ func TestStatusStrings(t *testing.T) {
 	for s, w := range want {
 		if s.String() != w {
 			t.Fatalf("%d.String() = %q, want %q", s, s.String(), w)
+		}
+	}
+}
+
+// namedTable is a memTable whose FullName returns a stored string, so
+// reading it allocates nothing.
+type namedTable struct {
+	memTable
+	full string
+}
+
+func (t *namedTable) FullName() string { return t.full }
+
+// TestSubmitAllocsFlat pins Submit's job records to one slab per call:
+// New plus Submit allocate the same count over 100 candidates as over
+// 10,000, instead of one Job per candidate.
+func TestSubmitAllocsFlat(t *testing.T) {
+	pool := func(n int) []*core.Candidate {
+		cands := make([]*core.Candidate, n)
+		for i := range cands {
+			name := fmt.Sprintf("t%05d", i)
+			cands[i] = &core.Candidate{
+				Table:  &namedTable{memTable: memTable{name: name}, full: "db." + name},
+				Traits: []float64{core.SlotComputeCost: 64},
+			}
+		}
+		return cands
+	}
+	allocs := func(cands []*core.Candidate) float64 {
+		return testing.AllocsPerRun(10, func() {
+			New(Config{Workers: 4, Shards: 4}, okRunner(1), sim.NewClock()).Submit(cands)
+		})
+	}
+	small, large := allocs(pool(100)), allocs(pool(10_000))
+	if small != large {
+		t.Fatalf("New+Submit allocs: %v at 100 candidates, %v at 10k; want equal", small, large)
+	}
+}
+
+// TestSubmitRunKeepsOrderAcrossWaves submits a second wave while the
+// first still waits in the run: the queue depth must count the jobs in
+// the run, and the dispatch order must interleave both waves by
+// priority, the late wave's high-ranked jobs ahead of the first wave's
+// tail.
+func TestSubmitRunKeepsOrderAcrossWaves(t *testing.T) {
+	p, q := newSimPool(Config{Workers: 1, AgingRatePerHour: -1}, okRunner(1))
+	var first, second []*core.Candidate
+	for i := 0; i < 4; i++ {
+		first = append(first, cand(&memTable{name: fmt.Sprintf("a%d", i)}, 1))
+		second = append(second, cand(&memTable{name: fmt.Sprintf("b%d", i)}, 1))
+	}
+	p.Submit(first)
+	q.ScheduleAt(30*time.Minute, func() {
+		if p.queued != 3 {
+			t.Errorf("before the second wave: %d queued, want 3", p.queued)
+		}
+		p.Submit(second)
+		if p.queued != 7 {
+			t.Errorf("after the second wave: %d queued, want 7", p.queued)
+		}
+	})
+	st := RunSim(p, q)
+	if st.Done != 8 || st.MaxQueueDepth != 6 {
+		t.Fatalf("done %d, max queue depth %d; want 8 and 6", st.Done, st.MaxQueueDepth)
+	}
+	// Without aging, base priority orders the queue and submission order
+	// breaks ties: b0 (4) beats a1 (3), and b1 (3) loses its tie with a1.
+	// b0–b2 sort before the run's tail a3 and go to the heap; b3 joins
+	// the run behind a3.
+	want := []string{"a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3"}
+	jobs := slices.Clone(p.Jobs())
+	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.Started, b.Started) })
+	for i, j := range jobs {
+		if got := j.Candidate.Table.Name(); got != want[i] {
+			t.Fatalf("dispatch %d ran %s, want %s (order %v)", i, got, want[i], want)
 		}
 	}
 }

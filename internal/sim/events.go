@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"container/heap"
-	"time"
-)
+import "time"
 
 // Event is a closure scheduled to run at a virtual time. Events scheduled
 // for the same instant run in scheduling order (the seq field breaks ties),
@@ -14,31 +11,22 @@ type Event struct {
 	seq int64
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].At != h[j].At {
-		return h[i].At < h[j].At
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// before is the queue order: At, then scheduling order. seq is unique,
+// so it is a strict total order.
+func (e *Event) before(o *Event) bool {
+	return e.At < o.At || (e.At == o.At && e.seq < o.seq)
 }
 
 // EventQueue is a discrete-event scheduler bound to a Clock. Running the
 // queue advances the clock to each event's timestamp before invoking it.
+//
+// Events are stored by value in a hand-written binary heap:
+// container/heap would box every pushed Event through an interface, so
+// scheduling would allocate once per event. Once the heap's backing
+// array has grown, ScheduleAt allocates nothing.
 type EventQueue struct {
 	clock *Clock
-	h     eventHeap
+	h     []Event
 	seq   int64
 }
 
@@ -60,7 +48,17 @@ func (q *EventQueue) ScheduleAt(t time.Duration, fn func()) {
 		panic("sim: ScheduleAt in the past")
 	}
 	q.seq++
-	heap.Push(&q.h, &Event{At: t, Fn: fn, seq: q.seq})
+	q.h = append(q.h, Event{At: t, Fn: fn, seq: q.seq})
+	h := q.h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
 }
 
 // ScheduleAfter enqueues fn to run d after the current virtual time.
@@ -88,17 +86,39 @@ func (q *EventQueue) ScheduleEvery(period, until time.Duration, fn func()) {
 	}
 }
 
+// pop removes and returns the earliest event.
+func (q *EventQueue) pop() Event {
+	h := q.h
+	e := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = Event{} // drop the closure reference
+	h = h[:n]
+	q.h = h
+	i := 0
+	for {
+		first, l, r := i, 2*i+1, 2*i+2
+		if l < n && h[l].before(&h[first]) {
+			first = l
+		}
+		if r < n && h[r].before(&h[first]) {
+			first = r
+		}
+		if first == i {
+			return e
+		}
+		h[i], h[first] = h[first], h[i]
+		i = first
+	}
+}
+
 // RunUntil executes events in timestamp order up to and including time t,
 // advancing the clock to each event and finally to t. It returns the
 // number of events executed.
 func (q *EventQueue) RunUntil(t time.Duration) int {
 	n := 0
 	for len(q.h) > 0 && q.h[0].At <= t {
-		e := heap.Pop(&q.h).(*Event)
-		if e.At > q.clock.Now() {
-			q.clock.Set(e.At)
-		}
-		e.Fn()
+		q.run(q.pop())
 		n++
 	}
 	if t > q.clock.Now() {
@@ -112,12 +132,16 @@ func (q *EventQueue) RunUntil(t time.Duration) int {
 func (q *EventQueue) RunAll() int {
 	n := 0
 	for len(q.h) > 0 {
-		e := heap.Pop(&q.h).(*Event)
-		if e.At > q.clock.Now() {
-			q.clock.Set(e.At)
-		}
-		e.Fn()
+		q.run(q.pop())
 		n++
 	}
 	return n
+}
+
+// run advances the clock to e and invokes it.
+func (q *EventQueue) run(e Event) {
+	if e.At > q.clock.Now() {
+		q.clock.Set(e.At)
+	}
+	e.Fn()
 }

@@ -230,3 +230,135 @@ func TestEventQueueManyClocksIndependent(t *testing.T) {
 		t.Fatal("clocks coincidentally equal; test misconfigured")
 	}
 }
+
+// TestEventQueueAllocsFree pins events to the queue's own storage: once
+// the heap has grown, scheduling and draining 10,000 events with a
+// pre-built callback allocates nothing.
+func TestEventQueueAllocsFree(t *testing.T) {
+	q := NewEventQueue(NewClock())
+	ran := 0
+	fn := func() { ran++ }
+	burst := func() {
+		for i := 0; i < 10_000; i++ {
+			if i%2 == 0 {
+				q.ScheduleAfter(time.Duration(i%97)*time.Second, fn)
+			} else {
+				q.ScheduleAt(q.Clock().Now()+time.Duration(i%89)*time.Second, fn)
+			}
+		}
+		q.RunAll()
+	}
+	burst() // grow the heap
+	if allocs := testing.AllocsPerRun(10, burst); allocs != 0 {
+		t.Fatalf("scheduling and draining 10k events allocates %v, want 0", allocs)
+	}
+	if ran != 12*10_000 {
+		t.Fatalf("ran %d events, want %d", ran, 12*10_000)
+	}
+}
+
+// refQueue is the reference event order: a linear scan that picks the
+// pending event with the smallest At, the earliest scheduled on a tie.
+type refQueue struct {
+	pending []refEvent // scheduling order
+}
+
+type refEvent struct {
+	at time.Duration
+	id int
+}
+
+func (r *refQueue) pop() refEvent {
+	best := 0
+	for i, e := range r.pending {
+		if e.at < r.pending[best].at {
+			best = i
+		}
+	}
+	e := r.pending[best]
+	r.pending = append(r.pending[:best], r.pending[best+1:]...)
+	return e
+}
+
+// TestEventQueueOrderProperty runs random schedules against refQueue:
+// absolute and relative scheduling over a few distinct instants (so
+// many events tie), events scheduling children at the current instant
+// and later, and drains split at random RunUntil horizons. Every event
+// must run in the reference's order and at its instant, and each
+// RunUntil must stop exactly where the reference has nothing left at or
+// before its horizon.
+func TestEventQueueOrderProperty(t *testing.T) {
+	offsets := []time.Duration{0, 0, time.Minute, 2 * time.Minute, 5 * time.Minute}
+	var ties int
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := NewRNG(seed)
+		c := NewClock()
+		q := NewEventQueue(c)
+		ref := &refQueue{}
+		budget := 50 + rng.Intn(400)
+		scheduled, executed := 0, 0
+		var schedule func()
+		run := func(id int) func() {
+			return func() {
+				want := ref.pop()
+				if want.id != id || c.Now() != want.at {
+					t.Fatalf("seed %d: event %d ran at %v; the reference runs event %d at %v",
+						seed, id, c.Now(), want.id, want.at)
+				}
+				for _, e := range ref.pending {
+					if e.at == want.at {
+						ties++
+						break
+					}
+				}
+				executed++
+				for n := rng.Intn(3); n > 0; n-- {
+					schedule()
+				}
+			}
+		}
+		schedule = func() {
+			if scheduled == budget {
+				return
+			}
+			id := scheduled
+			scheduled++
+			off := offsets[rng.Intn(len(offsets))]
+			at := c.Now() + off
+			if rng.Bernoulli(0.5) {
+				q.ScheduleAt(at, run(id))
+			} else {
+				q.ScheduleAfter(off, run(id))
+			}
+			ref.pending = append(ref.pending, refEvent{at: at, id: id})
+		}
+		for scheduled < budget || q.Len() > 0 {
+			for n := 1 + rng.Intn(8); n > 0; n-- {
+				schedule()
+			}
+			if rng.Bernoulli(0.2) {
+				q.RunAll()
+				continue
+			}
+			horizon := c.Now() + offsets[rng.Intn(len(offsets))]
+			before := executed
+			if n := q.RunUntil(horizon); n != executed-before {
+				t.Fatalf("seed %d: RunUntil(%v) reported %d events, ran %d", seed, horizon, n, executed-before)
+			}
+			if c.Now() != horizon {
+				t.Fatalf("seed %d: clock at %v after RunUntil(%v)", seed, c.Now(), horizon)
+			}
+			for _, e := range ref.pending {
+				if e.at <= horizon {
+					t.Fatalf("seed %d: RunUntil(%v) left event %d at %v", seed, horizon, e.id, e.at)
+				}
+			}
+		}
+		if executed != scheduled || len(ref.pending) != 0 {
+			t.Fatalf("seed %d: scheduled %d events, ran %d", seed, scheduled, executed)
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two events ever shared an instant; the property lost its teeth")
+	}
+}
