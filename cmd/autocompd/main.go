@@ -5,35 +5,32 @@
 // pipeline wakes on its schedule, decides, and maintains within its
 // budget, printing one line per cycle with a per-action breakdown.
 //
-// The flags describe the `default` tenant, so a pre-management-plane
-// command line behaves exactly as before. With -listen the daemon also
-// serves the HTTP management API (docs/management.md): create more
-// tenants, push policy specs over the wire, and submit scenario runs —
-// alongside the read-only telemetry endpoints (/metrics, /statusz).
+// The flags describe the `default` tenant's lake (-seed, -tables,
+// -days, -write-frac, -writer-rate) and the daemon's operation. With
+// -listen the daemon also serves the HTTP management API
+// (docs/management.md): create more tenants, push policy specs over the
+// wire, and submit scenario runs — alongside the read-only telemetry
+// endpoints (/metrics, /statusz).
 //
-// The pipeline is policy-driven: the daemon compiles a declarative
-// policy spec (internal/policy) into its observe→decide→act
-// configuration. Without -policy the spec is assembled from the flags
-// (unified maintenance with an 8-worker execution plane by default);
-// with -policy file.json the spec comes from the file and the knob
-// flags (-k, -budget-tbhr, -workers, -shards, -shard-budget-tbhr,
-// -decide-shards, -decide-workers, -incremental, -trigger-commits,
-// -reconcile-every, -retain-snapshots,
-// -checkpoint-every) act as overrides when set explicitly — the
-// structural flags (-unified, -quota-adaptive) do not apply to a file
-// and are reported as ignored. The
-// policy file is hot-reloadable: between cycles the daemon re-reads it,
-// and a valid edit atomically replaces the running pipeline without a
-// restart (an invalid edit is reported once and the old policy stays in
-// force). PUT /api/tenants/default/policy stages an edit the same way.
+// The pipeline is policy-driven, and the policy spec (internal/policy)
+// is its only input: the daemon compiles the spec into its
+// observe→decide→act configuration. -policy file.json names the spec;
+// without it the default tenant runs policy.DefaultSpec(), which
+// examples/policies/default.json holds on disk (unified maintenance on
+// an 8-worker execution plane). The policy file is hot-reloadable:
+// between cycles the daemon re-reads it, and a valid edit atomically
+// replaces the running pipeline without a restart (an invalid edit is
+// reported once and the old policy stays in force). PUT
+// /api/tenants/default/policy stages an edit the same way.
 //
 // Spec sections map to planes: a "trigger" section makes observation
 // commit-event-driven (only dirty tables are re-observed); an
 // "execution" section runs the act phase on the concurrent worker pool
 // with per-table leases, optimistic commit retry, and sharded GBHr
-// budgets; a "maintenance" section ranks snapshot expiry, metadata
-// checkpointing, and manifest rewriting against data compaction in one
-// MOOP under the same budget.
+// budgets, and its decide_shards field shards the decide phase; a
+// "maintenance" section ranks snapshot expiry, metadata checkpointing,
+// and manifest rewriting against data compaction in one MOOP under the
+// same budget.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight tenant
 // cycles drain within -drain-timeout, the HTTP server stops accepting,
@@ -54,7 +51,6 @@ import (
 	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/server"
-	"autocomp/internal/storage"
 	"autocomp/internal/telemetry"
 	"autocomp/internal/tenant"
 )
@@ -65,30 +61,13 @@ func main() {
 	days := flag.Int("days", 14, "days to simulate (one cycle per day)")
 	listen := flag.String("listen", "", "serve the management API (/api/tenants) and telemetry (/metrics, /statusz, /healthz, /debug/pprof) on this address (e.g. :9090; empty = no HTTP plane); the daemon keeps serving after the run completes")
 	tracePath := flag.String("trace", "", "append per-cycle decision-trace events to this file as JSON lines")
-	policyPath := flag.String("policy", "", "policy spec file (JSON); pipeline flags become overrides and the file hot-reloads between cycles")
+	policyPath := flag.String("policy", "", "policy spec file (JSON) the default tenant's pipeline compiles from, hot-reloaded between cycles (empty = the built-in default spec, examples/policies/default.json)")
 	scenariosDir := flag.String("scenarios", "examples/scenarios", "directory where the management API resolves scenario runs submitted by name")
 	tuneWorkers := flag.Int("tune-workers", 0, "evaluation pool size for /api/tune jobs (0 = GOMAXPROCS; never changes tune results)")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "how long shutdown waits for in-flight tenant cycles to drain")
-	k := flag.Int("k", 0, "fixed top-k selection (0 = use budget)")
-	budgetTBHr := flag.Float64("budget-tbhr", 50, "per-cycle compute budget (TBHr)")
-	quotaAdaptive := flag.Bool("quota-adaptive", true, "use quota-adaptive MOOP weights (data-only mode)")
-	unified := flag.Bool("unified", true, "rank metadata maintenance (expiry/checkpoint/manifest rewrite) in the same budget as data compaction")
-	checkpointEvery := flag.Int64("checkpoint-every", 100, "commits between metadata checkpoints (unified mode)")
-	retainSnapshots := flag.Int("retain-snapshots", 20, "snapshots kept by expiry (unified mode)")
-	workers := flag.Int("workers", 8, "concurrent compaction job slots (0 = serial act phase)")
-	shards := flag.Int("shards", 4, "GBHr budget shards for the execution plane")
-	shardBudget := flag.Float64("shard-budget-tbhr", 0, "per-shard per-cycle budget (TBHr, 0 = unlimited)")
-	decideShards := flag.Int("decide-shards", 0, "partition the decide phase across N table-hash shards run in parallel (byte-identical decisions; <=1 = serial decide; implies the execution plane)")
-	decideWorkers := flag.Int("decide-workers", 0, "goroutines working decide shards (0 = min(decide-shards, GOMAXPROCS))")
 	writerRate := flag.Float64("writer-rate", 30, "live writer commits/hour racing the compactor (scheduled mode)")
-	incremental := flag.Bool("incremental", false, "commit-event-driven observation: re-observe only dirty tables")
 	writeFrac := flag.Float64("write-frac", 1, "per-table probability of writing on a given day, in (0,1); values outside that range (including 0) mean every table writes daily")
-	triggerCommits := flag.Int64("trigger-commits", 1, "commits before a table turns dirty (incremental mode; 1 preserves full-scan decision parity)")
-	reconcileEvery := flag.Int("reconcile-every", 0, "full-scan reconciliation every N cycles (incremental mode, 0 = never)")
 	flag.Parse()
-
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	var traceFile *os.File
 	if *tracePath != "" {
@@ -100,75 +79,11 @@ func main() {
 		telemetry.DefaultTracer().SetWriter(tf)
 	}
 
-	model := fleet.DefaultModel(512 * storage.MB)
-	// Validation environment for the policy file: the pricing constants
-	// without a live clock (the default tenant owns its clock; compile
-	// against the fleet happens inside the tenant at swap time).
-	env := policy.Env{
-		TargetFileSize:      model.TargetFileSize,
-		ExecutorMemoryGB:    model.ExecutorMemoryGB,
-		RewriteBytesPerHour: model.RewriteBytesPerHour,
-	}
-
-	// flagSpec assembles the spec the flags describe — the same pipeline
-	// the daemon always ran, now expressed as policy data.
-	flagSpec := func() *policy.Spec {
-		var sp *policy.Spec
-		if *unified {
-			sp = policy.DefaultSpec()
-			sp.Maintenance.RetainSnapshots = *retainSnapshots
-			sp.Maintenance.CheckpointEveryVersions = *checkpointEvery
-		} else {
-			sp = policy.DefaultDataSpec(*quotaAdaptive)
-		}
-		sp.Execution = nil
-		sp.Selector = nil
-		sp.Trigger = nil
-		applyFlagOverrides(sp, map[string]bool{
-			"k": true, "budget-tbhr": true, "workers": true, "shards": true,
-			"shard-budget-tbhr": true, "incremental": true,
-			"trigger-commits": *incremental, "reconcile-every": *incremental,
-			"decide-shards":  set["decide-shards"],
-			"decide-workers": set["decide-workers"],
-		}, *k, *budgetTBHr, *workers, *shards, *shardBudget,
-			*incremental, *triggerCommits, *reconcileEvery, 0, 0,
-			*decideShards, *decideWorkers)
-		return sp
-	}
-
-	// Load the default tenant's policy: from file (flags layered on top)
-	// or from flags.
-	var watcher *policy.Watcher
-	var spec *policy.Spec
-	var err error
-	provenance := "flags"
-	if *policyPath != "" {
-		// Structural flags choose which built-in spec the flags assemble;
-		// a policy file already states the pipeline's structure, so they
-		// cannot act as overrides on it.
-		for _, structural := range []string{"unified", "quota-adaptive"} {
-			if set[structural] {
-				fmt.Printf("autocompd: -%s has no effect with -policy (the file defines the pipeline structure)\n", structural)
-			}
-		}
-		watcher, spec, err = policy.NewWatcher(*policyPath, env)
-		if err != nil {
-			log.Fatal(err)
-		}
-		spec = spec.Clone()
-		applyFlagOverrides(spec, set, *k, *budgetTBHr, *workers, *shards,
-			*shardBudget, *incremental, *triggerCommits, *reconcileEvery,
-			*retainSnapshots, *checkpointEvery, *decideShards, *decideWorkers)
-		provenance = "file:" + *policyPath
-	} else {
-		spec = flagSpec()
-	}
-
 	opts := tenant.Options{
 		// The default tenant emits on the process-wide tracer, so -trace,
 		// /statusz, and the log lines keep their single-lake meaning.
 		Tracer:     telemetry.DefaultTracer(),
-		Provenance: provenance,
+		Provenance: "builtin",
 		Logf: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
@@ -179,20 +94,20 @@ func main() {
 			fmt.Println(ev.String())
 		},
 	}
-	if watcher != nil {
+	// The default tenant's policy: the -policy file, validated here and
+	// compiled against the fleet inside the tenant, or (nil) the
+	// built-in default spec.
+	var spec *policy.Spec
+	source := "built-in default"
+	if *policyPath != "" {
+		watcher, sp, err := policy.NewWatcher(*policyPath, fleet.ValidationEnv())
+		if err != nil {
+			log.Fatal(err)
+		}
 		// Hot reload: a changed, valid policy file swaps the pipeline in
 		// atomically between cycles; a bad edit keeps the current policy.
-		opts.PollPolicy = func() (*policy.Spec, bool, error) {
-			sp, changed, err := watcher.Poll()
-			if err != nil || !changed {
-				return nil, false, err
-			}
-			sp = sp.Clone()
-			applyFlagOverrides(sp, set, *k, *budgetTBHr, *workers, *shards,
-				*shardBudget, *incremental, *triggerCommits, *reconcileEvery,
-				*retainSnapshots, *checkpointEvery, *decideShards, *decideWorkers)
-			return sp, true, nil
-		}
+		spec, opts.PollPolicy = sp, watcher.Poll
+		opts.Provenance, source = "file:"+*policyPath, "from "+*policyPath+", hot-reloadable"
 	}
 
 	mgr := tenant.NewManager()
@@ -211,7 +126,7 @@ func main() {
 	st := def.Status()
 	fmt.Printf("autocompd: %d tables, %d files, %d metadata objects, %.0f%% under 128MB\n",
 		st.Fleet.Tables, st.Fleet.Files, st.Fleet.MetaObjects, 100*st.Fleet.TinyFrac)
-	fmt.Printf("policy: %s%s\n", st.Policy, map[bool]string{true: " (from " + *policyPath + ", hot-reloadable)", false: " (from flags)"}[*policyPath != ""])
+	fmt.Printf("policy: %s (%s)\n", st.Policy, source)
 	printPlanes(def.Service())
 
 	var srv *httpServer
@@ -293,81 +208,4 @@ func printPlanes(svc *fleet.SpecService) {
 		}
 		fmt.Printf("storage plane: durable log at %s (fsync %s)\n", st.Root, fsync)
 	}
-}
-
-// applyFlagOverrides layers the explicitly set pipeline flags onto a
-// spec: a -policy file states the intent, flags adjust it for one run.
-func applyFlagOverrides(sp *policy.Spec, set map[string]bool,
-	k int, budgetTBHr float64, workers, shards int, shardBudgetTBHr float64,
-	incremental bool, triggerCommits int64, reconcileEvery int,
-	retainSnapshots int, checkpointEvery int64,
-	decideShards, decideWorkers int) {
-
-	if set["k"] && k > 0 {
-		sp.Selector = &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(k)}}
-	} else if set["budget-tbhr"] {
-		sp.Selector = &policy.Component{Name: "budget", Params: map[string]any{"budget_gbhr": budgetTBHr * 1024}}
-	}
-	if set["workers"] {
-		if workers <= 0 {
-			sp.Execution = nil
-		} else {
-			ensureExecution(sp).Workers = workers
-		}
-	}
-	if sp.Execution != nil {
-		if set["shards"] {
-			sp.Execution.Shards = shards
-		}
-		if set["shard-budget-tbhr"] {
-			sp.Execution.ShardBudgetGBHr = shardBudgetTBHr * 1024
-		}
-	}
-	if set["decide-shards"] {
-		if decideShards <= 1 {
-			if sp.Execution != nil {
-				sp.Execution.DecideShards, sp.Execution.DecideWorkers = 0, 0
-			}
-		} else {
-			ensureExecution(sp).DecideShards = decideShards
-		}
-	}
-	if set["decide-workers"] && sp.Execution != nil && sp.Execution.DecideShards > 1 {
-		sp.Execution.DecideWorkers = decideWorkers
-	}
-	if set["incremental"] {
-		if incremental {
-			ensureTrigger(sp)
-		} else {
-			sp.Trigger = nil
-		}
-	}
-	if set["trigger-commits"] && sp.Trigger != nil {
-		ensureTrigger(sp).EveryCommits = triggerCommits
-	}
-	if set["reconcile-every"] && sp.Trigger != nil {
-		ensureTrigger(sp).ReconcileEvery = reconcileEvery
-	}
-	if sp.Maintenance != nil {
-		if set["retain-snapshots"] {
-			sp.Maintenance.RetainSnapshots = retainSnapshots
-		}
-		if set["checkpoint-every"] {
-			sp.Maintenance.CheckpointEveryVersions = checkpointEvery
-		}
-	}
-}
-
-func ensureExecution(sp *policy.Spec) *policy.ExecutionSpec {
-	if sp.Execution == nil {
-		sp.Execution = &policy.ExecutionSpec{Workers: 8, Shards: 4}
-	}
-	return sp.Execution
-}
-
-func ensureTrigger(sp *policy.Spec) *policy.TriggerSpec {
-	if sp.Trigger == nil {
-		sp.Trigger = &policy.TriggerSpec{EveryCommits: 1}
-	}
-	return sp.Trigger
 }

@@ -77,10 +77,6 @@ func main() {
 	databases := flag.Int("databases", 4, "databases to create")
 	top := flag.Int("top", 15, "rows to show per listing")
 	persist := flag.String("persist", "", "build the lake on the durable commit-log backend rooted here (the directories `lakectl inspect` reads)")
-	flag.IntVar(&decideShards, "decide-shards", 0,
-		"run the dry-run decide phase sharded across N table-hash shards (byte-identical output; <=1 = serial)")
-	flag.IntVar(&decideWorkers, "decide-workers", 0,
-		"goroutines working decide shards (0 = min(decide-shards, GOMAXPROCS))")
 	flag.Parse()
 	cmd := flag.Arg(0)
 	if cmd == "" {
@@ -521,24 +517,10 @@ func topKSelector(top int) *policy.Component {
 	return &policy.Component{Name: "top-k", Params: map[string]any{"k": float64(top)}}
 }
 
-// decideShards and decideWorkers shard the dry-run decide phase when
-// set (-decide-shards/-decide-workers) — same bytes out, parallel in.
-var decideShards, decideWorkers int
-
 // dryRun compiles a spec against the catalog substrate, runs the decide
 // phase only, and prints the decision and the rounds the compiled
 // scheduler would run its selection in.
 func dryRun(env *bench.Env, spec *policy.Spec, top int) {
-	if decideShards > 1 {
-		// The decide knobs live on the execution section; a decide-only
-		// dry run never schedules jobs, so one worker slot satisfies the
-		// section's validation without changing what runs.
-		spec.Execution = &policy.ExecutionSpec{
-			Workers:       1,
-			DecideShards:  decideShards,
-			DecideWorkers: decideWorkers,
-		}
-	}
 	penv, bindings := policy.CatalogSubstrate(env.CP, env.Exec)
 	comp, err := policy.Compile(spec, penv, bindings)
 	if err != nil {

@@ -18,7 +18,6 @@
 package autotune
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,13 +58,11 @@ type Space struct {
 	Objective Weights `json:"objective,omitempty"`
 }
 
-// ParseSpace decodes a space from JSON, rejecting unknown fields so
-// typos in operator-authored files fail loudly.
+// ParseSpace decodes a space from JSON under policy.DecodeStrict's
+// rules: unknown fields and trailing data are rejected.
 func ParseSpace(b []byte) (*Space, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var s Space
-	if err := dec.Decode(&s); err != nil {
+	if err := policy.DecodeStrict(b, &s); err != nil {
 		return nil, fmt.Errorf("autotune: parse space: %w", err)
 	}
 	return &s, nil

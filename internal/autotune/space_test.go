@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 )
@@ -160,7 +161,7 @@ func TestSpaceRoundTripProperty(t *testing.T) {
 		// Weight dims must leave a valid simplex behind: the compile
 		// gate is the real assertion, run it on a sample of iterations.
 		if iter%25 == 0 {
-			if err := policy.Validate(spec1, evalEnv()); err != nil {
+			if err := policy.Validate(spec1, fleet.ValidationEnv()); err != nil {
 				t.Fatalf("iter %d: decoded spec does not compile: %v\n%s", iter, err, b1)
 			}
 		}
@@ -289,7 +290,7 @@ func TestWeightRenormalization(t *testing.T) {
 			t.Fatalf("zero-raw weight = %v, want 0.4", o.Weight)
 		}
 	}
-	if err := policy.Validate(spec, evalEnv()); err != nil {
+	if err := policy.Validate(spec, fleet.ValidationEnv()); err != nil {
 		t.Fatalf("renormalized spec does not compile: %v", err)
 	}
 }
@@ -378,6 +379,14 @@ func TestSpaceParseRejectsUnknownFields(t *testing.T) {
 	}
 	if _, err := ParseSpace([]byte(`{"dimensions": [{"field": "x", "step": 3}]}`)); err == nil {
 		t.Fatal("unknown dimension field parsed")
+	}
+}
+
+func TestSpaceParseRejectsTrailingData(t *testing.T) {
+	for _, tail := range []string{`{"dimensions": []}`, ` junk`} {
+		if _, err := ParseSpace([]byte(`{"dimensions": []}` + tail)); err == nil {
+			t.Errorf("space followed by %q parsed", tail)
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario"
 	"autocomp/internal/sim"
-	"autocomp/internal/storage"
 	"autocomp/internal/telemetry"
 	"autocomp/internal/tuner"
 )
@@ -132,17 +131,6 @@ type Result struct {
 	Records []TrialRecord
 }
 
-// evalEnv is the compile environment trial specs validate against — the
-// same modeling constants the scenario engine compiles with.
-func evalEnv() policy.Env {
-	model := fleet.DefaultModel(512 * storage.MB)
-	return policy.Env{
-		TargetFileSize:      model.TargetFileSize,
-		ExecutorMemoryGB:    model.ExecutorMemoryGB,
-		RewriteBytesPerHour: model.RewriteBytesPerHour,
-	}
-}
-
 // runPool executes fn(0..n-1) over a bounded worker pool, mirroring the
 // decide-shard engine's work-stealing pattern. Each index writes only
 // its own slot of the caller's result slice, so the merge is
@@ -232,7 +220,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	weights = weights.normalized()
-	env := evalEnv()
+	env := fleet.ValidationEnv()
 	if err := policy.Validate(base, env); err != nil {
 		return nil, fmt.Errorf("autotune: base spec: %w", err)
 	}

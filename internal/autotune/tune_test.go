@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario"
 )
@@ -153,7 +154,7 @@ func TestTunedBeatsDefault(t *testing.T) {
 		t.Fatalf("improvement %v%%, want > 0", rep.ImprovementPct)
 	}
 	// The winner compiles cleanly against the evaluation environment.
-	if err := policy.Validate(res.Winner, evalEnv()); err != nil {
+	if err := policy.Validate(res.Winner, fleet.ValidationEnv()); err != nil {
 		t.Fatalf("winner does not compile: %v", err)
 	}
 	// The trajectory is the best-so-far series: monotone non-increasing

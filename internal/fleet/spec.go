@@ -1,8 +1,6 @@
 package fleet
 
 import (
-	"time"
-
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
 	"autocomp/internal/policy"
@@ -155,10 +153,6 @@ type Cycle struct {
 // tracer: the decision trace autocompd logs, streams as JSONL, and
 // serves on /statusz.
 func (s *SpecService) RunCycle() (Cycle, error) {
-	// The cycle cost is measured on the fleet's clock — virtual time, so
-	// the emitted trace (WallMS included) is a deterministic function of
-	// the seed rather than a leak of host wall time.
-	started := s.fleet.clock.Now()
 	var cyc Cycle
 	var err error
 	if s.Sched != nil {
@@ -169,7 +163,7 @@ func (s *SpecService) RunCycle() (Cycle, error) {
 	if err != nil {
 		return cyc, err
 	}
-	cyc.Event = s.tracer.Emit(s.cycleEvent(cyc.Report, cyc.Stats, s.fleet.clock.Now()-started))
+	cyc.Event = s.tracer.Emit(s.cycleEvent(cyc.Report, cyc.Stats))
 	return cyc, nil
 }
 
@@ -188,7 +182,7 @@ func serialStats(rep *core.Report) scheduler.Stats {
 // report, the execution stats, the observation feed, and the substrate.
 // It is passive: it reads state the cycle already produced and never
 // mutates anything the pipeline consumes.
-func (s *SpecService) cycleEvent(rep *core.Report, stats scheduler.Stats, wall time.Duration) telemetry.CycleEvent {
+func (s *SpecService) cycleEvent(rep *core.Report, stats scheduler.Stats) telemetry.CycleEvent {
 	d := rep.Decision
 	ev := telemetry.CycleEvent{
 		Day:    s.fleet.Day(),
@@ -222,7 +216,6 @@ func (s *SpecService) cycleEvent(rep *core.Report, stats scheduler.Stats, wall t
 		BytesRewritten:  rep.BytesRewritten,
 		GBHrSpent:       rep.ActualGBHr,
 		Fleet:           s.fleet.Summary(),
-		WallMS:          float64(wall) / float64(time.Millisecond),
 	}
 	if s.Feed != nil {
 		scan := s.Feed.LastScan()

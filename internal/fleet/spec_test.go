@@ -65,3 +65,13 @@ func TestSummaryMatchesAggregates(t *testing.T) {
 		t.Fatalf("Summary() = %+v, want %+v", got, want)
 	}
 }
+
+// TestStubEnvMatchesValidationEnv pins the CLI validator's environment
+// (`lakectl policy validate`, the benchmark's spec check) to the one
+// tenants and the scenario engine validate against, so a spec one
+// accepts the other cannot reject.
+func TestStubEnvMatchesValidationEnv(t *testing.T) {
+	if stub, lake := policy.StubEnv(), ValidationEnv(); !reflect.DeepEqual(stub, lake) {
+		t.Fatalf("policy.StubEnv() = %+v, fleet.ValidationEnv() = %+v", stub, lake)
+	}
+}

@@ -12,7 +12,7 @@ import (
 // `lakectl policy validate` — proving they parse, resolve every
 // component, and pass weight/parameter validation.
 func Example_shippedSpecs() {
-	for _, name := range []string{"default.json", "metadata-heavy.json", "incremental-fleet.json"} {
+	for _, name := range []string{"default.json", "data-only.json", "metadata-heavy.json", "incremental-fleet.json"} {
 		spec, err := policy.LoadFile(filepath.Join("..", "..", "examples", "policies", name))
 		if err != nil {
 			fmt.Println(err)
@@ -34,6 +34,7 @@ func Example_shippedSpecs() {
 	}
 	// Output:
 	// default.json: default +execution
+	// data-only.json: data-only +execution
 	// metadata-heavy.json: metadata-heavy +execution
 	// incremental-fleet.json: incremental-fleet +execution +incremental
 }

@@ -152,6 +152,20 @@ func TestUnknownTopLevelFieldRejected(t *testing.T) {
 	}
 }
 
+// TestTrailingDataRejected pins that a spec file holds one object: a
+// second object or junk after it must not load as the first alone.
+func TestTrailingDataRejected(t *testing.T) {
+	spec := `{"generators": ["table-scope"], "traits": ["file_count_reduction"]}`
+	if _, err := Parse([]byte(spec + "\n")); err != nil {
+		t.Fatalf("trailing whitespace: %v", err)
+	}
+	for _, tail := range []string{`{"name": "second"}`, ` junk`, `]`} {
+		if _, err := Parse([]byte(spec + tail)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Errorf("spec followed by %q: err = %v", tail, err)
+		}
+	}
+}
+
 func TestBadWeightsRejected(t *testing.T) {
 	s := DefaultDataSpec(false)
 	s.Objectives[0].Weight = 0.9 // 0.9 + 0.3 != 1

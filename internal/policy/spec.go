@@ -28,7 +28,9 @@ package policy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 )
 
@@ -295,16 +297,30 @@ func (s *Spec) Clone() *Spec {
 	return &out
 }
 
-// Parse decodes a spec from JSON, rejecting unknown fields so typos in
-// operator-authored files fail loudly instead of silently defaulting.
+// Parse decodes a spec from JSON under DecodeStrict's rules.
 func Parse(b []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := DecodeStrict(b, &s); err != nil {
 		return nil, fmt.Errorf("policy: parse spec: %w", err)
 	}
 	return &s, nil
+}
+
+// DecodeStrict decodes the single JSON value in b into v, the rule for
+// operator-authored files (policy specs, scenarios, tune spaces): an
+// unknown field fails loudly instead of silently defaulting, and so do
+// bytes after the value, which would otherwise load as the first value
+// alone.
+func DecodeStrict(b []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Marshal renders the spec as indented JSON (the on-disk format).

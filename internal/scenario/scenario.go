@@ -28,7 +28,6 @@
 package scenario
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -182,13 +181,11 @@ type Spec struct {
 	Reloads  []ReloadSpec  `json:"reloads,omitempty"`
 }
 
-// Parse decodes a scenario from JSON, rejecting unknown fields so typos
-// in operator-authored files fail loudly instead of silently defaulting.
+// Parse decodes a scenario from JSON under policy.DecodeStrict's rules:
+// unknown fields and trailing data are rejected.
 func Parse(b []byte) (*Spec, error) {
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := policy.DecodeStrict(b, &s); err != nil {
 		return nil, fmt.Errorf("scenario: parse: %w", err)
 	}
 	return &s, nil

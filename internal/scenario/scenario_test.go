@@ -85,6 +85,14 @@ func TestParseRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+func TestParseRejectsTrailingData(t *testing.T) {
+	for _, tail := range []string{`{"name":"y"}`, ` junk`} {
+		if _, err := Parse([]byte(`{"name":"x","days":3}` + tail)); err == nil {
+			t.Errorf("scenario followed by %q accepted", tail)
+		}
+	}
+}
+
 // TestWatcherHotReloadSwitchesAtCycleBoundary drives a scenario the way
 // autocompd drives its policy file: a policy.Watcher is polled between
 // StepDay calls, and an edit landing mid-run must switch the pipeline

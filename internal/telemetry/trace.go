@@ -101,12 +101,6 @@ type CycleEvent struct {
 	GBHrSpent       float64 `json:"gbhr_spent"`
 
 	Fleet FleetTrace `json:"fleet"`
-
-	// WallMS is the cost of running the cycle (observe through act) in
-	// milliseconds, measured on the emitter's clock — virtual time under
-	// simulation, so same-seed runs emit identical values. It is runtime
-	// telemetry only and is never part of a scenario trace.
-	WallMS float64 `json:"wall_ms"`
 }
 
 // String renders the event as the daemon's per-cycle log lines — the

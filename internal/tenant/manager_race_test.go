@@ -9,8 +9,7 @@ import (
 	"autocomp/internal/telemetry"
 )
 
-// soloEvents runs a tenant's cycles alone and returns its trace events
-// normalized for comparison (WallMS is runtime noise, never identity).
+// soloEvents runs a tenant's cycles alone and returns its trace events.
 func soloEvents(t *testing.T, cfg Config, spec *policy.Spec) []telemetry.CycleEvent {
 	t.Helper()
 	tn, err := New(cfg, spec, Options{})
@@ -22,16 +21,7 @@ func soloEvents(t *testing.T, cfg Config, spec *policy.Spec) []telemetry.CycleEv
 			t.Fatalf("solo %s day %d: %v", cfg.Name, d, err)
 		}
 	}
-	return normalizeEvents(tn.Tracer().Recent(cfg.Days))
-}
-
-func normalizeEvents(evs []telemetry.CycleEvent) []telemetry.CycleEvent {
-	out := make([]telemetry.CycleEvent, len(evs))
-	for i, ev := range evs {
-		ev.WallMS = 0
-		out[i] = ev
-	}
-	return out
+	return tn.Tracer().Recent(cfg.Days)
 }
 
 // TestConcurrentTenantsAreIsolated is the manager's race test (run
@@ -83,8 +73,8 @@ func TestConcurrentTenantsAreIsolated(t *testing.T) {
 	// RNG / trace isolation: concurrent == solo, event for event. The
 	// Tenant label differs by construction (solo runs used other names),
 	// so clear it before comparing; everything else must be identical.
-	gotA := normalizeEvents(a.Tracer().Recent(cfgA.Days))
-	gotB := normalizeEvents(b.Tracer().Recent(cfgB.Days))
+	gotA := a.Tracer().Recent(cfgA.Days)
+	gotB := b.Tracer().Recent(cfgB.Days)
 	compareEventStreams(t, "A", stripTenant(gotA), stripTenant(soloA))
 	compareEventStreams(t, "B", stripTenant(gotB), stripTenant(soloB))
 

@@ -167,12 +167,11 @@ type Options struct {
 	// tracer so -trace and /statusz keep their pre-tenant meaning.
 	Tracer *telemetry.Tracer
 	// PollPolicy, when set, is consulted at every cycle boundary — the
-	// file-watcher hook (policy.Watcher.Poll plus any host-side flag
-	// overrides). It returns (spec, changed, err); errors are reported
-	// through Logf and the running policy stays in force, mirroring the
-	// daemon's hot-reload semantics.
+	// file-watcher hook (policy.Watcher.Poll). It returns (spec,
+	// changed, err); errors are reported through Logf and the running
+	// policy stays in force, mirroring the daemon's hot-reload semantics.
 	PollPolicy func() (*policy.Spec, bool, error)
-	// Provenance names where the initial spec came from ("flags",
+	// Provenance names where the initial spec came from ("builtin",
 	// "file:<path>", "api", ...), shown by GET /policy.
 	Provenance string
 	// OnCycle, when set, observes each completed cycle: the trace event

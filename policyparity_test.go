@@ -20,15 +20,26 @@ func parityFleetConfig(seed int64) fleet.Config {
 	return testkit.FleetConfig(seed, 300)
 }
 
-// TestDefaultSpecFileMatchesBuiltin pins the shipped default.json to
-// policy.DefaultSpec(): editing one without the other fails here.
+// TestDefaultSpecFileMatchesBuiltin pins the shipped specs built from
+// the policy package's defaults to them: default.json is
+// policy.DefaultSpec(), and data-only.json is the quota-adaptive
+// policy.DefaultDataSpec under the default spec's 50 TBHr budget and
+// execution plane. Editing one side without the other fails here.
 func TestDefaultSpecFileMatchesBuiltin(t *testing.T) {
-	loaded, err := policy.LoadFile(filepath.Join("examples", "policies", "default.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := policy.Diff(loaded, policy.DefaultSpec()); len(d) != 0 {
-		t.Fatalf("default.json diverges from policy.DefaultSpec():\n%s", strings.Join(d, "\n"))
+	dataOnly := policy.DefaultDataSpec(true)
+	dataOnly.Selector = policy.DefaultSpec().Selector
+	dataOnly.Execution = &policy.ExecutionSpec{Workers: 8, Shards: 4}
+	for file, builtin := range map[string]*policy.Spec{
+		"default.json":   policy.DefaultSpec(),
+		"data-only.json": dataOnly,
+	} {
+		loaded, err := policy.LoadFile(filepath.Join("examples", "policies", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := policy.Diff(loaded, builtin); len(d) != 0 {
+			t.Errorf("%s diverges from its built-in spec:\n%s", file, strings.Join(d, "\n"))
+		}
 	}
 }
 

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Management-plane smoke test: boot autocompd as a serving daemon on an
 # ephemeral port, then drive the HTTP control API end to end — create a
-# second tenant next to the flag-built default, push a policy diff over
+# second tenant next to the built-in default, push a policy diff over
 # the wire, submit shipped scenarios (steady-state, and kill-restart,
 # which restarts its lake mid-run) through the runs API and poll them to
 # completion (asserting each trace matches its committed golden), and
@@ -31,7 +31,7 @@ done
 [ -n "$addr" ] || { echo "smoke-mgmt: autocompd never announced its listen address"; cat "$log"; exit 1; }
 echo "smoke-mgmt: autocompd management API on $addr"
 
-# The flag-built default tenant is served by the API.
+# The built-in default tenant is served by the API.
 curl -fsS "http://$addr/api/tenants" | grep -q '"name": "default"' \
   || { echo "smoke-mgmt: default tenant missing from GET /api/tenants"; exit 1; }
 echo "smoke-mgmt: default tenant listed"
