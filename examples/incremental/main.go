@@ -17,6 +17,7 @@ import (
 	"autocomp/internal/changefeed"
 	"autocomp/internal/core"
 	"autocomp/internal/lst"
+	"autocomp/internal/policy"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
@@ -45,7 +46,7 @@ func main() {
 	// feed's bus, and the feed folds each event into the table's one
 	// record: its trigger, dirty flag and cached observations.
 	feed := changefeed.NewFeedSharded(
-		changefeed.CatalogTriggers(cp, changefeed.TriggerPolicy{EveryCommits: 1}),
+		policy.NewSource(&policy.Spec{Trigger: &policy.TriggerSpec{EveryCommits: 1}}, cp).TriggerFor,
 		0, // no periodic reconciliation needed in this walkthrough
 		1, // one partition: this walkthrough decides serially
 	)

@@ -2,7 +2,6 @@ package changefeed
 
 import (
 	"autocomp/internal/catalog"
-	"autocomp/internal/core"
 	"autocomp/internal/lst"
 )
 
@@ -38,25 +37,4 @@ func AttachCatalog(bus *Bus, cp *catalog.ControlPlane) {
 	cp.SetDropHook(func(db, name string) {
 		bus.Publish(Event{Table: db + "." + name, Dropped: true})
 	})
-}
-
-// CatalogTriggers builds a PolicyFunc from the control plane's layered
-// policies (database-level overrides, then per-table fields):
-// TriggerEveryCommits / TriggerBytesWritten where set, def for unset
-// fields and unknown tables.
-func CatalogTriggers(cp *catalog.ControlPlane, def TriggerPolicy) PolicyFunc {
-	return func(t core.Table) TriggerPolicy {
-		out := def
-		pol, err := cp.EffectivePolicies(t.Database(), t.Name())
-		if err != nil {
-			return out
-		}
-		if pol.TriggerEveryCommits > 0 {
-			out.EveryCommits = pol.TriggerEveryCommits
-		}
-		if pol.TriggerBytesWritten > 0 {
-			out.BytesWritten = pol.TriggerBytesWritten
-		}
-		return out
-	}
 }

@@ -286,9 +286,3 @@ func (e *Executor) CompactTable(t *lst.Table) Result {
 func (e *Executor) CompactPartition(t *lst.Table, partition string) Result {
 	return e.Compact(t, PartitionScope, partition)
 }
-
-// CompactFiles compacts only the given files (grouped by partition) in
-// one commit, with no interleaving window.
-func (e *Executor) CompactFiles(t *lst.Table, files []lst.DataFile) Result {
-	return e.StartFiles(t, files).Finish()
-}

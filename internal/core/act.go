@@ -93,23 +93,14 @@ type ExecutorRunner struct {
 	Exec *compaction.Executor
 }
 
-// Run implements Runner.
+// Run implements Runner: StartCandidate, then Finish with no writes
+// interleaved.
 func (r ExecutorRunner) Run(c *Candidate) compaction.Result {
-	t, ok := c.Table.(*lst.Table)
-	if !ok {
-		return compaction.Result{
-			Table: c.Table.FullName(),
-			Err:   fmt.Errorf("core: ExecutorRunner requires *lst.Table, got %T", c.Table),
-		}
+	op, err := r.StartCandidate(c)
+	if err != nil {
+		return compaction.Result{Table: c.Table.FullName(), Err: err}
 	}
-	switch c.Scope {
-	case ScopePartition:
-		return r.Exec.CompactPartition(t, c.Partition)
-	case ScopeSnapshot:
-		return r.Exec.CompactFiles(t, c.Files())
-	default:
-		return r.Exec.CompactTable(t)
-	}
+	return op.Finish()
 }
 
 // StartCandidate begins a two-phase compaction for c, for event-driven

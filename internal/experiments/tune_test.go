@@ -1,6 +1,44 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"autocomp/internal/autotune"
+	"autocomp/internal/scenario"
+)
+
+// TestTuneInlineCopiesMatchExamples pins tuneSpace and tuneScenario to
+// the shipped files they mirror: the space's dimensions and effective
+// objective weights, and the scenario apart from its description.
+func TestTuneInlineCopiesMatchExamples(t *testing.T) {
+	space, err := autotune.LoadSpaceFile("../../examples/tuning/space.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inline := tuneSpace()
+	if !reflect.DeepEqual(inline.Dimensions, space.Dimensions) {
+		t.Errorf("tuneSpace dimensions\n got %+v\nwant %+v (space.json)", inline.Dimensions, space.Dimensions)
+	}
+	effective := func(w autotune.Weights) autotune.Weights {
+		if len(w) == 0 {
+			return autotune.DefaultWeights()
+		}
+		return w
+	}
+	if got, want := effective(inline.Objective), effective(space.Objective); !reflect.DeepEqual(got, want) {
+		t.Errorf("tuneSpace objective weights %v, space.json %v", got, want)
+	}
+
+	sc, err := scenario.LoadFile("../../examples/scenarios/tuning-micro.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.Description = ""
+	if got := tuneScenario(); !reflect.DeepEqual(got, sc) {
+		t.Errorf("tuneScenario\n got %+v\nwant %+v (tuning-micro.json)", got, sc)
+	}
+}
 
 func TestTuneShape(t *testing.T) {
 	res := runQuick(t, "tune").(TuneResult)

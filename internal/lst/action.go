@@ -86,26 +86,16 @@ func (t *Table) CreateAction() Action {
 }
 
 // ReplayCreate reconstructs a fresh table from its create action,
-// writing the version-0 metadata object just as NewTable does.
+// writing the version-0 metadata object.
 func ReplayCreate(a Action, fs *storage.NameNode, clock *sim.Clock) (*Table, error) {
 	if a.Kind != ActionCreate || a.Config == nil {
 		return nil, fmt.Errorf("lst: replay: not a create action")
 	}
-	cfg := *a.Config
-	if cfg.Database == "" || cfg.Name == "" {
-		return nil, fmt.Errorf("lst: replay: create action lacks database/name")
+	t, err := newTable(*a.Config, fs, clock)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.ManifestEntriesPerFile <= 0 {
-		cfg.ManifestEntriesPerFile = DefaultManifestEntriesPerFile
-	}
-	t := &Table{
-		cfg:                   cfg,
-		fs:                    fs,
-		clock:                 clock,
-		files:                 make(map[string]*DataFile),
-		created:               a.At,
-		lastCheckpointVersion: -1,
-	}
+	t.created = a.At
 	if err := t.writeMetadataLocked(0); err != nil {
 		return nil, err
 	}
@@ -142,8 +132,8 @@ func (t *Table) Apply(a Action) error {
 	}
 }
 
-// applyCommit mirrors Transaction.commit exactly, sourcing every output
-// (paths, snapshot, counters, timestamps) from the recorded action.
+// applyCommit checks a logged commit against the table (a snapshot
+// record, the next version, live removals) and applies it.
 func (t *Table) applyCommit(a Action) error {
 	if a.Snapshot == nil {
 		return fmt.Errorf("lst: replay: commit action lacks a snapshot")
@@ -157,9 +147,18 @@ func (t *Table) applyCommit(a Action) error {
 		if _, ok := t.files[path]; !ok {
 			return fmt.Errorf("lst: replay: removed file %s is not live", path)
 		}
+	}
+	return t.applyCommitLocked(a)
+}
+
+// applyCommitLocked is the one state transition of a commit, shared by
+// Transaction.commit and replay: every output (paths, snapshot, counters,
+// timestamps) comes from the record. Must hold t.mu.
+func (t *Table) applyCommitLocked(a Action) error {
+	for _, path := range a.Removed {
 		delete(t.files, path)
 		if err := t.fs.Delete(path); err != nil {
-			return fmt.Errorf("lst: replay: removing %s: %w", path, err)
+			return fmt.Errorf("lst: removing %s: %w", path, err)
 		}
 	}
 	t.nextSnapID = a.Snapshot.ID
@@ -183,4 +182,16 @@ func (t *Table) applyCommit(a Action) error {
 	t.lastWrite = snap.Timestamp
 	t.writeCount++
 	return nil
+}
+
+// logLocked hands a to the action sink, if one is attached; a checkpoint
+// record embeds the table state only then. Must hold t.mu.
+func (t *Table) logLocked(a Action) error {
+	if t.actionSink == nil {
+		return nil
+	}
+	if a.Kind == ActionCheckpoint {
+		a.State = t.stateLocked()
+	}
+	return t.actionSink(a)
 }

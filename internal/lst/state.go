@@ -80,26 +80,17 @@ func (t *Table) stateLocked() *TableState {
 // them; every time the table itself exposes (Created, LastWrite,
 // snapshot timestamps, per-file AddedAt) is restored exactly.
 func FromState(st *TableState, fs *storage.NameNode, clock *sim.Clock) (*Table, error) {
-	if st.Config.Database == "" || st.Config.Name == "" {
-		return nil, fmt.Errorf("lst: state requires database and name")
+	t, err := newTable(st.Config, fs, clock)
+	if err != nil {
+		return nil, err
 	}
-	cfg := st.Config
-	if cfg.ManifestEntriesPerFile <= 0 {
-		cfg.ManifestEntriesPerFile = DefaultManifestEntriesPerFile
-	}
-	t := &Table{
-		cfg:                   cfg,
-		fs:                    fs,
-		clock:                 clock,
-		files:                 make(map[string]*DataFile, len(st.Files)),
-		version:               st.Version,
-		nextFileID:            st.NextFileID,
-		nextSnapID:            st.NextSnapID,
-		created:               st.Created,
-		lastWrite:             st.LastWrite,
-		writeCount:            st.WriteCount,
-		lastCheckpointVersion: st.LastCheckpointVersion,
-	}
+	t.version = st.Version
+	t.nextFileID = st.NextFileID
+	t.nextSnapID = st.NextSnapID
+	t.created = st.Created
+	t.lastWrite = st.LastWrite
+	t.writeCount = st.WriteCount
+	t.lastCheckpointVersion = st.LastCheckpointVersion
 	t.snapshots = make([]*Snapshot, len(st.Snapshots))
 	for i := range st.Snapshots {
 		s := st.Snapshots[i]

@@ -142,26 +142,28 @@ type metaObject struct {
 // describe live state rather than a single snapshot's history.
 const liveManifest int64 = -1
 
-// NewTable creates a table and writes its initial metadata object.
+// NewTable creates a table and writes its initial metadata object, as
+// the replay of a create action stamped with the clock's time.
 func NewTable(cfg TableConfig, fs *storage.NameNode, clock *sim.Clock) (*Table, error) {
+	return ReplayCreate(Action{Kind: ActionCreate, At: clock.Now(), Config: &cfg}, fs, clock)
+}
+
+// newTable validates cfg and returns an empty, never-checkpointed table
+// holding no storage objects yet.
+func newTable(cfg TableConfig, fs *storage.NameNode, clock *sim.Clock) (*Table, error) {
 	if cfg.Database == "" || cfg.Name == "" {
 		return nil, fmt.Errorf("lst: table requires database and name")
 	}
 	if cfg.ManifestEntriesPerFile <= 0 {
 		cfg.ManifestEntriesPerFile = DefaultManifestEntriesPerFile
 	}
-	t := &Table{
+	return &Table{
 		cfg:                   cfg,
 		fs:                    fs,
 		clock:                 clock,
 		files:                 make(map[string]*DataFile),
-		created:               clock.Now(),
 		lastCheckpointVersion: -1,
-	}
-	if err := t.writeMetadataLocked(0); err != nil {
-		return nil, err
-	}
-	return t, nil
+	}, nil
 }
 
 // Identity and metadata accessors.
@@ -453,13 +455,12 @@ func ConsolidatedManifestCount(files, entriesPerManifest int) int {
 
 // path helpers
 
-func (t *Table) dataPathLocked(partition string) string {
-	part := partition
-	if part == "" {
-		part = "unpartitioned"
+// dataPath is the path of data file id in partition.
+func (t *Table) dataPath(partition string, id int64) string {
+	if partition == "" {
+		partition = "unpartitioned"
 	}
-	t.nextFileID++
-	return fmt.Sprintf("/%s/%s/data/%s/%08d.parquet", t.cfg.Database, t.cfg.Name, part, t.nextFileID)
+	return fmt.Sprintf("/%s/%s/data/%s/%08d.parquet", t.cfg.Database, t.cfg.Name, partition, id)
 }
 
 // writeMetadataLocked writes the versioned metadata.json object.
@@ -515,33 +516,15 @@ func (t *Table) ExpireSnapshots(keepLast int) (int, error) {
 func (t *Table) expireSnapshots(keepLast int) (int, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if keepLast < 1 {
-		keepLast = 1
-	}
-	if len(t.snapshots) <= keepLast {
+	drop, expired := t.expiryLocked(keepLast)
+	if drop == 0 {
 		return 0, nil
 	}
-	dropped := t.snapshots[:len(t.snapshots)-keepLast]
-	t.snapshots = append([]*Snapshot{}, t.snapshots[len(t.snapshots)-keepLast:]...)
-
-	droppedIDs := make(map[int64]struct{}, len(dropped))
-	for _, s := range dropped {
-		droppedIDs[s.ID] = struct{}{}
-	}
-	// Delete manifests belonging to dropped snapshots and metadata.json
-	// versions older than the oldest retained snapshot.
-	oldestRetained := t.snapshots[0].Sequence
+	t.snapshots = append([]*Snapshot{}, t.snapshots[drop:]...)
 	deleted := 0
 	kept := t.metaObjects[:0]
 	for _, m := range t.metaObjects {
-		drop := false
-		switch m.kind {
-		case metaManifest:
-			_, drop = droppedIDs[m.ref]
-		case metaJSON:
-			drop = m.ref < oldestRetained
-		}
-		if drop {
+		if expired(m) {
 			if err := t.fs.Delete(m.path); err == nil {
 				deleted++
 				continue
@@ -550,12 +533,10 @@ func (t *Table) expireSnapshots(keepLast int) (int, error) {
 		kept = append(kept, m)
 	}
 	t.metaObjects = kept
-	if deleted > 0 && t.actionSink != nil {
-		if err := t.actionSink(Action{Kind: ActionExpire, Version: t.version, At: t.clock.Now(), KeepLast: keepLast}); err != nil {
-			return deleted, err
-		}
+	if deleted == 0 {
+		return 0, nil
 	}
-	return deleted, nil
+	return deleted, t.logLocked(Action{Kind: ActionExpire, Version: t.version, At: t.clock.Now(), KeepLast: max(keepLast, 1)})
 }
 
 // ExpireEstimate returns how many metadata objects ExpireSnapshots
@@ -563,32 +544,42 @@ func (t *Table) expireSnapshots(keepLast int) (int, error) {
 func (t *Table) ExpireEstimate(keepLast int) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if keepLast < 1 {
-		keepLast = 1
-	}
-	if len(t.snapshots) <= keepLast {
-		return 0
-	}
-	dropped := t.snapshots[:len(t.snapshots)-keepLast]
-	droppedIDs := make(map[int64]struct{}, len(dropped))
-	for _, s := range dropped {
-		droppedIDs[s.ID] = struct{}{}
-	}
-	oldestRetained := t.snapshots[len(t.snapshots)-keepLast].Sequence
 	n := 0
-	for _, m := range t.metaObjects {
-		switch m.kind {
-		case metaManifest:
-			if _, ok := droppedIDs[m.ref]; ok {
-				n++
-			}
-		case metaJSON:
-			if m.ref < oldestRetained {
+	if drop, expired := t.expiryLocked(keepLast); drop > 0 {
+		for _, m := range t.metaObjects {
+			if expired(m) {
 				n++
 			}
 		}
 	}
 	return n
+}
+
+// expiryLocked selects what expiring to the newest keepLast (at least
+// one) snapshots reclaims: how many of the oldest snapshots go, and
+// which metadata objects go with them — their manifests and the
+// metadata.json versions older than the oldest retained snapshot.
+// Must hold t.mu.
+func (t *Table) expiryLocked(keepLast int) (int, func(metaObject) bool) {
+	drop := len(t.snapshots) - max(keepLast, 1)
+	if drop <= 0 {
+		return 0, nil
+	}
+	droppedIDs := make(map[int64]struct{}, drop)
+	for _, s := range t.snapshots[:drop] {
+		droppedIDs[s.ID] = struct{}{}
+	}
+	oldestRetained := t.snapshots[drop].Sequence
+	return drop, func(m metaObject) bool {
+		switch m.kind {
+		case metaManifest:
+			_, ok := droppedIDs[m.ref]
+			return ok
+		case metaJSON:
+			return m.ref < oldestRetained
+		}
+		return false
+	}
 }
 
 // MaintenanceResult reports one metadata-maintenance operation
@@ -669,12 +660,7 @@ func (t *Table) checkpoint() (MaintenanceResult, error) {
 	}
 	t.metaObjects = append(kept, metaObject{path: path, kind: metaCheckpoint, ref: t.version, size: size})
 	t.lastCheckpointVersion = t.version
-	if t.actionSink != nil {
-		if err := t.actionSink(Action{Kind: ActionCheckpoint, Version: t.version, At: t.clock.Now(), State: t.stateLocked()}); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return res, t.logLocked(Action{Kind: ActionCheckpoint, Version: t.version, At: t.clock.Now()})
 }
 
 // RewriteManifests consolidates the table's manifests into the minimum
@@ -741,10 +727,5 @@ func (t *Table) rewriteManifests() (MaintenanceResult, error) {
 		res.BytesReclaimed += m.size
 	}
 	t.metaObjects = append(kept, added...)
-	if t.actionSink != nil {
-		if err := t.actionSink(Action{Kind: ActionRewriteManifests, Version: t.version, At: t.clock.Now()}); err != nil {
-			return res, err
-		}
-	}
-	return res, nil
+	return res, t.logLocked(Action{Kind: ActionRewriteManifests, Version: t.version, At: t.clock.Now()})
 }

@@ -2,6 +2,7 @@ package lst
 
 import (
 	"fmt"
+	"sort"
 
 	"autocomp/internal/storage"
 )
@@ -63,11 +64,14 @@ func (tx *Transaction) touch(partition string) {
 	tx.parts[partition] = struct{}{}
 }
 
+// partitions returns the touched partitions sorted, so a commit's
+// snapshot record does not depend on map iteration order.
 func (tx *Transaction) partitions() []string {
 	out := make([]string, 0, len(tx.parts))
 	for p := range tx.parts {
 		out = append(out, p)
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -96,7 +100,9 @@ func (tx *Transaction) Commit() (*Snapshot, error) {
 	return snap, nil
 }
 
-// commit is the locked body of Commit.
+// commit is the locked body of Commit: it validates the transaction,
+// fixes its log record (assigned paths, the snapshot, the file-ID
+// counter), applies that record exactly as replay does, and logs it.
 func (tx *Transaction) commit() (*Snapshot, error) {
 	if tx.done {
 		return nil, ErrTransactionDone
@@ -126,89 +132,63 @@ func (tx *Transaction) commit() (*Snapshot, error) {
 		}
 	}
 
-	// Apply: physically remove replaced files, create added files.
-	for _, path := range tx.removes {
-		f := t.files[path]
-		delete(t.files, path)
-		_ = f // path validity established by validateLocked
-		if err := t.fs.Delete(path); err != nil {
-			return nil, fmt.Errorf("lst: removing %s: %w", path, err)
-		}
+	now := t.clock.Now()
+	snap := &Snapshot{
+		ID:         t.nextSnapID + 1,
+		Sequence:   t.version + 1,
+		Timestamp:  now,
+		Op:         tx.op,
+		Added:      len(tx.adds),
+		Removed:    len(tx.removes),
+		Partitions: tx.partitions(),
+		Manifests:  manifests,
+		TotalFiles: len(t.files) + len(tx.adds) - len(tx.removes),
 	}
-	t.nextSnapID++
-	snapID := t.nextSnapID
-	var addedBytes int64
-	addedFiles := make([]DataFile, 0, len(tx.adds))
-	for _, spec := range tx.adds {
-		path := t.dataPathLocked(spec.Partition)
-		if err := t.fs.Create(path, spec.SizeBytes); err != nil {
-			return nil, err
-		}
-		df := &DataFile{
-			Path:      path,
+	for _, f := range t.files {
+		snap.TotalBytes += f.SizeBytes
+	}
+	for _, path := range tx.removes {
+		snap.TotalBytes -= t.files[path].SizeBytes
+	}
+	added := make([]DataFile, len(tx.adds))
+	fileID := t.nextFileID
+	for i, spec := range tx.adds {
+		fileID++
+		added[i] = DataFile{
+			Path:      t.dataPath(spec.Partition, fileID),
 			Partition: spec.Partition,
 			SizeBytes: spec.SizeBytes,
 			RowCount:  spec.RowCount,
 			IsDelta:   spec.IsDelta,
 			Clustered: spec.Clustered,
-			AddedAt:   t.clock.Now(),
-			Snapshot:  snapID,
+			AddedAt:   now,
+			Snapshot:  snap.ID,
 		}
-		t.files[path] = df
-		addedFiles = append(addedFiles, *df)
-		addedBytes += spec.SizeBytes
+		snap.AddedBytes += spec.SizeBytes
 	}
-
-	mcount, err := t.writeManifestsLocked(snapID, changed)
-	if err != nil {
+	snap.TotalBytes += snap.AddedBytes
+	op := tx.op
+	a := Action{
+		Kind:       ActionCommit,
+		Version:    snap.Sequence,
+		At:         now,
+		Op:         &op,
+		Added:      added,
+		Removed:    tx.removes,
+		Snapshot:   snap,
+		NextFileID: fileID,
+	}
+	if err := t.applyCommitLocked(a); err != nil {
 		return nil, err
 	}
-	t.version++
-	if err := t.writeMetadataLocked(t.version); err != nil {
-		return nil, err
+	if err := t.logLocked(a); err != nil {
+		// The in-memory commit has landed but its log record has not:
+		// the table is now ahead of its durable log, exactly as a
+		// crash between apply and log write would leave it. Surface
+		// the durability failure to the committer.
+		return nil, fmt.Errorf("lst: commit logged no action: %w", err)
 	}
-
-	var totalBytes int64
-	for _, f := range t.files {
-		totalBytes += f.SizeBytes
-	}
-	snap := &Snapshot{
-		ID:         snapID,
-		Sequence:   t.version,
-		Timestamp:  t.clock.Now(),
-		Op:         tx.op,
-		Added:      len(tx.adds),
-		Removed:    len(tx.removes),
-		AddedBytes: addedBytes,
-		Partitions: tx.partitions(),
-		Manifests:  mcount,
-		TotalFiles: len(t.files),
-		TotalBytes: totalBytes,
-	}
-	t.snapshots = append(t.snapshots, snap)
-	t.lastWrite = t.clock.Now()
-	t.writeCount++
 	out := *snap
-	if t.actionSink != nil {
-		rec := *snap
-		op := tx.op
-		if err := t.actionSink(Action{
-			Kind:       ActionCommit,
-			Version:    t.version,
-			At:         t.clock.Now(),
-			Op:         &op,
-			Added:      addedFiles,
-			Removed:    append([]string(nil), tx.removes...),
-			Snapshot:   &rec,
-			NextFileID: t.nextFileID,
-		}); err != nil {
-			// The in-memory commit has landed but its log record has not:
-			// the table is now ahead of its durable log, exactly as a
-			// crash between apply and log write would leave it. Surface
-			// the durability failure to the committer.
-			return nil, fmt.Errorf("lst: commit logged no action: %w", err)
-		}
-	}
 	return &out, nil
 }
 
