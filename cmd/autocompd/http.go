@@ -11,27 +11,12 @@ import (
 	"autocomp/internal/tenant"
 )
 
-// StatusSnapshot is the /statusz payload: daemon identity plus the
-// decision-trace view of the fleet, dirty set, and scheduler — the same
-// CycleEvents the log lines render, so the three views cannot drift.
-type StatusSnapshot struct {
-	Policy         string                 `json:"policy"`
-	PolicyPath     string                 `json:"policy_path,omitempty"`
-	Day            int                    `json:"day"`
-	DaysPlanned    int                    `json:"days_planned"`
-	Done           bool                   `json:"done"`
-	Cycles         int64                  `json:"cycles"`
-	MetricFamilies int                    `json:"metric_families"`
-	LastCycle      *telemetry.CycleEvent  `json:"last_cycle,omitempty"`
-	RecentCycles   []telemetry.CycleEvent `json:"recent_cycles,omitempty"`
-}
-
 // statusSnapshot assembles /statusz from the default tenant's snapshot
 // (which, like GET /api/tenants/{t}, waits for the cycle boundary) and
 // the process-wide tracer the default tenant emits on.
-func statusSnapshot(def *tenant.Tenant, policyPath string) StatusSnapshot {
+func statusSnapshot(def *tenant.Tenant, policyPath string) telemetry.StatusSnapshot {
 	st := def.Status()
-	return StatusSnapshot{
+	return telemetry.StatusSnapshot{
 		Policy:         st.Policy,
 		PolicyPath:     policyPath,
 		Day:            st.Day,
@@ -67,7 +52,7 @@ type httpServer struct {
 // format), /statusz (JSON daemon snapshot), /healthz, the pprof suite
 // under /debug/pprof/, and any extra routes register mounts (the
 // management API). It serves until srv.Shutdown is called.
-func serveTelemetry(listen string, status func() StatusSnapshot, register func(*http.ServeMux)) (*httpServer, error) {
+func serveTelemetry(listen string, status func() telemetry.StatusSnapshot, register func(*http.ServeMux)) (*httpServer, error) {
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", telemetry.Handler(telemetry.Default()))
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"autocomp/internal/telemetry"
 )
 
 // TestServeTelemetryTimeouts pins the serving hardening: the telemetry
@@ -13,8 +15,8 @@ import (
 // keep-alive connections, leaves writes unbounded for the long-lived
 // pprof and NDJSON streams, and still answers its endpoints.
 func TestServeTelemetryTimeouts(t *testing.T) {
-	srv, err := serveTelemetry("127.0.0.1:0", func() StatusSnapshot {
-		return StatusSnapshot{Policy: "probe", Day: 3}
+	srv, err := serveTelemetry("127.0.0.1:0", func() telemetry.StatusSnapshot {
+		return telemetry.StatusSnapshot{Policy: "probe", Day: 3}
 	}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +55,7 @@ func TestServeTelemetryTimeouts(t *testing.T) {
 	if got := string(get("/healthz")); got != "ok\n" {
 		t.Fatalf("/healthz = %q", got)
 	}
-	var st StatusSnapshot
+	var st telemetry.StatusSnapshot
 	if err := json.Unmarshal(get("/statusz"), &st); err != nil {
 		t.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func main() {
 			Logf:         opts.Logf,
 			TuneWorkers:  *tuneWorkers,
 		}
-		status := func() StatusSnapshot { return statusSnapshot(def, *policyPath) }
+		status := func() telemetry.StatusSnapshot { return statusSnapshot(def, *policyPath) }
 		srv, err = serveTelemetry(*listen, status, mgmt.Register)
 		if err != nil {
 			log.Fatal(err)

@@ -14,19 +14,6 @@ import (
 	"autocomp/internal/telemetry"
 )
 
-// daemonStatus mirrors autocompd's /statusz payload.
-type daemonStatus struct {
-	Policy         string                 `json:"policy"`
-	PolicyPath     string                 `json:"policy_path"`
-	Day            int                    `json:"day"`
-	DaysPlanned    int                    `json:"days_planned"`
-	Done           bool                   `json:"done"`
-	Cycles         int64                  `json:"cycles"`
-	MetricFamilies int                    `json:"metric_families"`
-	LastCycle      *telemetry.CycleEvent  `json:"last_cycle"`
-	RecentCycles   []telemetry.CycleEvent `json:"recent_cycles"`
-}
-
 // statusCmd scrapes a running autocompd's /statusz endpoint and renders
 // the operator view: daemon identity, progress, and the recent decision
 // trace in the same per-cycle format the daemon logs.
@@ -65,7 +52,7 @@ func statusCmd(args []string) {
 		os.Stdout.Write(body)
 		return
 	}
-	var st daemonStatus
+	var st telemetry.StatusSnapshot
 	if err := json.Unmarshal(body, &st); err != nil {
 		log.Fatalf("lakectl status: decoding /statusz: %v", err)
 	}

@@ -42,15 +42,15 @@ func main() {
 	}
 
 	// The changefeed: every lst commit in the lake — including tables
-	// created later and maintenance operations — publishes to the
-	// feed's bus, and the feed folds each event into the table's one
-	// record: its trigger, dirty flag and cached observations.
+	// created later and maintenance operations — is a call to the
+	// feed's Publish, which folds the event into the table's one record:
+	// its trigger, dirty flag and cached observations.
 	feed := changefeed.NewFeedSharded(
 		policy.NewSource(&policy.Spec{Trigger: &policy.TriggerSpec{EveryCommits: 1}}, cp).TriggerFor,
 		0, // no periodic reconciliation needed in this walkthrough
 		1, // one partition: this walkthrough decides serially
 	)
-	changefeed.AttachCatalog(feed.Bus, cp)
+	changefeed.AttachCatalog(feed.Publish, cp)
 
 	// A plain AutoComp pipeline, incrementalized by wrapping its three
 	// observation-side components; filters, traits, ranking, and
@@ -118,7 +118,7 @@ func main() {
 	cycle("cycle 6: quiet again")
 
 	fmt.Printf("\ntotals: %d events published, %d tables tracked, cache %d hits / %d misses\n",
-		feed.Bus.Published(), feed.Tracker.KnownCount(), prev.Hits, prev.Misses)
+		feed.Tracker.Events(), feed.Tracker.KnownCount(), prev.Hits, prev.Misses)
 }
 
 // write appends n small files to tbl in one commit.

@@ -219,8 +219,8 @@ func (cp *ControlPlane) CreateTableWithPolicies(db string, cfg lst.TableConfig, 
 
 // SetCommitHook installs h on every table in the lake — existing tables
 // immediately, future tables at creation — so one changefeed observes
-// all commits. The changefeed package's AttachCatalog wires a commit bus
-// here.
+// all commits. The changefeed package's AttachCatalog wires a feed's
+// Publish here.
 func (cp *ControlPlane) SetCommitHook(h lst.CommitHook) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()

@@ -5,8 +5,8 @@ import (
 	"autocomp/internal/lst"
 )
 
-// lstHook adapts lst commit events onto the bus.
-func lstHook(bus *Bus) lst.CommitHook {
+// lstHook turns lst commit events into calls to publish.
+func lstHook(publish func(Event)) lst.CommitHook {
 	return func(e lst.CommitEvent) {
 		ev := Event{
 			Table:       e.Table.FullName(),
@@ -19,22 +19,16 @@ func lstHook(bus *Bus) lst.CommitHook {
 		if e.Snapshot != nil {
 			ev.Bytes = e.Snapshot.AddedBytes
 		}
-		bus.Publish(ev)
+		publish(ev)
 	}
 }
 
-// AttachTable publishes one table's commits (transactions and
-// maintenance operations) to bus.
-func AttachTable(bus *Bus, t *lst.Table) {
-	t.SetCommitHook(lstHook(bus))
-}
-
-// AttachCatalog publishes every commit in the control plane's lake —
-// existing tables and tables created later — to bus, and publishes a
-// Dropped event when a table is removed so subscribers forget it.
-func AttachCatalog(bus *Bus, cp *catalog.ControlPlane) {
-	cp.SetCommitHook(lstHook(bus))
+// AttachCatalog calls publish (a feed's Publish) for every commit in the
+// control plane's lake — existing tables and tables created later — and
+// with a Dropped event for every drop, so the feed forgets the table.
+func AttachCatalog(publish func(Event), cp *catalog.ControlPlane) {
+	cp.SetCommitHook(lstHook(publish))
 	cp.SetDropHook(func(db, name string) {
-		bus.Publish(Event{Table: db + "." + name, Dropped: true})
+		publish(Event{Table: db + "." + name, Dropped: true})
 	})
 }

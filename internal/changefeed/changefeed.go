@@ -1,5 +1,5 @@
 // Package changefeed is AutoComp's incremental observation plane: a
-// commit-event bus that table writers publish to, per-table dirty-set
+// feed that table writers publish commit events to, per-table dirty-set
 // tracking with declarative trigger policies, a stats cache keyed by
 // table version, and connector/generator/observer wrappers that feed
 // only changed tables into the existing filter→orient→decide→act
@@ -53,14 +53,13 @@
 package changefeed
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"autocomp/internal/core"
 )
 
-// Event is one table-commit notification published on the Bus. Writers
+// Event is one table-commit notification published to a Feed. Writers
 // (lst transactions, fleet writer commits, daily organic growth) publish
 // one event per commit batch; maintenance executors publish events with
 // Maintenance set so consumers can distinguish work the system did from
@@ -88,51 +87,11 @@ type Event struct {
 	// table is re-observed once so its refreshed state replaces the
 	// stale candidate, regardless of how lazy the trigger policy is.
 	Maintenance bool
-	// Dropped marks the table's removal from the lake: subscribers
-	// forget it (dirty state, cached stats, retained candidates)
-	// instead of accumulating. Reconciling full scans also prune
-	// tables absent from the enumeration, for publishers that cannot
-	// signal drops.
+	// Dropped marks the table's removal from the lake: the feed forgets
+	// it (dirty state, cached stats, retained candidates) instead of
+	// accumulating. Reconciling full scans also prune tables absent
+	// from the enumeration, for publishers that cannot signal drops.
 	Dropped bool
-}
-
-// Bus is a synchronous publish/subscribe channel for commit events.
-// Publish delivers to every subscriber in subscription order, on the
-// publisher's goroutine. Subscribers must not block and must take their
-// own locks; publishers must not hold locks a subscriber needs.
-type Bus struct {
-	mu        sync.Mutex
-	subs      []func(Event)
-	published int64
-}
-
-// NewBus returns an empty bus.
-func NewBus() *Bus { return &Bus{} }
-
-// Subscribe registers fn for every subsequent Publish.
-func (b *Bus) Subscribe(fn func(Event)) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.subs = append(b.subs, fn)
-}
-
-// Publish delivers e to every subscriber.
-func (b *Bus) Publish(e Event) {
-	b.mu.Lock()
-	subs := b.subs
-	b.published++
-	b.mu.Unlock()
-	mEvents.Inc()
-	for _, fn := range subs {
-		fn(e)
-	}
-}
-
-// Published returns how many events have been published.
-func (b *Bus) Published() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.published
 }
 
 // TriggerPolicy decides how much accumulated write activity promotes a

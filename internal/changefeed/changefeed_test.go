@@ -86,21 +86,21 @@ func TestIncrementalTrackerTriggers(t *testing.T) {
 	}
 
 	// Commits accumulate until the count trigger fires.
-	feed.Bus.Publish(event(tbl, 1, 10, false))
-	feed.Bus.Publish(event(tbl, 1, 10, false))
+	feed.Publish(event(tbl, 1, 10, false))
+	feed.Publish(event(tbl, 1, 10, false))
 	dirty(0, "2/3 commits")
-	feed.Bus.Publish(event(tbl, 1, 10, false))
+	feed.Publish(event(tbl, 1, 10, false))
 	dirty(1, "3/3 commits")
 	take(1)
 	take(0) // the fire reset the accumulation
 
 	// The byte threshold fires ahead of the commit counter.
-	feed.Bus.Publish(event(tbl, 1, 150, false))
+	feed.Publish(event(tbl, 1, 150, false))
 	dirty(1, "byte burst")
 	take(1)
 
 	// Maintenance events dirty immediately, bypassing the trigger.
-	feed.Bus.Publish(event(tbl, 0, 0, true))
+	feed.Publish(event(tbl, 0, 0, true))
 	dirty(1, "maintenance event")
 	take(1)
 
@@ -146,7 +146,7 @@ func TestIncrementalStatsCacheAccounting(t *testing.T) {
 	counters(3, 3, 0, 2)
 
 	// A commit event drops exactly its table's entries.
-	feed.Bus.Publish(event(a, 1, storage.MB, false))
+	feed.Publish(event(a, 1, storage.MB, false))
 	counters(3, 3, 1, 1)
 	decide()
 	counters(4, 4, 1, 2)
@@ -212,7 +212,7 @@ func TestIncrementalCacheInvalidationOnCommit(t *testing.T) {
 	// One commit invalidates exactly that table.
 	tables[1].version++
 	tables[1].smallFiles = 25
-	feed.Bus.Publish(event(tables[1], 1, storage.MB, false))
+	feed.Publish(event(tables[1], 1, storage.MB, false))
 	d, err = svc.Decide()
 	if err != nil {
 		t.Fatal(err)
@@ -328,7 +328,7 @@ func TestIncrementalCacheKeysWorkUnits(t *testing.T) {
 	}
 
 	// One event on a invalidates all six of its units and none of b's.
-	feed.Bus.Publish(event(a, 1, storage.MB, false))
+	feed.Publish(event(a, 1, storage.MB, false))
 	counters(units, units, 1, 3)
 	decide()
 	counters(units+3, units+6, 1, units)
@@ -435,10 +435,8 @@ func TestIncrementalLSTAndCatalogPublish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	bus := changefeed.NewBus()
 	var got []changefeed.Event
-	bus.Subscribe(func(e changefeed.Event) { got = append(got, e) })
-	changefeed.AttachCatalog(bus, cp)
+	changefeed.AttachCatalog(func(e changefeed.Event) { got = append(got, e) }, cp)
 
 	// A commit publishes a writer event with the snapshot's bytes.
 	if _, err := tbl.AppendFiles([]lst.FileSpec{{SizeBytes: 4 * storage.MB}}); err != nil {
@@ -574,7 +572,7 @@ func catalogPipeline(t *testing.T, names ...string) (*catalog.ControlPlane, *cha
 		}
 	}
 	feed := changefeed.NewFeedSharded(nil, 0, 1)
-	changefeed.AttachCatalog(feed.Bus, cp)
+	changefeed.AttachCatalog(feed.Publish, cp)
 	svc, err := core.NewService(core.Config{
 		Connector: feed.Connector(core.CatalogConnector{CP: cp}),
 		Generator: feed.Generator(core.TableScopeGenerator{}),
@@ -625,7 +623,7 @@ func TestIncrementalDroppedTableForgotten(t *testing.T) {
 
 	// A commit event that raced the drop (publisher read the hook
 	// before detachment) must not resurrect the dropped table.
-	feed.Bus.Publish(changefeed.Event{Table: "d.a", Version: 3, Commits: 1})
+	feed.Publish(changefeed.Event{Table: "d.a", Version: 3, Commits: 1})
 	if feed.Tracker.KnownCount() != 1 || feed.Tracker.DirtyCount() != 0 {
 		t.Fatalf("racing commit resurrected dropped table: known=%d dirty=%d",
 			feed.Tracker.KnownCount(), feed.Tracker.DirtyCount())
@@ -663,17 +661,5 @@ func TestIncrementalRecreatedTableRegisters(t *testing.T) {
 	}
 	if d.Ranked[0].Table != core.Table(recreated) {
 		t.Fatal("ranked d.t is not the recreated table")
-	}
-}
-
-func TestIncrementalBusCounts(t *testing.T) {
-	bus := changefeed.NewBus()
-	n := 0
-	bus.Subscribe(func(changefeed.Event) { n++ })
-	for i := 0; i < 3; i++ {
-		bus.Publish(changefeed.Event{Table: fmt.Sprintf("d.t%d", i)})
-	}
-	if n != 3 || bus.Published() != 3 {
-		t.Fatalf("delivered=%d published=%d", n, bus.Published())
 	}
 }

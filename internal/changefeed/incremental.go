@@ -9,16 +9,14 @@ import (
 	"autocomp/internal/core"
 )
 
-// Feed bundles one lake's incremental-observation state: the commit
-// bus, and the one index of table records behind the dirty-set tracker,
-// the stats cache, and the retained candidate pool the incremental
-// generator re-emits for clean tables. Build one with NewFeedSharded,
-// attach publishers to Feed.Bus, and wrap a service's
-// connector/generator/observer with Connector, Generator, and Observer —
-// the core pipeline then runs unmodified.
+// Feed bundles one lake's incremental-observation state: the one index
+// of table records behind the dirty-set tracker, the stats cache, and
+// the retained candidate pool the incremental generator re-emits for
+// clean tables. Build one with NewFeedSharded, have publishers call
+// Feed.Publish, and wrap a service's connector/generator/observer with
+// Connector, Generator, and Observer — the core pipeline then runs
+// unmodified.
 type Feed struct {
-	// Bus receives commit events; the feed is its one subscriber.
-	Bus *Bus
 	// Tracker is the dirty-set view of the index.
 	Tracker *Tracker
 	// Cache is the version-keyed observation view of the index.
@@ -45,26 +43,22 @@ type Feed struct {
 	lastPool int
 }
 
-// NewFeedSharded builds a feed: a fresh bus with the feed subscribed,
-// using policy for triggers (nil = every commit) and the given
-// reconciliation interval. Serial decide passes shards 1; a sharded
-// decide plane passes its shard count, so the index stripes to match
-// and decide shards generate and observe without cross-shard
-// contention. Shard count is fixed per feed; policy hot-reload builds a
-// fresh feed, which is why decide-shard changes only ever take effect
-// at a cycle boundary.
+// NewFeedSharded builds an empty feed with policy for triggers (nil =
+// every commit) and the given reconciliation interval. Serial decide
+// passes shards 1; a sharded decide plane passes its shard count, so the
+// index stripes to match and decide shards generate and observe without
+// cross-shard contention. Shard count is fixed per feed; policy
+// hot-reload builds a fresh feed, which is why decide-shard changes only
+// ever take effect at a cycle boundary.
 func NewFeedSharded(policy PolicyFunc, reconcileEvery, shards int) *Feed {
 	idx := newIndex(shards)
-	f := &Feed{
-		Bus:            NewBus(),
+	return &Feed{
 		Tracker:        &Tracker{idx: idx},
 		Cache:          &StatsCache{idx: idx},
 		ReconcileEvery: reconcileEvery,
 		policy:         policy,
 		idx:            idx,
 	}
-	f.Bus.Subscribe(f.handle)
-	return f
 }
 
 // Connector wraps full so Tables() serves only the dirty set between

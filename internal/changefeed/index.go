@@ -111,15 +111,17 @@ func newIndex(stripes int) index {
 // of returns the stripe holding the named table.
 func (idx index) of(name string) *stripe { return idx[core.ShardOf(name, len(idx))] }
 
-// handle is the feed's one bus subscriber. Under the table's stripe lock
-// it forgets a dropped table, or registers the table, invalidates its
-// cached observations and folds the commit into its trigger: pending
-// activity accumulates until the table's trigger policy fires, at which
-// point the table turns dirty and the accumulators reset. Maintenance
-// events dirty the table immediately (its state changed under the
-// system's own hands; the retained candidate must refresh).
-func (f *Feed) handle(e Event) {
+// Publish is the feed's one entry point for commit events, safe for
+// concurrent use. Under the table's stripe lock it forgets a dropped
+// table, or registers the table, invalidates its cached observations
+// and folds the commit into its trigger: pending activity accumulates
+// until the table's trigger policy fires, at which point the table
+// turns dirty and the accumulators reset. Maintenance events dirty the
+// table immediately (its state changed under the system's own hands;
+// the retained candidate must refresh).
+func (f *Feed) Publish(e Event) {
 	f.Tracker.events.Add(1)
+	mEvents.Inc()
 	f.Cache.invalidations.Add(1)
 	mCacheInvalidations.Inc()
 	st := f.idx.of(e.Table)

@@ -133,7 +133,7 @@ func TestIncrementalIndexMatchesRecountProperty(t *testing.T) {
 				trace = append(trace, "recreate "+name)
 				tb = &propTable{name: name, version: 1, files: 1}
 				lake[name] = tb
-				feed.Bus.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version, Commits: 1})
+				feed.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version, Commits: 1})
 			case op == 0:
 				trace = append(trace, "commit "+name)
 				tb.version++
@@ -143,20 +143,20 @@ func TestIncrementalIndexMatchesRecountProperty(t *testing.T) {
 					// Events without a Ref must still reach the table's record.
 					e.Ref = tb
 				}
-				feed.Bus.Publish(e)
+				feed.Publish(e)
 			case op == 1:
 				// A version-preserving compaction: only the invalidation
 				// keeps the cache from serving the old file count.
 				trace = append(trace, "maintenance "+name)
 				tb.files = 1
-				feed.Bus.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version, Maintenance: true})
+				feed.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version, Maintenance: true})
 			case op == 2:
 				trace = append(trace, "drop "+name)
 				delete(lake, name)
-				feed.Bus.Publish(Event{Table: tb.FullName(), Dropped: true})
+				feed.Publish(Event{Table: tb.FullName(), Dropped: true})
 				if rng.Intn(2) == 0 {
 					trace = append(trace, "racing commit "+name)
-					feed.Bus.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version + 1, Commits: 1})
+					feed.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version + 1, Commits: 1})
 				}
 			case op == 3:
 				trace = append(trace, "redirty "+name)

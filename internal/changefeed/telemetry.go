@@ -10,7 +10,7 @@ import (
 var (
 	mEvents = telemetry.Default().Counter(
 		"autocomp_changefeed_events_total",
-		"Commit events published on changefeed buses.")
+		"Commit events published to changefeeds.")
 	mTriggered = telemetry.Default().Counter(
 		"autocomp_changefeed_triggered_total",
 		"Dirty-set promotions (trigger fires, maintenance events, conflict re-dirties).")

@@ -63,11 +63,11 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 				}
 				tb := tables[rng.Intn(len(tables))]
 				fd := cur.Load()
-				fd.Bus.Publish(changefeed.Event{
+				fd.Publish(changefeed.Event{
 					Table: tb.FullName(), Ref: tb, Version: i, Commits: 1, Bytes: 4096,
 				})
 				if rng.Bernoulli(0.02) {
-					fd.Bus.Publish(changefeed.Event{Table: tb.FullName(), Dropped: true})
+					fd.Publish(changefeed.Event{Table: tb.FullName(), Dropped: true})
 				}
 			}
 		}(w)

@@ -415,9 +415,9 @@ type Fleet struct {
 	// per-candidate fleet scan would make the observe phase quadratic.
 	dbFiles map[string]int64
 
-	// bus, when attached, receives one event per table commit batch —
+	// feed, when attached, receives one event per table commit batch —
 	// the fleet side of the incremental observation plane.
-	bus *changefeed.Bus
+	feed *changefeed.Feed
 
 	// openCalls accumulates modeled HDFS open() RPCs on data files
 	// (Fig 11b); metaOpenCalls counts the planning-time opens of
@@ -436,15 +436,16 @@ type Fleet struct {
 }
 
 // AttachChangefeed publishes the fleet's commits (writer commits, daily
-// organic growth, onboarding, and maintenance actions) to bus.
-func (f *Fleet) AttachChangefeed(bus *changefeed.Bus) { f.bus = bus }
+// organic growth, onboarding, and maintenance actions) to feed; nil
+// detaches the current one.
+func (f *Fleet) AttachChangefeed(feed *changefeed.Feed) { f.feed = feed }
 
 // publish emits one commit event when a changefeed is attached.
 func (f *Fleet) publish(t *Table, commits, bytes int64, maintenance bool) {
-	if f.bus == nil {
+	if f.feed == nil {
 		return
 	}
-	f.bus.Publish(changefeed.Event{
+	f.feed.Publish(changefeed.Event{
 		Table:       t.FullName(),
 		Ref:         t,
 		Version:     t.commits,
@@ -741,7 +742,7 @@ func (f *Fleet) MetadataOpenCalls() int64 { return f.metaOpenCalls }
 // deletion a long-running service must survive (users drop and recreate
 // tables daily, §7). The table's data files leave the tenant's
 // namespace accounting and, when a changefeed is attached, a Dropped
-// event tells subscribers to forget it (dirty state, cached stats,
+// event tells the feed to forget it (dirty state, cached stats,
 // retained candidates). It returns false when no table has that full
 // name.
 func (f *Fleet) DropTable(fullName string) bool {
@@ -752,8 +753,8 @@ func (f *Fleet) DropTable(fullName string) bool {
 		f.tables = append(f.tables[:i], f.tables[i+1:]...)
 		f.addDBFiles(t.Database(), -(t.counts[0] + t.counts[1] + t.counts[2]))
 		mDropped.Inc()
-		if f.bus != nil {
-			f.bus.Publish(changefeed.Event{
+		if f.feed != nil {
+			f.feed.Publish(changefeed.Event{
 				Table:   fullName,
 				At:      f.clock.Now(),
 				Dropped: true,

@@ -28,7 +28,7 @@ type IncrOptions struct {
 // IncrementalConfig wires a fresh changefeed into cfg: the connector
 // serves the dirty set, the generator retains clean tables' candidates,
 // and the observer answers from the version-keyed cache. It attaches
-// the feed's bus to the fleet; any core.Config compiled against this
+// the feed to the fleet; any core.Config compiled against this
 // fleet (data-only, unified, custom weights) can be incrementalized this
 // way.
 func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Config, *changefeed.Feed) {
@@ -37,7 +37,7 @@ func (f *Fleet) IncrementalConfig(cfg core.Config, opts IncrOptions) (core.Confi
 		triggers = changefeed.StaticTriggers(opts.Trigger)
 	}
 	feed := changefeed.NewFeedSharded(triggers, opts.ReconcileEvery, opts.DecideShards)
-	f.AttachChangefeed(feed.Bus)
+	f.AttachChangefeed(feed)
 	cfg.Connector = feed.Connector(cfg.Connector)
 	cfg.Generator = feed.Generator(cfg.Generator)
 	cfg.Observer = feed.Observer(cfg.Observer, f.QuotaUtilization)

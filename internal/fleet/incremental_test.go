@@ -65,3 +65,35 @@ func TestIncrementalCacheHitAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestSetPolicyDetachesFeed pins that a reload to a spec without a
+// trigger section detaches the running feed: the old feed must not
+// account any of the fleet's later commits.
+func TestSetPolicyDetachesFeed(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InitialTables, cfg.Databases = 60, 3
+	spec := policy.DefaultSpec()
+	spec.Trigger = &policy.TriggerSpec{EveryCommits: 1}
+	l, err := OpenLake("alpha", cfg, spec, SpecRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Step(nil); err != nil {
+		t.Fatal(err)
+	}
+	feed := l.Service().Feed
+	if feed == nil || feed.Tracker.Events() == 0 {
+		t.Fatal("the trigger spec's feed accounted no commits")
+	}
+	before := feed.Tracker.Events()
+
+	if err := l.SetPolicy(policy.DefaultSpec()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Step(nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := feed.Tracker.Events(); got != before {
+		t.Fatalf("detached feed accounted %d more events after the reload", got-before)
+	}
+}

@@ -62,9 +62,9 @@ type State struct {
 	Tables        []TableState  `json:"tables"`
 }
 
-// Snapshot captures the fleet's full state. The changefeed bus is not
-// part of it — observation-plane attachments are reconstructed by the
-// harness after Restore, as at first boot.
+// Snapshot captures the fleet's full state. The attached changefeed is
+// not part of it — observation-plane attachments are reconstructed by
+// the harness after Restore, as at first boot.
 func (f *Fleet) Snapshot() *State {
 	st := f.header()
 	st.Tables = make([]TableState, 0, len(f.tables))
@@ -114,6 +114,12 @@ func (t *Table) state() TableState {
 	}
 }
 
+// maxRestoreDraws bounds an RNG stream's position in a snapshot. Restore
+// replays each draw (about 6 ns on a 2-vCPU Xeon), so a stream at the
+// bound takes about 6 s; a writes stream advances about 2 draws per
+// table per day, so the bound covers about 5,000 days at 100k tables.
+const maxRestoreDraws = 1 << 30
+
 // Restore rebuilds a fleet from a snapshot without re-running its
 // history: tables are materialized directly, the per-database file
 // cache recomputed, virtual time advanced to the snapshot's, and every
@@ -126,13 +132,17 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 	}
 	// A stream cannot sit before its first draw: replaying a negative
 	// count would start the stream over while it still reported the
-	// count, so every restore would repeat the draws already made.
+	// count, so every restore would repeat the draws already made. Past
+	// maxRestoreDraws the replay would stall the boot.
 	for _, s := range []struct {
 		name  string
 		draws int64
 	}{{"tables", st.RNG.Tables}, {"writes", st.RNG.Writes}, {"scans", st.RNG.Scans}, {"exec", st.RNG.Exec}} {
 		if s.draws < 0 {
 			return nil, fmt.Errorf("fleet: rng stream %q at negative position %d", s.name, s.draws)
+		}
+		if s.draws > maxRestoreDraws {
+			return nil, fmt.Errorf("fleet: rng stream %q at position %d, past the restore bound %d", s.name, s.draws, maxRestoreDraws)
 		}
 	}
 	if now := clock.Now(); now < st.Now {

@@ -97,11 +97,12 @@ func TestPersistFleetRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsNegativeRNGPosition requires Restore to refuse a
-// snapshot whose RNG stream sits at a negative draw count, naming the
-// stream, and a durable lake whose fleet.json holds one to fail to open
-// rather than replay draws it already made.
-func TestRestoreRejectsNegativeRNGPosition(t *testing.T) {
+// TestRestoreRejectsOutOfRangeRNGPosition requires Restore to refuse a
+// snapshot whose RNG stream sits at a negative draw count or past
+// maxRestoreDraws, naming the stream, and a durable lake whose
+// fleet.json holds a negative one to fail to open rather than replay
+// draws it already made.
+func TestRestoreRejectsOutOfRangeRNGPosition(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialTables, cfg.Databases = 60, 3
 	f := New(cfg, sim.NewClock())
@@ -115,11 +116,13 @@ func TestRestoreRejectsNegativeRNGPosition(t *testing.T) {
 		{"scans", func(r *RNGState) *int64 { return &r.Scans }},
 		{"exec", func(r *RNGState) *int64 { return &r.Exec }},
 	} {
-		st := f.Snapshot()
-		*stream.pos(&st.RNG) = -3
-		_, err := Restore(st, sim.NewClock())
-		if err == nil || !strings.Contains(err.Error(), `"`+stream.name+`"`) {
-			t.Fatalf("restore with %s at -3 = %v, want an error naming the stream", stream.name, err)
+		for _, pos := range []int64{-3, maxRestoreDraws + 1} {
+			st := f.Snapshot()
+			*stream.pos(&st.RNG) = pos
+			_, err := Restore(st, sim.NewClock())
+			if err == nil || !strings.Contains(err.Error(), `"`+stream.name+`"`) {
+				t.Fatalf("restore with %s at %d = %v, want an error naming the stream", stream.name, pos, err)
+			}
 		}
 	}
 

@@ -110,7 +110,7 @@ func (f *Fleet) ServiceFromSpec(spec *policy.Spec, model CompactionModel, opts S
 		// The spec owns the fleet's changefeed attachment: compiling a
 		// non-incremental spec detaches any previously attached feed, so
 		// a hot reload away from incremental mode does not leave a stale
-		// bus consuming (and accounting) every future commit event.
+		// feed consuming (and accounting) every future commit event.
 		f.AttachChangefeed(nil)
 	}
 	svc, err := core.NewService(cfg)

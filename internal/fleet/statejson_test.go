@@ -344,7 +344,8 @@ func TestLakePersistFailureKeepsLastState(t *testing.T) {
 }
 
 // maxFuzzDraws bounds the RNG positions the fuzz harness restores:
-// Restore replays every draw, so a hostile position never finishes.
+// Restore replays every draw, so a position near maxRestoreDraws takes
+// seconds. Past maxRestoreDraws Restore must fail without replaying.
 const maxFuzzDraws = 1_000_000
 
 // FuzzLakeStateEncoding restores any input that decodes as a lake's
@@ -356,7 +357,15 @@ func FuzzLakeStateEncoding(f *testing.F) {
 		if json.Unmarshal(data, &in) != nil || in.Fleet == nil {
 			return
 		}
-		if rng := in.Fleet.RNG; max(rng.Tables, rng.Writes, rng.Scans, rng.Exec) > maxFuzzDraws {
+		rng := in.Fleet.RNG
+		hi := max(rng.Tables, rng.Writes, rng.Scans, rng.Exec)
+		if hi > maxRestoreDraws {
+			if _, err := Restore(in.Fleet, sim.NewClock()); err == nil {
+				t.Fatalf("restore with rng %+v past the bound %d succeeded", rng, maxRestoreDraws)
+			}
+			return
+		}
+		if hi > maxFuzzDraws {
 			return
 		}
 		fl, err := Restore(in.Fleet, sim.NewClock())

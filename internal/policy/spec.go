@@ -158,7 +158,8 @@ type ExecutionSpec struct {
 	RetryBase Duration `json:"retry_base,omitempty"`
 	RetryMax  Duration `json:"retry_max,omitempty"`
 	// AgingRatePerHour is the priority points a queued job gains per
-	// hour of waiting (0 = scheduler default, negative disables).
+	// hour of waiting (0 = scheduler default, negative disables). The
+	// fleet submits a cycle's plan at once, so aging never reorders it.
 	AgingRatePerHour float64 `json:"aging_rate_per_hour,omitempty"`
 	// DecideShards partitions the decide phase (generation, filtering,
 	// observation, MOOP ranking) across this many table-hash shards run

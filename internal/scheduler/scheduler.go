@@ -7,9 +7,10 @@
 // with (§4.4, §7; see also "Online Bigtable Merge Compaction",
 // arXiv:1407.3008, for scheduling merges under resource constraints):
 //
-//   - a priority job queue fed by the ranked plan, with linear aging so a
-//     low-priority table that keeps losing to fresh high-priority work
-//     still runs eventually (no starvation);
+//   - a priority job queue fed by the ranked plan, with linear aging:
+//     of jobs submitted at different instants, the longer-waiting one
+//     gains priority. The fleet submits each cycle's plan in one Submit
+//     on a fresh Pool, so there aging never reorders it;
 //   - per-table exclusive leases — two jobs never touch one table
 //     concurrently, the discipline that produced zero cluster-side
 //     conflicts in Table 1;
@@ -80,8 +81,9 @@ type Config struct {
 	RetryMax  time.Duration
 
 	// AgingRatePerHour is how many priority points a queued job gains
-	// per hour of waiting (linear aging). Zero means DefaultAgingRate;
-	// negative disables aging.
+	// per hour of waiting (linear aging); one Submit's jobs share an
+	// enqueue instant, so aging never reorders them. Zero means
+	// DefaultAgingRate; negative disables aging.
 	AgingRatePerHour float64
 
 	// ExecutorMemoryGB prices a job's service time: its decide-time

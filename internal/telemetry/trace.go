@@ -140,6 +140,21 @@ func (ev CycleEvent) String() string {
 	return b.String()
 }
 
+// StatusSnapshot is autocompd's /statusz payload, which lakectl status
+// decodes: daemon identity plus the same CycleEvents the log lines
+// render, so the views cannot drift.
+type StatusSnapshot struct {
+	Policy         string       `json:"policy"`
+	PolicyPath     string       `json:"policy_path,omitempty"`
+	Day            int          `json:"day"`
+	DaysPlanned    int          `json:"days_planned"`
+	Done           bool         `json:"done"`
+	Cycles         int64        `json:"cycles"`
+	MetricFamilies int          `json:"metric_families"`
+	LastCycle      *CycleEvent  `json:"last_cycle,omitempty"`
+	RecentCycles   []CycleEvent `json:"recent_cycles,omitempty"`
+}
+
 // Tracer accumulates the decision-trace stream: a bounded ring of recent
 // CycleEvents (served by /statusz) plus an optional writer receiving one
 // JSON line per event. All methods are safe for concurrent use.
