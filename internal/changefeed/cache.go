@@ -36,8 +36,6 @@ type CacheCounters struct {
 	// Hits and Misses count CachingObserver lookups; Misses equals the
 	// inner (expensive) Observe calls made.
 	Hits, Misses int64
-	// Invalidations counts per-table invalidations (commit events).
-	Invalidations int64
 	// Entries is the current number of cached observations.
 	Entries int
 }
@@ -51,10 +49,9 @@ type CacheCounters struct {
 // atomics and is unchanged by striping. All methods are safe for
 // concurrent use.
 type StatsCache struct {
-	idx           index
-	hits, misses  atomic.Int64
-	invalidations atomic.Int64
-	entries       atomic.Int64
+	idx          index
+	hits, misses atomic.Int64
+	entries      atomic.Int64
 }
 
 // lookup serves work unit u of table at version from the cache under
@@ -131,10 +128,9 @@ func (sc *StatsCache) MaxVersions() map[string]int64 {
 // Counters returns a snapshot of the cache accounting.
 func (sc *StatsCache) Counters() CacheCounters {
 	return CacheCounters{
-		Hits:          sc.hits.Load(),
-		Misses:        sc.misses.Load(),
-		Invalidations: sc.invalidations.Load(),
-		Entries:       int(sc.entries.Load()),
+		Hits:    sc.hits.Load(),
+		Misses:  sc.misses.Load(),
+		Entries: int(sc.entries.Load()),
 	}
 }
 

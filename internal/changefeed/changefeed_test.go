@@ -126,11 +126,14 @@ func TestIncrementalStatsCacheAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	counters := func(hits, misses, invalidations int64, entries int) {
+	counters := func(hits, misses, events int64, entries int) {
 		t.Helper()
-		want := changefeed.CacheCounters{Hits: hits, Misses: misses, Invalidations: invalidations, Entries: entries}
+		want := changefeed.CacheCounters{Hits: hits, Misses: misses, Entries: entries}
 		if got := feed.Cache.Counters(); got != want {
 			t.Fatalf("counters = %+v, want %+v", got, want)
+		}
+		if got := feed.Tracker.Events(); got != events {
+			t.Fatalf("events = %d, want %d", got, events)
 		}
 	}
 
@@ -303,11 +306,14 @@ func TestIncrementalCacheKeysWorkUnits(t *testing.T) {
 			}
 		}
 	}
-	counters := func(hits, misses, invalidations int64, entries int) {
+	counters := func(hits, misses, events int64, entries int) {
 		t.Helper()
-		want := changefeed.CacheCounters{Hits: hits, Misses: misses, Invalidations: invalidations, Entries: entries}
+		want := changefeed.CacheCounters{Hits: hits, Misses: misses, Entries: entries}
 		if got := feed.Cache.Counters(); got != want {
 			t.Fatalf("counters = %+v, want %+v", got, want)
+		}
+		if got := feed.Tracker.Events(); got != events {
+			t.Fatalf("events = %d, want %d", got, events)
 		}
 	}
 	decide() // cold start: every unit misses and gets its own entry

@@ -122,8 +122,6 @@ func (idx index) of(name string) *stripe { return idx[core.ShardOf(name, len(idx
 func (f *Feed) Publish(e Event) {
 	f.Tracker.events.Add(1)
 	mEvents.Inc()
-	f.Cache.invalidations.Add(1)
-	mCacheInvalidations.Inc()
 	st := f.idx.of(e.Table)
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -23,9 +23,6 @@ var (
 	mCacheMisses = telemetry.Default().Counter(
 		"autocomp_changefeed_cache_misses_total",
 		"Stats-cache lookups that fell through to the full observer.")
-	mCacheInvalidations = telemetry.Default().Counter(
-		"autocomp_changefeed_cache_invalidations_total",
-		"Per-table cache invalidations (commit events, drops).")
 	mCacheEntries = telemetry.Default().Gauge(
 		"autocomp_changefeed_cache_entries",
 		"Cached observations currently held.")

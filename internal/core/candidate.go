@@ -153,17 +153,24 @@ type Candidate struct {
 // (NFR2) and reporting: the table's full name, then "/partition" or
 // "@fresh" by scope, then "#action" for maintenance actions.
 func (c *Candidate) ID() string {
-	sep, part, hash, action := "", "", "", ""
+	p := c.idParts()
+	return p[0] + p[1] + p[2] + p[3] + p[4]
+}
+
+// idParts returns the pieces ID concatenates, so rank ties can compare
+// IDs without building them.
+func (c *Candidate) idParts() [5]string {
+	p := [5]string{0: c.Table.FullName()}
 	switch c.Scope {
 	case ScopePartition:
-		sep, part = "/", c.Partition
+		p[1], p[2] = "/", c.Partition
 	case ScopeSnapshot:
-		sep = "@fresh"
+		p[1] = "@fresh"
 	}
 	if c.Action != ActionDataCompaction {
-		hash, action = "#", c.Action.String()
+		p[3], p[4] = "#", c.Action.String()
 	}
-	return c.Table.FullName() + sep + part + hash + action
+	return p
 }
 
 // Files returns the candidate's file set according to its scope.

@@ -3,6 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -71,14 +73,16 @@ func (p ThresholdPolicy) MergeStats(parts []any) any { return nil }
 func (p ThresholdPolicy) RankShard(cands []*Candidate, _ any) []*Candidate {
 	slot := slotOf(cands, p.Trait)
 	var out []*Candidate
+	var keys []uint64
 	for _, c := range cands {
 		v := c.Trait(slot)
 		if v >= p.Threshold {
 			c.Score = v
 			out = append(out, c)
+			keys = append(keys, scoreKey(v))
 		}
 	}
-	return rankSorted(out)
+	return rankSorted(out, keys)
 }
 
 // Objective is one weighted term of the scalarized MOOP function.
@@ -220,7 +224,8 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 	}
 	slots := r.slots(cands)
 	buf := make([]float64, 0, len(r.Objectives))
-	for _, c := range cands {
+	keys := make([]uint64, len(cands), 2*len(cands))
+	for ci, c := range cands {
 		weights := static
 		if r.DynamicWeights != nil {
 			if buf = r.DynamicWeights(c, buf[:0]); len(buf) == len(r.Objectives) {
@@ -248,8 +253,9 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 			}
 		}
 		c.Score = score
+		keys[ci] = scoreKey(score)
 	}
-	return rankSorted(cands)
+	return rankSorted(cands, keys)
 }
 
 // QuotaAdaptiveWeights returns a DynamicWeights function for a
@@ -299,38 +305,126 @@ func compareScores(a, b float64) int {
 	return 0
 }
 
-// rankKey is one candidate's sort key: its score and its position in
-// the ranker's input.
-type rankKey struct {
-	score float64
-	pos   int
+// scoreKey maps a score to a key whose ascending order is the ranking's
+// score order: descending, −0 folded into +0 (compareScores ties them),
+// and every NaN canonicalized to the largest key, after −Inf.
+func scoreKey(s float64) uint64 {
+	switch {
+	case s != s:
+		return math.MaxUint64
+	case s == 0:
+		s = 0
+	}
+	b := math.Float64bits(s)
+	if b>>63 == 0 {
+		return ^(b | 1<<63)
+	}
+	return b
 }
 
+// compareIDs is strings.Compare(a.ID(), b.ID()) without building
+// either ID: it walks the two IDs' pieces side by side.
+func compareIDs(a, b *Candidate) int {
+	pa, pb := a.idParts(), b.idParts()
+	i, j := 0, 0
+	sa, sb := pa[0], pb[0]
+	for {
+		for sa == "" && i+1 < len(pa) {
+			i++
+			sa = pa[i]
+		}
+		for sb == "" && j+1 < len(pb) {
+			j++
+			sb = pb[j]
+		}
+		if sa == "" || sb == "" {
+			return cmp.Compare(len(sa), len(sb))
+		}
+		m := min(len(sa), len(sb))
+		if c := strings.Compare(sa[:m], sb[:m]); c != 0 {
+			return c
+		}
+		sa, sb = sa[m:], sb[m:]
+	}
+}
+
+// radixBits is the rank sort's digit width: an 11-bit digit keeps the
+// histogram at 16 KB.
+const radixBits = 11
+
 // rankSorted returns cands permuted into RankCompare order, in a new
-// slice. It sorts flat keys with pdqsort, so a comparison whose scores
-// differ reads no candidate, and it breaks RankCompare ties by input
-// position, so the result equals a stable sort's for every pool without
-// NaN scores, duplicate IDs included.
-func rankSorted(cands []*Candidate) []*Candidate {
-	if len(cands) == 0 {
+// slice. keys[i] must be scoreKey(cands[i].Score); rankSorted
+// overwrites keys and uses cap(keys) up to 2·len(keys) as the sort's
+// second buffer, so a caller that allocates that much saves a copy.
+//
+// Each key's low bits.Len(n−1) bits are replaced by the candidate's
+// input position, and a stable LSD radix sort orders the keys on the
+// bits above it, skipping every digit all keys share. Keys whose high
+// bits tie (equal scores, or scores a few ulps apart) form runs, each
+// ordered in place by full score key, then ID, then position; only
+// those comparisons read a candidate. The result equals a stable sort
+// by RankCompare for every pool without NaN scores, duplicate IDs
+// included, and NaN scores rank after every number.
+func rankSorted(cands []*Candidate, keys []uint64) []*Candidate {
+	n := len(cands)
+	if n == 0 {
 		return nil
 	}
-	keys := make([]rankKey, len(cands))
-	for i, c := range cands {
-		keys[i] = rankKey{score: c.Score, pos: i}
+	keys = slices.Grow(keys, n)
+	src, dst := keys[:n], keys[n:2*n]
+	shift := uint(bits.Len(uint(n - 1)))
+	low := uint64(1)<<shift - 1
+	var diff uint64 // the bits above the position where keys differ
+	first := src[0] &^ low
+	for i, k := range src {
+		k &^= low
+		diff |= k ^ first
+		src[i] = k | uint64(i)
 	}
-	slices.SortFunc(keys, func(a, b rankKey) int {
-		if c := compareScores(a.score, b.score); c != 0 {
+	const mask = 1<<radixBits - 1
+	var count [1 << radixBits]int
+	for s := shift; s < 64; s += radixBits {
+		if diff>>s&mask == 0 {
+			continue
+		}
+		clear(count[:])
+		for _, k := range src {
+			count[k>>s&mask]++
+		}
+		sum := 0
+		for d, c := range count {
+			count[d] = sum
+			sum += c
+		}
+		for _, k := range src {
+			d := k >> s & mask
+			dst[count[d]] = k
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	byFull := func(a, b uint64) int {
+		ca, cb := cands[a&low], cands[b&low]
+		if c := cmp.Compare(scoreKey(ca.Score), scoreKey(cb.Score)); c != 0 {
 			return c
 		}
-		if c := strings.Compare(cands[a.pos].ID(), cands[b.pos].ID()); c != 0 {
+		if c := compareIDs(ca, cb); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.pos, b.pos)
-	})
-	out := make([]*Candidate, len(cands))
-	for i, k := range keys {
-		out[i] = cands[k.pos]
+		return cmp.Compare(a&low, b&low)
+	}
+	out := make([]*Candidate, n)
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && src[j]>>shift == src[i]>>shift {
+			j++
+		}
+		if j-i > 1 {
+			slices.SortFunc(src[i:j], byFull)
+		}
+		for ; i < j; i++ {
+			out[i] = cands[src[i]&low]
+		}
 	}
 	return out
 }

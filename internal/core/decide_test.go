@@ -184,7 +184,7 @@ func TestRankMatchesStableSortProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(19, uint64(ci)))
 		n := rng.IntN(40)
 		if ci%4 == 0 {
-			n = rng.IntN(400) // past pdqsort's insertion-sort cutoff
+			n = rng.IntN(400) // up to nine position bits
 		}
 		cands := make([]*Candidate, n)
 		for i := range cands {

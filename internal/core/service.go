@@ -164,7 +164,10 @@ func (cfg *Config) DecideSerial() (*Decision, error) {
 // stats-filter, orient, trait-filter — and returns the survivors. Each
 // stage's pool size is added to d's funnel counts, so a sharded decide
 // plane refines every shard into its own Decision and sums them, while
-// DecideSerial refines the whole pool once.
+// DecideSerial refines the whole pool once. The observe stage adds its
+// call count to the observation counter once per pass; an observer
+// error aborts the pass, counting the calls made, the failing one
+// included.
 //
 // A retained candidate's vector from an earlier cycle is dropped up
 // front, so filters before orient read 0 for every candidate alike and
@@ -181,11 +184,16 @@ func (cfg *Config) Refine(cands []*Candidate, d *Decision) ([]*Candidate, error)
 	cands = ApplyFilters(cands, cfg.PreFilters)
 	d.AfterPreFilters += len(cands)
 
-	for _, c := range cands {
-		if err := cfg.ObserveCandidate(c); err != nil {
-			return nil, err
+	for i, c := range cands {
+		stats, err := cfg.Observer.Observe(c)
+		if err != nil {
+			mObserve.Add(float64(i + 1))
+			mObserveErrors.Inc()
+			return nil, fmt.Errorf("core: observe %s: %w", c.ID(), err)
 		}
+		c.Stats = stats
 	}
+	mObserve.Add(float64(len(cands)))
 	cands = ApplyFilters(cands, cfg.StatsFilters)
 	d.AfterStatsFilter += len(cands)
 
@@ -193,21 +201,6 @@ func (cfg *Config) Refine(cands []*Candidate, d *Decision) ([]*Candidate, error)
 	cands = ApplyFilters(cands, cfg.TraitFilters)
 	d.AfterTraitFilter += len(cands)
 	return cands, nil
-}
-
-// ObserveCandidate runs the configured observer on one candidate,
-// storing the stats and maintaining the observation telemetry — the one
-// observe entry point both the serial pass and sharded engines use, so
-// the counters stay consistent whichever plane decides.
-func (cfg *Config) ObserveCandidate(c *Candidate) error {
-	mObserve.Inc()
-	stats, err := cfg.Observer.Observe(c)
-	if err != nil {
-		mObserveErrors.Inc()
-		return fmt.Errorf("core: observe %s: %w", c.ID(), err)
-	}
-	c.Stats = stats
-	return nil
 }
 
 // CandidateResult pairs a selected candidate with its execution result

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -394,5 +395,50 @@ func TestServiceSnapshotScope(t *testing.T) {
 	}
 	if tbl.FileCount() != 11 {
 		t.Fatalf("file count = %d", tbl.FileCount())
+	}
+}
+
+// failingObserver fails its failAt-th call (never when failAt is 0).
+type failingObserver struct{ calls, failAt int }
+
+func (o *failingObserver) Observe(*Candidate) (Stats, error) {
+	o.calls++
+	if o.calls == o.failAt {
+		return Stats{}, errors.New("observe failed")
+	}
+	return Stats{SmallFiles: 2}, nil
+}
+
+// TestRefineCountsObserveCalls pins the observation counters one
+// Refine pass moves: every call on success, and on an observer error
+// the calls made, the failing one included, plus one error.
+func TestRefineCountsObserveCalls(t *testing.T) {
+	var tables []Table
+	for i := 0; i < 5; i++ {
+		tables = append(tables, fakeTable{name: "db.t" + itoa(i)})
+	}
+	for _, tc := range []struct{ failAt, calls, errs int }{{0, 5, 0}, {3, 3, 1}, {1, 1, 1}} {
+		obs := &failingObserver{failAt: tc.failAt}
+		svc, err := NewService(Config{
+			Connector: StaticConnector{TableList: tables},
+			Generator: TableScopeGenerator{},
+			Observer:  obs,
+			Traits:    []Trait{FileCountReduction{}},
+			Ranker:    ThresholdPolicy{Trait: FileCountReduction{}, Threshold: 0},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls, errs := mObserve.Value(), mObserveErrors.Value()
+		_, err = svc.cfg.Refine(TableScopeGenerator{}.Candidates(tables), &Decision{})
+		if (err != nil) != (tc.errs > 0) {
+			t.Fatalf("fail at %d: Refine error = %v", tc.failAt, err)
+		}
+		if got := mObserve.Value() - calls; got != float64(tc.calls) {
+			t.Fatalf("fail at %d: observe calls counted %v, want %d", tc.failAt, got, tc.calls)
+		}
+		if got := mObserveErrors.Value() - errs; got != float64(tc.errs) {
+			t.Fatalf("fail at %d: observe errors counted %v, want %d", tc.failAt, got, tc.errs)
+		}
 	}
 }

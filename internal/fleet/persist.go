@@ -114,10 +114,13 @@ func (t *Table) state() TableState {
 	}
 }
 
-// maxRestoreDraws bounds an RNG stream's position in a snapshot. Restore
-// replays each draw (about 6 ns on a 2-vCPU Xeon), so a stream at the
-// bound takes about 6 s; a writes stream advances about 2 draws per
-// table per day, so the bound covers about 5,000 days at 100k tables.
+// maxRestoreDraws bounds the sum of a snapshot's four RNG stream
+// positions. Restore replays each draw (about 6 ns on a 2-vCPU Xeon), so
+// a snapshot at the bound takes about 6 s to boot however its draws are
+// split. Under the default policy the streams advance about 2.5 draws
+// per table per day together (writes about 2, exec about 0.5) after
+// about 10 per table at creation, so the bound covers about 4,000 days
+// at 100k tables.
 const maxRestoreDraws = 1 << 30
 
 // Restore rebuilds a fleet from a snapshot without re-running its
@@ -133,7 +136,9 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 	// A stream cannot sit before its first draw: replaying a negative
 	// count would start the stream over while it still reported the
 	// count, so every restore would repeat the draws already made. Past
-	// maxRestoreDraws the replay would stall the boot.
+	// maxRestoreDraws in total the replay would stall the boot; the sum
+	// never passes the bound, so adding a position cannot overflow.
+	var total int64
 	for _, s := range []struct {
 		name  string
 		draws int64
@@ -141,9 +146,11 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 		if s.draws < 0 {
 			return nil, fmt.Errorf("fleet: rng stream %q at negative position %d", s.name, s.draws)
 		}
-		if s.draws > maxRestoreDraws {
-			return nil, fmt.Errorf("fleet: rng stream %q at position %d, past the restore bound %d", s.name, s.draws, maxRestoreDraws)
+		if s.draws > maxRestoreDraws-total {
+			return nil, fmt.Errorf(`fleet: rng positions "tables" %d, "writes" %d, "scans" %d, "exec" %d sum past the restore bound %d`,
+				st.RNG.Tables, st.RNG.Writes, st.RNG.Scans, st.RNG.Exec, maxRestoreDraws)
 		}
+		total += s.draws
 	}
 	if now := clock.Now(); now < st.Now {
 		clock.Set(st.Now)

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -99,9 +100,10 @@ func TestPersistFleetRoundTrip(t *testing.T) {
 
 // TestRestoreRejectsOutOfRangeRNGPosition requires Restore to refuse a
 // snapshot whose RNG stream sits at a negative draw count or past
-// maxRestoreDraws, naming the stream, and a durable lake whose
-// fleet.json holds a negative one to fail to open rather than replay
-// draws it already made.
+// maxRestoreDraws, naming the stream, and one whose four streams sit
+// at maxRestoreDraws/4+1 each, naming the positions, without replaying
+// them; and a durable lake whose fleet.json holds a negative position
+// to fail to open rather than replay draws it already made.
 func TestRestoreRejectsOutOfRangeRNGPosition(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitialTables, cfg.Databases = 60, 3
@@ -124,6 +126,14 @@ func TestRestoreRejectsOutOfRangeRNGPosition(t *testing.T) {
 				t.Fatalf("restore with %s at %d = %v, want an error naming the stream", stream.name, pos, err)
 			}
 		}
+	}
+	snap := f.Snapshot()
+	q := int64(maxRestoreDraws/4 + 1)
+	snap.RNG = RNGState{Tables: q, Writes: q, Scans: q, Exec: q}
+	_, err := Restore(snap, sim.NewClock())
+	want := fmt.Sprintf(`"tables" %d, "writes" %d, "scans" %d, "exec" %d sum past`, q, q, q, q)
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore with every stream at %d = %v, want an error naming the positions", q, err)
 	}
 
 	root := t.TempDir()

@@ -343,9 +343,10 @@ func TestLakePersistFailureKeepsLastState(t *testing.T) {
 	}
 }
 
-// maxFuzzDraws bounds the RNG positions the fuzz harness restores:
-// Restore replays every draw, so a position near maxRestoreDraws takes
-// seconds. Past maxRestoreDraws Restore must fail without replaying.
+// maxFuzzDraws bounds the sum of the RNG positions the fuzz harness
+// restores: Restore replays every draw, so a sum near maxRestoreDraws
+// takes seconds. Past maxRestoreDraws Restore must fail without
+// replaying.
 const maxFuzzDraws = 1_000_000
 
 // FuzzLakeStateEncoding restores any input that decodes as a lake's
@@ -357,15 +358,19 @@ func FuzzLakeStateEncoding(f *testing.F) {
 		if json.Unmarshal(data, &in) != nil || in.Fleet == nil {
 			return
 		}
+		// The positive positions' sum, saturated past the bound.
 		rng := in.Fleet.RNG
-		hi := max(rng.Tables, rng.Writes, rng.Scans, rng.Exec)
-		if hi > maxRestoreDraws {
+		var total int64
+		for _, pos := range []int64{rng.Tables, rng.Writes, rng.Scans, rng.Exec} {
+			total = min(total+min(max(pos, 0), maxRestoreDraws+1), maxRestoreDraws+1)
+		}
+		if total > maxRestoreDraws {
 			if _, err := Restore(in.Fleet, sim.NewClock()); err == nil {
-				t.Fatalf("restore with rng %+v past the bound %d succeeded", rng, maxRestoreDraws)
+				t.Fatalf("restore with rng %+v, past the bound %d in total, succeeded", rng, maxRestoreDraws)
 			}
 			return
 		}
-		if hi > maxFuzzDraws {
+		if total > maxFuzzDraws {
 			return
 		}
 		fl, err := Restore(in.Fleet, sim.NewClock())
