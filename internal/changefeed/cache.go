@@ -69,7 +69,6 @@ func (sc *StatsCache) lookup(table string, u unit, version int64) (core.Stats, b
 		if e := p.entry(u); e != nil && e.version == version {
 			sc.hits.Add(1)
 			mCacheHits.Inc()
-			mObservesSaved.Inc()
 			return e.stats, true, nil, 0
 		}
 		epoch = p.epoch

@@ -26,9 +26,6 @@ var (
 	mCacheEntries = telemetry.Default().Gauge(
 		"autocomp_changefeed_cache_entries",
 		"Cached observations currently held.")
-	mObservesSaved = telemetry.Default().Counter(
-		"autocomp_changefeed_observes_saved_total",
-		"Expensive observe calls avoided versus a full scan (cache hits).")
 	mScans = telemetry.Default().CounterVec(
 		"autocomp_changefeed_scans_total",
 		"Observation cycles by mode (dirty-set walk vs reconciling full enumeration).",

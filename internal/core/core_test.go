@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -243,6 +244,46 @@ func TestFilters(t *testing.T) {
 	kept = ApplyFilters(cands, []Filter{FilterFunc{FilterName: "none", Fn: func(*Candidate) bool { return false }}})
 	if len(kept) != 0 {
 		t.Fatal("filter func ignored")
+	}
+}
+
+// TestApplyFiltersKeepsInput requires ApplyFilters to return its input,
+// allocating nothing, when every candidate passes, and otherwise to
+// return the kept candidates in order with the input untouched.
+func TestApplyFiltersKeepsInput(t *testing.T) {
+	cands := make([]*Candidate, 7)
+	for i := range cands {
+		cands[i] = &Candidate{Stats: Stats{SmallFiles: i}}
+	}
+	orig := slices.Clone(cands)
+	pass := []Filter{MinSmallFiles{Min: 0}, FilterFunc{FilterName: "all", Fn: func(*Candidate) bool { return true }}}
+	if kept := ApplyFilters(cands, pass); len(kept) != len(cands) || &kept[0] != &cands[0] {
+		t.Fatalf("every candidate passed, but ApplyFilters returned a new slice of %d", len(kept))
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ApplyFilters(cands, pass) }); allocs != 0 {
+		t.Fatalf("ApplyFilters allocated %v times with every candidate passing", allocs)
+	}
+	for name, keep := range map[string]func(i int) bool{
+		"first dropped": func(i int) bool { return i != 0 },
+		"one dropped":   func(i int) bool { return i != 3 },
+		"last dropped":  func(i int) bool { return i != 6 },
+		"odd dropped":   func(i int) bool { return i%2 == 0 },
+		"all dropped":   func(int) bool { return false },
+	} {
+		var want []*Candidate
+		for i, c := range cands {
+			if keep(i) {
+				want = append(want, c)
+			}
+		}
+		drop := FilterFunc{FilterName: name, Fn: func(c *Candidate) bool { return keep(c.Stats.SmallFiles) }}
+		kept := ApplyFilters(cands, append(pass, drop))
+		if !slices.Equal(kept, want) {
+			t.Fatalf("%s: kept %d candidates, want %d in order", name, len(kept), len(want))
+		}
+		if !slices.Equal(cands, orig) {
+			t.Fatalf("%s: ApplyFilters modified its input", name)
+		}
 	}
 }
 

@@ -260,23 +260,35 @@ func (f MaxTraitValue) Name() string { return "max-" + f.TraitName }
 func (f MaxTraitValue) Keep(c *Candidate) bool { return c.Trait(f.Slot) <= f.Max }
 
 // ApplyFilters keeps the candidates every filter accepts, preserving
-// order.
+// order. When every candidate passes it returns cands itself; otherwise
+// a new slice, so cands is never modified.
 func ApplyFilters(cands []*Candidate, filters []Filter) []*Candidate {
 	if len(filters) == 0 {
 		return cands
 	}
-	out := cands[:0:0]
-	for _, c := range cands {
-		keep := true
-		for _, f := range filters {
-			if !f.Keep(c) {
-				keep = false
-				break
-			}
-		}
-		if keep {
+	i := 0
+	for i < len(cands) && keepsAll(filters, cands[i]) {
+		i++
+	}
+	if i == len(cands) {
+		return cands
+	}
+	out := make([]*Candidate, i, len(cands)-1)
+	copy(out, cands)
+	for _, c := range cands[i+1:] {
+		if keepsAll(filters, c) {
 			out = append(out, c)
 		}
 	}
 	return out
+}
+
+// keepsAll reports whether every filter accepts c.
+func keepsAll(filters []Filter, c *Candidate) bool {
+	for _, f := range filters {
+		if !f.Keep(c) {
+			return false
+		}
+	}
+	return true
 }

@@ -46,7 +46,7 @@ func (o Observer) Observe(c *core.Candidate) (core.Stats, error) {
 		SmallFiles:       int(t.SmallFiles()),
 		SmallBytes:       t.SmallBytes(),
 		DeltaFiles:       0,
-		QuotaUtilization: o.Fleet.QuotaUtilization(t.Database()),
+		QuotaUtilization: o.Fleet.quotaOf(*t.dbFiles),
 		// The fleet knows how often the daily scan workload reads each
 		// table (§4.1/§8 usage metric).
 		ReadRate: t.scanShare,
@@ -151,7 +151,7 @@ func (r Runner) CompactTable(t *Table) compaction.Result {
 	}
 	t.counts[BucketFull] += outFiles
 	t.bytes[BucketFull] += mergeBytes
-	t.fleet.addDBFiles(t.Database(), outFiles-drained)
+	t.addDBFiles(outFiles - drained)
 	t.fleet.publish(t, 0, 0, true)
 
 	res.FilesRemoved = int(mergeable)

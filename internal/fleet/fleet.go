@@ -76,12 +76,21 @@ type Table struct {
 	props map[string]string
 
 	fleet *Fleet
+	// dbFiles is the fleet's data-file count of the table's database,
+	// one counter shared by all of that database's tables.
+	dbFiles *int64
 }
 
-// setName stores the table's database and name as one "db.name" string.
+// setName stores the table's database and name as one "db.name" string
+// and points the table at its database's file counter.
 func (t *Table) setName(db, name string) {
 	t.full, t.dot = db+"."+name, int32(len(db))
+	t.dbFiles = t.fleet.dbCounter(db)
 }
+
+// addDBFiles folds a data-file count delta into the table's database
+// count.
+func (t *Table) addDBFiles(delta int64) { *t.dbFiles += delta }
 
 // Database implements core.Table.
 func (t *Table) Database() string { return t.full[:t.dot] }
@@ -153,7 +162,7 @@ func (t *Table) WriterCommit(n int64) {
 	}
 	t.counts[BucketTiny] += n
 	t.bytes[BucketTiny] += n * t.avgNewFile
-	t.fleet.addDBFiles(t.Database(), n)
+	t.addDBFiles(n)
 	t.lastWrite = t.fleet.clock.Now()
 	t.writes++
 	t.commitMetadata(1)
@@ -410,10 +419,11 @@ type Fleet struct {
 	rngExec   *sim.RNG
 	tables    []*Table
 
-	// dbFiles caches per-database data-file counts so quota utilization
-	// is O(1) per lookup instead of a fleet scan — at 100k tables a
-	// per-candidate fleet scan would make the observe phase quadratic.
-	dbFiles map[string]int64
+	// dbFiles holds each database's data-file counter so quota
+	// utilization is O(1) per lookup instead of a fleet scan — at 100k
+	// tables a per-candidate fleet scan would make the observe phase
+	// quadratic. Tables point at their database's counter.
+	dbFiles map[string]*int64
 
 	// feed, when attached, receives one event per table commit batch —
 	// the fleet side of the incremental observation plane.
@@ -456,9 +466,14 @@ func (f *Fleet) publish(t *Table, commits, bytes int64, maintenance bool) {
 	})
 }
 
-// addDBFiles folds a data-file count delta into the per-database cache.
-func (f *Fleet) addDBFiles(db string, delta int64) {
-	f.dbFiles[db] += delta
+// dbCounter returns db's data-file counter, creating it at zero.
+func (f *Fleet) dbCounter(db string) *int64 {
+	c := f.dbFiles[db]
+	if c == nil {
+		c = new(int64)
+		f.dbFiles[db] = c
+	}
+	return c
 }
 
 // New builds a fleet at day 0.
@@ -482,7 +497,7 @@ func New(cfg Config, clock *sim.Clock) *Fleet {
 		rngWrites: sim.Child(cfg.Seed, "fleet/writes"),
 		rngScans:  sim.Child(cfg.Seed, "fleet/scans"),
 		rngExec:   sim.Child(cfg.Seed, "fleet/exec"),
-		dbFiles:   make(map[string]int64),
+		dbFiles:   make(map[string]*int64),
 	}
 	for i := 0; i < cfg.InitialTables; i++ {
 		f.onboard()
@@ -536,7 +551,7 @@ func (f *Fleet) onboard() *Table {
 	// 50 files, each leaving a metadata.json version and a manifest.
 	t.commitMetadata(files/50 + 1)
 	f.tables = append(f.tables, t)
-	f.addDBFiles(t.Database(), files)
+	t.addDBFiles(files)
 	mOnboarded.Inc()
 	// Onboarding is the table's first appearance on the changefeed, so
 	// an incremental observer discovers it without waiting for a
@@ -626,15 +641,24 @@ func (f *Fleet) SmallFileFraction() float64 {
 }
 
 // QuotaUtilization implements the connector quota lookup: files of a
-// tenant over its quota. It reads the per-database cache maintained at
+// tenant over its quota. It reads the per-database counter maintained at
 // every file-count mutation, so it is O(1) — the observe phase calls it
 // once per candidate, and a fleet scan here would make fleet-scale
 // observation quadratic.
 func (f *Fleet) QuotaUtilization(db string) float64 {
+	var files int64
+	if c := f.dbFiles[db]; c != nil {
+		files = *c
+	}
+	return f.quotaOf(files)
+}
+
+// quotaOf is the quota utilization of a database holding files.
+func (f *Fleet) quotaOf(files int64) float64 {
 	if f.cfg.QuotaObjectsPerDB <= 0 {
 		return 0
 	}
-	u := float64(f.dbFiles[db]) / float64(f.cfg.QuotaObjectsPerDB)
+	u := float64(files) / float64(f.cfg.QuotaObjectsPerDB)
 	if u > 1 {
 		u = 1
 	}
@@ -668,7 +692,7 @@ func (f *Fleet) AdvanceDay() {
 		}
 		t.counts[BucketTiny] += n
 		t.bytes[BucketTiny] += n * t.avgNewFile
-		f.addDBFiles(t.Database(), n)
+		t.addDBFiles(n)
 		t.lastWrite = f.clock.Now()
 		t.writes++
 		// The day's files land in batched commits (~20 files each), each
@@ -751,7 +775,7 @@ func (f *Fleet) DropTable(fullName string) bool {
 			continue
 		}
 		f.tables = append(f.tables[:i], f.tables[i+1:]...)
-		f.addDBFiles(t.Database(), -(t.counts[0] + t.counts[1] + t.counts[2]))
+		t.addDBFiles(-(t.counts[0] + t.counts[1] + t.counts[2]))
 		mDropped.Inc()
 		if f.feed != nil {
 			f.feed.Publish(changefeed.Event{

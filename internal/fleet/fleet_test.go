@@ -187,6 +187,62 @@ func TestQuotaUtilizationBounded(t *testing.T) {
 	}
 }
 
+// TestQuotaUtilizationMatchesRecount recounts every database's files
+// from its tables after each kind of file-count change and requires
+// QuotaUtilization, and the Observer on each table, to read the
+// recount.
+func TestQuotaUtilizationMatchesRecount(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InitialTables, cfg.Databases, cfg.QuotaObjectsPerDB = 300, 7, 1<<40
+	f := New(cfg, sim.NewClock())
+	check := func(step string, f *Fleet) {
+		t.Helper()
+		files := map[string]int64{}
+		for _, tb := range f.Tables() {
+			files[tb.Database()] += int64(tb.FileCount())
+		}
+		if len(files) != cfg.Databases {
+			t.Fatalf("%s: %d databases hold tables, want %d", step, len(files), cfg.Databases)
+		}
+		for db, n := range files {
+			want := float64(n) / float64(cfg.QuotaObjectsPerDB)
+			if got := f.QuotaUtilization(db); got != want {
+				t.Fatalf("%s: QuotaUtilization(%s) = %v, want %v from %d files", step, db, got, want, n)
+			}
+		}
+		for _, tb := range f.Tables() {
+			s, err := Observer{Fleet: f}.Observe(&core.Candidate{Table: tb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := f.QuotaUtilization(tb.Database()); s.QuotaUtilization != want {
+				t.Fatalf("%s: observed quota of %s = %v, want %v", step, tb.FullName(), s.QuotaUtilization, want)
+			}
+		}
+	}
+	check("new", f)
+	f.AdvanceDay()
+	check("AdvanceDay", f)
+	r := Runner{Fleet: f, Model: DefaultModel(cfg.TargetFileSize)}
+	if res := r.CompactTable(f.MostFragmented(1)[0]); !res.Succeeded() || res.Reduction() <= 0 {
+		t.Fatalf("compaction of the most fragmented table = %+v", res)
+	}
+	check("compaction", f)
+	f.Tables()[4].WriterCommit(17)
+	check("WriterCommit", f)
+	if !f.DropTable(f.Tables()[9].FullName()) {
+		t.Fatal("drop failed")
+	}
+	check("DropTable", f)
+	g, err := Restore(f.Snapshot(), sim.NewClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("Restore", g)
+	g.AdvanceDay()
+	check("AdvanceDay after Restore", g)
+}
+
 func TestRunDailyScansAccumulatesOpens(t *testing.T) {
 	f, _ := smallFleet(8)
 	s := f.RunDailyScans()

@@ -125,7 +125,7 @@ const maxRestoreDraws = 1 << 30
 
 // Restore rebuilds a fleet from a snapshot without re-running its
 // history: tables are materialized directly, the per-database file
-// cache recomputed, virtual time advanced to the snapshot's, and every
+// counters recounted, virtual time advanced to the snapshot's, and every
 // RNG stream fast-forwarded to its recorded draw count — so the day
 // after a restore draws exactly what the day after the snapshot would
 // have.
@@ -164,7 +164,7 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 		rngWrites:     sim.NewRNGAt(sim.ChildSeed(st.Config.Seed, "fleet/writes"), st.RNG.Writes),
 		rngScans:      sim.NewRNGAt(sim.ChildSeed(st.Config.Seed, "fleet/scans"), st.RNG.Scans),
 		rngExec:       sim.NewRNGAt(sim.ChildSeed(st.Config.Seed, "fleet/exec"), st.RNG.Exec),
-		dbFiles:       make(map[string]int64),
+		dbFiles:       make(map[string]*int64),
 		day:           st.Day,
 		onboarded:     st.Onboarded,
 		openCalls:     st.OpenCalls,
@@ -190,7 +190,7 @@ func Restore(st *State, clock *sim.Clock) (*Fleet, error) {
 			}
 		}
 		f.tables = append(f.tables, t)
-		f.addDBFiles(t.Database(), t.counts[0]+t.counts[1]+t.counts[2])
+		t.addDBFiles(t.counts[0] + t.counts[1] + t.counts[2])
 	}
 	f.refreshGauges()
 	return f, nil

@@ -5,23 +5,154 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"slices"
 	"strconv"
 )
 
-// chunkSize is how many encoded bytes writeLakeState gathers before it
-// hands them to the writer.
-const chunkSize = 64 << 10
+// chunkTables is how many tables one chunk of the state stream holds:
+// about 48 KiB of JSON at the 380 or so bytes a table encodes to.
+const chunkTables = 128
+
+// chunkBufSize is the capacity a chunk buffer starts with, headroom
+// over a typical chunk so that a buffer rarely grows.
+const chunkBufSize = 64 << 10
 
 // writeLakeState streams a lake's state to w: exactly the bytes of
 // json.Marshal(&lakeState{Name: name, Day: day, Fleet: f.Snapshot()}),
-// encoded table by table straight from the fleet, with neither the
-// snapshot's copy of every table nor a buffer holding the whole file.
-// A NaN or infinite float fails the encode, as it fails json.Marshal;
-// bytes already handed to w are then an incomplete document.
+// encoded straight from the fleet, with neither the snapshot's copy of
+// every table nor a buffer holding the whole file.
+//
+// The tables are encoded in chunks of chunkTables on
+// runtime.GOMAXPROCS(0) workers, the calling goroutine among them:
+// worker k encodes chunks k, k+workers, k+2·workers, ..., and the
+// caller writes every chunk to w in table order. Each helper owns two
+// chunk buffers, so it encodes one chunk while the caller writes its
+// last; at one worker no goroutine starts.
+//
+// A NaN or infinite float fails the encode, as it fails json.Marshal,
+// with the error of the first such table in table order; bytes already
+// handed to w are then an incomplete document. An encode or write error
+// stops the helpers, and writeLakeState returns only once every helper
+// has exited.
 func writeLakeState(w io.Writer, name string, day int, f *Fleet) error {
-	st := f.header()
-	b := make([]byte, 0, chunkSize+chunkSize/8)
+	b, err := appendLakeHeader(make([]byte, 0, chunkBufSize), name, day, f.header())
+	if err != nil {
+		return err
+	}
+	tables := f.tables
+	chunks := max(1, (len(tables)+chunkTables-1)/chunkTables)
+	workers := min(runtime.GOMAXPROCS(0), chunks)
+	helpers := make([]chunkHelper, workers-1)
+	defer func() {
+		// Take back the buffers a helper has not started on, so it stops
+		// at its next chunk, then wait for it to close out as it exits.
+		for _, h := range helpers {
+			close(h.free)
+			for range h.free {
+			}
+			for range h.out {
+			}
+		}
+	}()
+	for k := range helpers {
+		h := &helpers[k]
+		// Two slots each: a helper holds only its two buffers, so no
+		// send on either channel ever blocks.
+		h.free, h.out = make(chan []byte, 2), make(chan encodedChunk, 2)
+		h.free <- nil
+		h.free <- nil
+		go h.run(tables, chunks, k+1, workers)
+	}
+	for i := range chunks {
+		var h *chunkHelper
+		var chunk []byte
+		if k := i % workers; k == 0 {
+			// The caller's own chunk; the first follows the header in b.
+			b, err = appendTableChunk(b, tables, i)
+			chunk = b
+		} else {
+			h = &helpers[k-1]
+			e := <-h.out
+			chunk, err = e.b, e.err
+		}
+		if err != nil {
+			return err
+		}
+		if _, err := w.Write(chunk); err != nil {
+			return err
+		}
+		if h != nil {
+			h.free <- chunk
+		} else {
+			b = b[:0]
+		}
+	}
+	return nil
+}
+
+// chunkHelper is a writeLakeState worker running on its own goroutine.
+type chunkHelper struct {
+	// free holds the helper's buffers the caller has written, nil for
+	// one the helper has yet to allocate; out the chunks it encoded, in
+	// its chunk order. The helper closes out as it exits.
+	free chan []byte
+	out  chan encodedChunk
+}
+
+// encodedChunk is one chunk a helper encoded, or the error that ended
+// its encoding.
+type encodedChunk struct {
+	b   []byte
+	err error
+}
+
+// run encodes chunks first, first+stride, ... of tables, each into a
+// buffer from free, and stops after an encode error or once free is
+// closed.
+func (h *chunkHelper) run(tables []*Table, chunks, first, stride int) {
+	defer close(h.out)
+	for i := first; i < chunks; i += stride {
+		b, ok := <-h.free
+		if !ok {
+			return
+		}
+		if b == nil {
+			b = make([]byte, 0, chunkBufSize)
+		}
+		b, err := appendTableChunk(b[:0], tables, i)
+		h.out <- encodedChunk{b, err}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// appendTableChunk appends chunk i of tables, each table after a comma
+// but the lake's first; the last chunk, which an empty lake's only
+// chunk is, ends the document.
+func appendTableChunk(b []byte, tables []*Table, i int) ([]byte, error) {
+	lo := i * chunkTables
+	hi := min(lo+chunkTables, len(tables))
+	for j := lo; j < hi; j++ {
+		if j > 0 {
+			b = append(b, ',')
+		}
+		t := tables[j]
+		ts := t.state()
+		var err error
+		if b, err = appendTableState(b, &ts); err != nil {
+			return b, fmt.Errorf("table %s: %w", t.full, err)
+		}
+	}
+	if hi == len(tables) {
+		b = append(b, "]}}"...)
+	}
+	return b, nil
+}
+
+// appendLakeHeader appends the lake's state up to its first table.
+func appendLakeHeader(b []byte, name string, day int, st State) ([]byte, error) {
 	b = append(b, `{"name":`...)
 	b = appendString(b, name)
 	b = append(b, `,"day":`...)
@@ -29,7 +160,7 @@ func writeLakeState(w io.Writer, name string, day int, f *Fleet) error {
 	b = append(b, `,"fleet":{"config":`...)
 	b, err := appendConfig(b, &st.Config)
 	if err != nil {
-		return fmt.Errorf("config: %w", err)
+		return b, fmt.Errorf("config: %w", err)
 	}
 	b = append(b, `,"day":`...)
 	b = strconv.AppendInt(b, int64(st.Day), 10)
@@ -49,25 +180,7 @@ func writeLakeState(w io.Writer, name string, day int, f *Fleet) error {
 	b = strconv.AppendInt(b, st.RNG.Scans, 10)
 	b = append(b, `,"exec":`...)
 	b = strconv.AppendInt(b, st.RNG.Exec, 10)
-	b = append(b, `},"tables":[`...)
-	for i, t := range f.tables {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		ts := t.state()
-		if b, err = appendTableState(b, &ts); err != nil {
-			return fmt.Errorf("table %s: %w", t.full, err)
-		}
-		if len(b) >= chunkSize {
-			if _, err := w.Write(b); err != nil {
-				return err
-			}
-			b = b[:0]
-		}
-	}
-	b = append(b, "]}}"...)
-	_, err = w.Write(b)
-	return err
+	return append(b, `},"tables":[`...), nil
 }
 
 // appendConfig appends c as encoding/json encodes a Config, whose

@@ -3,11 +3,14 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -240,14 +243,26 @@ func TestLakeStateStreamRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// chunkWriter counts Write calls and keeps their bytes.
+// chunkWriter counts Write calls and keeps their bytes. With failAt
+// set it fails that write with err; with onWrite set it keeps what
+// onWrite returns at each write in seen.
 type chunkWriter struct {
 	bytes.Buffer
-	writes int
+	writes  int
+	failAt  int
+	err     error
+	onWrite func() int
+	seen    []int
 }
 
 func (w *chunkWriter) Write(p []byte) (int, error) {
 	w.writes++
+	if w.onWrite != nil {
+		w.seen = append(w.seen, w.onWrite())
+	}
+	if w.writes == w.failAt {
+		return 0, w.err
+	}
 	return w.Buffer.Write(p)
 }
 
@@ -271,11 +286,172 @@ func TestLakeStateStreamChunks20k(t *testing.T) {
 	if err := writeLakeState(&w, "durable", 1, f); err != nil {
 		t.Fatal(err)
 	}
-	if w.writes < 2 {
-		t.Fatalf("stream took %d writes for %d bytes, want chunks of about %d", w.writes, len(want), chunkSize)
+	if chunks := (20000 + chunkTables - 1) / chunkTables; w.writes != chunks {
+		t.Fatalf("stream took %d writes, want one per chunk of %d tables: %d", w.writes, chunkTables, chunks)
 	}
 	if !bytes.Equal(w.Bytes(), want) {
 		t.Fatalf("concatenated writes (%d bytes) differ from encoding/json (%d bytes)", w.Len(), len(want))
+	}
+}
+
+// withProcs runs fn at each of GOMAXPROCS 1, 2 and 4.
+func withProcs(t *testing.T, fn func(t *testing.T, procs int)) {
+	t.Helper()
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			fn(t, procs)
+		})
+	}
+}
+
+// requireGoroutines requires the goroutine count to come back to want.
+// A helper that has closed its channel is counted until it returns, so
+// the check yields to it a bounded number of times before failing.
+func requireGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() != want; i++ {
+		if i == 10000 {
+			t.Fatalf("%d goroutines after the stream returned, want %d", runtime.NumGoroutine(), want)
+		}
+		runtime.Gosched()
+	}
+}
+
+// propLake is the state of a lake of 13 chunks, the last one partial.
+// Every 97th table carries a property that encodes to about 126 KB, so
+// some chunks outgrow a chunk buffer.
+func propLake() *State {
+	f := bigFleet(12*chunkTables + 7)
+	for i, tb := range f.tables {
+		if i%97 == 3 {
+			tb.SetProp("owner", strings.Repeat("<&>", 7000))
+		}
+	}
+	return f.Snapshot()
+}
+
+// chunkedLake restores the first n tables of big.
+func chunkedLake(t *testing.T, big *State, n int) *Fleet {
+	t.Helper()
+	st := *big
+	st.Tables = st.Tables[:n]
+	return mustRestore(t, &st)
+}
+
+// TestLakeStateStreamChunkBoundaries streams lakes around every chunk
+// boundary at GOMAXPROCS 1, 2 and 4 and requires the oracle's bytes in
+// one write per chunk, with goroutines started only at more than one
+// worker.
+func TestLakeStateStreamChunkBoundaries(t *testing.T) {
+	big := propLake()
+	sizes := []int{0, 1, chunkTables - 1, chunkTables, chunkTables + 1, 2*chunkTables + 1, len(big.Tables)}
+	lakes := make([]*Fleet, len(sizes))
+	wants := make([][]byte, len(sizes))
+	for i, n := range sizes {
+		lakes[i] = chunkedLake(t, big, n)
+		var err error
+		if wants[i], err = oracleLakeState("chunks", n, lakes[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	withProcs(t, func(t *testing.T, procs int) {
+		for i, n := range sizes {
+			f, want := lakes[i], wants[i]
+			base := runtime.NumGoroutine()
+			w := chunkWriter{onWrite: func() int { return runtime.NumGoroutine() }}
+			if err := writeLakeState(&w, "chunks", n, f); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), want) {
+				t.Fatalf("%d tables: stream (%d bytes) differs from encoding/json (%d bytes)", n, w.Len(), len(want))
+			}
+			chunks := max(1, (n+chunkTables-1)/chunkTables)
+			if w.writes != chunks {
+				t.Fatalf("%d tables: %d writes, want one per chunk: %d", n, w.writes, chunks)
+			}
+			// At one worker no goroutine starts. A helper of three chunks
+			// or more still runs during the first write: it holds two
+			// buffers, and none comes back before that write.
+			if helpers := min(procs, chunks) - 1; helpers == 0 && w.seen[0] != base {
+				t.Fatalf("%d tables at one worker: %d goroutines during the first write, want %d", n, w.seen[0], base)
+			} else if chunks >= 3*procs && w.seen[0] != base+helpers {
+				t.Fatalf("%d tables: %d goroutines during the first write, want %d", n, w.seen[0], base+helpers)
+			}
+			requireGoroutines(t, base)
+		}
+	})
+}
+
+// TestLakeStateStreamFirstErrorInTableOrder puts a NaN in two chunks of
+// a lake and requires the error naming the earlier table, whichever
+// worker encoded each, with every helper gone on return.
+func TestLakeStateStreamFirstErrorInTableOrder(t *testing.T) {
+	big := propLake()
+	withProcs(t, func(t *testing.T, procs int) {
+		for _, bad := range [][2]int{{len(big.Tables) - 1, -1}, {3*chunkTables + 5, 5*chunkTables + 1}, {5*chunkTables + 1, 5*chunkTables + 2}} {
+			f := chunkedLake(t, big, len(big.Tables))
+			f.tables[bad[0]].growthPerDay = math.NaN()
+			if bad[1] >= 0 {
+				f.tables[bad[1]].scanShare = math.Inf(1)
+			}
+			base := runtime.NumGoroutine()
+			var w chunkWriter
+			err := writeLakeState(&w, "nan", 1, f)
+			want := fmt.Sprintf("table %s: growth_per_day: unsupported value: NaN", f.tables[bad[0]].FullName())
+			if err == nil || err.Error() != want {
+				t.Fatalf("NaN at table %d: error %v, want %q", bad[0], err, want)
+			}
+			if before := bad[0] / chunkTables; w.writes != before {
+				t.Fatalf("NaN in chunk %d: %d chunks written, want the %d before it", before, w.writes, before)
+			}
+			requireGoroutines(t, base)
+		}
+	})
+}
+
+// TestLakeStateStreamWriterErrorStopsHelpers fails the writer at its
+// k-th write and requires that error back, no later write, and every
+// helper gone on return.
+func TestLakeStateStreamWriterErrorStopsHelpers(t *testing.T) {
+	big := propLake()
+	errDisk := errors.New("disk full")
+	withProcs(t, func(t *testing.T, procs int) {
+		f := chunkedLake(t, big, len(big.Tables))
+		chunks := (len(big.Tables) + chunkTables - 1) / chunkTables
+		for _, k := range []int{1, 2, 3, chunks} {
+			base := runtime.NumGoroutine()
+			w := chunkWriter{failAt: k, err: errDisk}
+			if err := writeLakeState(&w, "fail", 1, f); !errors.Is(err, errDisk) {
+				t.Fatalf("writer failing at write %d: error %v, want %v", k, err, errDisk)
+			}
+			if w.writes != k {
+				t.Fatalf("writer failing at write %d took %d writes", k, w.writes)
+			}
+			requireGoroutines(t, base)
+		}
+	})
+}
+
+// TestLakeStateStreamBuffersBounded pins the stream's memory at 4
+// workers: the caller's chunk buffer and two per helper, whatever the
+// lake's size.
+func TestLakeStateStreamBuffersBounded(t *testing.T) {
+	f := bigFleet(20000)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const calls = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range calls {
+		if err := writeLakeState(io.Discard, "bounded", 1, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The slack covers the channels, the helpers and their goroutines.
+	limit := uint64((1+2*3)*chunkBufSize + 8<<10)
+	if per := (after.TotalAlloc - before.TotalAlloc) / calls; per > limit {
+		t.Fatalf("stream allocated %d bytes a call at 4 workers, want at most %d: one buffer for the caller, two per helper", per, limit)
 	}
 }
 
@@ -320,10 +496,10 @@ func TestLakePersistFailureKeepsLastState(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The last table fails, after the first chunk reached the temp file.
-	if len(prev) <= chunkSize {
-		t.Fatalf("state file is %d bytes; the failure must come after a %d-byte chunk", len(prev), chunkSize)
-	}
 	tables := l.Fleet().Tables()
+	if len(tables) <= chunkTables {
+		t.Fatalf("lake has %d tables; the failure must come after a %d-table chunk", len(tables), chunkTables)
+	}
 	tables[len(tables)-1].growthPerDay = math.NaN()
 
 	err = l.persist()
@@ -409,7 +585,9 @@ func FuzzLakeStateEncoding(f *testing.F) {
 
 // BenchmarkLakePersist encodes a 20k-table lake's state after one day:
 // reflect is the json.Marshal of a snapshot the stream replaced,
-// stream the encoder itself into io.Discard.
+// stream the encoder itself into io.Discard. The rows loop on b.N: with
+// Go 1.24's b.Loop a sub-benchmark measures its first -cpu row at the
+// GOMAXPROCS the previous row left, and the stream's speed depends on it.
 func BenchmarkLakePersist(b *testing.B) {
 	f := bigFleet(20000)
 	want, err := oracleLakeState("bench", 1, f)
@@ -419,7 +597,7 @@ func BenchmarkLakePersist(b *testing.B) {
 	b.Run("reflect", func(b *testing.B) {
 		b.SetBytes(int64(len(want)))
 		b.ReportAllocs()
-		for b.Loop() {
+		for range b.N {
 			if _, err := oracleLakeState("bench", 1, f); err != nil {
 				b.Fatal(err)
 			}
@@ -428,7 +606,7 @@ func BenchmarkLakePersist(b *testing.B) {
 	b.Run("stream", func(b *testing.B) {
 		b.SetBytes(int64(len(want)))
 		b.ReportAllocs()
-		for b.Loop() {
+		for range b.N {
 			if err := writeLakeState(io.Discard, "bench", 1, f); err != nil {
 				b.Fatal(err)
 			}
