@@ -418,7 +418,7 @@ func BenchmarkMOOPRanking(b *testing.B) {
 			cands := mk(row.n, row.ties)
 			b.ReportAllocs()
 			for b.Loop() {
-				core.Rank(ranker, cands)
+				ranker.Rank(cands)
 			}
 		})
 	}

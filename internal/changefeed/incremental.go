@@ -191,8 +191,9 @@ func (c *IncrementalConnector) Now() time.Duration { return c.Full.Now() }
 // candidates unchanged. With a state-deterministic inner generator this
 // keeps the emitted pool set-equal to a full scan's (see the package
 // doc for the exact parity conditions). The pool is emitted in no
-// particular order: ranking is the total order core.RankCompare. It
-// implements core.ShardedGenerator over the index's stripes.
+// particular order: ranking orders by score, then candidate ID, a total
+// order for unique IDs. It implements core.ShardedGenerator over the
+// index's stripes.
 type IncrementalGenerator struct {
 	feed *Feed
 	// Inner is the wrapped whole-lake generator.

@@ -9,31 +9,17 @@ import (
 	"strings"
 )
 
-// Ranker orders candidates for execution (the decide phase, §4.3). Its
-// cross-candidate state factors into a cheap, exactly-mergeable
-// per-shard summary, so ranking fans out across decide shards and still
-// produces the scores a whole-pool ranking would:
-//
-//	stats_s := ShardStats(shard_s)            // per shard, in parallel
-//	global := MergeStats([]any{stats_0, …})   // serial, cheap
-//	ranked_s := RankShard(shard_s, global)    // per shard, in parallel
-//
-// The contract RankShard must honor: for any partition of a pool, the
-// multiset of (candidate, Score) pairs across all RankShard outputs
-// equals Rank's output over the whole pool, each output is sorted by
-// RankCompare, and candidates the policy rejects outright are omitted. The
-// sharded decide plane (internal/decideshard) then k-way-merges the
-// sorted shards into the exact whole-pool ranking.
+// Ranker orders candidates for execution (the decide phase, §4.3).
+// Rank sets each admitted candidate's Score and returns the admitted
+// ones in a new slice, in rank order: descending score, ties broken by
+// candidate ID so identical inputs always produce identical rankings
+// (NFR2), and by input position for duplicate IDs. It omits candidates
+// the policy rejects outright and leaves its input as it was. Serial
+// and sharded decide both rank the whole refined pool with one call, so
+// a ranker may couple every candidate (the MOOP normalizes over the
+// pool).
 type Ranker interface {
-	// ShardStats summarizes one shard's candidates (nil when the ranker
-	// needs no cross-candidate state).
-	ShardStats(cands []*Candidate) any
-	// MergeStats folds per-shard summaries into the global state handed
-	// to every RankShard call. It must be order-independent.
-	MergeStats(parts []any) any
-	// RankShard sets each candidate's Score against the global state and
-	// returns the admitted ones in a new slice sorted by RankCompare.
-	RankShard(cands []*Candidate, global any) []*Candidate
+	Rank(cands []*Candidate) []*Candidate
 }
 
 // slotOf resolves a trait's slot in the set cands were oriented with
@@ -46,12 +32,6 @@ func slotOf(cands []*Candidate, t Trait) int {
 	return cands[0].TraitSet.Slot(t.Name())
 }
 
-// Rank ranks a whole pool: the one-shard case of the Ranker contract,
-// so serial and sharded scores are bit-identical by construction.
-func Rank(r Ranker, cands []*Candidate) []*Candidate {
-	return r.RankShard(cands, r.MergeStats([]any{r.ShardStats(cands)}))
-}
-
 // ThresholdPolicy is the unconstrained-resource decision function (§4.3):
 // a candidate passes when the named trait meets the threshold, and its
 // score is the raw trait value. The paper's example: trigger when the
@@ -61,16 +41,9 @@ type ThresholdPolicy struct {
 	Threshold float64
 }
 
-// ShardStats implements Ranker: threshold admission is purely
-// per-candidate, so no cross-shard statistics are needed.
-func (p ThresholdPolicy) ShardStats(cands []*Candidate) any { return nil }
-
-// MergeStats implements Ranker.
-func (p ThresholdPolicy) MergeStats(parts []any) any { return nil }
-
-// RankShard implements Ranker: admission and scoring depend only on the
-// candidate itself, so each shard ranks independently.
-func (p ThresholdPolicy) RankShard(cands []*Candidate, _ any) []*Candidate {
+// Rank implements Ranker: admission and scoring depend only on the
+// candidate itself.
+func (p ThresholdPolicy) Rank(cands []*Candidate) []*Candidate {
 	slot := slotOf(cands, p.Trait)
 	var out []*Candidate
 	var keys []uint64
@@ -104,7 +77,7 @@ type MOOPRanker struct {
 	// DynamicWeights, when set, appends per-candidate weights (summing
 	// to 1) to dst and returns the result, overriding the static ones —
 	// the LinkedIn deployment derives w1 from quota utilization (§7).
-	// RankShard passes a buffer it reuses for every candidate.
+	// Rank passes a buffer it reuses for every candidate.
 	DynamicWeights func(c *Candidate, dst []float64) []float64
 }
 
@@ -138,91 +111,38 @@ func (r MOOPRanker) Validate() error {
 	return nil
 }
 
-// moopBounds carries per-objective trait extrema. Min/max merge exactly
-// across shards (no accumulation, no rounding), which is what makes the
-// sharded MOOP byte-identical to the serial one: the global bounds —
-// and therefore every candidate's normalized terms — are the same
-// float64s either way.
-type moopBounds struct {
-	min, max []float64
-	n        int // candidates folded in; 0 = no bounds yet
-}
-
-// ShardStats implements Ranker: the per-objective min/max over
-// this shard's candidates, the only cross-candidate state min-max
-// normalization needs.
-func (r MOOPRanker) ShardStats(cands []*Candidate) any {
-	b := &moopBounds{
-		min: make([]float64, len(r.Objectives)),
-		max: make([]float64, len(r.Objectives)),
-	}
-	slots := r.slots(cands)
-	for _, c := range cands {
-		for i, slot := range slots {
-			v := c.Trait(slot)
-			if b.n == 0 {
-				b.min[i], b.max[i] = v, v
-				continue
-			}
-			if v < b.min[i] {
-				b.min[i] = v
-			}
-			if v > b.max[i] {
-				b.max[i] = v
-			}
-		}
-		b.n++
-	}
-	return b
-}
-
-// MergeStats implements Ranker: fold per-shard bounds into the
-// global ones. Order-independent and exact.
-func (r MOOPRanker) MergeStats(parts []any) any {
-	out := &moopBounds{
-		min: make([]float64, len(r.Objectives)),
-		max: make([]float64, len(r.Objectives)),
-	}
-	for _, p := range parts {
-		b, ok := p.(*moopBounds)
-		if !ok || b == nil || b.n == 0 {
-			continue
-		}
-		if out.n == 0 {
-			copy(out.min, b.min)
-			copy(out.max, b.max)
-			out.n = b.n
-			continue
-		}
-		for i := range r.Objectives {
-			if b.min[i] < out.min[i] {
-				out.min[i] = b.min[i]
-			}
-			if b.max[i] > out.max[i] {
-				out.max[i] = b.max[i]
-			}
-		}
-		out.n += b.n
-	}
-	return out
-}
-
-// RankShard implements Ranker: score this shard's candidates against
-// the global bounds and sort them. Normalization follows
+// Rank implements Ranker: score every candidate against the pool's
+// per-objective trait min and max, then sort. Normalization follows
 // metrics.MinMaxNormalize exactly — constant traits map to zero, the
 // division uses halved operands so extreme spans cannot overflow, and
 // the result clamps to [0,1] — so the scores match the paper's
 // whole-pool min-max scalarization, bit for bit.
-func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
+func (r MOOPRanker) Rank(cands []*Candidate) []*Candidate {
 	if len(cands) == 0 {
 		return nil
 	}
-	b, _ := global.(*moopBounds)
+	slots := r.slots(cands)
+	lo := make([]float64, len(slots))
+	hi := make([]float64, len(slots))
+	for i, slot := range slots {
+		lo[i] = cands[0].Trait(slot)
+		hi[i] = lo[i]
+	}
+	for _, c := range cands[1:] {
+		for i, slot := range slots {
+			v := c.Trait(slot)
+			if v < lo[i] {
+				lo[i] = v
+			}
+			if v > hi[i] {
+				hi[i] = v
+			}
+		}
+	}
 	static := make([]float64, len(r.Objectives))
 	for i, o := range r.Objectives {
 		static[i] = o.Weight
 	}
-	slots := r.slots(cands)
 	buf := make([]float64, 0, len(r.Objectives))
 	keys := make([]uint64, len(cands), 2*len(cands))
 	for ci, c := range cands {
@@ -235,9 +155,9 @@ func (r MOOPRanker) RankShard(cands []*Candidate, global any) []*Candidate {
 		score := 0.0
 		for i, o := range r.Objectives {
 			var norm float64
-			if b != nil && b.n > 0 && b.max[i] != b.min[i] {
-				span := b.max[i]/2 - b.min[i]/2
-				norm = (c.Trait(slots[i])/2 - b.min[i]/2) / span
+			if hi[i] != lo[i] {
+				span := hi[i]/2 - lo[i]/2
+				norm = (c.Trait(slots[i])/2 - lo[i]/2) / span
 				if norm < 0 {
 					norm = 0
 				}
@@ -280,33 +200,8 @@ func QuotaAdaptiveWeights() func(c *Candidate, dst []float64) []float64 {
 	}
 }
 
-// RankCompare is the ranking order as a three-way comparison, the form
-// slices.SortFunc takes: descending score, ties broken by candidate ID
-// so identical inputs always produce identical rankings (NFR2). Scores
-// compare with != and >, so −0 and +0 tie. It is a total order whenever
-// candidate IDs are unique — true for every generator configuration
-// shipped here — which is what lets the sharded decide plane merge
-// independently sorted shards into the exact serial ordering.
-func RankCompare(a, b *Candidate) int {
-	if c := compareScores(a.Score, b.Score); c != 0 {
-		return c
-	}
-	return strings.Compare(a.ID(), b.ID())
-}
-
-// compareScores orders scores descending.
-func compareScores(a, b float64) int {
-	if a != b {
-		if a > b {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
 // scoreKey maps a score to a key whose ascending order is the ranking's
-// score order: descending, −0 folded into +0 (compareScores ties them),
+// score order: descending, −0 folded into +0 (the ranking ties them),
 // and every NaN canonicalized to the largest key, after −Inf.
 func scoreKey(s float64) uint64 {
 	switch {
@@ -352,10 +247,10 @@ func compareIDs(a, b *Candidate) int {
 // histogram at 16 KB.
 const radixBits = 11
 
-// rankSorted returns cands permuted into RankCompare order, in a new
-// slice. keys[i] must be scoreKey(cands[i].Score); rankSorted
-// overwrites keys and uses cap(keys) up to 2·len(keys) as the sort's
-// second buffer, so a caller that allocates that much saves a copy.
+// rankSorted returns cands permuted into rank order, in a new slice.
+// keys[i] must be scoreKey(cands[i].Score); rankSorted overwrites keys
+// and uses cap(keys) up to 2·len(keys) as the sort's second buffer, so
+// a caller that allocates that much saves a copy.
 //
 // Each key's low bits.Len(n−1) bits are replaced by the candidate's
 // input position, and a stable LSD radix sort orders the keys on the
@@ -363,8 +258,9 @@ const radixBits = 11
 // bits tie (equal scores, or scores a few ulps apart) form runs, each
 // ordered in place by full score key, then ID, then position; only
 // those comparisons read a candidate. The result equals a stable sort
-// by RankCompare for every pool without NaN scores, duplicate IDs
-// included, and NaN scores rank after every number.
+// by descending score, then ID, for every pool without NaN scores
+// (−0 and +0 tie), duplicate IDs included, and NaN scores rank after
+// every number.
 func rankSorted(cands []*Candidate, keys []uint64) []*Candidate {
 	n := len(cands)
 	if n == 0 {

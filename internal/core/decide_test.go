@@ -50,7 +50,7 @@ func TestThresholdPolicy(t *testing.T) {
 		mkCand("a.t2", map[string]float64{tr.Name(): 0.5}),
 		mkCand("a.t3", map[string]float64{tr.Name(): 0.2}),
 	}
-	ranked := Rank(p, cands)
+	ranked := p.Rank(cands)
 	if len(ranked) != 2 {
 		t.Fatalf("passed = %d", len(ranked))
 	}
@@ -77,7 +77,7 @@ func TestMOOPRankerBalancesBenefitAndCost(t *testing.T) {
 		mkCand("a.small", map[string]float64{benefit.Name(): 100, cost.Name(): 50}),
 		mkCand("a.zero", map[string]float64{benefit.Name(): 0, cost.Name(): 50}),
 	}
-	ranked := Rank(r, equalCost)
+	ranked := r.Rank(equalCost)
 	if ranked[0].ID() != "a.big" {
 		t.Fatalf("equal-cost winner = %v", ranked[0].ID())
 	}
@@ -86,7 +86,7 @@ func TestMOOPRankerBalancesBenefitAndCost(t *testing.T) {
 		mkCand("a.small", map[string]float64{benefit.Name(): 100, cost.Name(): 50}),
 		mkCand("a.zero", map[string]float64{benefit.Name(): 0, cost.Name(): 40}),
 	}
-	ranked = Rank(r, costly)
+	ranked = r.Rank(costly)
 	if ranked[0].ID() != "a.small" {
 		t.Fatalf("cost-aware winner = %v (scores %v %v %v)",
 			ranked[0].ID(), ranked[0].Score, ranked[1].Score, ranked[2].Score)
@@ -101,7 +101,7 @@ func TestMOOPRankerDeterministicTieBreak(t *testing.T) {
 		mkCand("a.t", map[string]float64{benefit.Name(): 5}),
 		mkCand("m.t", map[string]float64{benefit.Name(): 5}),
 	}
-	ranked := Rank(r, cands)
+	ranked := r.Rank(cands)
 	if ranked[0].ID() != "a.t" || ranked[1].ID() != "m.t" || ranked[2].ID() != "z.t" {
 		t.Fatalf("tie order = %v %v %v", ranked[0].ID(), ranked[1].ID(), ranked[2].ID())
 	}
@@ -131,7 +131,7 @@ func TestMOOPRankerDeterminismProperty(t *testing.T) {
 			}
 			b = append(b, mkCand(id, traitsCopy))
 		}
-		ra, rb := Rank(r, a), Rank(r, b)
+		ra, rb := r.Rank(a), r.Rank(b)
 		if len(ra) != len(vals) || len(rb) != len(vals) {
 			return false
 		}
@@ -150,9 +150,9 @@ func TestMOOPRankerDeterminismProperty(t *testing.T) {
 	}
 }
 
-// rankLessRef is the comparator the ranking's stable sort used before
-// RankCompare: descending score, then candidate ID. It is the reference
-// order for TestRankMatchesStableSortProperty.
+// rankLessRef is the ranking's order as a less function: descending
+// score, then candidate ID. It is the reference order for
+// TestRankMatchesStableSortProperty.
 func rankLessRef(a, b *Candidate) bool {
 	if a.Score != b.Score {
 		return a.Score > b.Score
@@ -205,7 +205,7 @@ func TestRankMatchesStableSortProperty(t *testing.T) {
 		check := func(name string, r Ranker, admit func(*Candidate) bool) {
 			t.Helper()
 			in := slices.Clone(cands)
-			got := Rank(r, cands)
+			got := r.Rank(cands)
 			if !slices.Equal(cands, in) {
 				t.Fatalf("case %d: %s permuted its input", ci, name)
 			}
@@ -241,19 +241,30 @@ func TestRankMatchesStableSortProperty(t *testing.T) {
 }
 
 // TestSlotRankingMatchesNameKeyedProperty checks slot-read ranking
-// against a name-keyed reference kept here, over 300 random cases. Each
+// against a name-keyed reference kept here, over 800 random cases. Each
 // case draws a trait list (fixed-slot names among them, in random
 // order), a pool whose values live in per-candidate name-keyed maps and
-// reach the vectors through Orient, a ranker (threshold, static MOOP or
-// quota-adaptive MOOP; objectives may name a trait the list lacks,
-// which reads 0 both ways) and a split into shards. Every shard's
-// RankShard output must list the candidates the reference admits, in
-// the reference's order, with bit-identical scores.
+// reach the vectors through Orient, and a ranker (threshold, static
+// MOOP or quota-adaptive MOOP; objectives may name a trait the list
+// lacks, which reads 0 both ways). Rank over the whole pool must list
+// the candidates the reference admits, in the reference's order, with
+// scores bit-identical to the paper's formula over
+// metrics.MinMaxNormalize. From case 300 on the inputs are adversarial:
+// ±1e300 and 1e-300 magnitudes and negative values, a constant first
+// trait in one case of five (a zero min-max span), and static weights
+// drawn from zeros and wildly skewed magnitudes before normalization.
 func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
 	namePool := []string{"file_count_reduction", "metadata_reduction", "compute_cost_gbhr", "x0", "x1", "x2"}
 	valuePool := []float64{-2, 0, 0.5, 1, 1, 3, 7, 1e6}
-	for ci := 0; ci < 300; ci++ {
+	hardValues := []float64{0, 1, -3.5, 1e-300, 1e300, -1e300, 7, 7, 0.125}
+	hardWeights := []float64{0, 1e-8, 0.5, 1, 1e6}
+	for ci := 0; ci < 800; ci++ {
 		rng := rand.New(rand.NewPCG(23, uint64(ci)))
+		hard := ci >= 300
+		values := valuePool
+		if hard {
+			values = hardValues
+		}
 		vals := map[*Candidate]map[string]float64{}
 		names := slices.Clone(namePool)
 		rng.Shuffle(len(names), func(i, j int) { names[i], names[j] = names[j], names[i] })
@@ -267,6 +278,7 @@ func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		constant := hard && rng.IntN(5) == 0
 		cands := make([]*Candidate, rng.IntN(80))
 		for i := range cands {
 			c := &Candidate{
@@ -274,8 +286,11 @@ func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
 				Stats: Stats{QuotaUtilization: float64(rng.IntN(5))/2 - 0.5},
 			}
 			vals[c] = map[string]float64{}
-			for _, name := range names {
-				vals[c][name] = valuePool[rng.IntN(len(valuePool))]
+			for j, name := range names {
+				vals[c][name] = values[rng.IntN(len(values))]
+				if constant && j == 0 {
+					vals[c][name] = 42
+				}
 			}
 			cands[i] = c
 		}
@@ -294,7 +309,7 @@ func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
 		kind := rng.IntN(3)
 		switch kind {
 		case 0:
-			tr, min := objTrait(), valuePool[rng.IntN(len(valuePool))]
+			tr, min := objTrait(), values[rng.IntN(len(values))]
 			r = ThresholdPolicy{Trait: tr, Threshold: min}
 			admit = func(c *Candidate) bool { return vals[c][tr.Name()] >= min }
 			score = func(cs []*Candidate) map[*Candidate]float64 {
@@ -313,7 +328,13 @@ func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
 			sum := 0.0
 			for i := range objs {
 				objs[i] = Objective{Trait: objTrait(), Weight: float64(1 + rng.IntN(4))}
+				if hard {
+					objs[i].Weight = hardWeights[rng.IntN(len(hardWeights))]
+				}
 				sum += objs[i].Weight
+			}
+			if sum == 0 {
+				objs[0].Weight, sum = 1, 1
 			}
 			for i := range objs {
 				objs[i].Weight /= sum
@@ -359,39 +380,26 @@ func TestSlotRankingMatchesNameKeyedProperty(t *testing.T) {
 		}
 		ref := score(cands)
 
-		shards := 1 + rng.IntN(5)
-		parts := make([][]*Candidate, shards)
+		got := r.Rank(cands)
+		var want []*Candidate
 		for _, c := range cands {
-			s := rng.IntN(shards)
-			parts[s] = append(parts[s], c)
-		}
-		stats := make([]any, shards)
-		for s, p := range parts {
-			stats[s] = r.ShardStats(p)
-		}
-		global := r.MergeStats(stats)
-		for s, p := range parts {
-			got := r.RankShard(p, global)
-			var want []*Candidate
-			for _, c := range p {
-				if admit(c) {
-					want = append(want, c)
-				}
+			if admit(c) {
+				want = append(want, c)
 			}
-			sort.SliceStable(want, func(i, j int) bool {
-				if a, b := ref[want[i]], ref[want[j]]; a != b {
-					return a > b
-				}
-				return want[i].ID() < want[j].ID()
-			})
-			if len(got) != len(want) {
-				t.Fatalf("case %d (kind %d, %d shards): shard %d ranked %d, reference %d", ci, kind, shards, s, len(got), len(want))
+		}
+		sort.SliceStable(want, func(i, j int) bool {
+			if a, b := ref[want[i]], ref[want[j]]; a != b {
+				return a > b
 			}
-			for i, c := range want {
-				if got[i] != c || math.Float64bits(got[i].Score) != math.Float64bits(ref[c]) {
-					t.Fatalf("case %d (kind %d, %d shards): shard %d position %d: %s (%v), reference %s (%v)",
-						ci, kind, shards, s, i, got[i].ID(), got[i].Score, c.ID(), ref[c])
-				}
+			return want[i].ID() < want[j].ID()
+		})
+		if len(got) != len(want) {
+			t.Fatalf("case %d (kind %d): ranked %d, reference %d", ci, kind, len(got), len(want))
+		}
+		for i, c := range want {
+			if got[i] != c || math.Float64bits(got[i].Score) != math.Float64bits(ref[c]) {
+				t.Fatalf("case %d (kind %d): position %d: %s (%v), reference %s (%v)",
+					ci, kind, i, got[i].ID(), got[i].Score, c.ID(), ref[c])
 			}
 		}
 	}
@@ -466,7 +474,7 @@ func TestMOOPQuotaPressureRaisesPriority(t *testing.T) {
 	b.Stats.QuotaUtilization = 0.05
 	// Add a spread candidate so normalization is non-degenerate.
 	z := mkCand("z.t", map[string]float64{benefit.Name(): 0, "c": 0})
-	ranked := Rank(r, []*Candidate{b, a, z})
+	ranked := r.Rank([]*Candidate{b, a, z})
 	if ranked[0].ID() != "a.t" {
 		t.Fatalf("quota pressure ignored: first = %v", ranked[0].ID())
 	}

@@ -10,7 +10,7 @@ import (
 )
 
 // rankByScores ranks cands on their preset scores through the rank
-// kernel, keying them as RankShard does.
+// kernel, keying them as the rankers do.
 func rankByScores(cands []*Candidate) []*Candidate {
 	keys := make([]uint64, len(cands), 2*len(cands))
 	for i, c := range cands {

@@ -10,8 +10,8 @@ import (
 
 // Config wires an AutoComp pipeline. Connector, Generator, Observer,
 // Traits, and Ranker are required; Selector defaults to SelectAll,
-// Scheduler to SequentialScheduler. Runner is required to execute (Act /
-// RunOnce) but not to Decide.
+// Scheduler to SequentialScheduler, Decider to DecideSerial. Runner is
+// required to execute (Act / RunOnce) but not to Decide.
 type Config struct {
 	Connector Connector
 	Generator Generator
@@ -35,11 +35,11 @@ type Config struct {
 	// observe (§3.3): estimator ledgers, caches, telemetry.
 	OnReport []func(*Report)
 
-	// Decider, when set, replaces the serial decide pass: Service.Decide
-	// hands it the defaulted configuration and emits the decision
-	// telemetry around the call. The sharded decide plane
-	// (internal/decideshard) attaches here via the policy compiler's
-	// decide_shards knob; nil keeps the single-goroutine pass.
+	// Decider runs the decide pass: Service.Decide hands it the
+	// defaulted configuration and emits the decision telemetry around
+	// the call. NewService defaults it to DecideSerial; the sharded
+	// decide plane (internal/decideshard) attaches here via the policy
+	// compiler's decide_shards knob.
 	Decider Decider
 
 	// Clock, when set, supplies the instants latency telemetry is
@@ -103,6 +103,9 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.Scheduler == nil {
 		cfg.Scheduler = SequentialScheduler{}
 	}
+	if cfg.Decider == nil {
+		cfg.Decider = (*Config).DecideSerial
+	}
 	return &Service{cfg: cfg}, nil
 }
 
@@ -126,19 +129,12 @@ type Decision struct {
 	Selected []*Candidate
 }
 
-// Decide runs candidate generation, observe, orient, and decide, without
-// acting. Event-driven harnesses use it to act on the selection.
-// When a Decider is configured it runs the decide pass; the serial path
-// otherwise.
+// Decide runs candidate generation, observe, orient, and decide through
+// the configured Decider, without acting. Event-driven harnesses use it
+// to act on the selection.
 func (s *Service) Decide() (*Decision, error) {
 	started := s.cfg.clockNow()
-	var d *Decision
-	var err error
-	if s.cfg.Decider != nil {
-		d, err = s.cfg.Decider(&s.cfg)
-	} else {
-		d, err = s.cfg.DecideSerial()
-	}
+	d, err := s.cfg.Decider(&s.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +150,7 @@ func (cfg *Config) DecideSerial() (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Ranked = Rank(cfg.Ranker, cands)
+	d.Ranked = cfg.Ranker.Rank(cands)
 	d.Selected = cfg.Selector.Select(d.Ranked)
 	return d, nil
 }

@@ -16,11 +16,12 @@ func ShardOf(fullName string, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// Decider replaces the serial decide pass of Service.Decide. The hook
-// receives the service's (defaulted, validated) configuration and
-// returns the cycle's decision; Service.Decide still owns the decision
-// telemetry around the call. A sharded decide engine attaches here
-// (see internal/decideshard) — core stays free of worker-pool policy.
+// Decider is the decide pass Service.Decide runs: (*Config).DecideSerial
+// by default, or a sharded decide engine (see internal/decideshard), so
+// core stays free of worker-pool policy. The hook receives the
+// service's (defaulted, validated) configuration and returns the
+// cycle's decision; Service.Decide owns the decision telemetry around
+// the call.
 type Decider func(*Config) (*Decision, error)
 
 // ShardedGenerator is a Generator that partitions its own candidate pool

@@ -2,15 +2,16 @@
 // fleet into S shards with a stable hash on the full table name
 // (core.ShardOf — the same mapping the scheduler's GBHr budget shards
 // use, so a table's budget shard and decide shard always align) and runs
-// candidate generation, the refinement points (core.Config.Refine) and
-// MOOP scoring per shard on a bounded worker pool. A deterministic k-way
-// heap merge then reassembles the global ranking.
+// candidate generation and the refinement points (core.Config.Refine)
+// per shard on a bounded worker pool. The shards' survivors are then
+// concatenated and ranked once, by the core.Ranker call the serial pass
+// makes.
 //
 // # Byte-identical parity
 //
 // The engine's contract is not "similar decisions faster" but the same
 // bytes: Decide returns exactly what core's serial pass returns — same
-// funnel counts, same ranked order, same scores, same selection. Three
+// funnel counts, same ranked order, same scores, same selection. Two
 // properties deliver this:
 //
 //  1. Candidate partitioning is by table: every core.Generator is
@@ -18,14 +19,12 @@
 //     and every pipeline stage up to ranking is per-candidate, so
 //     shard-local filtering/observation/orientation computes exactly the
 //     serial values.
-//  2. The only cross-candidate coupling — MOOP min-max normalization —
-//     factors into per-shard trait extrema merged exactly (min/max has
-//     no accumulation error), after which each shard scores its
-//     candidates with bit-identical arithmetic (core.Ranker).
-//  3. Ranking order is a total order (score desc, candidate ID asc) for
-//     unique IDs, so independently sorted shards merge into the exact
-//     serial ordering regardless of shard completion order; MergeRanked
-//     emits it without re-sorting the merged tail.
+//  2. Ranking is one Ranker.Rank call over the whole surviving pool, as
+//     in the serial pass, so every cross-candidate term (the MOOP's
+//     min-max bounds) sees the same pool. Rank is a stable sort by
+//     descending score, then candidate ID — a total order for unique
+//     IDs — so the pool's order, which differs from the serial pass's,
+//     cannot move a candidate.
 //
 // Every shard count, one included, runs this same path, so the engine's
 // timing stats and critical path mean the same thing at every count.
@@ -92,30 +91,26 @@ type Engine struct {
 type CycleStats struct {
 	// Shards is the cycle's shard count (0 = no cycle yet).
 	Shards int
-	// ShardPipeline is each shard's generate→trait-filter duration;
-	// ShardRank each shard's rank-phase duration.
+	// ShardPipeline is each shard's generate→trait-filter duration.
 	ShardPipeline []time.Duration
-	ShardRank     []time.Duration
-	// Merge is the k-way merge duration.
+	// ShardRank has one entry per shard and reads zero: no shard ranks
+	// on its own, the pool is ranked once inside Merge.
+	ShardRank []time.Duration
+	// Merge is the serial step after the shards: concatenating their
+	// survivors and ranking the pool.
 	Merge time.Duration
 	// ShardCandidates is each shard's generated-candidate count.
 	ShardCandidates []int
 }
 
 // CriticalPath is the cycle's ideal-parallel decide time: the slowest
-// shard's pipeline+rank chain plus the serial merge.
+// shard's pipeline plus the serial merge.
 func (cs CycleStats) CriticalPath() time.Duration {
-	var max time.Duration
-	for s := range cs.ShardPipeline {
-		d := cs.ShardPipeline[s]
-		if s < len(cs.ShardRank) {
-			d += cs.ShardRank[s]
-		}
-		if d > max {
-			max = d
-		}
+	var slowest time.Duration
+	for _, d := range cs.ShardPipeline {
+		slowest = max(slowest, d)
 	}
-	return max + cs.Merge
+	return slowest + cs.Merge
 }
 
 // LastCycle returns a copy of the most recent cycle's stats.
@@ -129,12 +124,11 @@ func (e *Engine) LastCycle() CycleStats {
 	return cs
 }
 
-// shardOut is one shard's per-cycle pipeline result: its funnel counts,
-// surviving candidates and ranking summary.
+// shardOut is one shard's per-cycle pipeline result: its funnel counts
+// and surviving candidates.
 type shardOut struct {
 	funnel core.Decision
 	cands  []*core.Candidate
-	stats  any
 	err    error
 }
 
@@ -190,7 +184,7 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 	}
 	sharded, _ := cfg.Generator.(core.ShardedGenerator)
 
-	// Phase A, per shard: generate → refine → ranking summary.
+	// Per shard: generate → refine.
 	outs := make([]shardOut, e.shards)
 	e.runShards(func(s int) {
 		started := e.now()
@@ -206,11 +200,10 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 		if out.cands, out.err = cfg.Refine(cands, &out.funnel); out.err != nil {
 			return
 		}
-		out.stats = cfg.Ranker.ShardStats(out.cands)
 		e.last.ShardPipeline[s] = e.now() - started
 		mShardSeconds.With("pipeline").Observe(e.last.ShardPipeline[s].Seconds())
 	})
-	stats := make([]any, e.shards)
+	n := 0
 	for s := range outs {
 		if err := outs[s].err; err != nil {
 			return nil, err
@@ -219,21 +212,17 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 		d.AfterPreFilters += outs[s].funnel.AfterPreFilters
 		d.AfterStatsFilter += outs[s].funnel.AfterStatsFilter
 		d.AfterTraitFilter += outs[s].funnel.AfterTraitFilter
-		stats[s] = outs[s].stats
+		n += len(outs[s].cands)
 	}
 
-	// Phase B: rank per shard against exactly-merged global stats, then
-	// the deterministic k-way merge.
-	global := cfg.Ranker.MergeStats(stats)
-	ranked := make([][]*core.Candidate, e.shards)
-	e.runShards(func(s int) {
-		started := e.now()
-		ranked[s] = cfg.Ranker.RankShard(outs[s].cands, global)
-		e.last.ShardRank[s] = e.now() - started
-		mShardSeconds.With("rank").Observe(e.last.ShardRank[s].Seconds())
-	})
+	// Merge: rank the survivors, in shard order, with the serial pass's
+	// call.
 	started := e.now()
-	d.Ranked = MergeRanked(ranked)
+	pool := make([]*core.Candidate, 0, n)
+	for s := range outs {
+		pool = append(pool, outs[s].cands...)
+	}
+	d.Ranked = cfg.Ranker.Rank(pool)
 	e.last.Merge = e.now() - started
 	mMergeSeconds.Observe(e.last.Merge.Seconds())
 

@@ -9,8 +9,10 @@ package decideshard_test
 
 import (
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"autocomp/internal/core"
 	"autocomp/internal/decideshard"
@@ -237,6 +239,49 @@ func TestShardParityBudgetSelector(t *testing.T) {
 		}
 		if _, err := shardSvc.Act(dShard); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// countingRanker counts Rank calls and records the last pool's size.
+type countingRanker struct {
+	core.Ranker
+	calls, pool int
+}
+
+func (r *countingRanker) Rank(cands []*core.Candidate) []*core.Candidate {
+	r.calls++
+	r.pool = len(cands)
+	return r.Ranker.Rank(cands)
+}
+
+// TestEngineRanksPoolOnce checks that a sharded cycle ranks once, over
+// every shard's survivors, and that its CycleStats keep one ShardRank
+// entry per shard, each zero.
+func TestEngineRanksPoolOnce(t *testing.T) {
+	f := fleet.New(testkit.FleetConfig(3, 120), sim.NewClock())
+	cfg := testkit.Config(t, f, testkit.MaintenanceSpec(25))
+	r := &countingRanker{Ranker: cfg.Ranker}
+	cfg.Ranker = r
+	eng := decideshard.New(decideshard.Options{Shards: 4, Workers: 2})
+	cfg.Decider = eng.Decide
+	svc, err := core.NewService(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 1; cycle <= 2; cycle++ {
+		f.AdvanceDay()
+		d, err := svc.Decide()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.calls != cycle || r.pool == 0 || r.pool != d.AfterTraitFilter {
+			t.Fatalf("cycle %d: %d Rank calls, last over %d candidates; want %d calls over the %d survivors",
+				cycle, r.calls, r.pool, cycle, d.AfterTraitFilter)
+		}
+		cs := eng.LastCycle()
+		if len(cs.ShardRank) != cs.Shards || slices.ContainsFunc(cs.ShardRank, func(d time.Duration) bool { return d != 0 }) {
+			t.Fatalf("cycle %d: ShardRank = %v, want %d zeros", cycle, cs.ShardRank, cs.Shards)
 		}
 	}
 }

@@ -90,7 +90,8 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 		// reproducible — but they must stay well-formed: ranked order
 		// intact, selection within the ranking, funnel monotone.
 		for i := 1; i < len(d.Ranked); i++ {
-			if core.RankCompare(d.Ranked[i], d.Ranked[i-1]) < 0 {
+			a, b := d.Ranked[i-1], d.Ranked[i]
+			if b.Score > a.Score || b.Score == a.Score && b.ID() < a.ID() {
 				t.Fatalf("day %d: ranked order violated at position %d", day, i)
 			}
 		}

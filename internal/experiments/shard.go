@@ -27,9 +27,10 @@ type ShardSample struct {
 	// overhead, not the parallel win.
 	DecideMS        float64 `json:"decide_ms"`
 	MeasuredSpeedup float64 `json:"measured_speedup"`
-	// CriticalPathMS is the slowest shard's pipeline+rank chain plus the
-	// serial merge — what decide wall time becomes on >= Shards cores —
-	// and ProjectedSpeedup the serial baseline divided by that.
+	// CriticalPathMS is the slowest shard's pipeline plus the serial
+	// merge (the pool's one rank) — what decide wall time becomes on
+	// >= Shards cores — and ProjectedSpeedup the serial baseline divided
+	// by that.
 	CriticalPathMS   float64 `json:"critical_path_ms"`
 	ProjectedSpeedup float64 `json:"projected_speedup"`
 	// ParityOK reports whether the sharded decision fingerprint was
@@ -77,7 +78,7 @@ func (r ShardResult) Render() string {
 	head := fmt.Sprintf(
 		"%d tables, serial decide %.1f ms, GOMAXPROCS=%d\n"+
 			"measured wall needs cores to show the win (workers are capped at GOMAXPROCS);\n"+
-			"critical path = slowest shard (pipeline+rank) + merge = decide wall on >= shards cores\n",
+			"critical path = slowest shard pipeline + merge (one rank of the pool) = decide wall on >= shards cores\n",
 		r.Tables, r.SerialMS, r.Gomaxprocs)
 	return head + metrics.RenderTable(
 		[]string{"Shards", "Workers", "Decide ms", "Wall speedup", "Crit path ms", "Proj speedup", "Parity"}, rows)

@@ -213,17 +213,6 @@ func (t *Table) Version() int64 {
 	return t.version
 }
 
-// CurrentSnapshot returns the latest snapshot, or nil before any commit.
-func (t *Table) CurrentSnapshot() *Snapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.snapshots) == 0 {
-		return nil
-	}
-	s := *t.snapshots[len(t.snapshots)-1]
-	return &s
-}
-
 // Snapshots returns a copy of the snapshot history.
 func (t *Table) Snapshots() []Snapshot {
 	t.mu.Lock()

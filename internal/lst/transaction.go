@@ -36,9 +36,6 @@ func (t *Table) NewTransaction(op Operation) *Transaction {
 	}
 }
 
-// BaseVersion returns the table version the transaction started from.
-func (tx *Transaction) BaseVersion() int64 { return tx.baseVersion }
-
 // Add stages a new data file described by spec.
 func (tx *Transaction) Add(spec FileSpec) {
 	tx.adds = append(tx.adds, spec)
@@ -51,10 +48,6 @@ func (tx *Transaction) Remove(path, partition string) {
 	tx.removes = append(tx.removes, path)
 	tx.touch(partition)
 }
-
-// TouchWholeTable marks the transaction as affecting the entire table
-// (used by full-table overwrites on partitioned tables).
-func (tx *Transaction) TouchWholeTable() { tx.parts[WholeTable] = struct{}{} }
 
 func (tx *Transaction) touch(partition string) {
 	if !tx.t.cfg.Spec.IsPartitioned() || partition == "" {

@@ -452,7 +452,6 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 				GBHr: cand.wastedGBHr,
 			}
 			p.stats.Deferred++
-			mDeferrals.Inc()
 			mJobsDeferred.Inc()
 			// Deferral is a terminal outcome: it closes the makespan
 			// window like any other finish (a retried job can be

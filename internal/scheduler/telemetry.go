@@ -47,9 +47,6 @@ var (
 	mSchedSpend = telemetry.Default().Counter(
 		"autocomp_sched_gbhr_spent_total",
 		"Compute charged against shard budgets (GB-hours), wasted attempts included.")
-	mDeferrals = telemetry.Default().Counter(
-		"autocomp_sched_budget_deferrals_total",
-		"Jobs pushed to the next cycle by shard-budget backpressure.")
 )
 
 // mJobs' series by status, cached because the pool bumps one per job.

@@ -419,14 +419,6 @@ func (t *Tenant) reportPolicyErr(format string, args ...any) {
 	t.logf("%s", msg)
 }
 
-// LastPolicyError returns the most recent policy reload/swap failure
-// ("" when the last attempt succeeded).
-func (t *Tenant) LastPolicyError() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.policyErr
-}
-
 func (t *Tenant) logf(format string, args ...any) {
 	if t.opts.Logf != nil {
 		t.opts.Logf(format, args...)

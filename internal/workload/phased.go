@@ -1,8 +1,6 @@
 package workload
 
 import (
-	"time"
-
 	"autocomp/internal/engine"
 	"autocomp/internal/lst"
 	"autocomp/internal/storage"
@@ -209,9 +207,3 @@ func (w PhasedWorkload) TotalQueries() int {
 	}
 	return n
 }
-
-// Durations below are defaults for experiment pacing.
-const (
-	// DefaultThinkTime separates queries within a phase.
-	DefaultThinkTime = 30 * time.Second
-)
