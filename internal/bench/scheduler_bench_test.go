@@ -15,14 +15,14 @@ import (
 	"autocomp/internal/storage"
 )
 
-// schedulerCycle builds a fresh aged fleet and drains one scheduled
-// maintenance cycle with the given worker count, returning the cycle's
-// stats. Each call starts from an identical seed-1 fleet, so the ranked
-// plan is the same at every worker count and the makespan trajectory is
-// the pure scheduling effect.
+// schedulerCycle builds a fresh fleet, lets it take writes for three
+// days, and drains one scheduled maintenance cycle with the given worker
+// count, returning the cycle's stats. Each call starts from an identical
+// seed-1 fleet, so the ranked selection is the same at every worker
+// count and the makespan trajectory is the pure scheduling effect.
 func schedulerCycle(b *testing.B, workers int) scheduler.Stats {
 	b.Helper()
-	// Fixture construction (fleet build + aging) stays outside the
+	// Fixture construction (fleet build + three days) stays outside the
 	// timed region: ns/op measures the scheduled cycle only.
 	b.StopTimer()
 	cfg := fleet.DefaultConfig()
@@ -99,11 +99,7 @@ func BenchmarkSchedulerDispatch(b *testing.B) {
 	drain := func(b *testing.B, cands []*core.Candidate, cfg scheduler.Config) scheduler.Stats {
 		var st scheduler.Stats
 		for i := 0; i < b.N; i++ {
-			clock := sim.NewClock()
-			q := sim.NewEventQueue(clock)
-			p := scheduler.New(cfg, runner, clock)
-			p.Submit(cands)
-			st = scheduler.RunSim(p, q)
+			st = scheduler.New(cfg, runner, sim.NewEventQueue(sim.NewClock()), cands).Run()
 		}
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(len(cands)*b.N), "us/job")
 		return st

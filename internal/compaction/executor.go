@@ -120,10 +120,6 @@ type partGroup struct {
 // and its commit is attempted.
 func (o *Op) CommitAt() time.Duration { return o.job.End() }
 
-// Result returns the operation's result so far; before Finish it reflects
-// planning (and Skipped) state only.
-func (o *Op) Result() Result { return o.result }
-
 // Start plans and launches one compaction operation. For PartitionScope,
 // partition names the target partition; for TableScope it is ignored.
 func (e *Executor) Start(t *lst.Table, scope Scope, partition string) *Op {

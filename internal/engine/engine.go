@@ -213,9 +213,6 @@ func New(cfg Config, cl *cluster.Cluster, fs *storage.NameNode, clock *sim.Clock
 	return &Engine{cfg: cfg, cluster: cl, fs: fs, clock: clock, rng: rng}
 }
 
-// Cluster returns the engine's cluster.
-func (e *Engine) Cluster() *cluster.Cluster { return e.cluster }
-
 // Stats returns cumulative engine counters: total queries, client-side
 // conflict retries, failed queries, and open timeouts observed.
 func (e *Engine) Stats() (queries, conflictRetries, failures, timeouts int64) {

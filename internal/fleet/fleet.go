@@ -352,6 +352,13 @@ func (t *Table) RewriteManifests() (lst.MaintenanceResult, error) {
 	return res, nil
 }
 
+// MaxTables bounds InitialTables and TablesPerMonth in configs read from
+// outside the process (tenant configs, scenario specs): New onboards
+// every initial table at once and AdvanceDay a month's onboarding a
+// day at a time, so an unchecked count allocates until the process
+// dies. It is ten times the largest benchmark lake's 100,000 tables.
+const MaxTables = 1 << 20
+
 // Config parameterizes fleet construction.
 type Config struct {
 	Seed int64

@@ -31,16 +31,16 @@ type SchedOptions struct {
 	// attempts (zero values take the scheduler defaults).
 	RetryBase time.Duration
 	RetryMax  time.Duration
-	// AgingRatePerHour is the priority points a queued job gains per
-	// hour of waiting (0 = scheduler default, negative disables).
+	// AgingRatePerHour has no effect: each cycle's pool dispatches its
+	// selection in rank order.
 	AgingRatePerHour float64
 }
 
 // ScheduledService is a maintenance service with a concurrent execution
-// plane replacing the serial act loop: each cycle's ranked plan feeds a
-// priority queue drained by Workers job slots over Shards budget shards,
-// with per-table leases and optimistic-concurrency commit (retry on
-// writer conflict). All four maintenance action types dispatch through
+// plane replacing the serial act loop: each cycle's ranked selection
+// builds a scheduler pool drained by Workers job slots over Shards budget
+// shards, with per-table leases and optimistic-concurrency commit (retry
+// on writer conflict). All four maintenance action types dispatch through
 // the same plane.
 type ScheduledService struct {
 	fleet *Fleet
@@ -97,17 +97,15 @@ func (s *ScheduledService) RunCycle() (*core.Report, scheduler.Stats, error) {
 		MaxAttempts:      s.opts.MaxAttempts,
 		RetryBase:        s.opts.RetryBase,
 		RetryMax:         s.opts.RetryMax,
-		AgingRatePerHour: s.opts.AgingRatePerHour,
 		ExecutorMemoryGB: s.model.ExecutorMemoryGB,
 		Seed:             s.fleet.rngExec.Int63(),
-	}, s.svc.Runner(), sub)
-	pool.Submit(dec.Selected)
+	}, s.svc.Runner(), q, dec.Selected)
 
 	if s.opts.WriterCommitsPerHour > 0 && len(dec.Selected) > 0 {
 		s.scheduleWriters(q, pool, dec.Selected)
 	}
 
-	stats := scheduler.RunSim(pool, q)
+	stats := pool.Run()
 	rep := &core.Report{Decision: dec}
 	pool.FoldInto(rep)
 	s.svc.Feedback(rep)

@@ -9,6 +9,7 @@ import (
 	"autocomp/internal/scheduler"
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
+	"autocomp/internal/telemetry"
 )
 
 func schedFleet(seed int64) *Fleet {
@@ -193,5 +194,46 @@ func TestWriterCommitAdvancesVersion(t *testing.T) {
 	tb.WriterCommit(-5)
 	if tb.FileCount() != files0+10 {
 		t.Fatal("negative writer commit added files")
+	}
+}
+
+// TestAgingRateLeavesCyclesUnchanged pins execution.aging_rate_per_hour
+// as inert: each cycle's pool dispatches its selection in rank order, so
+// a lake whose cycles race writers into commit retries and run shards
+// out of budget emits equal CycleEvents with the rate unset, 2 and −1.
+func TestAgingRateLeavesCyclesUnchanged(t *testing.T) {
+	run := func(rate float64) []telemetry.CycleEvent {
+		f := schedFleet(4)
+		spec := policy.DefaultSpec()
+		spec.Execution = &policy.ExecutionSpec{Workers: 4, Shards: 2, ShardBudgetGBHr: 20, AgingRatePerHour: rate}
+		svc, err := f.ServiceFromSpec(spec, DefaultModel(512*storage.MB),
+			SpecRunOptions{WriterCommitsPerHour: 240, Tracer: telemetry.NewTracer(4)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var evs []telemetry.CycleEvent
+		for d := 0; d < 3; d++ {
+			f.AdvanceDay()
+			cyc, err := svc.RunCycle()
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, cyc.Event)
+		}
+		return evs
+	}
+	unset := run(0)
+	var retries, deferred int
+	for _, ev := range unset {
+		retries += ev.Exec.Retries
+		deferred += ev.Exec.Deferred
+	}
+	if retries == 0 || deferred == 0 {
+		t.Fatalf("cycles saw %d retries and %d deferrals; want both, or the rate has no order to change", retries, deferred)
+	}
+	for _, rate := range []float64{2, -1} {
+		if got := run(rate); !reflect.DeepEqual(got, unset) {
+			t.Fatalf("aging_rate_per_hour %v changed the cycles:\n%+v\nunset:\n%+v", rate, got, unset)
+		}
 	}
 }

@@ -127,7 +127,6 @@ func (f *Fleet) ServiceFromSpec(spec *policy.Spec, model CompactionModel, opts S
 			MaxAttempts:          comp.Sched.MaxAttempts,
 			RetryBase:            comp.Sched.RetryBase,
 			RetryMax:             comp.Sched.RetryMax,
-			AgingRatePerHour:     comp.Sched.AgingRatePerHour,
 			WriterCommitsPerHour: opts.WriterCommitsPerHour,
 		})
 	}

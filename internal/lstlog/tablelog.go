@@ -41,9 +41,6 @@ type compactedArtifact struct {
 	State *lst.TableState `json:"state"`
 }
 
-// Dir returns the log directory.
-func (l *TableLog) Dir() string { return l.dir }
-
 // NextLSN returns the LSN the next appended action will receive.
 func (l *TableLog) NextLSN() int64 {
 	l.mu.Lock()

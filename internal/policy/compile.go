@@ -404,14 +404,13 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		}
 		out.HasExecution = true
 		out.Sched = scheduler.Config{
-			Workers:          ex.Workers,
-			Shards:           ex.Shards,
-			ShardBudgetGBHr:  ex.ShardBudgetGBHr,
-			StalenessBound:   staleness,
-			MaxAttempts:      ex.MaxAttempts,
-			RetryBase:        time.Duration(ex.RetryBase),
-			RetryMax:         time.Duration(ex.RetryMax),
-			AgingRatePerHour: ex.AgingRatePerHour,
+			Workers:         ex.Workers,
+			Shards:          ex.Shards,
+			ShardBudgetGBHr: ex.ShardBudgetGBHr,
+			StalenessBound:  staleness,
+			MaxAttempts:     ex.MaxAttempts,
+			RetryBase:       time.Duration(ex.RetryBase),
+			RetryMax:        time.Duration(ex.RetryMax),
 		}
 	}
 

@@ -157,9 +157,8 @@ type ExecutionSpec struct {
 	// attempts (zero values take the scheduler defaults).
 	RetryBase Duration `json:"retry_base,omitempty"`
 	RetryMax  Duration `json:"retry_max,omitempty"`
-	// AgingRatePerHour is the priority points a queued job gains per
-	// hour of waiting (0 = scheduler default, negative disables). The
-	// fleet submits a cycle's plan at once, so aging never reorders it.
+	// AgingRatePerHour is accepted and has no effect: each cycle's
+	// selection dispatches in rank order.
 	AgingRatePerHour float64 `json:"aging_rate_per_hour,omitempty"`
 	// DecideShards partitions the decide phase (generation, filtering,
 	// observation, MOOP ranking) across this many table-hash shards run

@@ -255,6 +255,12 @@ func (s *Spec) Validate() error {
 	if s.Fleet.InitialTables < 1 {
 		fail("fleet.initial_tables must be >= 1, got %d", s.Fleet.InitialTables)
 	}
+	if s.Fleet.InitialTables > fleet.MaxTables {
+		fail("fleet.initial_tables must be at most %d, got %d", fleet.MaxTables, s.Fleet.InitialTables)
+	}
+	if s.Fleet.TablesPerMonth > fleet.MaxTables {
+		fail("fleet.tables_per_month must be at most %d, got %d", fleet.MaxTables, s.Fleet.TablesPerMonth)
+	}
 	if p := s.Fleet.DailyWriteProb; p < 0 || p > 1 {
 		fail("fleet.daily_write_prob must be in [0,1], got %v", p)
 	}

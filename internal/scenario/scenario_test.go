@@ -30,6 +30,10 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		{"no-name", func(s *Spec) { s.Name = "" }, "name is required"},
 		{"no-days", func(s *Spec) { s.Days = 0 }, "days must be"},
 		{"no-tables", func(s *Spec) { s.Fleet.InitialTables = 0 }, "initial_tables"},
+		{"too-many-tables", func(s *Spec) { s.Fleet.InitialTables = fleet.MaxTables + 1 },
+			"fleet.initial_tables must be at most 1048576, got 1048577"},
+		{"too-many-monthly", func(s *Spec) { s.Fleet.TablesPerMonth = fleet.MaxTables + 1 },
+			"fleet.tables_per_month must be at most 1048576, got 1048577"},
 		{"bad-kind", func(s *Spec) {
 			s.Workload = []PatternSpec{{Kind: "tsunami"}}
 		}, "unknown kind"},

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"sort"
 	"testing"
 	"time"
 
@@ -12,29 +11,16 @@ import (
 )
 
 // scanNext is the reference dispatch rule, evaluated without side
-// effects: walk every queued job in priority order (aged priority
-// descending, then submission order) and return the first one whose
-// backoff has passed, whose table lease is free and whose shard admits
-// it. Jobs on exhausted shards that the walk passes are the ones the
-// dispatch defers; earliestReady is the soonest backoff expiry among the
-// jobs it passed.
+// effects: walk every queued job in rank order and return the first one
+// whose backoff has passed, whose table lease is free and whose shard
+// admits it. Jobs on exhausted shards that the walk passes are the ones
+// the dispatch defers; earliestReady is the soonest backoff expiry among
+// the jobs it passed.
 func scanNext(p *Pool, now time.Duration) (pick *Job, deferred []*Job, earliestReady time.Duration) {
-	rate := p.cfg.AgingRatePerHour
-	key := func(j *Job) float64 { return j.BasePriority - rate*j.Enqueued.Hours() }
-	var queue []*Job
-	for _, j := range p.jobs {
-		if j.Status == StatusQueued {
-			queue = append(queue, j)
-		}
-	}
-	sort.Slice(queue, func(a, b int) bool {
-		if ka, kb := key(queue[a]), key(queue[b]); ka != kb {
-			return ka > kb
-		}
-		return queue[a].seq < queue[b].seq
-	})
-	for _, j := range queue {
+	for i := range p.jobs {
+		j := &p.jobs[i]
 		switch {
+		case j.Status != StatusQueued:
 		case p.shardExhausted(j.Shard):
 			deferred = append(deferred, j)
 		case j.readyAt > now:
@@ -50,32 +36,31 @@ func scanNext(p *Pool, now time.Duration) (pick *Job, deferred []*Job, earliestR
 	return nil, deferred, earliestReady
 }
 
-// checkedDriver is simDriver with scanNext consulted before every
-// p.next: the job next returns, the jobs it defers and, when it returns
-// nil, the wake time it reports must be the reference walk's.
+// checkedDriver is Pool.kick and Pool.complete with scanNext consulted
+// before every p.next: the job next returns, the jobs it defers and,
+// when it returns nil, the wake time it reports must be the reference
+// walk's.
 type checkedDriver struct {
-	t      *testing.T
-	seed   int64
-	p      *Pool
-	q      *sim.EventQueue
-	idle   int
-	wakeAt time.Duration
+	t    *testing.T
+	seed int64
+	p    *Pool
 
 	checks, nilChecks int
 }
 
 func (s *checkedDriver) kick() {
-	now := s.q.Clock().Now()
+	p := s.p
+	now := p.q.Clock().Now()
 	var earliest time.Duration
-	for s.idle > 0 {
-		want, deferred, wantReady := scanNext(s.p, now)
-		before := s.p.stats.Deferred
-		j, er := s.p.next(now)
+	for p.running < p.cfg.Workers {
+		want, deferred, wantReady := scanNext(p, now)
+		before := p.stats.Deferred
+		j, er := p.next(now)
 		s.checks++
 		if j != want {
 			s.t.Fatalf("seed %d at %v: next = %s, scan picks %s", s.seed, now, jobName(j), jobName(want))
 		}
-		if got := s.p.stats.Deferred - before; got != len(deferred) {
+		if got := p.stats.Deferred - before; got != len(deferred) {
 			s.t.Fatalf("seed %d at %v: next deferred %d jobs, scan defers %d", s.seed, now, got, len(deferred))
 		}
 		for _, d := range deferred {
@@ -94,19 +79,17 @@ func (s *checkedDriver) kick() {
 			}
 			break
 		}
-		s.idle--
-		s.p.dispatch(j, now)
-		s.q.ScheduleAfter(s.p.serviceTime(j), func() { s.complete(j) })
+		p.dispatch(j, now)
+		p.q.ScheduleAfter(p.serviceTime(j), func() { s.complete(j) })
 	}
-	if s.idle > 0 && earliest > 0 && (s.wakeAt == 0 || earliest < s.wakeAt || s.wakeAt <= now) {
-		s.wakeAt = earliest
-		s.q.ScheduleAt(earliest, s.kick)
+	if p.running < p.cfg.Workers && earliest > 0 && (p.wakeAt == 0 || earliest < p.wakeAt || p.wakeAt <= now) {
+		p.wakeAt = earliest
+		p.q.ScheduleAt(earliest, s.kick)
 	}
 }
 
 func (s *checkedDriver) complete(j *Job) {
-	s.p.commit(j, s.q.Clock().Now())
-	s.idle++
+	s.p.commit(j, s.p.q.Clock().Now())
 	s.kick()
 }
 
@@ -114,16 +97,16 @@ func jobName(j *Job) string {
 	if j == nil {
 		return "<nil>"
 	}
-	return fmt.Sprintf("#%d(%s)", j.seq, j.Candidate.Table.FullName())
+	return fmt.Sprintf("#%d(%s)", j.rank, j.Candidate.Table.FullName())
 }
 
-// TestDispatchMatchesScanProperty pins the heap queue to the priority
+// TestDispatchMatchesScanProperty pins the heap queue to the rank-order
 // walk it replaces: over random pools — worker and shard counts, shard
-// budgets, aging, retry limits, same-table siblings, mid-run submission
-// waves and live writers forcing commit retries — every dispatch picks
-// the same job, defers the same jobs at the same instant, and reports
-// the same wake time. Half the seeds crowd few tables with frequent
-// writers, so retries in backoff meet budgets running out.
+// budgets, retry limits, same-table siblings and live writers forcing
+// commit retries — every dispatch picks the same job, defers the same
+// jobs at the same instant, and reports the same wake time. Half the
+// seeds crowd few tables with frequent writers, so retries in backoff
+// meet budgets running out.
 func TestDispatchMatchesScanProperty(t *testing.T) {
 	seeds := int64(1000)
 	if testing.Short() {
@@ -141,19 +124,16 @@ func TestDispatchMatchesScanProperty(t *testing.T) {
 		for i := range tables {
 			tables[i] = &memTable{name: fmt.Sprintf("t%02d", i)}
 		}
-		wave := func(n int) []*core.Candidate {
-			cands := make([]*core.Candidate, n)
-			for i := range cands {
-				est := 0.0
-				if !rng.Bernoulli(0.1) {
-					est = 64 * (0.05 + 1.5*rng.Float64())
-				}
-				cands[i] = &core.Candidate{
-					Table:  tables[rng.Intn(ntables)],
-					Traits: []float64{core.SlotComputeCost: est},
-				}
+		batch := make([]*core.Candidate, 1+rng.Intn(150))
+		for i := range batch {
+			est := 0.0
+			if !rng.Bernoulli(0.1) {
+				est = 64 * (0.05 + 1.5*rng.Float64())
 			}
-			return cands
+			batch[i] = &core.Candidate{
+				Table:  tables[rng.Intn(ntables)],
+				Traits: []float64{core.SlotComputeCost: est},
+			}
 		}
 		cfg := Config{
 			Workers:     1 + rng.Intn(16),
@@ -161,16 +141,10 @@ func TestDispatchMatchesScanProperty(t *testing.T) {
 			MaxAttempts: 1 + rng.Intn(6),
 			Seed:        seed,
 		}
-		first := wave(1 + rng.Intn(60))
 		if rng.Bernoulli(0.6) {
-			// Enough for part of one wave per shard: budgets run out
+			// Enough for part of the batch per shard: budgets run out
 			// mid-run.
-			cfg.ShardBudgetGBHr = 64 * float64(len(first)) / float64(cfg.Shards) * (0.1 + 0.8*rng.Float64())
-		}
-		if rng.Bernoulli(0.5) {
-			cfg.AgingRatePerHour = -1
-		} else {
-			cfg.AgingRatePerHour = 0.5 + 4*rng.Float64()
+			cfg.ShardBudgetGBHr = 64 * float64(len(batch)) / float64(cfg.Shards) * (0.1 + 0.8*rng.Float64())
 		}
 		runner := core.RunnerFunc(func(c *core.Candidate) compaction.Result {
 			return compaction.Result{
@@ -180,17 +154,14 @@ func TestDispatchMatchesScanProperty(t *testing.T) {
 				GBHr:         c.Trait(core.SlotComputeCost) * (0.5 + rng.Float64()),
 			}
 		})
-		clock := sim.NewClock()
-		q := sim.NewEventQueue(clock)
-		p := New(cfg, runner, clock)
-		s := &checkedDriver{t: t, seed: seed, p: p, q: q, idle: p.cfg.Workers}
-		p.notify = s.kick
-		p.Submit(first)
-		for w := rng.Intn(4); w > 0; w-- {
-			at := time.Duration(rng.Int63n(int64(12 * time.Hour)))
-			more := wave(1 + rng.Intn(30))
-			q.ScheduleAt(at, func() { p.Submit(more) })
+		q := sim.NewEventQueue(sim.NewClock())
+		p := New(cfg, runner, q, batch)
+		for i, c := range batch {
+			if p.jobs[i].Candidate != c {
+				t.Fatalf("seed %d: job %d wraps another candidate; the walk would not be rank order", seed, i)
+			}
 		}
+		s := &checkedDriver{t: t, seed: seed, p: p}
 		var write func()
 		write = func() {
 			tables[rng.Intn(ntables)].version.Add(1)

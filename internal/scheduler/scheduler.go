@@ -7,10 +7,9 @@
 // with (§4.4, §7; see also "Online Bigtable Merge Compaction",
 // arXiv:1407.3008, for scheduling merges under resource constraints):
 //
-//   - a priority job queue fed by the ranked plan, with linear aging:
-//     of jobs submitted at different instants, the longer-waiting one
-//     gains priority. The fleet submits each cycle's plan in one Submit
-//     on a fresh Pool, so there aging never reorders it;
+//   - one batch per pool: New builds a pool from one cycle's ranked
+//     selection, and jobs dispatch in rank order, subject to the
+//     constraints below;
 //   - per-table exclusive leases — two jobs never touch one table
 //     concurrently, the discipline that produced zero cluster-side
 //     conflicts in Table 1;
@@ -21,24 +20,22 @@
 //   - per-shard GBHr budgets with backpressure: tables hash onto S budget
 //     shards, and once a shard's spend reaches its budget mid-cycle its
 //     remaining jobs are deferred to the next cycle;
-//   - a discrete-event driver: the Pool runs on a sim.Clock and its
-//     sim.EventQueue (simulated service times, reproducible from a
+//   - discrete-event execution: Run drains the pool on the sim.EventQueue
+//     it was built on (simulated service times, reproducible from a
 //     seed), interleaved with whatever else schedules events there, such
 //     as live writers racing the compactor.
 //
-// The Pool itself is a single-threaded state machine; RunSim in sim.go
-// drives it. Each queued job sits in exactly one of five places: the
-// submitted run (jobs from Submit, already in dispatch order), the ready
-// heap (priority key descending, then submission order), the waiting
-// heap (retries in backoff, by expiry), a per-table parked list (popped
-// while its table's lease was held) or a per-shard blocked list (popped
-// while its shard's budget refused admission). Backoff expiry, lease
-// release, commits and budget exhaustion return jobs to the ready heap,
-// and a dispatch pops whichever of the run's head and the heap's top
-// comes first, so it costs O(log n) instead of re-walking the jobs that
-// cannot run, yet it picks the job, defers the jobs and reports the
-// earliest backoff expiry that a priority-order walk of the whole queue
-// would.
+// The Pool is a single-threaded state machine. Each queued job sits in
+// exactly one of five places: the run (the selection's jobs not yet
+// popped, in rank order), the ready heap (rank order), the waiting heap
+// (retries in backoff, by expiry), a per-table parked list (popped while
+// its table's lease was held) or a per-shard blocked list (popped while
+// its shard's budget refused admission). Backoff expiry, lease release,
+// commits and budget exhaustion return jobs to the ready heap, and a
+// dispatch pops whichever of the run's head and the heap's top ranks
+// first, so it costs O(log n) instead of re-walking the jobs that cannot
+// run, yet it picks the job, defers the jobs and reports the earliest
+// backoff expiry that a rank-order walk of the whole queue would.
 package scheduler
 
 import (
@@ -80,10 +77,8 @@ type Config struct {
 	RetryBase time.Duration
 	RetryMax  time.Duration
 
-	// AgingRatePerHour is how many priority points a queued job gains
-	// per hour of waiting (linear aging); one Submit's jobs share an
-	// enqueue instant, so aging never reorders them. Zero means
-	// DefaultAgingRate; negative disables aging.
+	// AgingRatePerHour has no effect: a pool holds one batch, which
+	// dispatches in rank order.
 	AgingRatePerHour float64
 
 	// ExecutorMemoryGB prices a job's service time: its decide-time
@@ -107,9 +102,6 @@ const (
 	// DefaultRetryMax caps the exponential backoff when Config.RetryMax
 	// is unset.
 	DefaultRetryMax = 8 * time.Minute
-	// DefaultAgingRate is the priority points a queued job gains per
-	// hour when Config.AgingRatePerHour is unset.
-	DefaultAgingRate = 1.0
 	// DefaultExecutorMemoryGB prices service times when
 	// Config.ExecutorMemoryGB is unset.
 	DefaultExecutorMemoryGB = 64.0
@@ -133,11 +125,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RetryMax <= 0 {
 		cfg.RetryMax = DefaultRetryMax
-	}
-	if cfg.AgingRatePerHour == 0 {
-		cfg.AgingRatePerHour = DefaultAgingRate
-	} else if cfg.AgingRatePerHour < 0 {
-		cfg.AgingRatePerHour = 0
 	}
 	if cfg.ExecutorMemoryGB <= 0 {
 		cfg.ExecutorMemoryGB = DefaultExecutorMemoryGB
@@ -192,9 +179,6 @@ type Job struct {
 	Candidate *core.Candidate
 	// Shard is the budget shard the job's table hashes onto.
 	Shard int
-	// BasePriority comes from rank order at submission (higher = runs
-	// earlier); aging adds to it while the job waits.
-	BasePriority float64
 	// Status is the job's current lifecycle state.
 	Status Status
 	// Attempts counts execution attempts (including the successful one).
@@ -202,19 +186,15 @@ type Job struct {
 	// Result is the executed outcome (terminal states only).
 	Result compaction.Result
 
-	// Enqueued, Started, Finished are pool-clock instants.
-	Enqueued time.Duration
+	// Started and Finished are pool-clock instants.
 	Started  time.Duration
 	Finished time.Duration
 
-	// table is the candidate's table name and key the time-independent
-	// priority sort key, both fixed at Submit. Comparing
-	// base + rate·(now − enqueued) across jobs is equivalent to comparing
-	// base − rate·enqueued, so linear aging never needs re-sorting.
+	// table is the candidate's table name and rank its position in the
+	// selection (0 dispatches first).
 	table string
-	key   float64
+	rank  int
 
-	seq          int64
 	readyAt      time.Duration
 	startVersion int64
 	queuedSince  time.Duration
@@ -229,8 +209,8 @@ type Job struct {
 	wastedGBHr float64
 }
 
-// jobHeap is a binary heap of queued jobs ordered by before: byPriority
-// for the ready queue, byReadyAt for the waiting queue.
+// jobHeap is a binary heap of queued jobs ordered by before: byRank for
+// the ready queue, byReadyAt for the waiting queue.
 type jobHeap struct {
 	jobs   []*Job
 	before func(a, b *Job) bool
@@ -248,8 +228,8 @@ func (h *jobHeap) Pop() any {
 	return j
 }
 
-// byPriority is dispatch order: key descending, then submission order.
-func byPriority(a, b *Job) bool { return a.key > b.key || (a.key == b.key && a.seq < b.seq) }
+// byRank is dispatch order: the selection's rank order.
+func byRank(a, b *Job) bool { return a.rank < b.rank }
 
 // byReadyAt orders retries by backoff expiry.
 func byReadyAt(a, b *Job) bool { return a.readyAt < b.readyAt }
@@ -306,52 +286,52 @@ func (s Stats) TotalSpentGBHr() float64 {
 	return t
 }
 
-// Pool is the scheduler state machine. It is not safe for concurrent use;
-// the sim driver is single-threaded.
+// Pool is the scheduler state machine over one batch of jobs. It is not
+// safe for concurrent use: Run drives it from its event queue's single
+// thread.
 type Pool struct {
 	cfg    Config
-	clock  *sim.Clock
+	q      *sim.EventQueue
 	runner core.Runner
 	rng    *sim.RNG
 
-	// Every queued job is in exactly one of run[head:], ready, waiting,
-	// parked and blocked; queued counts them.
-	run     []*Job            // submitted in dispatch order, key desc
-	head    int               // run's next job
-	ready   jobHeap           // key desc, seq asc
+	// jobs is the selection in rank order, one slab. Every queued job is
+	// in exactly one of jobs[head:] (the run), ready, waiting, parked and
+	// blocked; queued counts them.
+	jobs    []Job
+	head    int
+	ready   jobHeap           // rank order
 	waiting jobHeap           // retries in backoff, readyAt asc
 	parked  map[string][]*Job // by table: popped while its lease was held
 	blocked [][]*Job          // by shard: popped while admission refused it
 	queued  int
 
-	jobs     []*Job // submission order, into one slab per Submit
 	leases   map[string]*Job
 	running  int
 	spent    []float64
 	reserved []float64 // estimated GBHr of in-flight jobs, per shard
 	inFlight []int     // in-flight job count per shard
-	seq      int64
+	// wakeAt dedups backoff wake events.
+	wakeAt time.Duration
 
 	started    bool
 	firstStart time.Duration
 	lastFinish time.Duration
 	stats      Stats
-
-	// notify, when set by a driver, is called after Submit enqueues new
-	// jobs so idle workers pick them up mid-run.
-	notify func()
 }
 
-// New builds a pool that executes jobs with runner and reads time from
-// clock, which RunSim's event queue must share.
-func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
+// New builds a pool over one cycle's ranked selection that executes
+// jobs with runner on the event queue q: the first candidate dispatches
+// first.
+func New(cfg Config, runner core.Runner, q *sim.EventQueue, selected []*core.Candidate) *Pool {
 	cfg = cfg.withDefaults()
-	return &Pool{
+	p := &Pool{
 		cfg:      cfg,
-		clock:    clock,
+		q:        q,
 		runner:   runner,
 		rng:      sim.NewRNG(cfg.Seed),
-		ready:    jobHeap{before: byPriority},
+		jobs:     make([]Job, len(selected)),
+		ready:    jobHeap{before: byRank},
 		waiting:  jobHeap{before: byReadyAt},
 		parked:   make(map[string][]*Job),
 		blocked:  make([][]*Job, cfg.Shards),
@@ -359,67 +339,34 @@ func New(cfg Config, runner core.Runner, clock *sim.Clock) *Pool {
 		spent:    make([]float64, cfg.Shards),
 		reserved: make([]float64, cfg.Shards),
 		inFlight: make([]int, cfg.Shards),
-		stats:    Stats{Workers: cfg.Workers, Shards: cfg.Shards},
+		queued:   len(selected),
+		stats:    Stats{Workers: cfg.Workers, Shards: cfg.Shards, Submitted: len(selected)},
 	}
-}
-
-// Submit enqueues the ranked, selected candidates. Rank order sets base
-// priority: the first candidate gets the highest.
-//
-// One call's jobs share an enqueue instant, so their keys fall strictly
-// in submission order and they join the run as they come, with no heap
-// push. Only a mid-run Submit can bring a job that sorts before the
-// run's tail; that job goes to the ready heap instead.
-func (p *Pool) Submit(selected []*core.Candidate) {
-	if len(selected) == 0 {
-		return
-	}
-	now := p.clock.Now()
-	if p.head == len(p.run) {
-		p.run, p.head = p.run[:0], 0
-	}
-	p.jobs = slices.Grow(p.jobs, len(selected))
-	p.run = slices.Grow(p.run, len(selected))
-	slab := make([]Job, len(selected))
+	now := q.Clock().Now()
 	for i, c := range selected {
-		p.seq++
 		name := c.Table.FullName()
-		j := &slab[i]
-		*j = Job{
-			Candidate:    c,
-			Shard:        core.ShardOf(name, p.cfg.Shards),
-			BasePriority: float64(len(selected) - i),
-			Enqueued:     now,
-			queuedSince:  now,
-			seq:          p.seq,
-			table:        name,
+		p.jobs[i] = Job{
+			Candidate:   c,
+			Shard:       core.ShardOf(name, cfg.Shards),
+			table:       name,
+			rank:        i,
+			queuedSince: now,
 		}
-		j.key = j.BasePriority - p.cfg.AgingRatePerHour*now.Hours()
 		if est := c.Trait(core.SlotComputeCost); est > 0 {
-			j.estCost = est
-		}
-		p.jobs = append(p.jobs, j)
-		if p.head == len(p.run) || byPriority(p.run[len(p.run)-1], j) {
-			p.run = append(p.run, j)
-		} else {
-			heap.Push(&p.ready, j)
+			p.jobs[i].estCost = est
 		}
 	}
-	p.queued += len(selected)
-	p.stats.Submitted += len(selected)
 	mQueueDepth.Set(float64(p.queued))
 	mSubmitted.Add(float64(len(selected)))
-	if p.notify != nil {
-		p.notify()
-	}
+	return p
 }
 
-// next pops the highest-priority runnable job, or nil. A job is runnable
-// when its backoff window has passed, no lease is held on its table, and
-// its shard still has budget. Jobs whose shard is exhausted are deferred
-// on the spot (backpressure). earliestReady reports the soonest backoff
-// expiry among the queued jobs (0 when none), so drivers know when to
-// wake.
+// next pops the first runnable job in rank order, or nil. A job is
+// runnable when its backoff window has passed, no lease is held on its
+// table, and its shard still has budget. Jobs whose shard is exhausted
+// are deferred on the spot (backpressure). earliestReady reports the
+// soonest backoff expiry among the queued jobs (0 when none), so kick
+// knows when to wake.
 //
 // Popped jobs that cannot run yet are parked on their table's lease or
 // blocked on their shard's admission until a commit frees them, so every
@@ -428,12 +375,12 @@ func (p *Pool) next(now time.Duration) (j *Job, earliestReady time.Duration) {
 	for p.waiting.Len() > 0 && p.waiting.jobs[0].readyAt <= now {
 		heap.Push(&p.ready, heap.Pop(&p.waiting))
 	}
-	for j == nil && (p.head < len(p.run) || p.ready.Len() > 0) {
-		// The run is sorted and the heap yields its minimum, so the
-		// first of the two under byPriority is the queue's first.
+	for j == nil && (p.head < len(p.jobs) || p.ready.Len() > 0) {
+		// The run is in rank order and the heap yields its minimum, so
+		// the first of the two is the queue's first.
 		var cand *Job
-		if p.head < len(p.run) && (p.ready.Len() == 0 || byPriority(p.run[p.head], p.ready.jobs[0])) {
-			cand = p.run[p.head]
+		if p.head < len(p.jobs) && (p.ready.Len() == 0 || p.head < p.ready.jobs[0].rank) {
+			cand = &p.jobs[p.head]
 			p.head++
 		} else {
 			cand = heap.Pop(&p.ready).(*Job)
@@ -501,7 +448,7 @@ func (p *Pool) shardAdmits(j *Job) bool {
 // snapshot version for the commit-time staleness check.
 func (p *Pool) dispatch(j *Job, now time.Duration) {
 	if prev, held := p.leases[j.table]; held {
-		panic(fmt.Sprintf("scheduler: lease violation on %s (held by job %d)", j.table, prev.seq))
+		panic(fmt.Sprintf("scheduler: lease violation on %s (held by job %d)", j.table, prev.rank))
 	}
 	p.leases[j.table] = j
 	p.reserved[j.Shard] += j.estCost
@@ -699,8 +646,8 @@ func (p *Pool) serviceTime(j *Job) time.Duration {
 // aggregates, makespan, and the per-shard spend snapshot.
 func (p *Pool) finalize() Stats {
 	p.stats.Conflicted = 0
-	for _, j := range p.jobs {
-		if j.Status == StatusConflicted {
+	for i := range p.jobs {
+		if p.jobs[i].Status == StatusConflicted {
 			p.stats.Conflicted++
 		}
 	}
@@ -713,9 +660,8 @@ func (p *Pool) finalize() Stats {
 	return p.stats
 }
 
-// Jobs returns every submitted job in submission order (inspect after the
-// drivers drain the pool).
-func (p *Pool) Jobs() []*Job { return p.jobs }
+// Jobs returns every job in rank order (inspect after Run).
+func (p *Pool) Jobs() []Job { return p.jobs }
 
 // Idle reports whether the pool has neither queued nor running jobs.
 func (p *Pool) Idle() bool { return p.queued == 0 && p.running == 0 }
@@ -725,7 +671,8 @@ func (p *Pool) Idle() bool { return p.queued == 0 && p.running == 0 }
 // serial one.
 func (p *Pool) FoldInto(rep *core.Report) {
 	rep.Results = slices.Grow(rep.Results, len(p.jobs))
-	for _, j := range p.jobs {
+	for i := range p.jobs {
+		j := &p.jobs[i]
 		switch j.Status {
 		case StatusQueued, StatusRunning:
 			continue

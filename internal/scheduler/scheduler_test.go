@@ -1,11 +1,9 @@
 package scheduler
 
 import (
-	"cmp"
 	"fmt"
 	"reflect"
 	"runtime/debug"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -59,17 +57,17 @@ func okRunner(gbhr float64) core.Runner {
 	})
 }
 
-func newSimPool(cfg Config, r core.Runner) (*Pool, *sim.EventQueue) {
-	clock := sim.NewClock()
-	q := sim.NewEventQueue(clock)
-	return New(cfg, r, clock), q
+// newPool builds a pool over cands on a fresh event queue at time 0.
+func newPool(cfg Config, r core.Runner, cands ...*core.Candidate) (*Pool, *sim.EventQueue) {
+	q := sim.NewEventQueue(sim.NewClock())
+	return New(cfg, r, q, cands), q
 }
 
 // assertNoTableOverlap checks the acceptance invariant: no two jobs of
 // the same table have overlapping [Started, Finished) execution windows.
-func assertNoTableOverlap(t *testing.T, jobs []*Job) {
+func assertNoTableOverlap(t *testing.T, jobs []Job) {
 	t.Helper()
-	byTable := map[string][]*Job{}
+	byTable := map[string][]Job{}
 	for _, j := range jobs {
 		if j.Attempts == 0 {
 			continue
@@ -91,13 +89,12 @@ func assertNoTableOverlap(t *testing.T, jobs []*Job) {
 }
 
 func TestSimDrainsAllJobs(t *testing.T) {
-	p, q := newSimPool(Config{Workers: 3, Shards: 2, Seed: 1}, okRunner(5))
 	var cands []*core.Candidate
 	for i := 0; i < 12; i++ {
 		cands = append(cands, cand(&memTable{name: fmt.Sprintf("t%02d", i)}, 0.5))
 	}
-	p.Submit(cands)
-	st := RunSim(p, q)
+	p, _ := newPool(Config{Workers: 3, Shards: 2, Seed: 1}, okRunner(5), cands...)
+	st := p.Run()
 	if st.Submitted != 12 || st.Done != 12 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -115,13 +112,12 @@ func TestSimDrainsAllJobs(t *testing.T) {
 
 func TestMakespanDecreasesWithWorkers(t *testing.T) {
 	makespan := func(workers int) time.Duration {
-		p, q := newSimPool(Config{Workers: workers, Seed: 1}, okRunner(5))
 		var cands []*core.Candidate
 		for i := 0; i < 32; i++ {
 			cands = append(cands, cand(&memTable{name: fmt.Sprintf("t%02d", i)}, 1))
 		}
-		p.Submit(cands)
-		return RunSim(p, q).Makespan
+		p, _ := newPool(Config{Workers: workers, Seed: 1}, okRunner(5), cands...)
+		return p.Run().Makespan
 	}
 	m1, m8 := makespan(1), makespan(8)
 	if m8 >= m1 {
@@ -136,7 +132,6 @@ func TestMakespanDecreasesWithWorkers(t *testing.T) {
 func TestSameTableJobsNeverOverlap(t *testing.T) {
 	// 4 jobs per table on 3 tables with 8 workers: leases must force
 	// per-table serial execution even with idle workers available.
-	p, q := newSimPool(Config{Workers: 8, Seed: 1}, okRunner(1))
 	tables := []*memTable{{name: "a"}, {name: "b"}, {name: "c"}}
 	var cands []*core.Candidate
 	for i := 0; i < 4; i++ {
@@ -144,8 +139,8 @@ func TestSameTableJobsNeverOverlap(t *testing.T) {
 			cands = append(cands, cand(tb, 1))
 		}
 	}
-	p.Submit(cands)
-	st := RunSim(p, q)
+	p, _ := newPool(Config{Workers: 8, Seed: 1}, okRunner(1), cands...)
+	st := p.Run()
 	if st.Done != 12 {
 		t.Fatalf("done = %d", st.Done)
 	}
@@ -157,12 +152,11 @@ func TestSameTableJobsNeverOverlap(t *testing.T) {
 
 func TestConflictRetriesThenSucceeds(t *testing.T) {
 	tb := &memTable{name: "hot"}
-	p, q := newSimPool(Config{Workers: 1, Seed: 1}, okRunner(1))
-	p.Submit([]*core.Candidate{cand(tb, 1)})
+	p, q := newPool(Config{Workers: 1, Seed: 1}, okRunner(1), cand(tb, 1))
 	// A writer commits mid-execution (service time is 1h): the first
 	// commit attempt must conflict, the retry must succeed.
 	q.ScheduleAt(30*time.Minute, func() { tb.version.Add(1) })
-	st := RunSim(p, q)
+	st := p.Run()
 	if st.Conflicts != 1 || st.Retries != 1 || st.Done != 1 || st.Conflicted != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -182,8 +176,7 @@ func TestConflictRetriesThenSucceeds(t *testing.T) {
 
 func TestConflictExhaustsAttempts(t *testing.T) {
 	tb := &memTable{name: "hot"}
-	p, q := newSimPool(Config{Workers: 1, MaxAttempts: 3, Seed: 1}, okRunner(1))
-	p.Submit([]*core.Candidate{cand(tb, 1)})
+	p, q := newPool(Config{Workers: 1, MaxAttempts: 3, Seed: 1}, okRunner(1), cand(tb, 1))
 	// A writer that commits every 10 minutes defeats every attempt.
 	tick := func() {}
 	tick = func() {
@@ -193,7 +186,7 @@ func TestConflictExhaustsAttempts(t *testing.T) {
 		}
 	}
 	q.ScheduleAfter(10*time.Minute, tick)
-	st := RunSim(p, q)
+	st := p.Run()
 	if st.Conflicted != 1 || st.Done != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -212,12 +205,11 @@ func TestConflictExhaustsAttempts(t *testing.T) {
 
 func TestStalenessBoundTolerance(t *testing.T) {
 	tb := &memTable{name: "warm"}
-	p, q := newSimPool(Config{Workers: 1, StalenessBound: 2, Seed: 1}, okRunner(1))
-	p.Submit([]*core.Candidate{cand(tb, 1)})
+	p, q := newPool(Config{Workers: 1, StalenessBound: 2, Seed: 1}, okRunner(1), cand(tb, 1))
 	// Two writer commits during execution are within the bound of 2.
 	q.ScheduleAt(20*time.Minute, func() { tb.version.Add(1) })
 	q.ScheduleAt(40*time.Minute, func() { tb.version.Add(1) })
-	st := RunSim(p, q)
+	st := p.Run()
 	if st.Conflicts != 0 || st.Done != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -227,13 +219,12 @@ func TestShardBudgetBackpressure(t *testing.T) {
 	// One shard, 10 GBHr budget, 6 GBHr per job: the first job commits
 	// and pushes spend to 6 (< 10), the second commits too (12 ≥ 10),
 	// every remaining job is deferred on sight.
-	p, q := newSimPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(6))
 	var cands []*core.Candidate
 	for i := 0; i < 5; i++ {
 		cands = append(cands, cand(&memTable{name: fmt.Sprintf("t%d", i)}, 1))
 	}
-	p.Submit(cands)
-	st := RunSim(p, q)
+	p, _ := newPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(6), cands...)
+	st := p.Run()
 	if st.Done != 2 || st.Deferred != 3 {
 		t.Fatalf("done=%d deferred=%d, want 2/3", st.Done, st.Deferred)
 	}
@@ -252,13 +243,12 @@ func TestQueueDepthGaugeZeroWhenIdle(t *testing.T) {
 	// commit exhausts the budget and the next pass defers the last three
 	// jobs after the final dispatch. The depth gauge must follow them out
 	// of the queue instead of keeping the depth the last dispatch saw.
-	p, q := newSimPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(5))
 	var cands []*core.Candidate
 	for i := 0; i < 5; i++ {
 		cands = append(cands, cand(&memTable{name: fmt.Sprintf("t%d", i)}, 1))
 	}
-	p.Submit(cands)
-	st := RunSim(p, q)
+	p, _ := newPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(5), cands...)
+	st := p.Run()
 	if st.Done != 2 || st.Deferred != 3 || !p.Idle() {
 		t.Fatalf("done=%d deferred=%d idle=%v, want 2/3/true", st.Done, st.Deferred, p.Idle())
 	}
@@ -277,12 +267,11 @@ func TestShardsArbitrateIndependently(t *testing.T) {
 			names = append(names, n)
 		}
 	}
-	p, q := newSimPool(Config{Workers: 2, Shards: 2, ShardBudgetGBHr: 5, Seed: 1}, okRunner(6))
-	p.Submit([]*core.Candidate{
+	p, _ := newPool(Config{Workers: 2, Shards: 2, ShardBudgetGBHr: 5, Seed: 1}, okRunner(6),
 		cand(&memTable{name: names[0]}, 1), cand(&memTable{name: names[0]}, 1),
 		cand(&memTable{name: names[1]}, 1), cand(&memTable{name: names[1]}, 1),
-	})
-	st := RunSim(p, q)
+	)
+	st := p.Run()
 	if st.Done != 2 || st.Deferred != 2 {
 		t.Fatalf("done=%d deferred=%d, want 2/2", st.Done, st.Deferred)
 	}
@@ -301,9 +290,8 @@ func TestShardReservationBoundsOvershoot(t *testing.T) {
 			Traits: []float64{core.SlotComputeCost: 9},
 		})
 	}
-	p, q := newSimPool(Config{Workers: 8, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(9))
-	p.Submit(cands)
-	st := RunSim(p, q)
+	p, _ := newPool(Config{Workers: 8, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(9), cands...)
+	st := p.Run()
 	if st.Done != 2 || st.Deferred != 6 {
 		t.Fatalf("done=%d deferred=%d, want 2/6", st.Done, st.Deferred)
 	}
@@ -322,51 +310,16 @@ func TestShardAdmissionSurvivesFloatResidue(t *testing.T) {
 			Traits: []float64{core.SlotComputeCost: est},
 		}
 	}
-	p, q := newSimPool(Config{Workers: 2, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(0.5))
-	p.Submit([]*core.Candidate{mk("a", 0.1), mk("b", 0.3), mk("c", 9.95)})
-	st := RunSim(p, q)
+	p, _ := newPool(Config{Workers: 2, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(0.5),
+		mk("a", 0.1), mk("b", 0.3), mk("c", 9.95))
+	st := p.Run()
 	if st.Done != 3 {
 		t.Fatalf("stats = %+v; float residue stranded a job", st)
 	}
 }
 
-func TestAgingPreventsStarvation(t *testing.T) {
-	// Low-priority job a is submitted at t=0 behind b1, which occupies
-	// the single worker for 24 hours. Twelve hours in, a burst of eight
-	// fresher, higher-base-priority jobs lands. With linear aging, a's
-	// 12 hours of waiting outweigh the burst's rank advantage; without
-	// aging the burst starves it.
-	run := func(agingRate float64) []string {
-		clock := sim.NewClock()
-		q := sim.NewEventQueue(clock)
-		var order []string
-		r := core.RunnerFunc(func(c *core.Candidate) compaction.Result {
-			order = append(order, c.Table.FullName())
-			return compaction.Result{Table: c.Table.FullName(), FilesRemoved: 2, FilesAdded: 1}
-		})
-		p := New(Config{Workers: 1, AgingRatePerHour: agingRate, Seed: 1}, r, clock)
-		p.Submit([]*core.Candidate{cand(&memTable{name: "b1"}, 24), cand(&memTable{name: "a"}, 1)})
-		q.ScheduleAt(12*time.Hour, func() {
-			var burst []*core.Candidate
-			for i := 0; i < 8; i++ {
-				burst = append(burst, cand(&memTable{name: fmt.Sprintf("b2-%d", i)}, 1))
-			}
-			p.Submit(burst)
-		})
-		RunSim(p, q)
-		return order
-	}
-	if order := run(DefaultAgingRate); order[1] != "db.a" {
-		t.Fatalf("with aging, order = %v, want a second", order)
-	}
-	if order := run(-1); order[1] == "db.a" {
-		t.Fatalf("without aging, order = %v, want the burst to preempt a", order)
-	}
-}
-
 func TestDeterministicAcrossRuns(t *testing.T) {
 	run := func() (Stats, []Status, []time.Duration) {
-		p, q := newSimPool(Config{Workers: 4, Shards: 4, ShardBudgetGBHr: 40, MaxAttempts: 3, Seed: 9}, okRunner(7))
 		tables := make([]*memTable, 10)
 		var cands []*core.Candidate
 		for i := range tables {
@@ -376,7 +329,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 				cands = append(cands, cand(tables[i], 0.25))
 			}
 		}
-		p.Submit(cands)
+		p, q := newPool(Config{Workers: 4, Shards: 4, ShardBudgetGBHr: 40, MaxAttempts: 3, Seed: 9}, okRunner(7), cands...)
 		// A deterministic writer races the pool.
 		wrng := sim.NewRNG(3)
 		var tick func()
@@ -387,7 +340,7 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 			}
 		}
 		q.ScheduleAfter(13*time.Minute, tick)
-		st := RunSim(p, q)
+		st := p.Run()
 		var statuses []Status
 		var finishes []time.Duration
 		for _, j := range p.Jobs() {
@@ -410,13 +363,12 @@ func TestDeterministicAcrossRuns(t *testing.T) {
 }
 
 func TestFoldIntoReport(t *testing.T) {
-	p, q := newSimPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(6))
 	var cands []*core.Candidate
 	for i := 0; i < 3; i++ {
 		cands = append(cands, cand(&memTable{name: fmt.Sprintf("t%d", i)}, 1))
 	}
-	p.Submit(cands)
-	RunSim(p, q)
+	p, _ := newPool(Config{Workers: 1, Shards: 1, ShardBudgetGBHr: 10, Seed: 1}, okRunner(6), cands...)
+	p.Run()
 	rep := &core.Report{}
 	p.FoldInto(rep)
 	if len(rep.Results) != 3 {
@@ -430,36 +382,6 @@ func TestFoldIntoReport(t *testing.T) {
 	}
 }
 
-func TestMidRunSubmitToIdlePool(t *testing.T) {
-	// The first wave drains completely before an event submits a second
-	// wave: the late submission must wake the (fully idle) workers
-	// instead of stranding the jobs in the queue.
-	p, q := newSimPool(Config{Workers: 2, Seed: 1}, okRunner(1))
-	p.Submit([]*core.Candidate{cand(&memTable{name: "early"}, 1)})
-	q.ScheduleAt(6*time.Hour, func() {
-		p.Submit([]*core.Candidate{cand(&memTable{name: "late"}, 1)})
-	})
-	st := RunSim(p, q)
-	if st.Done != 2 {
-		t.Fatalf("done = %d, want both waves executed", st.Done)
-	}
-	late := p.Jobs()[1]
-	if late.Started < 6*time.Hour {
-		t.Fatalf("late job started at %v, before it was submitted", late.Started)
-	}
-}
-
-func TestRunSimRejectsForeignClock(t *testing.T) {
-	p := New(Config{Workers: 1}, okRunner(1), sim.NewClock())
-	q := sim.NewEventQueue(sim.NewClock())
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RunSim with a foreign clock did not panic")
-		}
-	}()
-	RunSim(p, q)
-}
-
 func TestEstimatedServiceTime(t *testing.T) {
 	tbl := &memTable{name: "t"}
 	for _, tc := range []struct {
@@ -471,9 +393,9 @@ func TestEstimatedServiceTime(t *testing.T) {
 		{64, 0, MinServiceTime},
 		{64, 0.001, MinServiceTime},
 	} {
-		p, _ := newSimPool(Config{ExecutorMemoryGB: tc.memoryGB}, okRunner(0))
-		p.Submit([]*core.Candidate{{Table: tbl, Traits: []float64{core.SlotComputeCost: tc.gbhr}}})
-		if got := p.serviceTime(p.jobs[0]); got != tc.want {
+		p, _ := newPool(Config{ExecutorMemoryGB: tc.memoryGB}, okRunner(0),
+			&core.Candidate{Table: tbl, Traits: []float64{core.SlotComputeCost: tc.gbhr}})
+		if got := p.serviceTime(&p.jobs[0]); got != tc.want {
 			t.Errorf("memory %v GB, %v GBHr: service time = %v, want %v", tc.memoryGB, tc.gbhr, got, tc.want)
 		}
 	}
@@ -501,13 +423,13 @@ type namedTable struct {
 
 func (t *namedTable) FullName() string { return t.full }
 
-// TestSubmitAllocsFlat pins Submit's job records to one slab per call:
-// New plus Submit allocate the same count over 100 candidates as over
-// 10,000, instead of one Job per candidate. The race runtime's own
-// allocations vary from run to run, so the check needs a normal build,
-// and the collector is paused: a cycle landing inside the measured
-// window moves the runtime's malloc count by one.
-func TestSubmitAllocsFlat(t *testing.T) {
+// TestNewAllocsFlat pins New's job records to one slab per pool: New
+// allocates the same count over 100 candidates as over 10,000, instead
+// of one Job per candidate. The race runtime's own allocations vary
+// from run to run, so the check needs a normal build, and the collector
+// is paused: a cycle landing inside the measured window moves the
+// runtime's malloc count by one.
+func TestNewAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
@@ -525,51 +447,11 @@ func TestSubmitAllocsFlat(t *testing.T) {
 	}
 	allocs := func(cands []*core.Candidate) float64 {
 		return testing.AllocsPerRun(10, func() {
-			New(Config{Workers: 4, Shards: 4}, okRunner(1), sim.NewClock()).Submit(cands)
+			New(Config{Workers: 4, Shards: 4}, okRunner(1), sim.NewEventQueue(sim.NewClock()), cands)
 		})
 	}
 	small, large := allocs(pool(100)), allocs(pool(10_000))
 	if small != large {
-		t.Fatalf("New+Submit allocs: %v at 100 candidates, %v at 10k; want equal", small, large)
-	}
-}
-
-// TestSubmitRunKeepsOrderAcrossWaves submits a second wave while the
-// first still waits in the run: the queue depth must count the jobs in
-// the run, and the dispatch order must interleave both waves by
-// priority, the late wave's high-ranked jobs ahead of the first wave's
-// tail.
-func TestSubmitRunKeepsOrderAcrossWaves(t *testing.T) {
-	p, q := newSimPool(Config{Workers: 1, AgingRatePerHour: -1}, okRunner(1))
-	var first, second []*core.Candidate
-	for i := 0; i < 4; i++ {
-		first = append(first, cand(&memTable{name: fmt.Sprintf("a%d", i)}, 1))
-		second = append(second, cand(&memTable{name: fmt.Sprintf("b%d", i)}, 1))
-	}
-	p.Submit(first)
-	q.ScheduleAt(30*time.Minute, func() {
-		if p.queued != 3 {
-			t.Errorf("before the second wave: %d queued, want 3", p.queued)
-		}
-		p.Submit(second)
-		if p.queued != 7 {
-			t.Errorf("after the second wave: %d queued, want 7", p.queued)
-		}
-	})
-	st := RunSim(p, q)
-	if st.Done != 8 || st.MaxQueueDepth != 6 {
-		t.Fatalf("done %d, max queue depth %d; want 8 and 6", st.Done, st.MaxQueueDepth)
-	}
-	// Without aging, base priority orders the queue and submission order
-	// breaks ties: b0 (4) beats a1 (3), and b1 (3) loses its tie with a1.
-	// b0–b2 sort before the run's tail a3 and go to the heap; b3 joins
-	// the run behind a3.
-	want := []string{"a0", "b0", "a1", "b1", "a2", "b2", "a3", "b3"}
-	jobs := slices.Clone(p.Jobs())
-	slices.SortFunc(jobs, func(a, b *Job) int { return cmp.Compare(a.Started, b.Started) })
-	for i, j := range jobs {
-		if got := j.Candidate.Table.Name(); got != want[i] {
-			t.Fatalf("dispatch %d ran %s, want %s (order %v)", i, got, want[i], want)
-		}
+		t.Fatalf("New allocs: %v at 100 candidates, %v at 10k; want equal", small, large)
 	}
 }

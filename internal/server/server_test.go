@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"autocomp/internal/core"
+	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
 	"autocomp/internal/scenario/testkit"
 	"autocomp/internal/telemetry"
@@ -109,6 +111,31 @@ func TestTenantCRUD(t *testing.T) {
 		doJSON(t, http.MethodGet, ts.URL+"/api/tenants/crud", nil, &s)
 		return s.State == tenant.StateStopped && s.Day == 2
 	})
+}
+
+// TestCreateRejectsTablesPastBound: a create or an inline run asking
+// for one table past fleet.MaxTables answers 422 before any fleet is
+// built, and the create registers no tenant.
+func TestCreateRejectsTablesPastBound(t *testing.T) {
+	ts, mgr := newTestServer(t)
+	over := fleet.MaxTables + 1
+	var e apiError
+	resp := doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(fmt.Sprintf(`{"name":"huge","initial_tables":%d}`, over)), &e)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "initial_tables") {
+		t.Fatalf("create status = %d, error %q; want 422 naming initial_tables", resp.StatusCode, e.Error)
+	}
+	if _, ok := mgr.Get("huge"); ok || len(mgr.List()) != 0 {
+		t.Fatalf("rejected create registered a tenant: %d listed", len(mgr.List()))
+	}
+
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"small","initial_tables":10,"paused":true}`), &tenant.Snapshot{})
+	resp = doJSON(t, http.MethodPost, ts.URL+"/api/tenants/small/runs",
+		[]byte(fmt.Sprintf(`{"spec":{"name":"huge","days":1,"fleet":{"initial_tables":%d}}}`, over)), &e)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, "fleet.initial_tables") {
+		t.Fatalf("inline run status = %d, error %q; want 422 naming fleet.initial_tables", resp.StatusCode, e.Error)
+	}
 }
 
 // TestLifecycleEndpoints drives pause/resume/stop over the wire. The

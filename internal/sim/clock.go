@@ -46,14 +46,3 @@ func (c *Clock) Set(t time.Duration) {
 
 // Hours returns the current virtual time expressed in fractional hours.
 func (c *Clock) Hours() float64 { return c.now.Hours() }
-
-// Common durations used throughout the simulators.
-const (
-	Minute = time.Minute
-	Hour   = time.Hour
-	Day    = 24 * time.Hour
-	Week   = 7 * Day
-	// Month approximates a calendar month; fleet experiments run on a
-	// 30-day month grid, matching the paper's month-indexed figures.
-	Month = 30 * Day
-)

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -79,15 +78,6 @@ func (m *Manager) List() []*Tenant {
 	for _, name := range m.order {
 		out = append(out, m.tenants[name])
 	}
-	return out
-}
-
-// Names returns the registered tenant names, sorted.
-func (m *Manager) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := append([]string(nil), m.order...)
-	sort.Strings(out)
 	return out
 }
 

@@ -129,6 +129,12 @@ func (c *Config) normalize() error {
 	if c.InitialTables < 0 || c.Databases < 0 || c.TablesPerMonth < 0 {
 		return fmt.Errorf("tenant %s: fleet topology fields must be >= 0", c.Name)
 	}
+	if c.InitialTables > fleet.MaxTables {
+		return fmt.Errorf("tenant %s: initial_tables must be at most %d, got %d", c.Name, fleet.MaxTables, c.InitialTables)
+	}
+	if c.TablesPerMonth > fleet.MaxTables {
+		return fmt.Errorf("tenant %s: tables_per_month must be at most %d, got %d", c.Name, fleet.MaxTables, c.TablesPerMonth)
+	}
 	if c.DailyWriteProb < 0 || c.DailyWriteProb > 1 {
 		return fmt.Errorf("tenant %s: daily_write_prob must be in [0,1], got %v", c.Name, c.DailyWriteProb)
 	}

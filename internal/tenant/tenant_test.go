@@ -2,6 +2,7 @@ package tenant
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -320,6 +321,19 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Name: "x", DailyWriteProb: 2}, nil, Options{}); err == nil {
 		t.Fatal("daily_write_prob > 1 accepted")
+	}
+	// One past the bound fails before any table is onboarded.
+	over := fleet.MaxTables + 1
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{Config{Name: "x", InitialTables: over}, fmt.Sprintf("initial_tables must be at most %d, got %d", fleet.MaxTables, over)},
+		{Config{Name: "x", TablesPerMonth: over}, fmt.Sprintf("tables_per_month must be at most %d, got %d", fleet.MaxTables, over)},
+	} {
+		if _, err := New(tc.cfg, nil, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("New(%+v) = %v, want an error containing %q", tc.cfg, err, tc.want)
+		}
 	}
 }
 
