@@ -59,8 +59,6 @@ type (
 	Ranker = core.Ranker
 	// Selector picks the work set (top-k or budget).
 	Selector = core.Selector
-	// Scheduler plans execution rounds.
-	Scheduler = core.Scheduler
 	// Runner executes one work unit.
 	Runner = core.Runner
 	// Table is the connector-facing table abstraction.
@@ -181,7 +179,6 @@ func (opts Options) spec() *policy.Spec {
 			{Trait: policy.C("compute_cost_gbhr"), Weight: opts.CostWeight},
 		},
 		QuotaAdaptive: opts.QuotaAdaptive,
-		Scheduler:     &policy.Component{Name: "tables-parallel"},
 	}
 	if opts.MinTableAge > 0 {
 		s.PreFilters = append(s.PreFilters, policy.Component{Name: "min-table-age",

@@ -245,7 +245,6 @@ func handWired(opts Options) (*Service, error) {
 		Traits:       []core.Trait{core.FileCountReduction{}, cost},
 		Ranker:       ranker,
 		Selector:     sel,
-		Scheduler:    core.TablesParallelPartitionsSequential{},
 		Runner:       core.ExecutorRunner{Exec: exec},
 		OnReport:     opts.OnReport,
 	})

@@ -518,8 +518,7 @@ func topKSelector(top int) *policy.Component {
 }
 
 // dryRun compiles a spec against the catalog substrate, runs the decide
-// phase only, and prints the decision and the rounds the compiled
-// scheduler would run its selection in.
+// phase only, and prints the decision.
 func dryRun(env *bench.Env, spec *policy.Spec, top int) {
 	penv, bindings := policy.CatalogSubstrate(env.CP, env.Exec)
 	comp, err := policy.Compile(spec, penv, bindings)
@@ -535,12 +534,5 @@ func dryRun(env *bench.Env, spec *policy.Spec, top int) {
 		log.Fatal(err)
 	}
 	fmt.Print(d.Explain(top))
-	if rounds := comp.Core.Scheduler.Plan(d.Selected); len(rounds) > 0 {
-		fmt.Printf("plan: %d round(s):", len(rounds))
-		for _, round := range rounds {
-			fmt.Printf(" [%d]", len(round))
-		}
-		fmt.Println()
-	}
 	fmt.Println()
 }

@@ -312,23 +312,6 @@ func lookupField(field string) (fieldDef, error) {
 			},
 			setS: func(s *policy.Spec, c string) { s.Generators = []policy.Component{policy.C(c)} },
 		}, nil
-	case "scheduler":
-		return fieldDef{
-			kind: kindChoice,
-			check: func(s *policy.Spec) error {
-				if s.Execution != nil {
-					return errors.New("scheduler choice needs a base without an execution section (the execution plane ignores the scheduler)")
-				}
-				return nil
-			},
-			getS: func(s *policy.Spec) (string, error) {
-				if s.Scheduler == nil {
-					return "sequential", nil
-				}
-				return s.Scheduler.Name, nil
-			},
-			setS: func(s *policy.Spec, c string) { s.Scheduler = &policy.Component{Name: c} },
-		}, nil
 	}
 	return fieldDef{}, fmt.Errorf("unknown tunable field %q", field)
 }

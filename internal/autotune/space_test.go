@@ -34,9 +34,8 @@ var numericPool = []struct {
 	{"objectives.compute_cost_gbhr", 0, 1, false, false, true},
 }
 
-// serialBase is DefaultSpec without its execution section: the base a
-// scheduler dimension needs, since the execution plane ignores the
-// act-phase scheduler.
+// serialBase is DefaultSpec without its execution section: the serial
+// act loop's pipeline, which randomSpace tunes half the time.
 func serialBase() *policy.Spec {
 	s := policy.DefaultSpec()
 	s.Execution = nil
@@ -44,8 +43,9 @@ func serialBase() *policy.Spec {
 }
 
 // randomSpace builds a valid space over a random subset of the catalog
-// and returns it with the base it perturbs: DefaultSpec, or serialBase
-// (and no execution dimensions) when the space tunes the scheduler.
+// and returns it with the base it perturbs: DefaultSpec, or, half the
+// time, serialBase with the execution dimensions dropped (and the
+// generator choice added when none remain).
 func randomSpace(rng *sim.RNG) (*Space, *policy.Spec) {
 	sp := &Space{Name: "prop"}
 	perm := rng.Perm(len(numericPool))
@@ -79,10 +79,13 @@ func randomSpace(rng *sim.RNG) (*Space, *policy.Spec) {
 			dims = append(dims, d)
 		}
 	}
-	sp.Dimensions = append(dims, Dimension{
-		Field:   "scheduler",
-		Choices: []string{"sequential", "tables-parallel"},
-	})
+	if len(dims) == 0 {
+		dims = append(dims, Dimension{
+			Field:   "generator",
+			Choices: []string{"table-scope", "partition-scope", "hybrid-scope"},
+		})
+	}
+	sp.Dimensions = dims
 	return sp, serialBase()
 }
 
@@ -332,44 +335,35 @@ func TestEncodeBaseIsWarmStart(t *testing.T) {
 }
 
 func TestChoiceDimensionDecodes(t *testing.T) {
-	base := serialBase()
+	base := policy.DefaultSpec()
 	sp := &Space{Dimensions: []Dimension{
-		{Field: "scheduler", Choices: []string{"sequential", "tables-parallel"}},
+		{Field: "generator", Choices: []string{"table-scope", "hybrid-scope"}},
 	}}
 	if err := sp.Validate(base); err != nil {
 		t.Fatal(err)
 	}
 	for raw, want := range map[float64]string{
-		0: "sequential", 0.99: "sequential", 1: "tables-parallel", 1.999: "tables-parallel", 5: "tables-parallel", -3: "sequential",
+		0: "table-scope", 0.99: "table-scope", 1: "hybrid-scope", 1.999: "hybrid-scope", 5: "hybrid-scope", -3: "table-scope",
 	} {
-		spec, err := sp.Decode(base, map[string]float64{"scheduler": raw})
+		spec, err := sp.Decode(base, map[string]float64{"generator": raw})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := "sequential"
-		if spec.Scheduler != nil {
-			got = spec.Scheduler.Name
-		}
-		if got != want {
-			t.Fatalf("raw %v: scheduler = %q, want %q", raw, got, want)
+		if len(spec.Generators) != 1 || spec.Generators[0].Name != want {
+			t.Fatalf("raw %v: generators = %+v, want [%s]", raw, spec.Generators, want)
 		}
 	}
 }
 
-// TestSchedulerDimensionNeedsSerialBase pins that the scheduler choice
-// is refused on a base with an execution section, where the pool
-// orders jobs by rank and every scheduler choice would run the same
-// trial.
-func TestSchedulerDimensionNeedsSerialBase(t *testing.T) {
-	sp := &Space{Dimensions: []Dimension{
-		{Field: "scheduler", Choices: []string{"sequential", "tables-parallel"}},
-	}}
-	err := sp.Validate(policy.DefaultSpec())
-	if err == nil || !strings.Contains(err.Error(), "execution") {
-		t.Fatalf("scheduler dimension on an execution base: err = %v", err)
-	}
-	if err := sp.Validate(serialBase()); err != nil {
-		t.Fatalf("scheduler dimension on a serial base: %v", err)
+// TestSchedulerDimensionUnknown pins that a scheduler dimension fails
+// validation as an unknown field on both bases: the act-phase scheduler
+// is not a spec field, so it is not a tunable one either.
+func TestSchedulerDimensionUnknown(t *testing.T) {
+	sp := Space{Dimensions: []Dimension{{Field: "scheduler", Choices: []string{"sequential", "tables-parallel"}}}}
+	for _, b := range []*policy.Spec{policy.DefaultSpec(), serialBase()} {
+		if err := sp.Validate(b); err == nil || !strings.Contains(err.Error(), `unknown tunable field "scheduler"`) {
+			t.Errorf("scheduler dimension: err = %v, want an unknown-field error", err)
+		}
 	}
 }
 

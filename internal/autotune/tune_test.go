@@ -184,18 +184,17 @@ func TestTunedBeatsDefault(t *testing.T) {
 }
 
 // TestInvalidPointsScoreAsFailures drives the optimizer into a corner
-// of the space that does not compile (an unregistered scheduler) and
+// of the space that does not compile (an unregistered generator) and
 // asserts the tune survives: the bad trial records as invalid, the
-// winner comes from the valid corner. The base has no execution
-// section, the only kind a scheduler dimension may tune.
+// winner comes from the valid corner.
 func TestInvalidPointsScoreAsFailures(t *testing.T) {
 	sp := &Space{Dimensions: []Dimension{
-		{Field: "scheduler", Choices: []string{"sequential", "no-such-scheduler"}},
+		{Field: "generator", Choices: []string{"table-scope", "no-such-generator"}},
 	}}
 	// The 5-point grid over [0,2) lands on raw 0, 0.5, 1.0 — the third
 	// point is the first to floor to the invalid choice index 1.
 	res, log := runTune(t, Config{
-		Base:      serialBase(),
+		Base:      policy.DefaultSpec(),
 		Space:     sp,
 		Scenarios: []*scenario.Spec{microScenario("micro", 40)},
 		Optimizer: "grid",
@@ -217,14 +216,14 @@ func TestInvalidPointsScoreAsFailures(t *testing.T) {
 	if invalid == nil {
 		t.Fatal("no invalid record")
 	}
-	if !strings.Contains(invalid.Invalid, "no-such-scheduler") {
+	if !strings.Contains(invalid.Invalid, "no-such-generator") {
 		t.Fatalf("invalid reason %q does not name the bad component", invalid.Invalid)
 	}
 	if invalid.Composite != 0 || len(invalid.Scenarios) != 0 {
 		t.Fatal("invalid trial carries scores")
 	}
-	if res.Winner.Scheduler != nil && res.Winner.Scheduler.Name != "sequential" {
-		t.Fatalf("winner picked the invalid corner: %+v", res.Winner.Scheduler)
+	if len(res.Winner.Generators) != 1 || res.Winner.Generators[0].Name != "table-scope" {
+		t.Fatalf("winner picked the invalid corner: %+v", res.Winner.Generators)
 	}
 	if err := CheckTrialLog(bytes.NewReader(log)); err != nil {
 		t.Fatal(err)

@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
+	"autocomp/internal/core"
 	"autocomp/internal/storage"
 	"autocomp/internal/workload"
 )
@@ -165,6 +168,66 @@ func TestStrategyLabels(t *testing.T) {
 	if NoCompaction.String() != "no-compaction" || MOOPTable.String() != "moop-table" ||
 		MOOPHybrid.String() != "moop-hybrid" || StrategyKind(9).String() != "unknown" {
 		t.Fatal("kind strings")
+	}
+}
+
+// TestTableRounds pins the CAB harness's round planner: one table's
+// work units run in successive rounds in selection order, distinct
+// tables share rounds, and no candidate is lost or repeated.
+func TestTableRounds(t *testing.T) {
+	if rounds := tableRounds(nil); len(rounds) != 0 {
+		t.Fatalf("empty selection planned %d rounds", len(rounds))
+	}
+	part := func(table, p string) *core.Candidate {
+		return &core.Candidate{Table: benchTable{name: table}, Scope: core.ScopePartition, Partition: p}
+	}
+	render := func(rounds [][]*core.Candidate) string {
+		var out []string
+		for _, round := range rounds {
+			var ids []string
+			for _, c := range round {
+				ids = append(ids, c.ID())
+			}
+			out = append(out, strings.Join(ids, " "))
+		}
+		return strings.Join(out, " | ")
+	}
+	rounds := tableRounds([]*core.Candidate{part("t1", "p1"), part("t1", "p2"), part("t2", "p1"), part("t1", "p3")})
+	if got, want := render(rounds), "t1/p1 t2/p1 | t1/p2 | t1/p3"; got != want {
+		t.Fatalf("rounds = %q, want %q", got, want)
+	}
+
+	// A scrambled selection over seven tables: candidate k of a table
+	// runs in round k, and every round holds each table at most once.
+	var sel []*core.Candidate
+	for i := 0; i < 40; i++ {
+		sel = append(sel, part(fmt.Sprintf("t%d", i*3%7), fmt.Sprintf("p%d", i)))
+	}
+	seen := map[*core.Candidate]bool{}
+	want := map[*core.Candidate]int{}
+	perTable := map[string]int{}
+	for _, c := range sel {
+		want[c] = perTable[c.Table.FullName()]
+		perTable[c.Table.FullName()]++
+	}
+	for i, round := range tableRounds(sel) {
+		tables := map[string]bool{}
+		for _, c := range round {
+			if tables[c.Table.FullName()] {
+				t.Fatalf("round %d runs %s twice", i, c.Table.FullName())
+			}
+			tables[c.Table.FullName()] = true
+			if seen[c] {
+				t.Fatalf("%s planned twice", c.ID())
+			}
+			seen[c] = true
+			if want[c] != i {
+				t.Fatalf("%s in round %d, want round %d", c.ID(), i, want[c])
+			}
+		}
+	}
+	if len(seen) != len(sel) {
+		t.Fatalf("planned %d of %d candidates", len(seen), len(sel))
 	}
 }
 

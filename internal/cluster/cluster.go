@@ -245,9 +245,6 @@ func (c *Cluster) TotalGBHr() float64 {
 	return t
 }
 
-// TotalTBHr returns TotalGBHr expressed in terabyte-hours.
-func (c *Cluster) TotalTBHr() float64 { return c.TotalGBHr() / 1024 }
-
 // Records returns a copy of the job ledger.
 func (c *Cluster) Records() []JobRecord {
 	c.mu.Lock()
@@ -255,44 +252,4 @@ func (c *Cluster) Records() []JobRecord {
 	out := make([]JobRecord, len(c.records))
 	copy(out, c.records)
 	return out
-}
-
-// RecordsSince returns ledger entries that started at or after t.
-func (c *Cluster) RecordsSince(t time.Duration) []JobRecord {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []JobRecord
-	for _, r := range c.records {
-		if r.Start >= t {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// JobGBHrs returns the per-job GBHr values for apps whose name has the
-// given prefix (e.g. every "compaction/" application, which the paper
-// aggregates as GBHrApp in Figure 7).
-func (c *Cluster) JobGBHrs(appPrefix string) []float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []float64
-	for _, r := range c.records {
-		if hasPrefix(r.App, appPrefix) {
-			out = append(out, r.GBHr)
-		}
-	}
-	return out
-}
-
-func hasPrefix(s, p string) bool {
-	return len(s) >= len(p) && s[:len(p)] == p
-}
-
-// Reset clears the ledger (slots are left as-is).
-func (c *Cluster) Reset() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.records = nil
-	c.gbhr = make(map[string]float64)
 }

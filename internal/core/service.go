@@ -10,8 +10,8 @@ import (
 
 // Config wires an AutoComp pipeline. Connector, Generator, Observer,
 // Traits, and Ranker are required; Selector defaults to SelectAll,
-// Scheduler to SequentialScheduler, Decider to DecideSerial. Runner is
-// required to execute (Act / RunOnce) but not to Decide.
+// Decider to DecideSerial. Runner is required to execute (Act /
+// RunOnce) but not to Decide.
 type Config struct {
 	Connector Connector
 	Generator Generator
@@ -28,8 +28,7 @@ type Config struct {
 	Ranker   Ranker
 	Selector Selector
 
-	Scheduler Scheduler
-	Runner    Runner
+	Runner Runner
 
 	// OnReport hooks implement the feedback loop from act back to
 	// observe (§3.3): estimator ledgers, caches, telemetry.
@@ -100,9 +99,6 @@ func NewService(cfg Config) (*Service, error) {
 	if cfg.Selector == nil {
 		cfg.Selector = SelectAll{}
 	}
-	if cfg.Scheduler == nil {
-		cfg.Scheduler = SequentialScheduler{}
-	}
 	if cfg.Decider == nil {
 		cfg.Decider = (*Config).DecideSerial
 	}
@@ -116,7 +112,7 @@ func (s *Service) Runner() Runner { return s.cfg.Runner }
 
 // Decision is the output of the observe–orient–decide phases: the ranked
 // and selected candidates, with pool sizes at each refinement point for
-// explainability (NFR2). The act phase plans how the selection runs.
+// explainability (NFR2).
 type Decision struct {
 	At time.Duration
 
@@ -239,19 +235,16 @@ func (r *Report) ActionCounts() map[ActionType]int {
 	return out
 }
 
-// Act runs a decision's selection with the configured Runner in the
-// Scheduler's rounds: rounds run sequentially; candidates within a round
-// are issued back to back (their jobs overlap on the cluster's job slots).
+// Act runs a decision's selection with the configured Runner in rank
+// order, each run finishing before the next starts, so no two work
+// units of one table overlap (§4.4).
 func (s *Service) Act(d *Decision) (*Report, error) {
 	if s.cfg.Runner == nil {
 		return nil, fmt.Errorf("core: Config.Runner is required to Act")
 	}
 	rep := &Report{Decision: d}
-	for _, round := range s.cfg.Scheduler.Plan(d.Selected) {
-		for _, c := range round {
-			res := s.cfg.Runner.Run(c)
-			rep.add(c, res)
-		}
+	for _, c := range d.Selected {
+		rep.add(c, s.cfg.Runner.Run(c))
 	}
 	s.feedback(rep)
 	return rep, nil
@@ -290,12 +283,12 @@ func (r *Report) add(c *Candidate, res compaction.Result) {
 	}
 }
 
-// AddResult exposes result folding for harnesses that execute the plan
-// themselves (two-phase ops interleaved with a workload).
+// AddResult exposes result folding for harnesses that execute the
+// selection themselves (two-phase ops interleaved with a workload).
 func (r *Report) AddResult(c *Candidate, res compaction.Result) { r.add(c, res) }
 
 // Feedback runs the configured feedback hooks on an externally assembled
-// report (harness-executed plans).
+// report (harness-executed selections).
 func (s *Service) Feedback(rep *Report) { s.feedback(rep) }
 
 func (s *Service) feedback(rep *Report) {

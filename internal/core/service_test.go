@@ -38,68 +38,12 @@ func (f fakeTable) Partitions() []string                   { return f.parts }
 func (f fakeTable) LiveFiles() []lst.DataFile              { return nil }
 func (f fakeTable) FilesInPartition(string) []lst.DataFile { return nil }
 
-// --- schedulers ---
+// --- act ---
 
-func TestSequentialScheduler(t *testing.T) {
-	cands := []*Candidate{mkCand("a.1", nil), mkCand("a.2", nil)}
-	plan := SequentialScheduler{}.Plan(cands)
-	if len(plan) != 2 || len(plan[0]) != 1 {
-		t.Fatalf("plan = %v", plan)
-	}
-}
-
-func TestTablesParallelPartitionsSequential(t *testing.T) {
-	t1 := fakeTable{name: "db.t1"}
-	t2 := fakeTable{name: "db.t2"}
-	cands := []*Candidate{
-		{Table: t1, Scope: ScopePartition, Partition: "p1"},
-		{Table: t1, Scope: ScopePartition, Partition: "p2"},
-		{Table: t2, Scope: ScopePartition, Partition: "p1"},
-		{Table: t1, Scope: ScopePartition, Partition: "p3"},
-	}
-	plan := TablesParallelPartitionsSequential{}.Plan(cands)
-	// Round 0: t1/p1 + t2/p1 (different tables in parallel).
-	// Round 1: t1/p2. Round 2: t1/p3.
-	if len(plan) != 3 {
-		t.Fatalf("rounds = %d", len(plan))
-	}
-	if len(plan[0]) != 2 {
-		t.Fatalf("round0 = %d", len(plan[0]))
-	}
-	// Never two work units of the same table in one round.
-	for _, round := range plan {
-		seen := map[string]bool{}
-		for _, c := range round {
-			if seen[c.Table.FullName()] {
-				t.Fatalf("same table twice in round: %v", c.Table.FullName())
-			}
-			seen[c.Table.FullName()] = true
-		}
-	}
-}
-
-func TestSchedulerMaxParallel(t *testing.T) {
-	var cands []*Candidate
-	for i := 0; i < 5; i++ {
-		cands = append(cands, &Candidate{Table: fakeTable{name: "db.t" + itoa(i)}, Scope: ScopeTable})
-	}
-	plan := TablesParallelPartitionsSequential{MaxParallel: 2}.Plan(cands)
-	total := 0
-	for _, round := range plan {
-		if len(round) > 2 {
-			t.Fatalf("round exceeds max parallel: %d", len(round))
-		}
-		total += len(round)
-	}
-	if total != 5 {
-		t.Fatalf("plan lost candidates: %d", total)
-	}
-}
-
-// TestActRunsSchedulerRounds pins that Act runs a decision's selection
-// in the rounds the configured scheduler plans, round by round, and not
-// in selection order.
-func TestActRunsSchedulerRounds(t *testing.T) {
+// TestActRunsSelectionInRankOrder pins that Act runs a decision's
+// selection in selection (rank) order, one run per candidate, with no
+// regrouping by table.
+func TestActRunsSelectionInRankOrder(t *testing.T) {
 	t1, t2 := fakeTable{name: "t1"}, fakeTable{name: "t2"}
 	d := &Decision{Selected: []*Candidate{
 		{Table: t1, Scope: ScopePartition, Partition: "p1"},
@@ -108,38 +52,34 @@ func TestActRunsSchedulerRounds(t *testing.T) {
 		{Table: t1, Scope: ScopePartition, Partition: "p3"},
 	}}
 	l := newLake(t)
-	for _, tc := range []struct {
-		sched Scheduler
-		want  string
-	}{
-		{TablesParallelPartitionsSequential{}, "t1/p1 t2/p1 t1/p2 t1/p3"},
-		{SequentialScheduler{}, "t1/p1 t1/p2 t2/p1 t1/p3"},
-	} {
-		var ran []string
-		svc, err := NewService(Config{
-			Connector: l.connector(),
-			Generator: PartitionScopeGenerator{},
-			Observer:  l.observer(),
-			Traits:    []Trait{FileCountReduction{}},
-			Ranker:    MOOPRanker{Objectives: []Objective{{Trait: FileCountReduction{}, Weight: 1}}},
-			Scheduler: tc.sched,
-			Runner: RunnerFunc(func(c *Candidate) compaction.Result {
-				ran = append(ran, c.ID())
-				return compaction.Result{Table: c.Table.FullName()}
-			}),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := svc.Act(d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := strings.Join(ran, " "); got != tc.want {
-			t.Fatalf("%T ran %q, want %q", tc.sched, got, tc.want)
-		}
-		if len(rep.Results) != len(d.Selected) {
-			t.Fatalf("%T: %d results for %d selected", tc.sched, len(rep.Results), len(d.Selected))
+	var ran []string
+	svc, err := NewService(Config{
+		Connector: l.connector(),
+		Generator: PartitionScopeGenerator{},
+		Observer:  l.observer(),
+		Traits:    []Trait{FileCountReduction{}},
+		Ranker:    MOOPRanker{Objectives: []Objective{{Trait: FileCountReduction{}, Weight: 1}}},
+		Runner: RunnerFunc(func(c *Candidate) compaction.Result {
+			ran = append(ran, c.ID())
+			return compaction.Result{Table: c.Table.FullName()}
+		}),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := svc.Act(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(ran, " "), "t1/p1 t1/p2 t2/p1 t1/p3"; got != want {
+		t.Fatalf("ran %q, want %q", got, want)
+	}
+	if len(rep.Results) != len(d.Selected) {
+		t.Fatalf("%d results for %d selected", len(rep.Results), len(d.Selected))
+	}
+	for i, cr := range rep.Results {
+		if cr.Candidate != d.Selected[i] {
+			t.Fatalf("result %d is %s, want %s", i, cr.Candidate.ID(), d.Selected[i].ID())
 		}
 	}
 }
@@ -163,9 +103,8 @@ func buildService(t *testing.T, l *lake, selector Selector) *Service {
 			{Trait: FileCountReduction{}, Weight: 0.7},
 			{Trait: ComputeCost{ExecutorMemoryGB: 64, RewriteBytesPerHour: float64(200 * storage.GB)}, Weight: 0.3},
 		}},
-		Selector:  selector,
-		Scheduler: TablesParallelPartitionsSequential{},
-		Runner:    ExecutorRunner{Exec: l.exec},
+		Selector: selector,
+		Runner:   ExecutorRunner{Exec: l.exec},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -176,15 +176,6 @@ func (b *Builder) Selector(c Component) (core.Selector, error) {
 	return v.(core.Selector), nil
 }
 
-// Scheduler builds one act-phase scheduler component.
-func (b *Builder) Scheduler(c Component) (core.Scheduler, error) {
-	v, err := b.build(KindScheduler, c)
-	if err != nil {
-		return nil, err
-	}
-	return v.(core.Scheduler), nil
-}
-
 // Validate checks a spec end to end — structure, component resolution,
 // parameter names and types, objective weights — without binding it to a
 // substrate. It returns every problem found, joined.
@@ -317,20 +308,12 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		fail(errors.New("policy: spec needs a ranker (objectives or threshold)"))
 	}
 
-	// Selector and act-phase scheduler, with defaults.
+	// Selector, with its default.
 	selComp := Component{Name: "all"}
 	if s.Selector != nil {
 		selComp = *s.Selector
 	}
 	selector, err := bld.Selector(selComp)
-	if err != nil {
-		fail(err)
-	}
-	schedComp := Component{Name: "sequential"}
-	if s.Scheduler != nil {
-		schedComp = *s.Scheduler
-	}
-	actSched, err := bld.Scheduler(schedComp)
 	if err != nil {
 		fail(err)
 	}
@@ -349,7 +332,6 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		Traits:       traits,
 		Ranker:       ranker,
 		Selector:     selector,
-		Scheduler:    actSched,
 		Runner:       b.Runner,
 	}
 	if s.Maintenance != nil {
@@ -372,9 +354,6 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 	// Execution plane.
 	if s.Execution != nil {
 		ex := s.Execution
-		if s.Scheduler != nil {
-			fail(fmt.Errorf("policy: scheduler %q cannot be combined with an execution section (the execution plane orders jobs by rank and ignores the scheduler); drop one of scheduler and execution", s.Scheduler.Name))
-		}
 		if ex.Workers < 1 {
 			fail(fmt.Errorf("policy: execution.workers must be >= 1, got %d", ex.Workers))
 		}

@@ -121,9 +121,6 @@ func Describe(s *Spec) string {
 	if s.Selector != nil {
 		fmt.Fprintf(&b, "  %-14s %s\n", "selector:", describeComponent(*s.Selector))
 	}
-	if s.Scheduler != nil {
-		fmt.Fprintf(&b, "  %-14s %s\n", "scheduler:", describeComponent(*s.Scheduler))
-	}
 	if m := s.Maintenance; m != nil {
 		fmt.Fprintf(&b, "  %-14s retain %d snapshots, checkpoint every %d versions, manifest surplus %d\n",
 			"maintenance:", m.RetainSnapshots, m.CheckpointEveryVersions, m.MinManifestSurplus)

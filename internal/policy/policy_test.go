@@ -53,11 +53,10 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 			"db1.t1": {Trigger: &TriggerSpec{EveryCommits: 1}},
 		},
 	}
-	// The act-phase scheduler only plans the serial act loop, so it
-	// round-trips on a copy without the execution section.
+	// A copy without the execution section round-trips too: the serial
+	// act loop's spec.
 	serial := orig.Clone()
 	serial.Execution = nil
-	serial.Scheduler = &Component{Name: "tables-parallel", Params: map[string]any{"max_parallel": float64(4)}}
 	for _, spec := range []*Spec{orig, serial} {
 		b, err := spec.Marshal()
 		if err != nil {
@@ -79,20 +78,19 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSchedulerWithExecutionRejected pins that a spec naming an
-// act-phase scheduler next to an execution section does not compile:
-// the execution plane orders jobs by rank and never reads the
-// scheduler's plan, so the knob would silently do nothing.
-func TestSchedulerWithExecutionRejected(t *testing.T) {
-	s := DefaultSpec()
-	s.Scheduler = &Component{Name: "tables-parallel"}
-	err := Validate(s, StubEnv())
-	if err == nil || !strings.Contains(err.Error(), "scheduler") || !strings.Contains(err.Error(), "execution") {
-		t.Fatalf("scheduler with execution: err = %v, want an error naming both", err)
-	}
-	s.Execution = nil
-	if err := Validate(s, StubEnv()); err != nil {
-		t.Fatalf("scheduler without execution: %v", err)
+// TestParseRejectsScheduler pins that a spec naming the removed
+// act-phase "scheduler" section fails to parse as an unknown field,
+// with or without an execution section: both act paths run the
+// selection in rank order.
+func TestParseRejectsScheduler(t *testing.T) {
+	for _, spec := range []string{
+		`{"generators": ["table-scope"], "traits": ["file_count_reduction"], "threshold": {"trait": "file_count_reduction", "min": 1}, "scheduler": "tables-parallel"}`,
+		`{"generators": ["table-scope"], "traits": ["file_count_reduction"], "threshold": {"trait": "file_count_reduction", "min": 1}, "scheduler": {"name": "sequential"}, "execution": {"workers": 2}}`,
+	} {
+		_, err := Parse([]byte(spec))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "scheduler"`) {
+			t.Fatalf("spec %s: err = %v, want an unknown-field error naming scheduler", spec, err)
+		}
 	}
 }
 

@@ -19,7 +19,6 @@ const (
 	KindFilter    Kind = "filter"
 	KindTrait     Kind = "trait"
 	KindSelector  Kind = "selector"
-	KindScheduler Kind = "scheduler"
 )
 
 // Factory builds one component instance from its spec parameters. The
@@ -398,14 +397,6 @@ var builtins = func() *Registry {
 			return nil, fmt.Errorf("policy: budget selector requires a positive \"budget_gbhr\"")
 		}
 		return core.BudgetSelector{BudgetGBHr: budget, MaxK: a.Int("max_k", 0)}, nil
-	})
-
-	// Act-phase schedulers (§4.4).
-	r.Register(KindScheduler, "sequential", func(*Builder, *Args) (any, error) {
-		return core.SequentialScheduler{}, nil
-	})
-	r.Register(KindScheduler, "tables-parallel", func(_ *Builder, a *Args) (any, error) {
-		return core.TablesParallelPartitionsSequential{MaxParallel: a.Int("max_parallel", 0)}, nil
 	})
 
 	return r

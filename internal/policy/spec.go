@@ -249,10 +249,6 @@ type Spec struct {
 
 	// Selector picks work units from the ranked list (default "all").
 	Selector *Component `json:"selector,omitempty"`
-	// Scheduler plans the serial act phase's rounds (default
-	// "sequential"). It cannot be combined with Execution, whose pool
-	// orders jobs by rank instead.
-	Scheduler *Component `json:"scheduler,omitempty"`
 
 	// Maintenance, when present, generalizes the pipeline to the unified
 	// maintenance family (snapshot expiry, metadata checkpointing,

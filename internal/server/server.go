@@ -70,11 +70,14 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// writeJSON renders v with a status code.
+// writeJSON renders v with a status code. Replies go to API clients,
+// not into HTML, so strings keep their bytes: a policy diff line reads
+// "->" as `lakectl policy diff` prints it, not "-\u003e".
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(v)
 }
@@ -375,6 +378,7 @@ func streamAfter[T any](w http.ResponseWriter, r *http.Request, done <-chan stru
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
+	enc.SetEscapeHTML(false)
 	write := func() {
 		for _, rec := range since(after) {
 			_ = enc.Encode(rec)

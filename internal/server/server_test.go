@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -294,6 +295,40 @@ func TestPolicyPushRejectedOverWire(t *testing.T) {
 	got := stepAndReport(t, tn)
 	if testkit.DecisionFingerprint(got.Decision) != testkit.DecisionFingerprint(ctrl.Decision) {
 		t.Fatal("pipeline decisions changed after a rejected push")
+	}
+}
+
+// TestPolicyPushReplyPrintsArrows pins that a push reply carries the
+// diff lines byte for byte as `lakectl policy diff` prints them: "->",
+// not encoding/json's HTML-safe "-\u003e".
+func TestPolicyPushReplyPrintsArrows(t *testing.T) {
+	ts, _ := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"arrows","seed":1,"days":2,"initial_tables":10,"paused":true}`), &tenant.Snapshot{})
+	next := policy.DefaultDataSpec(false)
+	next.Name = "arrows"
+	specJSON, err := next.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := http.NewRequest(http.MethodPut, ts.URL+"/api/tenants/arrows/policy", bytes.NewReader(specJSON))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("push status = %d: %s", resp.StatusCode, raw)
+	}
+	if !bytes.Contains(raw, []byte(`"name: \"default\" -> \"arrows\""`)) || bytes.Contains(raw, []byte(`\u003e`)) {
+		t.Fatalf("push reply escapes its diff arrows:\n%s", raw)
 	}
 }
 

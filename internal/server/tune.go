@@ -125,8 +125,9 @@ func (s *Server) withTune(h func(http.ResponseWriter, *http.Request, *tuneJob)) 
 }
 
 // handleSubmitTune: POST /api/tune — validate the request synchronously
-// (bad spaces and unknown scenarios fail with 4xx before a job exists),
-// then run the tune in the background and return 202 with the job id.
+// (bad spaces, unknown scenarios and scenarios that fail
+// scenario.Spec.Validate answer 4xx before a job exists), then run the
+// tune in the background and return 202 with the job id.
 func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 	var req tuneRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -158,6 +159,12 @@ func (s *Server) handleSubmitTune(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		scenarios = append(scenarios, sp)
+	}
+	for _, sp := range scenarios {
+		if err := sp.Validate(); err != nil {
+			writeError(w, http.StatusUnprocessableEntity, "scenario %q: %v", sp.Name, err)
+			return
+		}
 	}
 	if len(scenarios) == 0 {
 		writeError(w, http.StatusBadRequest, `body needs "scenarios" (names) or "specs" (inline)`)

@@ -5,11 +5,16 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"autocomp/internal/autotune"
 	"autocomp/internal/policy"
+	"autocomp/internal/tenant"
 )
 
 // tuneBody builds a minimal POST /api/tune request over the shipped
@@ -164,6 +169,43 @@ func TestTuneAPIRejects(t *testing.T) {
 	resp := doJSON(t, "GET", ts.URL+"/api/tune/tune-1", nil, new(apiError))
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing job: %d", resp.StatusCode)
+	}
+}
+
+// TestTuneRejectsInvalidScenario pins that a scenario failing
+// scenario.Spec.Validate, inline or named from the scenarios directory,
+// answers 422 naming the scenario and the field, and registers no job.
+func TestTuneRejectsInvalidScenario(t *testing.T) {
+	dir := t.TempDir()
+	huge := `{"name": "huge", "days": 1, "fleet": {"initial_tables": 1048577}}`
+	if err := os.WriteFile(filepath.Join(dir, "huge.json"), []byte(huge), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mgr := tenant.NewManager()
+	t.Cleanup(func() { _ = mgr.Shutdown(10 * time.Second) })
+	mux := http.NewServeMux()
+	(&Server{Mgr: mgr, ScenariosDir: dir}).Register(mux)
+	ts := httptest.NewServer(mux)
+	t.Cleanup(ts.Close)
+
+	space := `{"dimensions": [{"field": "execution.workers", "min": 1, "max": 4}]}`
+	for _, body := range []string{
+		`{"space": ` + space + `, "specs": [` + huge + `]}`,
+		`{"space": ` + space + `, "scenarios": ["huge"]}`,
+	} {
+		var apiErr apiError
+		resp := doJSON(t, "POST", ts.URL+"/api/tune", []byte(body), &apiErr)
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status %d, want 422 (%s)", body, resp.StatusCode, apiErr.Error)
+		}
+		if !strings.Contains(apiErr.Error, `"huge"`) || !strings.Contains(apiErr.Error, "fleet.initial_tables") {
+			t.Fatalf("%s: error %q does not name the scenario and the field", body, apiErr.Error)
+		}
+	}
+	var list []TuneJobInfo
+	doJSON(t, "GET", ts.URL+"/api/tune", nil, &list)
+	if len(list) != 0 {
+		t.Fatalf("rejected scenarios registered jobs: %+v", list)
 	}
 }
 
