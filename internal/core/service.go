@@ -35,33 +35,14 @@ type Config struct {
 	OnReport []func(*Report)
 
 	// Decider runs the decide pass: Service.Decide hands it the
-	// defaulted configuration and emits the decision telemetry around
+	// defaulted configuration and emits the decision telemetry after
 	// the call. NewService defaults it to DecideSerial; the sharded
 	// decide plane (internal/decideshard) attaches here via the policy
 	// compiler's decide_shards knob.
 	Decider Decider
 
-	// Clock, when set, supplies the instants latency telemetry is
-	// stamped with. A simulation passes its virtual clock here so the
-	// latency histograms are a deterministic function of the seed
-	// instead of leaking host wall time into the metric stream; nil
-	// means the process wall clock.
-	Clock func() time.Duration
-
 	// traitSet numbers Traits; NewService sets it.
 	traitSet *TraitSet
-}
-
-// procStart anchors the wall-clock fallback for latency stamps.
-var procStart = time.Now()
-
-// clockNow returns the instant latency telemetry is stamped with: the
-// configured Clock, or monotonic process wall time.
-func (cfg *Config) clockNow() time.Duration {
-	if cfg.Clock != nil {
-		return cfg.Clock()
-	}
-	return time.Since(procStart)
 }
 
 // Service is a configured AutoComp instance.
@@ -129,12 +110,11 @@ type Decision struct {
 // the configured Decider, without acting. Event-driven harnesses use it
 // to act on the selection.
 func (s *Service) Decide() (*Decision, error) {
-	started := s.cfg.clockNow()
 	d, err := s.cfg.Decider(&s.cfg)
 	if err != nil {
 		return nil, err
 	}
-	noteDecision(d, (s.cfg.clockNow() - started).Seconds())
+	noteDecision(d)
 	return d, nil
 }
 

@@ -12,10 +12,6 @@ var (
 	mCycles = telemetry.Default().Counter(
 		"autocomp_core_cycles_total",
 		"Observe-decide cycles run (Decide calls).")
-	mCycleLatency = telemetry.Default().Histogram(
-		"autocomp_core_decide_latency_seconds",
-		"Latency of the decide phase (generation through planning), on the configured clock (virtual under simulation).",
-		telemetry.ExpBuckets(0.0005, 4, 10))
 	mGenerated = telemetry.Default().Counter(
 		"autocomp_core_candidates_generated_total",
 		"Candidates emitted by the generator before any refinement.")
@@ -87,9 +83,8 @@ var mActionResults = func() [][len(outcomeNames)]*telemetry.LazyCounter {
 }()
 
 // noteDecision records the funnel counts and score spread of one decision.
-func noteDecision(d *Decision, wallSeconds float64) {
+func noteDecision(d *Decision) {
 	mCycles.Inc()
-	mCycleLatency.Observe(wallSeconds)
 	mGenerated.Add(float64(d.Generated))
 	mFiltered.With("pre").Add(float64(d.Generated - d.AfterPreFilters))
 	mFiltered.With("stats").Add(float64(d.AfterPreFilters - d.AfterStatsFilter))

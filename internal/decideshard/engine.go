@@ -60,15 +60,7 @@ type Options struct {
 	// min(Shards, GOMAXPROCS). More workers than shards is never useful
 	// (work is per-shard) and is capped.
 	Workers int
-	// Clock, when set, supplies the instants the engine's per-shard
-	// timing stats and latency histograms are stamped with — a
-	// simulation passes its virtual clock so the metric stream is
-	// seed-deterministic; nil means the process wall clock.
-	Clock func() time.Duration
 }
-
-// procStart anchors the wall-clock fallback for timing stamps.
-var procStart = time.Now()
 
 // Engine is a sharded decide plane bound to a fixed shard count. Create
 // one with New and attach its Decide method as core.Config.Decider (the
@@ -77,17 +69,16 @@ var procStart = time.Now()
 type Engine struct {
 	shards  int
 	workers int
-	clock   func() time.Duration
 
 	mu   sync.Mutex
 	last CycleStats
 }
 
-// CycleStats is the engine's timing breakdown of its most recent decide
-// cycle — the basis for the shard experiment's critical-path projection
-// (on a host with fewer cores than shards, wall time cannot show the
-// parallel win; max-shard time plus merge time is what wall time becomes
-// with enough cores).
+// CycleStats is the engine's host wall-time breakdown of its most
+// recent decide cycle — the basis for the shard experiment's
+// critical-path projection (on a host with fewer cores than shards, wall
+// time cannot show the parallel win; max-shard time plus merge time is
+// what wall time becomes with enough cores).
 type CycleStats struct {
 	// Shards is the cycle's shard count (0 = no cycle yet).
 	Shards int
@@ -145,16 +136,7 @@ func New(opts Options) *Engine {
 	if w > s {
 		w = s
 	}
-	return &Engine{shards: s, workers: w, clock: opts.Clock}
-}
-
-// now returns the instant timing stats are stamped with: the configured
-// clock, or monotonic process wall time.
-func (e *Engine) now() time.Duration {
-	if e.clock != nil {
-		return e.clock()
-	}
-	return time.Since(procStart)
+	return &Engine{shards: s, workers: w}
 }
 
 // Workers returns the engine's worker-pool bound.
@@ -187,7 +169,7 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 	// Per shard: generate → refine.
 	outs := make([]shardOut, e.shards)
 	e.runShards(func(s int) {
-		started := e.now()
+		started := time.Now()
 		out := &outs[s]
 		var cands []*core.Candidate
 		if sharded != nil {
@@ -200,8 +182,7 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 		if out.cands, out.err = cfg.Refine(cands, &out.funnel); out.err != nil {
 			return
 		}
-		e.last.ShardPipeline[s] = e.now() - started
-		mShardSeconds.With("pipeline").Observe(e.last.ShardPipeline[s].Seconds())
+		e.last.ShardPipeline[s] = time.Since(started)
 	})
 	n := 0
 	for s := range outs {
@@ -217,14 +198,13 @@ func (e *Engine) Decide(cfg *core.Config) (*core.Decision, error) {
 
 	// Merge: rank the survivors, in shard order, with the serial pass's
 	// call.
-	started := e.now()
+	started := time.Now()
 	pool := make([]*core.Candidate, 0, n)
 	for s := range outs {
 		pool = append(pool, outs[s].cands...)
 	}
 	d.Ranked = cfg.Ranker.Rank(pool)
-	e.last.Merge = e.now() - started
-	mMergeSeconds.Observe(e.last.Merge.Seconds())
+	e.last.Merge = time.Since(started)
 
 	d.Selected = cfg.Selector.Select(d.Ranked)
 	return d, nil

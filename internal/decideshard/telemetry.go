@@ -10,23 +10,10 @@ var (
 	mDecides = telemetry.Default().Counter(
 		"autocomp_decideshard_decides_total",
 		"Decide cycles run by the sharded engine.")
-	mShardSeconds = telemetry.Default().HistogramVec(
-		"autocomp_decideshard_shard_seconds",
-		"Per-shard wall time of one decide cycle, by stage: "+
-			"stage=\"pipeline\" is the generate-through-trait-filter "+
-			"pipeline. Shards do not rank; the pool's one rank is in "+
-			"autocomp_decideshard_merge_seconds.",
-		telemetry.ExpBuckets(0.0001, 4, 10),
-		"stage")
 	mShardCandidates = telemetry.Default().Histogram(
 		"autocomp_decideshard_shard_candidates",
 		"Candidates one shard generated in one decide cycle.",
 		telemetry.ExpBuckets(1, 4, 12))
-	mMergeSeconds = telemetry.Default().Histogram(
-		"autocomp_decideshard_merge_seconds",
-		"Wall time of the serial step after the shards: concatenating "+
-			"their survivors and ranking the pool once.",
-		telemetry.ExpBuckets(0.00001, 4, 10))
 	mShardsGauge = telemetry.Default().Gauge(
 		"autocomp_decideshard_shards",
 		"Decide shards of the most recently deciding engine.")

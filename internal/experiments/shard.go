@@ -118,8 +118,9 @@ func RunShard(seed int64, quick bool) (Result, error) {
 
 	// mkSvc builds one aged fleet and its maintenance decide pipeline;
 	// identical seeds make every variant's lake byte-identical. The
-	// decider is attached after compiling: the engine here times shards
-	// on the wall clock, where a spec-built one would use fleet time.
+	// decider is attached after compiling: the experiment keeps each
+	// engine to read its cycle stats, and a spec with decide_shards 1
+	// would compile to the serial pass, not the engine's one-shard path.
 	mkSvc := func(dec core.Decider) (*core.Service, error) {
 		cfg := fleetConfig(seed, quick)
 		cfg.InitialTables = tables

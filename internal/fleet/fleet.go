@@ -359,6 +359,13 @@ func (t *Table) RewriteManifests() (lst.MaintenanceResult, error) {
 // dies. It is ten times the largest benchmark lake's 100,000 tables.
 const MaxTables = 1 << 20
 
+// MaxDays bounds the days a fleet's virtual clock may reach. AdvanceDay
+// adds 24 hours to a nanosecond time.Duration, which wraps negative
+// after day 106,751; a hundred years stays far below that, with room
+// for a cycle's execution window. Scenario specs are checked against
+// it, and Lake.Step refuses to run a day once the clock reaches it.
+const MaxDays = 36500
+
 // Config parameterizes fleet construction.
 type Config struct {
 	Seed int64

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"autocomp/internal/lstlog"
 	"autocomp/internal/policy"
@@ -112,8 +113,12 @@ func (l *Lake) SetPolicy(spec *policy.Spec) error {
 // Step runs one day: the fleet's organic growth, then between (the
 // caller's hook on the grown fleet; nil for none), one
 // observe→decide→act cycle, and on the log backend the persist of the
-// lake's state.
+// lake's state. Once the fleet clock reaches MaxDays days, Step
+// returns an error and leaves the lake as it was.
 func (l *Lake) Step(between func(*Fleet)) (Cycle, error) {
+	if now := l.fleet.clock.Now(); now >= MaxDays*24*time.Hour {
+		return Cycle{}, fmt.Errorf("day %d cycle: the fleet clock at %v has reached MaxDays (%d days)", l.day+1, now, MaxDays)
+	}
 	l.fleet.AdvanceDay()
 	if between != nil {
 		between(l.fleet)

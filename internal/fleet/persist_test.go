@@ -3,11 +3,13 @@ package fleet
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"autocomp/internal/policy"
 	"autocomp/internal/sim"
@@ -164,5 +166,66 @@ func TestRestoreRejectsOutOfRangeRNGPosition(t *testing.T) {
 	}
 	if _, err := OpenLake("alpha", cfg, sp, SpecRunOptions{}); err == nil || !strings.Contains(err.Error(), `"writes"`) {
 		t.Fatalf("open with a negative writes position = %v, want a restore error naming the stream", err)
+	}
+}
+
+// TestLakeStepStopsAtMaxDays requires a lake whose fleet clock has
+// reached MaxDays days to refuse the next day with an error instead of
+// advancing: one restored a day short of the bound steps once and then
+// stops, and one restored where another day would wrap the clock
+// negative stops at once rather than panic in the cycle.
+func TestLakeStepStopsAtMaxDays(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.InitialTables, cfg.Databases = 30, 3
+	root := t.TempDir()
+	sp := policy.DefaultSpec()
+	sp.Storage = &policy.StorageSpec{Backend: policy.StorageBackendLog, Root: root}
+	l, err := OpenLake("alpha", cfg, sp, SpecRunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := l.Step(nil); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, "tenants", "alpha", "fleet.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// reopen restores the lake with its fleet clock at now.
+	reopen := func(now time.Duration) *Lake {
+		t.Helper()
+		var st lakeState
+		if err := json.Unmarshal(data, &st); err != nil {
+			t.Fatal(err)
+		}
+		st.Fleet.Now = now
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := OpenLake("alpha", cfg, sp, SpecRunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	const day = 24 * time.Hour
+	l = reopen((MaxDays - 1) * day)
+	if _, err := l.Step(nil); err != nil {
+		t.Fatalf("step to day MaxDays: %v", err)
+	}
+	if _, err := l.Step(nil); err == nil || !strings.Contains(err.Error(), "MaxDays") {
+		t.Fatalf("step past MaxDays = %v, want an error naming MaxDays", err)
+	}
+	l = reopen(math.MaxInt64 - day/2)
+	if _, err := l.Step(nil); err == nil || !strings.Contains(err.Error(), "MaxDays") {
+		t.Fatalf("step on a clock a day short of wrapping = %v, want an error naming MaxDays", err)
+	}
+	if got := l.Fleet().Clock().Now(); got != math.MaxInt64-day/2 {
+		t.Fatalf("refused step moved the clock to %v", got)
 	}
 }

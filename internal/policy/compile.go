@@ -345,10 +345,6 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 			RewriteBytesPerHour: env.RewriteBytesPerHour,
 		}
 	}
-	// Latency telemetry runs on the environment's clock: virtual time
-	// under simulation (seed-deterministic histograms), wall time when
-	// the env has no clock.
-	cfg.Clock = env.Now
 	out.Core = cfg
 
 	// Execution plane.
@@ -374,7 +370,7 @@ func Compile(s *Spec, env Env, b Bindings) (*Compiled, error) {
 		}
 		if ex.DecideShards > 1 {
 			out.DecideShards = ex.DecideShards
-			eng := decideshard.New(decideshard.Options{Shards: ex.DecideShards, Workers: ex.DecideWorkers, Clock: env.Now})
+			eng := decideshard.New(decideshard.Options{Shards: ex.DecideShards, Workers: ex.DecideWorkers})
 			out.Core.Decider = eng.Decide
 		}
 		var staleness int64

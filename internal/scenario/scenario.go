@@ -252,6 +252,9 @@ func (s *Spec) Validate() error {
 	if s.Days < 1 {
 		fail("days must be >= 1, got %d", s.Days)
 	}
+	if s.Days > fleet.MaxDays {
+		fail("days must be at most %d, got %d", fleet.MaxDays, s.Days)
+	}
 	if s.Fleet.InitialTables < 1 {
 		fail("fleet.initial_tables must be >= 1, got %d", s.Fleet.InitialTables)
 	}

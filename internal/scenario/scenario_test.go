@@ -29,6 +29,8 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}{
 		{"no-name", func(s *Spec) { s.Name = "" }, "name is required"},
 		{"no-days", func(s *Spec) { s.Days = 0 }, "days must be"},
+		{"too-many-days", func(s *Spec) { s.Days = fleet.MaxDays + 1 },
+			"days must be at most 36500, got 36501"},
 		{"no-tables", func(s *Spec) { s.Fleet.InitialTables = 0 }, "initial_tables"},
 		{"too-many-tables", func(s *Spec) { s.Fleet.InitialTables = fleet.MaxTables + 1 },
 			"fleet.initial_tables must be at most 1048576, got 1048577"},

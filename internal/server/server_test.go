@@ -57,18 +57,25 @@ func doJSON(t *testing.T, method, url string, body []byte, out any) *http.Respon
 	return resp
 }
 
-// stepAndReport runs one cycle on a tenant the test owns (created
-// paused, so the manager's loop never competes) and returns the report.
-func stepAndReport(t *testing.T, tn *tenant.Tenant) *core.Report {
+// cycleReports keeps the report of a tenant's latest cycle; its hook
+// is the OnCycle option the test builds the tenant with.
+type cycleReports struct{ last *core.Report }
+
+func (r *cycleReports) hook(_ telemetry.CycleEvent, rep *core.Report) { r.last = rep }
+
+// stepAndReport runs one cycle on a tenant the test owns (built without
+// starting its loop, so the manager never competes) and returns the
+// report r's hook captured.
+func stepAndReport(t *testing.T, tn *tenant.Tenant, r *cycleReports) *core.Report {
 	t.Helper()
+	r.last = nil
 	if err := tn.StepCycle(); err != nil {
 		t.Fatal(err)
 	}
-	rep := tn.LastReport()
-	if rep == nil {
+	if r.last == nil {
 		t.Fatal("no report after cycle")
 	}
-	return rep
+	return r.last
 }
 
 // TestTenantCRUD exercises create/list/status over the wire.
@@ -112,6 +119,30 @@ func TestTenantCRUD(t *testing.T) {
 		doJSON(t, http.MethodGet, ts.URL+"/api/tenants/crud", nil, &s)
 		return s.State == tenant.StateStopped && s.Day == 2
 	})
+}
+
+// TestInlineRunRejectsDaysPastBound: an inline scenario asking for
+// more days than fleet.MaxDays answers 422 naming the field, registers
+// no run, and leaves the daemon serving.
+func TestInlineRunRejectsDaysPastBound(t *testing.T) {
+	ts, mgr := newTestServer(t)
+	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
+		[]byte(`{"name":"small","initial_tables":10,"paused":true}`), &tenant.Snapshot{})
+	var e apiError
+	resp := doJSON(t, http.MethodPost, ts.URL+"/api/tenants/small/runs",
+		[]byte(`{"spec":{"name":"long","days":200000,"fleet":{"initial_tables":1}}}`), &e)
+	want := fmt.Sprintf("days must be at most %d, got 200000", fleet.MaxDays)
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(e.Error, want) {
+		t.Fatalf("inline run status = %d, error %q; want 422 containing %q", resp.StatusCode, e.Error, want)
+	}
+	tn, _ := mgr.Get("small")
+	if runs := tn.Runs(); len(runs) != 0 {
+		t.Fatalf("rejected run registered: %d runs", len(runs))
+	}
+	var snaps []tenant.Snapshot
+	if resp := doJSON(t, http.MethodGet, ts.URL+"/api/tenants", nil, &snaps); resp.StatusCode != http.StatusOK || len(snaps) != 1 {
+		t.Fatalf("list after the rejected run: status %d, %d tenants", resp.StatusCode, len(snaps))
+	}
 }
 
 // TestCreateRejectsTablesPastBound: a create or an inline run asking
@@ -174,9 +205,11 @@ func localWatcherFingerprints(t *testing.T, days, switchAfter int, next *policy.
 	if err != nil {
 		t.Fatal(err)
 	}
+	var reps cycleReports
 	tn, err := tenant.New(tenant.Config{Name: "local", Seed: 31, Days: days, InitialTables: 30},
 		initial, tenant.Options{
 			PollPolicy: func() (*policy.Spec, bool, error) { return watcher.Poll() },
+			OnCycle:    reps.hook,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +219,7 @@ func localWatcherFingerprints(t *testing.T, days, switchAfter int, next *policy.
 		if d == switchAfter+1 {
 			writeSpec(t, path, next)
 		}
-		prints = append(prints, testkit.DecisionFingerprint(stepAndReport(t, tn).Decision))
+		prints = append(prints, testkit.DecisionFingerprint(stepAndReport(t, tn, &reps).Decision))
 	}
 	return prints
 }
@@ -204,14 +237,14 @@ func TestPolicyPushWireParity(t *testing.T) {
 
 	want := localWatcherFingerprints(t, days, switchAfter, next)
 
-	// Remote lake: same seed, created paused so the test owns the cycle
-	// boundary; the policy arrives over real HTTP.
+	// Remote lake: same seed, registered without starting so the test
+	// owns the cycle boundary; the policy arrives over real HTTP.
 	ts, mgr := newTestServer(t)
-	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
-		[]byte(`{"name":"remote","seed":31,"days":6,"initial_tables":30,"paused":true}`), &tenant.Snapshot{})
-	tn, ok := mgr.Get("remote")
-	if !ok {
-		t.Fatal("remote tenant not registered")
+	var reps cycleReports
+	tn, err := mgr.Create(tenant.Config{Name: "remote", Seed: 31, Days: days, InitialTables: 30}, nil,
+		tenant.Options{OnCycle: reps.hook})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	specJSON, err := next.Marshal()
@@ -232,7 +265,7 @@ func TestPolicyPushWireParity(t *testing.T) {
 				t.Fatal("push reported no diff")
 			}
 		}
-		prints = append(prints, testkit.DecisionFingerprint(stepAndReport(t, tn).Decision))
+		prints = append(prints, testkit.DecisionFingerprint(stepAndReport(t, tn, &reps).Decision))
 	}
 
 	for i := range want {
@@ -258,13 +291,13 @@ func TestPolicyPushWireParity(t *testing.T) {
 // still reported, and the pipeline still deciding as before.
 func TestPolicyPushRejectedOverWire(t *testing.T) {
 	ts, mgr := newTestServer(t)
-	doJSON(t, http.MethodPost, ts.URL+"/api/tenants",
-		[]byte(`{"name":"rej","seed":31,"days":6,"initial_tables":30,"paused":true}`), &tenant.Snapshot{})
-	tn, ok := mgr.Get("rej")
-	if !ok {
-		t.Fatal("rej tenant not registered")
+	var reps cycleReports
+	tn, err := mgr.Create(tenant.Config{Name: "rej", Seed: 31, Days: 6, InitialTables: 30}, nil,
+		tenant.Options{OnCycle: reps.hook})
+	if err != nil {
+		t.Fatal(err)
 	}
-	stepAndReport(t, tn)
+	stepAndReport(t, tn, &reps)
 
 	var apiErr apiError
 	resp := doJSON(t, http.MethodPut, ts.URL+"/api/tenants/rej/policy",
@@ -286,13 +319,15 @@ func TestPolicyPushRejectedOverWire(t *testing.T) {
 
 	// The lake keeps deciding: a control tenant at the same seed that
 	// never saw the bad push produces the same next decision.
-	control, err := tenant.New(tenant.Config{Name: "rej-control", Seed: 31, Days: 6, InitialTables: 30}, nil, tenant.Options{})
+	var ctrlReps cycleReports
+	control, err := tenant.New(tenant.Config{Name: "rej-control", Seed: 31, Days: 6, InitialTables: 30}, nil,
+		tenant.Options{OnCycle: ctrlReps.hook})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stepAndReport(t, control)
-	ctrl := stepAndReport(t, control)
-	got := stepAndReport(t, tn)
+	stepAndReport(t, control, &ctrlReps)
+	ctrl := stepAndReport(t, control, &ctrlReps)
+	got := stepAndReport(t, tn, &reps)
 	if testkit.DecisionFingerprint(got.Decision) != testkit.DecisionFingerprint(ctrl.Decision) {
 		t.Fatal("pipeline decisions changed after a rejected push")
 	}

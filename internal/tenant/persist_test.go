@@ -9,8 +9,10 @@ import (
 	"strings"
 	"testing"
 
+	"autocomp/internal/core"
 	"autocomp/internal/fleet"
 	"autocomp/internal/policy"
+	"autocomp/internal/telemetry"
 )
 
 func persistCfg() Config {
@@ -46,7 +48,8 @@ func stepDays(t *testing.T, tn *Tenant, days int) {
 func TestPersistTenantRestartParity(t *testing.T) {
 	cfg := persistCfg()
 
-	clean, err := New(cfg, policy.DefaultSpec(), Options{})
+	var wantIDs, gotIDs []string
+	clean, err := New(cfg, policy.DefaultSpec(), selectedIDs(&wantIDs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestPersistTenantRestartParity(t *testing.T) {
 	stepDays(t, first, 6)
 	// The kill: the process image is gone; only the store survives.
 
-	second, err := New(cfg, durableSpec(root), Options{})
+	second, err := New(cfg, durableSpec(root), selectedIDs(&gotIDs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,22 +80,21 @@ func TestPersistTenantRestartParity(t *testing.T) {
 
 	// The last cycle's decision must match too (same funnel, same
 	// selections) — compare the final reports' selected candidate IDs.
-	wantIDs, gotIDs := selectedIDs(clean), selectedIDs(second)
-	if !reflect.DeepEqual(wantIDs, gotIDs) {
+	if len(wantIDs) == 0 || !reflect.DeepEqual(wantIDs, gotIDs) {
 		t.Fatalf("final cycle selections diverged:\nwant %v\ngot  %v", wantIDs, gotIDs)
 	}
 }
 
-func selectedIDs(tn *Tenant) []string {
-	rep := tn.LastReport()
-	if rep == nil {
-		return nil
-	}
-	out := make([]string, 0, len(rep.Decision.Selected))
-	for _, c := range rep.Decision.Selected {
-		out = append(out, c.ID())
-	}
-	return out
+// selectedIDs returns options whose OnCycle hook keeps the selected
+// candidate IDs of the tenant's latest cycle in *ids.
+func selectedIDs(ids *[]string) Options {
+	return Options{OnCycle: func(_ telemetry.CycleEvent, rep *core.Report) {
+		out := make([]string, 0, len(rep.Decision.Selected))
+		for _, c := range rep.Decision.Selected {
+			out = append(out, c.ID())
+		}
+		*ids = out
+	}}
 }
 
 // TestPersistTenantTornStateFile pins crash atomicity at the tenant

@@ -205,7 +205,6 @@ type Tenant struct {
 	err    error
 
 	lake       *fleet.Lake
-	lastRep    *core.Report
 	provenance string
 	pending    *policy.Spec // staged policy push, swapped at the next boundary
 	pendingPv  string
@@ -310,15 +309,6 @@ func (t *Tenant) Err() error {
 	return t.err
 }
 
-// LastReport returns the most recent cycle's report (nil before the
-// first cycle) — how tests fingerprint decisions of tenants created
-// through the API, where no OnCycle hook can be installed.
-func (t *Tenant) LastReport() *core.Report {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastRep
-}
-
 // PushPolicy validates sp and stages it for an atomic swap at the next
 // cycle boundary — the over-the-wire twin of the file watcher's hot
 // reload. It returns the field-wise diff against the currently staged
@@ -387,7 +377,6 @@ func (t *Tenant) StepCycle() error {
 	if err != nil {
 		return fmt.Errorf("tenant %s: %w", t.cfg.Name, err)
 	}
-	t.lastRep = cyc.Report
 	mTenantCycles.With(t.cfg.Name).Inc()
 	mTenantDay.With(t.cfg.Name).Set(float64(t.lake.Day()))
 	mTenantFilesReduced.With(t.cfg.Name).Add(float64(cyc.Report.FilesReduced))

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -413,6 +414,42 @@ func TestOnCycleEventParity(t *testing.T) {
 	if st := tn.Status(); st.Cycles != testDays || st.LastCycle == nil || st.LastCycle.Exec.Workers != 0 {
 		t.Fatalf("final snapshot: cycles=%d last=%+v, want %d serial cycles", st.Cycles, st.LastCycle, testDays)
 	}
+}
+
+// TestTenantHoldsNoCycleBetweenCycles pins that between cycles a
+// tenant holds its lake and nothing else: after StepCycle and two
+// collections, no candidate of a full-scan cycle's selection is
+// reachable.
+func TestTenantHoldsNoCycleBetweenCycles(t *testing.T) {
+	var freed chan struct{}
+	tn, _ := newTestTenant(t, "heap", policy.DefaultSpec(), Options{
+		OnCycle: func(_ telemetry.CycleEvent, rep *core.Report) {
+			freed = make(chan struct{}, len(rep.Decision.Selected))
+			for _, c := range rep.Decision.Selected {
+				runtime.AddCleanup(c, func(ch chan struct{}) { ch <- struct{}{} }, freed)
+			}
+		},
+	})
+	if err := tn.StepCycle(); err != nil {
+		t.Fatal(err)
+	}
+	selected := cap(freed)
+	if selected == 0 {
+		t.Fatal("the cycle selected nothing")
+	}
+	runtime.GC()
+	runtime.GC()
+	// A candidate's cleanup runs on the cleanup goroutine once a
+	// collection has found the candidate unreachable.
+	timeout := time.After(2 * time.Second)
+	for n := 0; n < selected; n++ {
+		select {
+		case <-freed:
+		case <-timeout:
+			t.Fatalf("%d of the cycle's %d selected candidates are still reachable after the cycle", selected-n, selected)
+		}
+	}
+	runtime.KeepAlive(tn)
 }
 
 func TestKeepNewestKeepsRunning(t *testing.T) {

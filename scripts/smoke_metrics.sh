@@ -43,7 +43,7 @@ echo "smoke: /healthz ok"
 curl -fsS "http://$addr/metrics" >"$metrics"
 for fam in \
   autocomp_core_cycles_total \
-  autocomp_core_decide_latency_seconds \
+  autocomp_core_observe_calls_total \
   autocomp_core_actions_total \
   autocomp_sched_jobs_total \
   autocomp_sched_cycle_makespan_seconds \
