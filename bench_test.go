@@ -1,13 +1,14 @@
 package autocomp
 
 // Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (DESIGN.md §4 maps them), plus ablations over AutoComp's
-// design choices and micro-benchmarks of the core primitives.
+// evaluation (the "Paper section → package map" in docs/architecture.md
+// places them), plus ablations over AutoComp's design choices and
+// micro-benchmarks of the core primitives.
 //
 // Each figure benchmark renders its reproduced rows to stdout exactly
 // once, so `go test -bench=. -benchmem` regenerates the paper's results
-// inline (EXPERIMENTS.md records paper-vs-measured). Figure benchmarks
-// run the quick configurations; use cmd/benchrunner for paper scale.
+// inline. Figure benchmarks run the quick configurations; use
+// cmd/benchrunner for paper scale.
 
 import (
 	"fmt"
@@ -76,7 +77,7 @@ func BenchmarkFig11aWorkloadMetrics(b *testing.B)    { runExperiment(b, "fig11a"
 func BenchmarkFig11bHDFSOpens(b *testing.B)          { runExperiment(b, "fig11b") }
 func BenchmarkEstimatorAccuracy(b *testing.B)        { runExperiment(b, "est") }
 
-// --- ablations over the design choices DESIGN.md §5 calls out ---
+// --- ablations over AutoComp's design choices ---
 
 // BenchmarkAblationMOOPWeights sweeps the benefit/cost weights of the
 // scalarized MOOP (§4.3; the paper deploys 0.7/0.3) and reports files

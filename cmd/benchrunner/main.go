@@ -1,6 +1,7 @@
 // Command benchrunner regenerates the paper's tables and figures from the
 // reproduction experiments. Each experiment prints the same rows/series
-// the paper reports (see DESIGN.md §4 for the index).
+// the paper reports (see the "Paper section → package map" in
+// docs/architecture.md).
 //
 // Usage:
 //

@@ -1,8 +1,7 @@
 // Package catalog implements a control plane for the simulated data lake
 // in the mold of LinkedIn's OpenHouse: a declarative catalog of databases
 // (tenant namespaces with HDFS object quotas) and log-structured tables,
-// plus data services (snapshot retention) that reconcile observed and
-// desired state.
+// each with its stored per-table maintenance policies.
 //
 // AutoComp interfaces with the lake exclusively through this catalog,
 // matching the paper's deployment where compaction is an OpenHouse data
@@ -13,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 
 	"autocomp/internal/lst"
@@ -30,17 +30,15 @@ var (
 )
 
 // TablePolicies is the declarative per-table maintenance state the control
-// plane reconciles.
+// plane stores. A zero field is unset: policy.Source layers only the
+// positive fields over the policy spec's values.
 type TablePolicies struct {
-	// RetainSnapshots is how many snapshots retention keeps (min 1).
+	// RetainSnapshots is how many snapshots the snapshot-expiry action
+	// keeps for the table.
 	RetainSnapshots int
 	// CheckpointEveryVersions is how many commits may accumulate before
-	// a metadata checkpoint is due; 0 disables checkpoint scheduling for
-	// the table.
+	// a metadata checkpoint is due.
 	CheckpointEveryVersions int64
-	// Intermediate marks scratch tables that filters may exclude from
-	// compaction (§4.1's usage-aware filtering).
-	Intermediate bool
 
 	// TriggerEveryCommits is the incremental observation plane's
 	// commit-count trigger for this table: how many commits accumulate
@@ -51,33 +49,6 @@ type TablePolicies struct {
 	// TriggerBytesWritten, when positive, also fires the trigger once
 	// this many bytes accumulate since the last observation.
 	TriggerBytesWritten int64
-}
-
-// DefaultPolicies returns the control plane's default table policies.
-func DefaultPolicies() TablePolicies {
-	return TablePolicies{RetainSnapshots: 20, CheckpointEveryVersions: 100}
-}
-
-// Overlay returns p with o's set fields (positive values; Intermediate
-// true) overriding — the field-wise merge the layered policy resolution
-// uses, most specific layer last.
-func (p TablePolicies) Overlay(o TablePolicies) TablePolicies {
-	if o.RetainSnapshots > 0 {
-		p.RetainSnapshots = o.RetainSnapshots
-	}
-	if o.CheckpointEveryVersions > 0 {
-		p.CheckpointEveryVersions = o.CheckpointEveryVersions
-	}
-	if o.Intermediate {
-		p.Intermediate = true
-	}
-	if o.TriggerEveryCommits > 0 {
-		p.TriggerEveryCommits = o.TriggerEveryCommits
-	}
-	if o.TriggerBytesWritten > 0 {
-		p.TriggerBytesWritten = o.TriggerBytesWritten
-	}
-	return p
 }
 
 // Database is a tenant namespace holding tables under one storage quota.
@@ -92,7 +63,8 @@ type entry struct {
 	policies TablePolicies
 }
 
-// ControlPlane is the catalog plus data services.
+// ControlPlane is the catalog: databases, their tables, and each table's
+// stored policies.
 type ControlPlane struct {
 	mu    sync.Mutex
 	fs    *storage.NameNode
@@ -100,10 +72,6 @@ type ControlPlane struct {
 	dbs   map[string]*Database
 	// tables is keyed by database name, then table name.
 	tables map[string]map[string]*entry
-	// dbPolicies holds database-level policy overrides: a layer between
-	// fleet-wide defaults and per-table policies that the policy plane's
-	// layered resolution consults.
-	dbPolicies map[string]TablePolicies
 	// commitHook, when set, is installed on every table (existing and
 	// future) so the lake publishes one changefeed.
 	commitHook lst.CommitHook
@@ -120,11 +88,10 @@ type ControlPlane struct {
 // New returns a control plane over the given storage, driven by clock.
 func New(fs *storage.NameNode, clock *sim.Clock) *ControlPlane {
 	return &ControlPlane{
-		fs:         fs,
-		clock:      clock,
-		dbs:        make(map[string]*Database),
-		tables:     make(map[string]map[string]*entry),
-		dbPolicies: make(map[string]TablePolicies),
+		fs:     fs,
+		clock:  clock,
+		dbs:    make(map[string]*Database),
+		tables: make(map[string]map[string]*entry),
 	}
 }
 
@@ -137,6 +104,9 @@ func (cp *ControlPlane) Clock() *sim.Clock { return cp.clock }
 // CreateDatabase registers a database (tenant namespace). quotaObjects, if
 // positive, installs an HDFS namespace quota on the database.
 func (cp *ControlPlane) CreateDatabase(name, tenant string, quotaObjects int64) (*Database, error) {
+	if err := checkName("database", name); err != nil {
+		return nil, err
+	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	if _, ok := cp.dbs[name]; ok {
@@ -154,6 +124,17 @@ func (cp *ControlPlane) CreateDatabase(name, tenant string, quotaObjects int64) 
 	return db, nil
 }
 
+// checkName rejects a database or table name that is not one path
+// element: names become directories under the store root and prefixes of
+// storage paths, so "", ".", ".." or a name holding a path separator
+// would reach outside its own.
+func checkName(kind, name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, `/\`) {
+		return fmt.Errorf("catalog: invalid %s name %q", kind, name)
+	}
+	return nil
+}
+
 // Databases returns registered database names, sorted.
 func (cp *ControlPlane) Databases() []string {
 	cp.mu.Lock()
@@ -167,17 +148,12 @@ func (cp *ControlPlane) Databases() []string {
 }
 
 // CreateTable creates a table in db with cfg (cfg.Database is overwritten
-// with db) and no explicitly set policies: every field is left zero, so
-// the table inherits database-level overrides and consumer defaults
-// through the layered resolution (EffectivePolicies) instead of pinning
-// a frozen copy of DefaultPolicies that would mask later database-wide
-// changes.
+// with db) and no policies set: every field is zero, so the policy spec's
+// defaults apply until SetPolicies stores some.
 func (cp *ControlPlane) CreateTable(db string, cfg lst.TableConfig) (*lst.Table, error) {
-	return cp.CreateTableWithPolicies(db, cfg, TablePolicies{})
-}
-
-// CreateTableWithPolicies creates a table with explicit policies.
-func (cp *ControlPlane) CreateTableWithPolicies(db string, cfg lst.TableConfig, pol TablePolicies) (*lst.Table, error) {
+	if err := checkName("table", cfg.Name); err != nil {
+		return nil, err
+	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	ts, ok := cp.tables[db]
@@ -195,7 +171,7 @@ func (cp *ControlPlane) CreateTableWithPolicies(db string, cfg lst.TableConfig, 
 	if cp.commitHook != nil {
 		t.SetCommitHook(cp.commitHook)
 	}
-	ts[cfg.Name] = &entry{table: t, policies: pol}
+	ts[cfg.Name] = &entry{table: t}
 	if cp.log != nil {
 		// Any on-disk directory for a table the manifest does not name is
 		// debris from a create that crashed before its manifest write;
@@ -247,49 +223,9 @@ func (cp *ControlPlane) Table(db, name string) (*lst.Table, error) {
 	return e.table, nil
 }
 
-// Policies returns the policies for a table.
-func (cp *ControlPlane) Policies(db, name string) (TablePolicies, error) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	ts, ok := cp.tables[db]
-	if !ok {
-		return TablePolicies{}, fmt.Errorf("%w: %s", ErrDatabaseNotFound, db)
-	}
-	e, ok := ts[name]
-	if !ok {
-		return TablePolicies{}, fmt.Errorf("%w: %s.%s", ErrTableNotFound, db, name)
-	}
-	return e.policies, nil
-}
-
-// SetDatabasePolicies installs database-level policy overrides: fields
-// set here apply to every table of the database unless the table's own
-// policies set them (Overlay semantics).
-func (cp *ControlPlane) SetDatabasePolicies(db string, pol TablePolicies) error {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	if _, ok := cp.dbs[db]; !ok {
-		return fmt.Errorf("%w: %s", ErrDatabaseNotFound, db)
-	}
-	cp.dbPolicies[db] = pol
-	return cp.persistLocked()
-}
-
-// DatabasePolicies returns the database-level policy overrides, when
-// any were installed.
-func (cp *ControlPlane) DatabasePolicies(db string) (TablePolicies, bool) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	pol, ok := cp.dbPolicies[db]
-	return pol, ok
-}
-
-// EffectivePolicies resolves the policies in force for a table:
-// database-level overrides first, then the table's own set fields on
-// top (most specific wins field-wise). Only operator-set fields appear;
-// fields no layer sets stay zero, and consumers apply their own
-// defaults (the policy spec's maintenance and trigger sections,
-// DefaultPolicies for retention).
+// EffectivePolicies returns the policies stored for a table. Only
+// operator-set fields are non-zero; consumers apply their own defaults
+// (the policy spec's maintenance and trigger sections) to the rest.
 func (cp *ControlPlane) EffectivePolicies(db, name string) (TablePolicies, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -301,7 +237,7 @@ func (cp *ControlPlane) EffectivePolicies(db, name string) (TablePolicies, error
 	if !ok {
 		return TablePolicies{}, fmt.Errorf("%w: %s.%s", ErrTableNotFound, db, name)
 	}
-	return cp.dbPolicies[db].Overlay(e.policies), nil
+	return e.policies, nil
 }
 
 // SetPolicies replaces the policies for a table.
@@ -434,47 +370,4 @@ func (cp *ControlPlane) QuotaUtilization(db string) float64 {
 		return 0
 	}
 	return q.Utilization()
-}
-
-// RunRetention is the data service that reconciles snapshot retention
-// policies across the lake; it returns the number of storage objects
-// reclaimed. Retention targets resolve through the policy layers:
-// DefaultPolicies, database-level overrides, then the table's own set
-// fields.
-func (cp *ControlPlane) RunRetention() (int, error) {
-	cp.mu.Lock()
-	type job struct {
-		table *lst.Table
-		keep  int
-	}
-	jobs := make([]job, 0, cp.TableCountLocked())
-	for db, ts := range cp.tables {
-		for _, e := range ts {
-			pol := DefaultPolicies().Overlay(cp.dbPolicies[db]).Overlay(e.policies)
-			jobs = append(jobs, job{table: e.table, keep: pol.RetainSnapshots})
-		}
-	}
-	cp.mu.Unlock()
-
-	total := 0
-	for _, j := range jobs {
-		if j.keep < 1 {
-			j.keep = 1
-		}
-		n, err := j.table.ExpireSnapshots(j.keep)
-		if err != nil {
-			return total, err
-		}
-		total += n
-	}
-	return total, nil
-}
-
-// TableCountLocked returns the table count; caller must hold cp.mu.
-func (cp *ControlPlane) TableCountLocked() int {
-	n := 0
-	for _, ts := range cp.tables {
-		n += len(ts)
-	}
-	return n
 }

@@ -3,7 +3,6 @@ package catalog
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"autocomp/internal/lst"
 	"autocomp/internal/sim"
@@ -129,47 +128,26 @@ func TestQuotaUtilization(t *testing.T) {
 func TestPolicies(t *testing.T) {
 	cp, _ := newCP()
 	cp.CreateDatabase("db", "t", 0)
-	cp.CreateTableWithPolicies("db", lst.TableConfig{Name: "x"},
-		TablePolicies{RetainSnapshots: 3, Intermediate: true})
-	pol, err := cp.Policies("db", "x")
-	if err != nil || pol.RetainSnapshots != 3 || !pol.Intermediate {
+	cp.CreateTable("db", lst.TableConfig{Name: "x"})
+	if err := cp.SetPolicies("db", "x", TablePolicies{RetainSnapshots: 3, TriggerEveryCommits: 2}); err != nil {
+		t.Fatal(err)
+	}
+	pol, err := cp.EffectivePolicies("db", "x")
+	if err != nil || pol.RetainSnapshots != 3 || pol.TriggerEveryCommits != 2 {
 		t.Fatalf("policies = %+v, %v", pol, err)
 	}
 	if err := cp.SetPolicies("db", "x", TablePolicies{RetainSnapshots: 1}); err != nil {
 		t.Fatal(err)
 	}
-	pol, _ = cp.Policies("db", "x")
-	if pol.RetainSnapshots != 1 || pol.Intermediate {
+	pol, _ = cp.EffectivePolicies("db", "x")
+	if pol.RetainSnapshots != 1 || pol.TriggerEveryCommits != 0 {
 		t.Fatalf("updated policies = %+v", pol)
 	}
-	if _, err := cp.Policies("db", "missing"); !errors.Is(err, ErrTableNotFound) {
+	if _, err := cp.EffectivePolicies("db", "missing"); !errors.Is(err, ErrTableNotFound) {
 		t.Fatalf("missing policies: %v", err)
 	}
 	if err := cp.SetPolicies("nodb", "x", TablePolicies{}); !errors.Is(err, ErrDatabaseNotFound) {
 		t.Fatalf("set on missing db: %v", err)
-	}
-}
-
-func TestRunRetention(t *testing.T) {
-	cp, clock := newCP()
-	cp.CreateDatabase("db", "t", 0)
-	tbl, _ := cp.CreateTableWithPolicies("db", lst.TableConfig{Name: "x"},
-		TablePolicies{RetainSnapshots: 2})
-	for i := 0; i < 8; i++ {
-		clock.Advance(time.Minute)
-		if _, err := tbl.AppendFiles([]lst.FileSpec{{SizeBytes: storage.MB, RowCount: 1}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	reclaimed, err := cp.RunRetention()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reclaimed == 0 {
-		t.Fatal("retention reclaimed nothing")
-	}
-	if got := len(tbl.Snapshots()); got != 2 {
-		t.Fatalf("snapshots after retention = %d", got)
 	}
 }
 
@@ -188,48 +166,32 @@ func TestDatabasePolicyLayering(t *testing.T) {
 	if _, err := cp.CreateDatabase("sales", "t", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Plain CreateTable stores no explicit policies, so the database
-	// layer must show through; a second table sets its own fields.
+	// Plain CreateTable stores no policies; a second table sets its own.
 	if _, err := cp.CreateTable("sales", lst.TableConfig{Name: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.CreateTableWithPolicies("sales", lst.TableConfig{Name: "b"},
-		TablePolicies{RetainSnapshots: 3, TriggerEveryCommits: 7}); err != nil {
+	if _, err := cp.CreateTable("sales", lst.TableConfig{Name: "b"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.SetPolicies("sales", "b", TablePolicies{RetainSnapshots: 3, TriggerEveryCommits: 7}); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, ok := cp.DatabasePolicies("sales"); ok {
-		t.Fatal("no database policies installed yet")
-	}
-	if err := cp.SetDatabasePolicies("nope", TablePolicies{}); !errors.Is(err, ErrDatabaseNotFound) {
-		t.Fatalf("err = %v", err)
-	}
-	dbPol := TablePolicies{RetainSnapshots: 10, CheckpointEveryVersions: 50, TriggerBytesWritten: 4096}
-	if err := cp.SetDatabasePolicies("sales", dbPol); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := cp.DatabasePolicies("sales"); !ok || got != dbPol {
-		t.Fatalf("database policies = %+v, %v", got, ok)
-	}
-
-	// Table "a" (all zero): inherits every database-level field.
+	// Table "a": every field unset.
 	eff, err := cp.EffectivePolicies("sales", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.RetainSnapshots != 10 || eff.CheckpointEveryVersions != 50 || eff.TriggerBytesWritten != 4096 {
+	if eff != (TablePolicies{}) {
 		t.Fatalf("effective a = %+v", eff)
 	}
-	// Table "b": its own set fields win, unset fields inherit.
+	// Table "b": its own set fields, the rest unset.
 	eff, err = cp.EffectivePolicies("sales", "b")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eff.RetainSnapshots != 3 || eff.TriggerEveryCommits != 7 {
-		t.Fatalf("effective b set fields = %+v", eff)
-	}
-	if eff.CheckpointEveryVersions != 50 || eff.TriggerBytesWritten != 4096 {
-		t.Fatalf("effective b inherited fields = %+v", eff)
+	if eff != (TablePolicies{RetainSnapshots: 3, TriggerEveryCommits: 7}) {
+		t.Fatalf("effective b = %+v", eff)
 	}
 
 	if _, err := cp.EffectivePolicies("sales", "nope"); !errors.Is(err, ErrTableNotFound) {
@@ -237,15 +199,25 @@ func TestDatabasePolicyLayering(t *testing.T) {
 	}
 }
 
-func TestTablePoliciesOverlay(t *testing.T) {
-	base := TablePolicies{RetainSnapshots: 20, CheckpointEveryVersions: 100}
-	over := TablePolicies{RetainSnapshots: 5, Intermediate: true, TriggerEveryCommits: 2}
-	got := base.Overlay(over)
-	want := TablePolicies{
-		RetainSnapshots: 5, CheckpointEveryVersions: 100,
-		Intermediate: true, TriggerEveryCommits: 2,
+// TestCreateRejectsPathNames pins that a name which is not one path
+// element creates nothing: names become directories under the store root.
+func TestCreateRejectsPathNames(t *testing.T) {
+	bad := []string{"", ".", "..", "../x", "a/b", `a\b`, "/abs"}
+	cp, _ := newCP()
+	for _, name := range bad {
+		if _, err := cp.CreateDatabase(name, "t", 0); err == nil {
+			t.Errorf("CreateDatabase(%q) succeeded", name)
+		}
 	}
-	if got != want {
-		t.Fatalf("overlay = %+v, want %+v", got, want)
+	if _, err := cp.CreateDatabase("db", "t", 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range bad {
+		if _, err := cp.CreateTable("db", lst.TableConfig{Name: name}); err == nil {
+			t.Errorf("CreateTable(db, %q) succeeded", name)
+		}
+	}
+	if got := cp.Databases(); len(got) != 1 || cp.TableCount() != 0 {
+		t.Fatalf("databases = %v, tables = %d", got, cp.TableCount())
 	}
 }

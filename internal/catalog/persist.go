@@ -20,8 +20,8 @@ import (
 const manifestName = "_catalog.json"
 
 // logManifest is the serialized control-plane state: databases, quotas,
-// policy layers, and the tables whose _delta_log directories Restore
-// replays.
+// the tables whose _delta_log directories Restore replays, and their
+// policies.
 type logManifest struct {
 	Version   int                `json:"version"`
 	Databases []manifestDatabase `json:"databases"`
@@ -31,7 +31,6 @@ type manifestDatabase struct {
 	Name         string          `json:"name"`
 	Tenant       string          `json:"tenant,omitempty"`
 	QuotaObjects int64           `json:"quota_objects,omitempty"`
-	Policies     *TablePolicies  `json:"policies,omitempty"`
 	Tables       []manifestTable `json:"tables,omitempty"`
 }
 
@@ -105,10 +104,6 @@ func (cp *ControlPlane) saveManifestLocked() error {
 		if q, ok := cp.fs.QuotaFor(db.Name); ok {
 			md.QuotaObjects = q.Max
 		}
-		if pol, ok := cp.dbPolicies[db.Name]; ok {
-			p := pol
-			md.Policies = &p
-		}
 		tNames := make([]string, 0, len(cp.tables[dbName]))
 		for name := range cp.tables[dbName] {
 			tNames = append(tNames, name)
@@ -142,12 +137,15 @@ func (cp *ControlPlane) persistLocked() error {
 }
 
 // Restore rebuilds a control plane from a store root written by a
-// previous process: the manifest's databases, quotas, and policy layers
-// are recreated, then every manifest table is reopened by replaying its
-// commit log into fs. Table directories the manifest does not name are
-// ignored — their create never became durable in the catalog. A store
-// with no manifest restores to an empty lake. Commit hooks are not
-// restored; reattach the changefeed after Restore as at first boot.
+// previous process: the manifest's databases and quotas are recreated,
+// then every manifest table is reopened by replaying its commit log into
+// fs, with its stored policies. Table directories the manifest does not
+// name are ignored — their create never became durable in the catalog. A
+// manifest name that is not one path element, a database listed twice,
+// or a log that replays a table other than its entry fails the restore
+// (a table listed twice fails on its storage objects). A store with no
+// manifest restores to an empty lake. Commit hooks are not restored;
+// reattach the changefeed after Restore as at first boot.
 func Restore(store *lstlog.Store, fs *storage.NameNode, clock *sim.Clock) (*ControlPlane, error) {
 	cp := New(fs, clock)
 	cp.log = store
@@ -163,18 +161,27 @@ func Restore(store *lstlog.Store, fs *storage.NameNode, clock *sim.Clock) (*Cont
 		return nil, fmt.Errorf("catalog: parsing manifest: %w", err)
 	}
 	for _, md := range m.Databases {
+		if err := checkName("database", md.Name); err != nil {
+			return nil, err
+		}
+		if _, dup := cp.dbs[md.Name]; dup {
+			return nil, fmt.Errorf("catalog: manifest names database %q twice", md.Name)
+		}
 		cp.dbs[md.Name] = &Database{Name: md.Name, Tenant: md.Tenant}
 		cp.tables[md.Name] = make(map[string]*entry)
 		if md.QuotaObjects > 0 {
 			fs.SetQuota(md.Name, md.QuotaObjects)
 		}
-		if md.Policies != nil {
-			cp.dbPolicies[md.Name] = *md.Policies
-		}
 		for _, mt := range md.Tables {
+			if err := checkName("table", mt.Name); err != nil {
+				return nil, fmt.Errorf("%w in database %q", err, md.Name)
+			}
 			t, tlog, err := store.OpenTable(md.Name, mt.Name, fs, clock)
 			if err != nil {
 				return nil, fmt.Errorf("catalog: restoring %s.%s: %w", md.Name, mt.Name, err)
+			}
+			if t.Database() != md.Name || t.Name() != mt.Name {
+				return nil, fmt.Errorf("catalog: restoring %s.%s: its log replays table %s", md.Name, mt.Name, t.FullName())
 			}
 			t.SetActionSink(tlog.Sink())
 			e := &entry{table: t}

@@ -1,8 +1,12 @@
 package catalog_test
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,8 +25,9 @@ func newEnv() (*storage.NameNode, *sim.Clock) {
 	return fs, clock
 }
 
-// buildLake populates cp with two databases, layered policies, and a
-// small-file-heavy workload so a decide pass has real candidates.
+// buildLake populates cp with two databases, one table with stored
+// policies, and a small-file-heavy workload so a decide pass has real
+// candidates.
 func buildLake(t *testing.T, cp *catalog.ControlPlane, clock *sim.Clock) {
 	t.Helper()
 	if _, err := cp.CreateDatabase("sales", "tenant-a", 5000); err != nil {
@@ -31,17 +36,16 @@ func buildLake(t *testing.T, cp *catalog.ControlPlane, clock *sim.Clock) {
 	if _, err := cp.CreateDatabase("logs", "tenant-b", 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.SetDatabasePolicies("sales", catalog.TablePolicies{RetainSnapshots: 7}); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := cp.CreateTable("sales", lst.TableConfig{
 		Name: "orders",
 		Spec: lst.PartitionSpec{Column: "day", Transform: lst.TransformDay},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.CreateTableWithPolicies("sales", lst.TableConfig{Name: "refunds"},
-		catalog.TablePolicies{RetainSnapshots: 3, Intermediate: true}); err != nil {
+	if _, err := cp.CreateTable("sales", lst.TableConfig{Name: "refunds"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.SetPolicies("sales", "refunds", catalog.TablePolicies{RetainSnapshots: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cp.CreateTable("logs", lst.TableConfig{
@@ -164,10 +168,7 @@ func TestPersistCatalogRoundTrip(t *testing.T) {
 	if got := lakeStates(cp2); !reflect.DeepEqual(wantStates, got) {
 		t.Fatalf("restored table states differ\nwant: %+v\ngot:  %+v", wantStates, got)
 	}
-	if got, _ := cp2.DatabasePolicies("sales"); got.RetainSnapshots != 7 {
-		t.Fatalf("database policies lost: %+v", got)
-	}
-	if got, err := cp2.Policies("sales", "refunds"); err != nil || got.RetainSnapshots != 3 || !got.Intermediate {
+	if got, err := cp2.EffectivePolicies("sales", "refunds"); err != nil || got.RetainSnapshots != 3 {
 		t.Fatalf("table policies lost: %+v (%v)", got, err)
 	}
 	if got := cp2.QuotaUtilization("sales"); got == 0 {
@@ -325,5 +326,170 @@ func TestPersistCatalogDropTable(t *testing.T) {
 	}
 	if !reflect.DeepEqual(lakeStates(cp), lakeStates(cp2)) {
 		t.Fatal("surviving tables did not round-trip after drop")
+	}
+}
+
+// logLake builds a logged lake at root holding one database with the
+// named tables, each with one committed file, and returns its store.
+func logLake(tb testing.TB, root, db string, tables ...string) *lstlog.Store {
+	tb.Helper()
+	store, err := lstlog.Open(lstlog.Config{Root: root})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fs, clock := newEnv()
+	cp := catalog.New(fs, clock)
+	if err := cp.AttachLog(store); err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := cp.CreateDatabase(db, "tenant", 0); err != nil {
+		tb.Fatal(err)
+	}
+	for _, name := range tables {
+		tbl, err := cp.CreateTable(db, lst.TableConfig{Name: name})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := tbl.AppendFiles([]lst.FileSpec{{SizeBytes: storage.MB, RowCount: 10}}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return store
+}
+
+// treeFiles reads every file under dir, keyed by path.
+func treeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		b, err := os.ReadFile(path)
+		out[path] = string(b)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestRestoreRejectsNameOutsideRoot puts a real lake beside the store
+// root and a manifest whose names lead into it: Restore must fail naming
+// the entry and leave the neighbouring lake as it was.
+func TestRestoreRejectsNameOutsideRoot(t *testing.T) {
+	base := t.TempDir()
+	logLake(t, filepath.Join(base, "other"), "db", "victim")
+	before := treeFiles(t, filepath.Join(base, "other"))
+	store, err := lstlog.Open(lstlog.Config{Root: filepath.Join(base, "root")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ manifest, name string }{
+		{`{"version":1,"databases":[{"name":"../other/db","tables":[{"name":"victim"}]}]}`, "../other/db"},
+		{`{"version":1,"databases":[{"name":"db","tables":[{"name":"../../other/db/victim"}]}]}`, "../../other/db/victim"},
+	} {
+		if err := store.WriteSubFile("_catalog.json", []byte(tc.manifest)); err != nil {
+			t.Fatal(err)
+		}
+		fs, clock := newEnv()
+		cp, err := catalog.Restore(store, fs, clock)
+		if err == nil {
+			t.Fatalf("Restore accepted %s and restored %d tables", tc.name, cp.TableCount())
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Fatalf("error %q does not name %s", err, tc.name)
+		}
+	}
+	if after := treeFiles(t, filepath.Join(base, "other")); !reflect.DeepEqual(before, after) {
+		t.Fatal("Restore changed the lake outside its root")
+	}
+}
+
+// TestRestoreRejectsBadEntries pins the other manifests Restore refuses:
+// a database or table named twice, and an entry whose log replays a
+// different table.
+func TestRestoreRejectsBadEntries(t *testing.T) {
+	root := t.TempDir()
+	store := logLake(t, root, "sales", "orders")
+	// A copy of orders' log under another name replays sales.orders.
+	if err := os.CopyFS(filepath.Join(root, "sales", "alias"), os.DirFS(filepath.Join(root, "sales", "orders"))); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ manifest, want string }{
+		{`{"databases":[{"name":"sales"},{"name":"sales"}]}`, `database "sales" twice`},
+		{`{"databases":[{"name":"sales","tables":[{"name":"orders"},{"name":"orders"}]}]}`, "restoring sales.orders: storage: object already exists"},
+		{`{"databases":[{"name":"sales","tables":[{"name":"alias"}]}]}`, "restoring sales.alias: its log replays table sales.orders"},
+	} {
+		if err := store.WriteSubFile("_catalog.json", []byte(tc.manifest)); err != nil {
+			t.Fatal(err)
+		}
+		fs, clock := newEnv()
+		if _, err := catalog.Restore(store, fs, clock); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("Restore(%s) = %v, want an error containing %q", tc.manifest, err, tc.want)
+		}
+	}
+}
+
+// TestRestoreLegacyManifest restores a store whose manifest carries a
+// database "policies" object and table "Intermediate" flags, as older
+// catalogs wrote it: both are ignored, every table comes back with its
+// other stored policies, and the next manifest write drops them.
+func TestRestoreLegacyManifest(t *testing.T) {
+	root := t.TempDir()
+	if err := os.CopyFS(root, os.DirFS(filepath.Join("testdata", "legacy-store"))); err != nil {
+		t.Fatal(err)
+	}
+	store, err := lstlog.Open(lstlog.Config{Root: root})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, clock := newEnv()
+	cp, err := catalog.Restore(store, fs, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]catalog.TablePolicies{
+		"logs.clicks":   {},
+		"sales.orders":  {},
+		"sales.refunds": {RetainSnapshots: 3, CheckpointEveryVersions: 40, TriggerEveryCommits: 5},
+	}
+	if got := cp.TableCount(); got != len(want) {
+		t.Fatalf("restored %d tables, want %d", got, len(want))
+	}
+	for _, tbl := range cp.AllTables() {
+		pol, err := cp.EffectivePolicies(tbl.Database(), tbl.Name())
+		if err != nil || pol != want[tbl.FullName()] {
+			t.Fatalf("%s policies = %+v (%v), want %+v", tbl.FullName(), pol, err, want[tbl.FullName()])
+		}
+		if v := tbl.State().Version; v != 2 {
+			t.Fatalf("%s restored at version %d, want 2", tbl.FullName(), v)
+		}
+	}
+	if got := cp.QuotaUtilization("sales"); got == 0 {
+		t.Fatal("sales quota not restored")
+	}
+
+	if err := cp.SetPolicies("sales", "orders", catalog.TablePolicies{RetainSnapshots: 9}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.ReadSubFile("_catalog.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m struct {
+		Databases []map[string]json.RawMessage `json:"databases"`
+	}
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for _, md := range m.Databases {
+		if _, ok := md["policies"]; ok {
+			t.Fatalf("rewritten manifest keeps database policies:\n%s", data)
+		}
+	}
+	if strings.Contains(string(data), "Intermediate") {
+		t.Fatalf("rewritten manifest keeps Intermediate:\n%s", data)
 	}
 }

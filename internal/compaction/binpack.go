@@ -104,17 +104,3 @@ func SelectSmall(files []lst.DataFile, threshold int64) []lst.DataFile {
 	}
 	return out
 }
-
-// EstimateReduction is the paper's ΔF_c estimator (§4.2): the number of
-// files below the target size. It deliberately ignores partition
-// boundaries when applied at table scope, which is the source of the
-// overestimation the paper reports in §7.
-func EstimateReduction(files []lst.DataFile, target int64) int {
-	n := 0
-	for _, f := range files {
-		if f.SizeBytes < target {
-			n++
-		}
-	}
-	return n
-}

@@ -162,13 +162,6 @@ func TestSelectSmall(t *testing.T) {
 	}
 }
 
-func TestEstimateReduction(t *testing.T) {
-	files := mkFiles(10*mb, 20*mb, 600*mb)
-	if got := EstimateReduction(files, 512*mb); got != 2 {
-		t.Fatalf("estimate = %d", got)
-	}
-}
-
 // --- executor tests ---
 
 func execSetup(t *testing.T, strict bool) (*Executor, *lst.Table, *sim.Clock) {

@@ -1,11 +1,12 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (§2, §6, §7). Each driver sets up the simulated
 // systems, runs the experiment, and returns a Result that renders the
-// same rows/series the paper reports. DESIGN.md §4 is the index.
+// same rows/series the paper reports. The "Paper section → package map"
+// in docs/architecture.md is the index.
 //
 // Absolute numbers come from a simulator, not the authors' testbed; the
 // drivers are judged on shape: who wins, by roughly what factor, and
-// where crossovers fall. EXPERIMENTS.md records paper-vs-measured.
+// where crossovers fall.
 package experiments
 
 import (

@@ -30,9 +30,6 @@ const (
 	BucketFull  = 2 // >= 512 MB
 )
 
-// BucketBounds returns the bucket boundaries ([128 MB, 512 MB]).
-func BucketBounds() []int64 { return []int64{128 * storage.MB, 512 * storage.MB} }
-
 // Table is one production table in aggregate form.
 type Table struct {
 	// full is "db.name", stored once so FullName never allocates;

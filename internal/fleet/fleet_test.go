@@ -303,13 +303,6 @@ func TestCompactSkipsHealthyTable(t *testing.T) {
 	}
 }
 
-func TestBucketBounds(t *testing.T) {
-	b := BucketBounds()
-	if b[0] != 128*storage.MB || b[1] != 512*storage.MB {
-		t.Fatalf("bounds = %v", b)
-	}
-}
-
 // TestComponentRNGStreamsIndependent pins the per-component stream
 // split: a fleet that additionally runs scans and compactions between
 // days must see exactly the organic write growth of an untouched twin —

@@ -491,21 +491,6 @@ func TestQuotaExceededCommitFailsAtomically(t *testing.T) {
 	}
 }
 
-func TestSchemaRowWidth(t *testing.T) {
-	s := Schema{Fields: []Field{
-		{Name: "a", Type: TypeInt64},
-		{Name: "b", Type: TypeString},
-		{Name: "c", Type: TypeDate},
-		{Name: "d", Type: TypeBool},
-	}}
-	if got := s.RowWidthBytes(); got != 8+24+4+1 {
-		t.Fatalf("row width = %d", got)
-	}
-	if (Schema{}).RowWidthBytes() != 8 {
-		t.Fatal("empty schema width must default to 8")
-	}
-}
-
 func TestPartitionsOverlap(t *testing.T) {
 	cases := []struct {
 		a, b []string

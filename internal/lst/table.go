@@ -490,7 +490,7 @@ func (t *Table) writeManifestsLocked(snapID int64, changed int) (int, error) {
 // deletes the metadata objects (old metadata.json versions and manifests
 // of dropped snapshots) from storage. It returns the number of storage
 // objects deleted. Data files are deleted eagerly at commit time in this
-// simulator (orphan cleanup is assumed immediate; see DESIGN.md §2), so
+// simulator (orphan cleanup is assumed immediate), so
 // expiration only reclaims metadata. Checkpoint objects survive: they
 // describe live state, not history. An expiry that reclaimed anything
 // publishes a maintenance CommitEvent to the table's commit hook.

@@ -16,8 +16,7 @@
 //   - snapshot expiration as a separate maintenance action.
 //
 // Rows are not materialized: each DataFile carries (SizeBytes, RowCount),
-// which is the only information compaction decisions consume. See
-// DESIGN.md §2 for the substitution rationale.
+// which is the only information compaction decisions consume.
 package lst
 
 import (
@@ -38,8 +37,8 @@ var (
 	ErrTransactionDone = errors.New("lst: transaction already finished")
 )
 
-// ColumnType enumerates the column types the simulator models. Types only
-// matter for row-width estimation in the workload generators.
+// ColumnType enumerates the column types a table schema declares. Rows
+// are not materialized, so no decision reads a column's type.
 type ColumnType int
 
 // Column types.
@@ -52,22 +51,6 @@ const (
 	TypeBool
 )
 
-// widthBytes is the average encoded width used for row-size estimates.
-func (t ColumnType) widthBytes() int64 {
-	switch t {
-	case TypeInt64, TypeFloat64, TypeDecimal:
-		return 8
-	case TypeDate:
-		return 4
-	case TypeBool:
-		return 1
-	case TypeString:
-		return 24
-	default:
-		return 8
-	}
-}
-
 // Field is a named, typed column.
 type Field struct {
 	Name string
@@ -77,18 +60,6 @@ type Field struct {
 // Schema is an ordered list of fields.
 type Schema struct {
 	Fields []Field
-}
-
-// RowWidthBytes estimates the encoded bytes per row.
-func (s Schema) RowWidthBytes() int64 {
-	var w int64
-	for _, f := range s.Fields {
-		w += f.Type.widthBytes()
-	}
-	if w == 0 {
-		w = 8
-	}
-	return w
 }
 
 // Transform is a partition transform in the Iceberg sense.

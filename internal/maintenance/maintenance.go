@@ -44,8 +44,8 @@ type Policy struct {
 	MinManifestSurplus int
 }
 
-// DefaultPolicy mirrors catalog.DefaultPolicies plus a manifest-rewrite
-// trigger.
+// DefaultPolicy is the maintenance policy of a pipeline built without a
+// PolicySource; it equals policy.DefaultSpec's maintenance section.
 func DefaultPolicy() Policy {
 	return Policy{RetainSnapshots: 20, CheckpointEveryVersions: 100, MinManifestSurplus: 8}
 }

@@ -57,8 +57,8 @@ func (e Env) registry() *Registry {
 
 // Bindings are the substrate-specific pieces a spec cannot name: how to
 // enumerate tables, observe them, and execute work. Catalog, when set,
-// layers the control plane's database- and table-level policies on top
-// of the spec's own override patches.
+// layers the control plane's stored table policies on top of the spec's
+// own override patches.
 type Bindings struct {
 	Connector core.Connector
 	// Observer observes data-compaction candidates (the maintenance
@@ -67,7 +67,7 @@ type Bindings struct {
 	// Runner executes data-compaction candidates (nil for decide-only
 	// pipelines; the maintenance runner wraps it).
 	Runner core.Runner
-	// Catalog, when set, contributes the top override layers and serves
+	// Catalog, when set, contributes the top override layer and serves
 	// per-table trigger policies to the changefeed.
 	Catalog CatalogReader
 }

@@ -7,13 +7,12 @@ import (
 	"autocomp/internal/maintenance"
 )
 
-// CatalogReader serves the control plane's stored policy layers.
+// CatalogReader serves the control plane's stored table policies.
 // *catalog.ControlPlane implements it.
 type CatalogReader interface {
-	// EffectivePolicies resolves the catalog's own layering (database
-	// overrides, then the table's set fields); only operator-set fields
-	// are non-zero. An error means the catalog does not know the table —
-	// the catalog layers contribute nothing.
+	// EffectivePolicies returns the table's stored policies; only
+	// operator-set fields are non-zero. An error means the catalog does
+	// not know the table — the catalog layer contributes nothing.
 	EffectivePolicies(db, name string) (catalog.TablePolicies, error)
 }
 
@@ -22,11 +21,11 @@ type CatalogReader interface {
 // field-wise:
 //
 //	base spec → spec per-database patch → spec per-table patch
-//	          → catalog per-database policies → catalog per-table policies
+//	          → catalog table policies
 //
-// The spec layers travel with the policy file; the catalog layers are
-// the control plane's live, operator-set state (present only when a
-// catalog was bound at compile time). Source implements
+// The spec layers travel with the policy file; the catalog layer is the
+// control plane's live, operator-set state (present only when a catalog
+// was bound at compile time). Source implements
 // maintenance.PolicySource, and TriggerFor is a changefeed.PolicyFunc.
 type Source struct {
 	spec *Spec

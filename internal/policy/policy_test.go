@@ -446,37 +446,30 @@ func TestLayeringPrecedenceWithCatalog(t *testing.T) {
 	if _, err := cp.CreateDatabase("dbA", "tenant", 0); err != nil {
 		t.Fatal(err)
 	}
-	// Table policies created with zero values so the catalog layers are
-	// isolated per assertion.
-	if _, err := cp.CreateTableWithPolicies("dbA", lst.TableConfig{Name: "t1"}, catalog.TablePolicies{}); err != nil {
+	if _, err := cp.CreateTable("dbA", lst.TableConfig{Name: "t1"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cp.CreateTableWithPolicies("dbA", lst.TableConfig{Name: "t2"}, catalog.TablePolicies{RetainSnapshots: 3, TriggerEveryCommits: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cp.SetDatabasePolicies("dbA", catalog.TablePolicies{RetainSnapshots: 4, TriggerBytesWritten: 1 << 20}); err != nil {
+	if err := cp.SetPolicies("dbA", "t1", catalog.TablePolicies{RetainSnapshots: 3, TriggerEveryCommits: 2}); err != nil {
 		t.Fatal(err)
 	}
 
 	src := NewSource(layeredSpec(), cp)
 
-	// Catalog database layer beats the spec's table patch (7).
+	// Catalog table layer beats the spec's database (10) and table (7)
+	// patches.
 	pol := src.PolicyFor("dbA", "t1")
-	if pol.RetainSnapshots != 4 {
-		t.Fatalf("catalog db layer lost: %+v", pol)
-	}
-	// Catalog table layer beats the catalog database layer.
-	pol = src.PolicyFor("dbA", "t2")
 	if pol.RetainSnapshots != 3 {
 		t.Fatalf("catalog table layer lost: %+v", pol)
 	}
-	// Spec fields the catalog leaves unset survive all layers.
-	if pol.CheckpointEveryVersions != 100 {
-		t.Fatalf("spec base field lost: %+v", pol)
+	// Fields the catalog leaves unset survive all layers: the base spec's
+	// checkpoint cadence and the table patch's disabled rewrites.
+	if pol.CheckpointEveryVersions != 100 || pol.MinManifestSurplus != -1 {
+		t.Fatalf("spec field lost: %+v", pol)
 	}
-	// Trigger: catalog table layer over catalog db layer over spec.
-	tr := src.TriggerFor(fakeTable{db: "dbA", name: "t2"})
-	if tr.EveryCommits != 2 || tr.BytesWritten != 1<<20 {
+	// Trigger: catalog table layer over the spec's patches (db 5, table
+	// bytes 4096).
+	tr := src.TriggerFor(fakeTable{db: "dbA", name: "t1"})
+	if tr.EveryCommits != 2 || tr.BytesWritten != 4096 {
 		t.Fatalf("trigger layering = %+v", tr)
 	}
 	// Unknown-to-catalog tables fall back to the spec layers.

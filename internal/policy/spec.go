@@ -19,10 +19,9 @@
 //
 // Layered resolution: a Spec carries base per-table knobs (maintenance
 // policy, trigger policy) plus per-database and per-table override
-// patches; when a catalog is bound at compile time, the catalog's
-// database- and table-level policies layer on top (base spec → spec
-// per-db → spec per-table → catalog per-db → catalog per-table, most
-// specific wins field-wise).
+// patches; when a catalog is bound at compile time, the catalog's stored
+// table policies layer on top (base spec → spec per-db → spec per-table
+// → catalog per-table, most specific wins field-wise).
 package policy
 
 import (

@@ -359,19 +359,6 @@ func (n *NameNode) TotalBytes() int64 {
 	return t
 }
 
-// FederationsRequired returns how many federated NameNodes the current
-// object count demands (§2: file growth forces HDFS federation).
-func (n *NameNode) FederationsRequired() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	c := int64(len(n.objects))
-	feds := int(c / n.cfg.ObjectsPerNameNode)
-	if c%n.cfg.ObjectsPerNameNode != 0 || feds == 0 {
-		feds++
-	}
-	return feds
-}
-
 // SizeHistogram buckets object sizes by the given ascending boundaries and
 // returns counts per bucket plus an overflow bucket; used for the Figure
 // 1/2 file-size-distribution experiments. Only objects under prefix are

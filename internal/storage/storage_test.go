@@ -245,22 +245,6 @@ func TestSizeHistogram(t *testing.T) {
 	}
 }
 
-func TestFederationsRequired(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.ObjectsPerNameNode = 3
-	clock := sim.NewClock()
-	nn := NewNameNode(cfg, clock, sim.NewRNG(1))
-	if got := nn.FederationsRequired(); got != 1 {
-		t.Fatalf("empty federations = %d", got)
-	}
-	for i := 0; i < 7; i++ {
-		nn.Create("/db/t/f"+string(rune('a'+i)), 1)
-	}
-	if got := nn.FederationsRequired(); got != 3 {
-		t.Fatalf("federations = %d, want 3", got)
-	}
-}
-
 func TestNamespaceOf(t *testing.T) {
 	cases := map[string]string{
 		"/db1/t/f":  "db1",
