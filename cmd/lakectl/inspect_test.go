@@ -26,8 +26,8 @@ func TestPersistInspectCommand(t *testing.T) {
 	}
 	clock := sim.NewClock()
 	fs := storage.NewNameNode(storage.DefaultConfig(), clock, sim.NewRNG(1))
-	cp := catalog.New(fs, clock)
-	if err := cp.AttachLog(store); err != nil {
+	cp, err := catalog.Restore(store, fs, clock)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cp.CreateDatabase("sales", "tenant-a", 0); err != nil {

@@ -76,7 +76,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	databases := flag.Int("databases", 4, "databases to create")
 	top := flag.Int("top", 15, "rows to show per listing")
-	persist := flag.String("persist", "", "build the lake on the durable commit-log backend rooted here (the directories `lakectl inspect` reads)")
+	persist := flag.String("persist", "", "build the lake on the durable commit-log backend rooted here, an empty or new directory (the directories `lakectl inspect` reads)")
 	flag.Parse()
 	cmd := flag.Arg(0)
 	if cmd == "" {
@@ -305,9 +305,10 @@ func policyCmd(args []string) {
 }
 
 // buildLake loads a CAB-style lake into a fresh environment. With a
-// persist root, the catalog attaches the durable commit-log backend
+// persist root, the catalog is opened on the durable commit-log backend
 // first, so every table built here leaves a real _delta_log directory
-// for `lakectl inspect` (and a _catalog.json for catalog.Restore).
+// for `lakectl inspect` (and a _catalog.json for catalog.Restore). The
+// root must not already hold a lake: the build would overwrite it.
 func buildLake(seed int64, databases int, persistRoot string) *bench.Env {
 	env := bench.NewEnv(bench.EnvConfig{Seed: seed})
 	if persistRoot != "" {
@@ -315,8 +316,11 @@ func buildLake(seed int64, databases int, persistRoot string) *bench.Env {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := env.CP.AttachLog(store); err != nil {
+		if env.CP, err = catalog.Restore(store, env.FS, env.Clock); err != nil {
 			log.Fatal(err)
+		}
+		if n := len(env.CP.Databases()); n > 0 {
+			log.Fatalf("lakectl: -persist root %s already holds a lake (%d databases); give an empty or new directory", persistRoot, n)
 		}
 	}
 	gen := workload.NewCAB(workload.CABConfig{

@@ -79,9 +79,9 @@ type ControlPlane struct {
 	// so changefeed consumers forget it (dirty state, cached stats,
 	// retained candidates).
 	dropHook func(db, name string)
-	// log, when attached (AttachLog/Restore), is the durable commit-log
-	// store: table actions stream to per-table _delta_log directories and
-	// catalog mutations rewrite the manifest.
+	// log, set when Restore opened the catalog from a store, is the
+	// durable commit-log store: table actions stream to per-table
+	// _delta_log directories and catalog mutations rewrite the manifest.
 	log *lstlog.Store
 }
 
@@ -173,21 +173,18 @@ func (cp *ControlPlane) CreateTable(db string, cfg lst.TableConfig) (*lst.Table,
 	}
 	ts[cfg.Name] = &entry{table: t}
 	if cp.log != nil {
-		// Any on-disk directory for a table the manifest does not name is
-		// debris from a create that crashed before its manifest write;
-		// clear it so the new table starts a fresh log.
-		if err := cp.log.RemoveTable(db, cfg.Name); err != nil {
-			return nil, err
-		}
 		// Durability order matters: the table's log (create action) lands
 		// before the manifest names the table. A crash in between leaves a
 		// directory the manifest does not reference — Restore ignores it,
-		// which is the "catalog pointer never moved" recovery contract.
-		if err := cp.attachTableLogLocked(db, cfg.Name, t); err != nil {
-			return nil, err
+		// and the next create of the name clears it. A failed write undoes
+		// the create, so the catalog never holds a table its store lacks.
+		err := cp.attachTableLogLocked(db, cfg.Name, t)
+		if err == nil {
+			err = cp.saveManifestLocked()
 		}
-		if err := cp.saveManifestLocked(); err != nil {
-			return nil, err
+		if err != nil {
+			delete(ts, cfg.Name)
+			return nil, errors.Join(err, cp.deleteObjectsLocked(db, cfg.Name))
 		}
 	}
 	return t, nil
@@ -343,14 +340,19 @@ func (cp *ControlPlane) dropTable(db, name string) (*lst.Table, error) {
 		return nil, fmt.Errorf("%w: %s.%s", ErrTableNotFound, db, name)
 	}
 	delete(ts, name)
-	prefix := fmt.Sprintf("/%s/%s/", db, name)
+	return e.table, cp.deleteObjectsLocked(db, name)
+}
+
+// deleteObjectsLocked deletes every storage object under the table's
+// path, returning the first deletion error. Must hold cp.mu.
+func (cp *ControlPlane) deleteObjectsLocked(db, name string) error {
 	var firstErr error
-	for _, obj := range cp.fs.List(prefix) {
+	for _, obj := range cp.fs.List(fmt.Sprintf("/%s/%s/", db, name)) {
 		if err := cp.fs.Delete(obj.Path); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
-	return e.table, firstErr
+	return firstErr
 }
 
 // SetDropHook installs h to be notified after every DropTable. The

@@ -39,51 +39,15 @@ type manifestTable struct {
 	Policies *TablePolicies `json:"policies,omitempty"`
 }
 
-// AttachLog wires the durable commit-log store into the control plane:
-// every existing table gets a per-table log (bootstrapped with its
-// creation action, or a compacted state artifact when it already has
-// history), every future CreateTable/DropTable/policy change persists,
-// and the manifest is written. From here on the lake survives a process
-// kill: Restore rebuilds it from the store root.
-func (cp *ControlPlane) AttachLog(store *lstlog.Store) error {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.log = store
-	for db, ts := range cp.tables {
-		for name, e := range ts {
-			if err := cp.attachTableLogLocked(db, name, e.table); err != nil {
-				return err
-			}
-		}
-	}
-	return cp.saveManifestLocked()
-}
-
-// attachTableLogLocked creates the table's log, bootstraps it when
-// empty, and installs the action sink.
+// attachTableLogLocked starts the table's log at its create action and
+// installs the action sink on the table.
 func (cp *ControlPlane) attachTableLogLocked(db, name string, t *lst.Table) error {
 	tlog, err := cp.log.CreateTableLog(db, name)
 	if err != nil {
 		return err
 	}
-	if tlog.NextLSN() == 0 {
-		st := t.State()
-		if st.Version == 0 && st.WriteCount == 0 && len(st.Meta) == 1 {
-			// A fresh table: its whole history is the create action.
-			if err := tlog.Append(t.CreateAction()); err != nil {
-				return err
-			}
-		} else {
-			// A table with pre-log history: bootstrap the log with a
-			// checkpoint action embedding the full state, which Append
-			// materializes as a compacted artifact recovery prefers.
-			if err := tlog.Append(lst.Action{
-				Kind: lst.ActionCheckpoint, Version: st.Version,
-				At: cp.clock.Now(), State: st,
-			}); err != nil {
-				return err
-			}
-		}
+	if err := tlog.Append(t.CreateAction()); err != nil {
+		return err
 	}
 	t.SetActionSink(tlog.Sink())
 	return nil
@@ -136,16 +100,19 @@ func (cp *ControlPlane) persistLocked() error {
 	return cp.saveManifestLocked()
 }
 
-// Restore rebuilds a control plane from a store root written by a
-// previous process: the manifest's databases and quotas are recreated,
-// then every manifest table is reopened by replaying its commit log into
-// fs, with its stored policies. Table directories the manifest does not
-// name are ignored — their create never became durable in the catalog. A
-// manifest name that is not one path element, a database listed twice,
-// or a log that replays a table other than its entry fails the restore
-// (a table listed twice fails on its storage objects). A store with no
-// manifest restores to an empty lake. Commit hooks are not restored;
-// reattach the changefeed after Restore as at first boot.
+// Restore is the one way to open a durable control plane. It rebuilds
+// the catalog a previous process wrote under the store root: the
+// manifest's databases and quotas are recreated, then every manifest
+// table is reopened by replaying its commit log into fs, with its stored
+// policies. Table directories the manifest does not name are ignored —
+// their create never became durable in the catalog. A manifest name that
+// is not one path element, a database listed twice, or a log that
+// replays a table other than its entry fails the restore (a table listed
+// twice fails on its storage objects). A store with no manifest restores
+// to an empty lake, whose first mutation writes the manifest. From then
+// on table actions stream to the tables' logs and catalog changes
+// rewrite the manifest. Commit hooks are not restored; reattach the
+// changefeed after Restore as at first boot.
 func Restore(store *lstlog.Store, fs *storage.NameNode, clock *sim.Clock) (*ControlPlane, error) {
 	cp := New(fs, clock)
 	cp.log = store

@@ -151,8 +151,8 @@ func TestPersistCatalogRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs, clock := newEnv()
-	cp := catalog.New(fs, clock)
-	if err := cp.AttachLog(store); err != nil {
+	cp, err := catalog.Restore(store, fs, clock)
+	if err != nil {
 		t.Fatal(err)
 	}
 	buildLake(t, cp, clock)
@@ -197,39 +197,6 @@ func TestPersistCatalogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPersistCatalogAttachWithHistory attaches the log to a lake that
-// already has history: the bootstrap artifacts must round-trip it.
-func TestPersistCatalogAttachWithHistory(t *testing.T) {
-	store, err := lstlog.Open(lstlog.Config{Root: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, clock := newEnv()
-	cp := catalog.New(fs, clock)
-	buildLake(t, cp, clock) // unlogged history
-	if err := cp.AttachLog(store); err != nil {
-		t.Fatal(err)
-	}
-	// Post-attach activity extends the bootstrapped logs.
-	clock.Advance(time.Hour)
-	if _, err := mustTable(t, cp, "logs.clicks").AppendFiles([]lst.FileSpec{
-		{Partition: "2024-03-04", SizeBytes: 4 * storage.MB, RowCount: 400},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	want := lakeStates(cp)
-
-	fs2, clock2 := newEnv()
-	clock2.Set(clock.Now())
-	cp2, err := catalog.Restore(store, fs2, clock2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := lakeStates(cp2); !reflect.DeepEqual(want, got) {
-		t.Fatalf("bootstrapped lake did not round-trip\nwant: %+v\ngot:  %+v", want, got)
-	}
-}
-
 // TestPersistCatalogPointerCrash simulates a crash in CreateTable's
 // durability window: the table's log directory and create action exist
 // on disk, but the process died before the manifest named the table.
@@ -241,8 +208,8 @@ func TestPersistCatalogPointerCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs, clock := newEnv()
-	cp := catalog.New(fs, clock)
-	if err := cp.AttachLog(store); err != nil {
+	cp, err := catalog.Restore(store, fs, clock)
+	if err != nil {
 		t.Fatal(err)
 	}
 	buildLake(t, cp, clock)
@@ -298,6 +265,84 @@ func TestPersistCatalogPointerCrash(t *testing.T) {
 	}
 }
 
+// TestPersistCreateTableUndoesFailedWrite blocks each durable write of
+// CreateTable in turn — the table's log (a plain file where the
+// database directory goes) and the manifest (a directory where it goes)
+// — and requires the failed create to leave no table and no storage
+// objects behind, so the same create succeeds once the path is clear.
+func TestPersistCreateTableUndoesFailedWrite(t *testing.T) {
+	for _, tc := range []struct {
+		write, path string
+		asDir       bool
+	}{
+		{"log", "db", false},
+		{"manifest", "_catalog.json", true},
+	} {
+		t.Run(tc.write, func(t *testing.T) {
+			root := t.TempDir()
+			store, err := lstlog.Open(lstlog.Config{Root: root})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fs, clock := newEnv()
+			cp, err := catalog.Restore(store, fs, clock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cp.CreateDatabase("db", "tenant", 100); err != nil {
+				t.Fatal(err)
+			}
+			block := filepath.Join(root, tc.path)
+			saved, _ := os.ReadFile(block)
+			if err := os.RemoveAll(block); err != nil {
+				t.Fatal(err)
+			}
+			if tc.asDir {
+				err = os.MkdirAll(filepath.Join(block, "blocker"), 0o755)
+			} else {
+				err = os.WriteFile(block, []byte("not a directory"), 0o644)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			if _, err := cp.CreateTable("db", lst.TableConfig{Name: "x"}); err == nil {
+				t.Fatal("CreateTable succeeded with its durable write blocked")
+			}
+			if n := cp.TableCount(); n != 0 {
+				t.Fatalf("failed create left %d tables", n)
+			}
+			if objs := fs.List("/db/x/"); len(objs) > 0 {
+				t.Fatalf("failed create left %d storage objects: %v", len(objs), objs)
+			}
+
+			if err := os.RemoveAll(block); err != nil {
+				t.Fatal(err)
+			}
+			if saved != nil {
+				if err := os.WriteFile(block, saved, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tbl, err := cp.CreateTable("db", lst.TableConfig{Name: "x"})
+			if err != nil {
+				t.Fatalf("create after clearing the path: %v", err)
+			}
+			if _, err := tbl.AppendFiles([]lst.FileSpec{{SizeBytes: storage.MB, RowCount: 10}}); err != nil {
+				t.Fatal(err)
+			}
+			fs2, clock2 := newEnv()
+			cp2, err := catalog.Restore(store, fs2, clock2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(lakeStates(cp), lakeStates(cp2)) {
+				t.Fatal("table created after a failed create did not round-trip")
+			}
+		})
+	}
+}
+
 // TestPersistCatalogDropTable drops a logged table and requires the
 // durable state to forget it.
 func TestPersistCatalogDropTable(t *testing.T) {
@@ -306,8 +351,8 @@ func TestPersistCatalogDropTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs, clock := newEnv()
-	cp := catalog.New(fs, clock)
-	if err := cp.AttachLog(store); err != nil {
+	cp, err := catalog.Restore(store, fs, clock)
+	if err != nil {
 		t.Fatal(err)
 	}
 	buildLake(t, cp, clock)
@@ -338,8 +383,8 @@ func logLake(tb testing.TB, root, db string, tables ...string) *lstlog.Store {
 		tb.Fatal(err)
 	}
 	fs, clock := newEnv()
-	cp := catalog.New(fs, clock)
-	if err := cp.AttachLog(store); err != nil {
+	cp, err := catalog.Restore(store, fs, clock)
+	if err != nil {
 		tb.Fatal(err)
 	}
 	if _, err := cp.CreateDatabase(db, "tenant", 0); err != nil {

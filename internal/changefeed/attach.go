@@ -11,9 +11,7 @@ func lstHook(publish func(Event)) lst.CommitHook {
 		ev := Event{
 			Table:       e.Table.FullName(),
 			Ref:         e.Table,
-			Version:     e.Version,
 			Commits:     1,
-			At:          e.At,
 			Maintenance: e.Maintenance,
 		}
 		if e.Snapshot != nil {

@@ -54,7 +54,6 @@ package changefeed
 
 import (
 	"sync/atomic"
-	"time"
 
 	"autocomp/internal/core"
 )
@@ -72,15 +71,11 @@ type Event struct {
 	// generator without a catalog lookup, and to tell a commit that
 	// raced a drop from a new table created under the dropped name.
 	Ref core.Table
-	// Version is the table's metadata version after the commit.
-	Version int64
 	// Commits is how many commits the event covers (batched publishers
 	// fold a day of commits into one event).
 	Commits int64
 	// Bytes is the data volume the commit(s) added.
 	Bytes int64
-	// At is the virtual publish time.
-	At time.Duration
 	// Maintenance marks state changes made by maintenance actions
 	// (compaction, expiry, checkpoint, manifest rewrite) rather than
 	// user writers. Maintenance events bypass trigger accumulation: the

@@ -50,7 +50,7 @@ func (o *stubObserver) Observe(c *core.Candidate) (core.Stats, error) {
 
 func event(t *stubTable, commits, bytes int64, maint bool) changefeed.Event {
 	return changefeed.Event{
-		Table: t.FullName(), Ref: t, Version: t.version,
+		Table: t.FullName(), Ref: t,
 		Commits: commits, Bytes: bytes, Maintenance: maint,
 	}
 }
@@ -451,8 +451,8 @@ func TestIncrementalLSTAndCatalogPublish(t *testing.T) {
 	if len(got) != 1 || got[0].Maintenance || got[0].Table != "d.a" || got[0].Bytes != 4*storage.MB {
 		t.Fatalf("commit event = %+v", got)
 	}
-	if got[0].Version != tbl.Version() {
-		t.Fatalf("event version %d != table version %d", got[0].Version, tbl.Version())
+	if got[0].Ref != tbl {
+		t.Fatalf("event ref %v is not the committed table", got[0].Ref)
 	}
 
 	// Tables created after attachment publish too.
@@ -629,7 +629,7 @@ func TestIncrementalDroppedTableForgotten(t *testing.T) {
 
 	// A commit event that raced the drop (publisher read the hook
 	// before detachment) must not resurrect the dropped table.
-	feed.Publish(changefeed.Event{Table: "d.a", Version: 3, Commits: 1})
+	feed.Publish(changefeed.Event{Table: "d.a", Commits: 1})
 	if feed.Tracker.KnownCount() != 1 || feed.Tracker.DirtyCount() != 0 {
 		t.Fatalf("racing commit resurrected dropped table: known=%d dirty=%d",
 			feed.Tracker.KnownCount(), feed.Tracker.DirtyCount())

@@ -133,12 +133,12 @@ func TestIncrementalIndexMatchesRecountProperty(t *testing.T) {
 				trace = append(trace, "recreate "+name)
 				tb = &propTable{name: name, version: 1, files: 1}
 				lake[name] = tb
-				feed.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version, Commits: 1})
+				feed.Publish(Event{Table: tb.FullName(), Ref: tb, Commits: 1})
 			case op == 0:
 				trace = append(trace, "commit "+name)
 				tb.version++
 				tb.files++
-				e := Event{Table: tb.FullName(), Version: tb.version, Commits: 1, Bytes: 10}
+				e := Event{Table: tb.FullName(), Commits: 1, Bytes: 10}
 				if rng.Intn(4) > 0 {
 					// Events without a Ref must still reach the table's record.
 					e.Ref = tb
@@ -149,14 +149,14 @@ func TestIncrementalIndexMatchesRecountProperty(t *testing.T) {
 				// keeps the cache from serving the old file count.
 				trace = append(trace, "maintenance "+name)
 				tb.files = 1
-				feed.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version, Maintenance: true})
+				feed.Publish(Event{Table: tb.FullName(), Ref: tb, Maintenance: true})
 			case op == 2:
 				trace = append(trace, "drop "+name)
 				delete(lake, name)
 				feed.Publish(Event{Table: tb.FullName(), Dropped: true})
 				if rng.Intn(2) == 0 {
 					trace = append(trace, "racing commit "+name)
-					feed.Publish(Event{Table: tb.FullName(), Ref: tb, Version: tb.version + 1, Commits: 1})
+					feed.Publish(Event{Table: tb.FullName(), Ref: tb, Commits: 1})
 				}
 			case op == 3:
 				trace = append(trace, "redirty "+name)

@@ -55,7 +55,7 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			rng := sim.Child(int64(w+1), "race-hammer-writer")
-			for i := int64(1); ; i++ {
+			for {
 				select {
 				case <-stop:
 					return
@@ -64,7 +64,7 @@ func TestShardDecideRaceConcurrentFeed(t *testing.T) {
 				tb := tables[rng.Intn(len(tables))]
 				fd := cur.Load()
 				fd.Publish(changefeed.Event{
-					Table: tb.FullName(), Ref: tb, Version: i, Commits: 1, Bytes: 4096,
+					Table: tb.FullName(), Ref: tb, Commits: 1, Bytes: 4096,
 				})
 				if rng.Bernoulli(0.02) {
 					fd.Publish(changefeed.Event{Table: tb.FullName(), Dropped: true})

@@ -469,10 +469,8 @@ func (f *Fleet) publish(t *Table, commits, bytes int64, maintenance bool) {
 	f.feed.Publish(changefeed.Event{
 		Table:       t.FullName(),
 		Ref:         t,
-		Version:     t.commits,
 		Commits:     commits,
 		Bytes:       bytes,
-		At:          f.clock.Now(),
 		Maintenance: maintenance,
 	})
 }
@@ -789,11 +787,7 @@ func (f *Fleet) DropTable(fullName string) bool {
 		t.addDBFiles(-(t.counts[0] + t.counts[1] + t.counts[2]))
 		mDropped.Inc()
 		if f.feed != nil {
-			f.feed.Publish(changefeed.Event{
-				Table:   fullName,
-				At:      f.clock.Now(),
-				Dropped: true,
-			})
+			f.feed.Publish(changefeed.Event{Table: fullName, Dropped: true})
 		}
 		return true
 	}

@@ -16,9 +16,9 @@ const (
 	ActionCommit = "commit"
 	// ActionExpire records a snapshot expiry that reclaimed objects.
 	ActionExpire = "expire"
-	// ActionCheckpoint records a metadata checkpoint; it embeds the
-	// resulting table state, which the durable backend materializes as a
-	// compacted-log artifact.
+	// ActionCheckpoint records a metadata checkpoint. Its sink receives
+	// the resulting table state, which the durable backend writes to a
+	// compacted-log artifact; the action record itself has no payload.
 	ActionCheckpoint = "checkpoint"
 	// ActionRewriteManifests records a manifest consolidation.
 	ActionRewriteManifests = "rewrite-manifests"
@@ -54,8 +54,11 @@ type Action struct {
 	// KeepLast is the ActionExpire retention parameter.
 	KeepLast int `json:"keep_last,omitempty"`
 
-	// State is the post-checkpoint table state (ActionCheckpoint only).
-	State *TableState `json:"state,omitempty"`
+	// State is the post-checkpoint table state (ActionCheckpoint only),
+	// handed to the sink for the compacted artifact. It is not part of
+	// the encoded record: replay recomputes a checkpoint from the state
+	// it runs against, and an older record's "state" key is ignored.
+	State *TableState `json:"-"`
 }
 
 // ActionSink receives every logged action of a table, synchronously,
@@ -185,7 +188,8 @@ func (t *Table) applyCommitLocked(a Action) error {
 }
 
 // logLocked hands a to the action sink, if one is attached; a checkpoint
-// record embeds the table state only then. Must hold t.mu.
+// carries the table state for the sink's artifact only then. Must hold
+// t.mu.
 func (t *Table) logLocked(a Action) error {
 	if t.actionSink == nil {
 		return nil

@@ -71,14 +71,10 @@ type Table struct {
 type CommitEvent struct {
 	// Table is the changed table.
 	Table *Table
-	// Version is the metadata version after the change.
-	Version int64
 	// Snapshot is the committed snapshot for write transactions; nil for
 	// maintenance operations (expiry, checkpoint, manifest rewrite),
 	// which mutate the metadata layer without adding a snapshot.
 	Snapshot *Snapshot
-	// At is the virtual time of the change.
-	At time.Duration
 	// Maintenance marks metadata-maintenance operations.
 	Maintenance bool
 }
@@ -103,17 +99,12 @@ func (t *Table) commitHook() CommitHook {
 	return t.onCommit
 }
 
-// emitMaintenance publishes a maintenance CommitEvent for the table's
-// current version. Callers must not hold t.mu.
+// emitMaintenance publishes a maintenance CommitEvent for the table.
+// Callers must not hold t.mu.
 func (t *Table) emitMaintenance() {
-	h := t.commitHook()
-	if h == nil {
-		return
+	if h := t.commitHook(); h != nil {
+		h(CommitEvent{Table: t, Maintenance: true})
 	}
-	t.mu.Lock()
-	e := CommitEvent{Table: t, Version: t.version, At: t.clock.Now(), Maintenance: true}
-	t.mu.Unlock()
-	h(e)
 }
 
 // metaKind classifies a metadata object.

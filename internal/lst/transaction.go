@@ -83,12 +83,7 @@ func (tx *Transaction) Commit() (*Snapshot, error) {
 		return nil, err
 	}
 	if h := tx.t.commitHook(); h != nil {
-		h(CommitEvent{
-			Table:    tx.t,
-			Version:  snap.Sequence,
-			Snapshot: snap,
-			At:       snap.Timestamp,
-		})
+		h(CommitEvent{Table: tx.t, Snapshot: snap})
 	}
 	return snap, nil
 }

@@ -81,20 +81,20 @@ func (s *Store) TableDir(db, name string) string {
 	return filepath.Join(s.root, db, name)
 }
 
-// CreateTableLog creates (or reopens) the table's _delta_log directory
-// and returns a log positioned to append after the existing entries.
+// CreateTableLog starts the table's log from nothing: it removes any
+// directory an earlier log left at the table's path (debris of a create
+// that never became durable, or of a dropped table), creates an empty
+// _delta_log directory and returns a log at LSN 0, whose first append
+// must be the table's create action.
 func (s *Store) CreateTableLog(db, name string) (*TableLog, error) {
+	if err := s.RemoveTable(db, name); err != nil {
+		return nil, fmt.Errorf("lstlog: %w", err)
+	}
 	dir := filepath.Join(s.TableDir(db, name), logDirName)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lstlog: %w", err)
 	}
-	l := &TableLog{dir: dir, fsync: s.fsync}
-	next, err := l.scanNext()
-	if err != nil {
-		return nil, err
-	}
-	l.next = next
-	return l, nil
+	return &TableLog{dir: dir, fsync: s.fsync}, nil
 }
 
 // OpenTable reconstructs one of the store's tables (see the package

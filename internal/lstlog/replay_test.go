@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
 	"time"
 
@@ -11,6 +12,9 @@ import (
 	"autocomp/internal/sim"
 	"autocomp/internal/storage"
 )
+
+// actionFileRe matches an action file's name.
+var actionFileRe = regexp.MustCompile(`^\d{20}\.json$`)
 
 // newEnv returns a fresh simulated namespace + clock pair.
 func newEnv() (*storage.NameNode, *sim.Clock) {

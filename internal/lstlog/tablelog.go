@@ -18,10 +18,7 @@ import (
 
 const logDirName = "_delta_log"
 
-var (
-	actionFileRe    = regexp.MustCompile(`^(\d{20})\.json$`)
-	compactedFileRe = regexp.MustCompile(`^(\d{20})\.(\d{20})\.compacted\.json$`)
-)
+var compactedFileRe = regexp.MustCompile(`^(\d{20})\.(\d{20})\.compacted\.json$`)
 
 // TableLog appends a table's actions to its _delta_log directory: one
 // %020d.json file per log sequence number, plus a compacted artifact
@@ -54,9 +51,9 @@ func (l *TableLog) Sink() lst.ActionSink {
 	return func(a lst.Action) error { return l.Append(a) }
 }
 
-// Append durably records one action at the next LSN. Checkpoint actions
-// additionally materialize their embedded table state as a compacted
-// artifact covering the log up to this LSN.
+// Append durably records one action at the next LSN. A checkpoint's
+// action file carries no state: the table state the sink hands over is
+// written once, to a compacted artifact covering the log up to this LSN.
 func (l *TableLog) Append(a lst.Action) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -89,30 +86,6 @@ func actionFileName(lsn int64) string {
 
 func compactedFileName(start, end int64) string {
 	return fmt.Sprintf("%020d.%020d.compacted.json", start, end)
-}
-
-// scanNext returns one past the highest contiguous LSN present,
-// starting from 0. Files after a gap are unreachable by replay and are
-// ignored (a fresh process appends over the gap's position).
-func (l *TableLog) scanNext() (int64, error) {
-	present := map[int64]bool{}
-	entries, err := os.ReadDir(l.dir)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range entries {
-		if m := actionFileRe.FindStringSubmatch(e.Name()); m != nil {
-			n, err := strconv.ParseInt(m[1], 10, 64)
-			if err == nil {
-				present[n] = true
-			}
-		}
-	}
-	var next int64
-	for present[next] {
-		next++
-	}
-	return next, nil
 }
 
 // OpenTable reconstructs a table from its persisted directory (the
@@ -202,24 +175,11 @@ func openTable(dir string, fs *storage.NameNode, clock *sim.Clock, useCompacted 
 			break // torn tail write: the action never became durable
 		}
 		if table == nil {
-			switch {
-			case a.Kind == lst.ActionCreate:
-				t, err := lst.ReplayCreate(a, fs, clock)
-				if err != nil {
-					return nil, nil, err
-				}
-				table = t
-			case a.Kind == lst.ActionCheckpoint && a.State != nil:
-				// A bootstrap record: a table attached to the log with
-				// pre-log history starts with a state-bearing checkpoint
-				// instead of a create action.
-				t, err := lst.FromState(a.State, fs, clock)
-				if err != nil {
-					return nil, nil, fmt.Errorf("lstlog: restoring bootstrap lsn %d: %w", lsn, err)
-				}
-				table = t
-			default:
+			if a.Kind != lst.ActionCreate {
 				return nil, nil, fmt.Errorf("lstlog: log starts with %q, want %q", a.Kind, lst.ActionCreate)
+			}
+			if table, err = lst.ReplayCreate(a, fs, clock); err != nil {
+				return nil, nil, err
 			}
 		} else if err := table.Apply(a); err != nil {
 			return nil, nil, fmt.Errorf("lstlog: applying lsn %d: %w", lsn, err)
