@@ -300,7 +300,11 @@ func (cp *ControlPlane) TableCount() int {
 // Once the table is unregistered its commit hook is detached (a stale
 // handle can no longer publish) and the drop hook, when set, is
 // notified — even when a storage deletion fails, so the changefeed
-// never keeps a phantom table the catalog no longer knows.
+// never keeps a phantom table the catalog no longer knows. A logged
+// table leaves the manifest before its log directory is removed: a crash
+// in between leaves an orphan directory, which Restore ignores and the
+// next CreateTable of the name clears, never a manifest naming a table
+// with no log. If the manifest cannot be written, the log stays.
 func (cp *ControlPlane) DropTable(db, name string) error {
 	dropped, err := cp.dropTable(db, name)
 	if dropped == nil {
@@ -310,11 +314,12 @@ func (cp *ControlPlane) DropTable(db, name string) error {
 	dropped.SetActionSink(nil)
 	cp.mu.Lock()
 	if cp.log != nil {
-		if rmErr := cp.log.RemoveTable(db, name); rmErr != nil && err == nil {
+		if pErr := cp.saveManifestLocked(); pErr != nil {
+			if err == nil {
+				err = pErr
+			}
+		} else if rmErr := cp.log.RemoveTable(db, name); rmErr != nil && err == nil {
 			err = rmErr
-		}
-		if pErr := cp.saveManifestLocked(); pErr != nil && err == nil {
-			err = pErr
 		}
 	}
 	hook := cp.dropHook

@@ -374,6 +374,93 @@ func TestPersistCatalogDropTable(t *testing.T) {
 	}
 }
 
+// TestPersistDropTableCrashStates rebuilds the two states a crash
+// between DropTable's two writes can leave, and restores each. Manifest
+// first, DropTable's order, leaves an orphan log directory: the lake
+// restores without the table, and creating the table again clears the
+// orphan. Log first leaves a manifest naming a table with no log, and the
+// whole restore fails. A DropTable whose manifest write fails keeps the
+// table's log, so the manifest that still names it stays restorable.
+func TestPersistDropTableCrashStates(t *testing.T) {
+	root := t.TempDir()
+	store := logLake(t, root, "sales", "orders", "refunds")
+	manifest := filepath.Join(root, "_catalog.json")
+	tableDir := store.TableDir("sales", "refunds")
+	restore := func() (*catalog.ControlPlane, error) {
+		fs, clock := newEnv()
+		return catalog.Restore(store, fs, clock)
+	}
+	pre := treeFiles(t, root)
+	cp, err := restore()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.DropTable("sales", "refunds"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Manifest written, log not yet removed.
+	for path, data := range pre {
+		if strings.HasPrefix(path, tableDir+string(filepath.Separator)) {
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cp, err = restore()
+	if err != nil {
+		t.Fatalf("manifest-first crash state does not restore: %v", err)
+	}
+	if _, err := cp.Table("sales", "refunds"); !errors.Is(err, catalog.ErrTableNotFound) {
+		t.Fatalf("dropped table survived the manifest-first crash: %v", err)
+	}
+	mustTable(t, cp, "sales.orders")
+	if _, err := cp.CreateTable("sales", lst.TableConfig{Name: "refunds"}); err != nil {
+		t.Fatalf("recreating over the orphan: %v", err)
+	}
+	if cp, err = restore(); err != nil {
+		t.Fatal(err)
+	}
+	if n := mustTable(t, cp, "sales.refunds").FileCount(); n != 0 {
+		t.Fatalf("recreated table restored with %d files of the orphan's history", n)
+	}
+
+	// Log removed, manifest not yet written.
+	if err := os.RemoveAll(tableDir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifest, []byte(pre[manifest]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restore(); err == nil || !strings.Contains(err.Error(), "refunds") {
+		t.Fatalf("log-first crash state restored: %v", err)
+	}
+
+	// A manifest write that fails (a directory in the manifest's place)
+	// must leave the log in place.
+	root = t.TempDir()
+	store = logLake(t, root, "sales", "orders", "refunds")
+	if cp, err = restore(); err != nil {
+		t.Fatal(err)
+	}
+	manifest = filepath.Join(root, "_catalog.json")
+	if err := os.Remove(manifest); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(manifest, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.DropTable("sales", "refunds"); err == nil {
+		t.Fatal("DropTable reported success without writing the manifest")
+	}
+	if _, err := os.Stat(store.TableDir("sales", "refunds")); err != nil {
+		t.Fatalf("DropTable removed the log of a table the manifest still names: %v", err)
+	}
+}
+
 // logLake builds a logged lake at root holding one database with the
 // named tables, each with one committed file, and returns its store.
 func logLake(tb testing.TB, root, db string, tables ...string) *lstlog.Store {

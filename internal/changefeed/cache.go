@@ -23,12 +23,19 @@ func unitOf(c *core.Candidate) unit {
 	return u
 }
 
-// cacheEntry is one cached observation: a work unit's statistics at a
-// table version.
+// cacheEntry is one work unit's cached observation: the stamp of the
+// candidate whose Stats hold it. The Stats themselves stay in that
+// candidate, so the entry carries only what the accounting needs.
 type cacheEntry struct {
-	unit    unit
-	version int64
-	stats   core.Stats
+	unit  unit
+	stamp *core.Stamp
+}
+
+// bind makes s vouch for c's Stats as the observation at version.
+func bind(s *core.Stamp, c *core.Candidate, version int64) {
+	s.Version = version
+	s.Owner.Store(c)
+	c.Stamp = s
 }
 
 // CacheCounters is a snapshot of the cache's accounting.
@@ -41,24 +48,28 @@ type CacheCounters struct {
 }
 
 // StatsCache is the stats-cache view of the feed's index: observe-phase
-// statistics keyed by table, work unit and table version. Each table's
-// record holds its observations in a short slice, one entry per work
-// unit, so a lookup scans only its own table's units. Commit events
-// invalidate a table's entries in O(1); version keying covers any
-// invalidation that never arrives. Accounting lives in cache-level
-// atomics and is unchanged by striping. All methods are safe for
+// statistics keyed by table, work unit and table version. A cached
+// observation is one record with the candidate that made it: the
+// candidate keeps the Stats and a stamp, and each table's record keeps
+// the stamps in a short slice, one per work unit, so a lookup scans only
+// its own table's units. Commit events revoke a table's stamps in O(its
+// units); version keying covers any invalidation that never arrives.
+// Hits are counted on the index stripes, the rest in cache-level
+// atomics; all are unchanged by striping. All methods are safe for
 // concurrent use.
 type StatsCache struct {
-	idx          index
-	hits, misses atomic.Int64
-	entries      atomic.Int64
+	idx     index
+	misses  atomic.Int64
+	entries atomic.Int64
 }
 
-// lookup serves work unit u of table at version from the cache under
-// one stripe lock. On a miss it returns the table's record and its
-// invalidation epoch for put; a nil record means the table has left the
-// index (dropped mid-cycle) and the observation is not cached.
-func (sc *StatsCache) lookup(table string, u unit, version int64) (core.Stats, bool, *tableRecord, int64) {
+// lookup serves candidate c's work unit u at version from the cache
+// under one stripe lock: when the unit's cached observation is at
+// version, c adopts it and lookup reports a hit. On a miss it returns the
+// table's record and its invalidation epoch for put; a nil record means
+// the table has left the index (dropped mid-cycle) and the observation
+// is not cached.
+func (sc *StatsCache) lookup(table string, c *core.Candidate, u unit, version int64) (bool, *tableRecord, int64) {
 	st := sc.idx.of(table)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -66,22 +77,23 @@ func (sc *StatsCache) lookup(table string, u unit, version int64) (core.Stats, b
 	var epoch int64
 	if r != nil {
 		p := r.poolOf()
-		if e := p.entry(u); e != nil && e.version == version {
-			sc.hits.Add(1)
+		if p.adoptLocked(c, u, version) {
+			st.hits.Add(1)
 			mCacheHits.Inc()
-			return e.stats, true, nil, 0
+			return true, nil, 0
 		}
 		epoch = p.epoch
 	}
 	sc.misses.Add(1)
 	mCacheMisses.Inc()
-	return core.Stats{}, false, r, epoch
+	return false, r, epoch
 }
 
-// put records the stats observed for work unit u of table at version,
-// unless r has left the index or an invalidation landed since lookup
-// captured epoch.
-func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, u unit, version int64, s core.Stats) {
+// put caches c's Stats as the observation of work unit u of table at
+// version, unless r has left the index or an invalidation landed since
+// lookup captured epoch. The unit's stamp passes to c, so it stops
+// vouching for any other candidate's Stats.
+func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, u unit, version int64, c *core.Candidate) {
 	if r == nil {
 		return
 	}
@@ -92,10 +104,12 @@ func (sc *StatsCache) put(table string, r *tableRecord, epoch int64, u unit, ver
 		return
 	}
 	if e := r.pool.entry(u); e != nil {
-		e.version, e.stats = version, s
+		bind(e.stamp, c, version)
 		return
 	}
-	r.pool.cached = append(r.pool.cached, cacheEntry{unit: u, version: version, stats: s})
+	s := &core.Stamp{Hits: &st.hits}
+	bind(s, c, version)
+	r.pool.cached = append(r.pool.cached, cacheEntry{unit: u, stamp: s})
 	mCacheEntries.Set(float64(sc.entries.Add(1)))
 }
 
@@ -113,8 +127,8 @@ func (sc *StatsCache) MaxVersions() map[string]int64 {
 			}
 			var max int64 = -1
 			for _, e := range r.pool.cached {
-				if e.version > max {
-					max = e.version
+				if e.stamp.Version > max {
+					max = e.stamp.Version
 				}
 			}
 			out[name] = max
@@ -126,18 +140,28 @@ func (sc *StatsCache) MaxVersions() map[string]int64 {
 
 // Counters returns a snapshot of the cache accounting.
 func (sc *StatsCache) Counters() CacheCounters {
+	var hits int64
+	for _, st := range sc.idx {
+		hits += st.hits.Load()
+	}
 	return CacheCounters{
-		Hits:    sc.hits.Load(),
+		Hits:    hits,
 		Misses:  sc.misses.Load(),
 		Entries: int(sc.entries.Load()),
 	}
 }
 
 // CachingObserver consults the stats cache before falling back to the
-// full (expensive) observer: a hit serves the cached statistics with
-// quota utilization re-read, a miss delegates to Inner and caches the
-// result at the table's current version. Tables that do not expose a
-// version bypass the cache entirely.
+// full (expensive) observer. A candidate whose own stamp still holds at
+// its table's version is a hit served from its Stats alone, with no
+// index lookup; any other candidate looks its work unit up under the
+// table's stripe lock and adopts another candidate's observation at
+// that version, or misses, observes through Inner and is stamped with
+// the result. A hit re-reads quota utilization. Tables that do not
+// expose a version bypass the cache entirely. Observe fills c.Stats
+// itself; calls for candidates of one table must not overlap, which
+// holds for core's serial decide and for decideshard, whose shards
+// partition tables.
 type CachingObserver struct {
 	// Inner is the full observer consulted on a miss.
 	Inner core.Observer
@@ -150,34 +174,41 @@ type CachingObserver struct {
 	Quota func(db string) float64
 }
 
-// Observe implements core.Observer. Entries are keyed by the table's
-// core.Versioned version: an entry recorded at an older version misses,
-// so a missed invalidation degrades to a re-observation, never to
-// serving stale statistics for a version-advancing change.
+// Observe implements core.Observer. Observations are keyed by the
+// table's core.Versioned version: one stamped at an older version
+// misses, so a missed invalidation degrades to a re-observation, never
+// to serving stale statistics for a version-advancing change.
 func (o CachingObserver) Observe(c *core.Candidate) (core.Stats, error) {
 	v, ok := c.Table.(core.Versioned)
 	if !ok || o.Cache == nil {
 		return o.Inner.Observe(c)
 	}
-	table, u := c.Table.FullName(), unitOf(c)
-	// The lookup captures the invalidation epoch before the observation,
-	// so an invalidation racing this observe drops the put instead of
-	// caching pre-mutation stats under a still-current version. The
-	// version is read first, outside the stripe lock: a version advance
-	// landing in between files the fresh stats under the older version,
-	// which no later lookup asks for.
+	// The version is read first, outside any lock: a version advance
+	// landing before the lookup files the fresh stats under the older
+	// version, which no later lookup asks for.
 	version := v.Version()
-	s, hit, r, epoch := o.Cache.lookup(table, u, version)
-	if hit {
-		if o.Quota != nil && c.Action == core.ActionDataCompaction {
-			s.QuotaUtilization = o.Quota(c.Table.Database())
+	if s := c.Stamp; s != nil && s.Owner.Load() == c && s.Version == version {
+		s.Hits.Add(1)
+		mCacheHits.Inc()
+	} else {
+		// The lookup captures the invalidation epoch before the
+		// observation, so an invalidation racing this observe drops the
+		// put instead of caching pre-mutation stats under a
+		// still-current version.
+		table, u := c.Table.FullName(), unitOf(c)
+		hit, r, epoch := o.Cache.lookup(table, c, u, version)
+		if !hit {
+			s, err := o.Inner.Observe(c)
+			if err != nil {
+				return s, err
+			}
+			c.Stats = s
+			o.Cache.put(table, r, epoch, u, version, c)
+			return s, nil
 		}
-		return s, nil
 	}
-	s, err := o.Inner.Observe(c)
-	if err != nil {
-		return s, err
+	if o.Quota != nil && c.Action == core.ActionDataCompaction {
+		c.Stats.QuotaUtilization = o.Quota(c.Table.Database())
 	}
-	o.Cache.put(table, r, epoch, u, version, s)
-	return s, nil
+	return c.Stats, nil
 }

@@ -38,9 +38,9 @@
 //
 // One index: the feed keeps everything it knows about a table — its
 // reference, pending trigger activity, dirty flag, cache invalidation
-// epoch, cached observations and retained candidates — in one record,
-// and the records in one map striped S ways by core.ShardOf on the
-// table name. That is the hash the sharded decide plane
+// epoch, retained candidates and the stamps of their observations — in
+// one record, and the records in one map striped S ways by core.ShardOf
+// on the table name. That is the hash the sharded decide plane
 // (internal/decideshard) partitions tables with, so a decide shard
 // generates and observes on a stripe no other shard touches and the
 // decide fan-out never serializes on a global mutex. A commit event is
@@ -50,6 +50,18 @@
 // Tracker and StatsCache are accounting views over the index whose
 // counters aggregate across stripes. NewFeedSharded sizes the stripe
 // count from the decide shard count; a serial pipeline passes 1.
+//
+// One record per observation: a retained candidate and its cache entry
+// are the same record. The candidate keeps the Stats of its last
+// observation and a core.Stamp holding the table version they were
+// observed at; the table's record keeps one stamp per work unit, which
+// the table's next invalidation revokes, and regeneration hands a
+// still-valid stamp and its Stats to the fresh candidate of the same
+// work unit. A clean table's candidate is therefore a cache hit served
+// from its own stamp and its table's version, with no index lookup, so
+// decide's per-cycle cost follows the trigger (the dirty tables plus
+// one version check per retained candidate), not a lookup per retained
+// candidate.
 package changefeed
 
 import (

@@ -240,7 +240,9 @@ func (g *IncrementalGenerator) ShardCandidates(shard, shards int, tables []core.
 	// Replace the regenerated tables' candidates (a table whose state no
 	// longer yields candidates drops out of the pool), keep the rest. A
 	// table dropped since the connector served it has no record and
-	// retains nothing.
+	// retains nothing. A fresh candidate takes over its work unit's
+	// cached observation while that is at the table's current version,
+	// so its observe is a hit served by its own stamp.
 	for _, t := range tables {
 		if r := st.tables[t.FullName()]; r != nil {
 			st.releaseLocked(r)
@@ -249,6 +251,9 @@ func (g *IncrementalGenerator) ShardCandidates(shard, shards int, tables []core.
 	for _, c := range fresh {
 		if r := st.tables[c.Table.FullName()]; r != nil {
 			st.retainLocked(r, c)
+			if v, ok := c.Table.(core.Versioned); ok {
+				r.pool.adoptLocked(c, unitOf(c), v.Version())
+			}
 		}
 	}
 	out := make([]*core.Candidate, 0, st.retained.Load())

@@ -30,12 +30,12 @@ type poolState struct {
 	// pre-mutation stats under the still-current version, where no later
 	// version advance would ever evict them.
 	epoch int64
-	// cached holds one observation per work unit, in the order they
-	// were first observed.
+	// cached holds one observation per work unit, in the order the
+	// units were first observed: the stamp of the candidate holding it.
 	cached []cacheEntry
 	// retained holds the candidates emitted at the table's last
-	// (re)generation; clean tables re-enter the pool from here with
-	// stats served by the cache.
+	// (re)generation; clean tables re-enter the pool from here and are
+	// served by their stamps.
 	retained []*core.Candidate
 }
 
@@ -47,6 +47,31 @@ func (p *poolState) entry(u unit) *cacheEntry {
 		}
 	}
 	return nil
+}
+
+// adoptLocked hands c work unit u's cached observation when it is at
+// version: c takes the Stats of the candidate the unit's stamp vouches
+// for, and the stamp with them. It reports whether there was one to
+// take. The caller holds the stripe lock.
+func (p *poolState) adoptLocked(c *core.Candidate, u unit, version int64) bool {
+	e := p.entry(u)
+	if e == nil || e.stamp.Version != version {
+		return false
+	}
+	c.Stats = e.stamp.Owner.Load().Stats
+	bind(e.stamp, c, version)
+	return true
+}
+
+// revokeLocked drops the cached observations, revoking their stamps,
+// and returns how many it dropped. The caller holds the stripe lock.
+func (p *poolState) revokeLocked() int {
+	for _, e := range p.cached {
+		e.stamp.Owner.Store(nil)
+	}
+	n := len(p.cached)
+	p.cached = nil
+	return n
 }
 
 // poolOf returns r's pool state, allocating it on first use.
@@ -72,6 +97,10 @@ type stripe struct {
 	// and the tables holding any. They are written under mu and read
 	// without it, so pool accounting never takes a stripe lock.
 	retained, retainedTables atomic.Int64
+	// hits counts the stats-cache hits on the stripe's tables. A hit
+	// served by a stamp adds to it without the lock, and only the decide
+	// shard that owns the stripe does, so shards never share a counter.
+	hits atomic.Int64
 }
 
 // retainLocked appends c to r's retained candidates.
@@ -151,8 +180,7 @@ func (f *Feed) Publish(e Event) {
 		r.ref = e.Ref
 	}
 	if p := r.pool; p != nil {
-		f.Cache.entries.Add(-int64(len(p.cached)))
-		p.cached = nil
+		f.Cache.entries.Add(-int64(p.revokeLocked()))
 		p.epoch++
 	}
 	mCacheEntries.Set(float64(f.Cache.entries.Load()))
@@ -173,13 +201,14 @@ func (f *Feed) Publish(e Event) {
 }
 
 // forgetLocked takes r's dirty flag, cached observations and retained
-// candidates out of the accounting; the caller deletes r from st.
+// candidates out of the accounting and revokes its stamps; the caller
+// deletes r from st.
 func (f *Feed) forgetLocked(st *stripe, r *tableRecord) {
 	if r.dirty {
 		mDirtyTables.Set(float64(f.Tracker.dirtyNow.Add(-1)))
 	}
 	if r.pool != nil {
-		f.Cache.entries.Add(-int64(len(r.pool.cached)))
+		f.Cache.entries.Add(-int64(r.pool.revokeLocked()))
 		st.releaseLocked(r)
 	}
 }

@@ -56,7 +56,7 @@ type Connector interface {
 // checkpointing, manifest rewriting — that all compete for the same
 // compute budget in one ranking (the paper's cause (iv): per-commit
 // metadata files are themselves small files).
-type ActionType int
+type ActionType uint8
 
 // Maintenance action types. ActionDataCompaction is the zero value so
 // every pre-existing candidate path keeps its meaning unchanged.
@@ -100,7 +100,7 @@ func ActionTypes() []ActionType {
 }
 
 // Scope is the granularity of a compaction work unit (FR1).
-type Scope int
+type Scope uint8
 
 // Candidate scopes (§4.1).
 const (
@@ -142,6 +142,8 @@ type Candidate struct {
 	FreshSince time.Duration
 
 	Stats Stats
+	// Stamp is set by a caching observer that filled Stats (see Stamp).
+	Stamp *Stamp
 	// TraitSet numbers Traits' slots; Orient sets both.
 	TraitSet *TraitSet
 	// Traits holds the orient phase's values, indexed by TraitSet slot.

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"autocomp/internal/catalog"
 	"autocomp/internal/cluster"
@@ -89,6 +90,19 @@ func (l *lake) observer() StatsObserver {
 	return StatsObserver{
 		TargetFileSize: target,
 		Quota:          l.cp.QuotaUtilization,
+	}
+}
+
+// TestCandidateSizeClasses pins the sizes ROADMAP's Watch entry "Size
+// classes" relies on: a Candidate fills the 208-byte allocation size
+// class exactly, so one more field in it or in Stats moves every
+// candidate to the 224 class, about 1.6 MB at 100k candidates.
+func TestCandidateSizeClasses(t *testing.T) {
+	if got := unsafe.Sizeof(Candidate{}); got != 208 {
+		t.Errorf("Candidate is %d bytes, want 208: see ROADMAP Watch, \"Size classes\"", got)
+	}
+	if got := unsafe.Sizeof(Stats{}); got != 112 {
+		t.Errorf("Stats is %d bytes, want 112: see ROADMAP Watch, \"Size classes\"", got)
 	}
 }
 

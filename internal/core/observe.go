@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"time"
 )
 
@@ -52,6 +53,21 @@ type Stats struct {
 // Observer extracts statistics for a candidate (the observe phase).
 type Observer interface {
 	Observe(c *Candidate) (Stats, error)
+}
+
+// Stamp vouches for one candidate's Stats on behalf of the caching
+// observer that filled them (changefeed.CachingObserver): while Owner is
+// that candidate and Version is still its table's version, the Stats are
+// its work unit's current observation, and the observer serves them
+// again without observing. The table's next cache invalidation revokes
+// the stamp by clearing Owner. Nothing else in the pipeline reads it.
+type Stamp struct {
+	// Version is the table version Owner's Stats were observed at.
+	Version int64
+	// Owner is the one candidate whose Stats the stamp vouches for.
+	Owner atomic.Pointer[Candidate]
+	// Hits counts the observations served on the issuer's stamps.
+	Hits *atomic.Int64
 }
 
 // StatsObserver is the default observer: it derives the standard layout

@@ -307,11 +307,13 @@ func withProcs(t *testing.T, fn func(t *testing.T, procs int)) {
 
 // requireGoroutines requires the goroutine count to come back to want.
 // A helper that has closed its channel is counted until it returns, so
-// the check yields to it a bounded number of times before failing.
+// the check polls until a 10 s deadline before failing: a count of
+// yields is not a bound on a loaded machine under the race detector.
 func requireGoroutines(t *testing.T, want int) {
 	t.Helper()
-	for i := 0; runtime.NumGoroutine() != want; i++ {
-		if i == 10000 {
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() != want {
+		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the stream returned, want %d", runtime.NumGoroutine(), want)
 		}
 		runtime.Gosched()

@@ -201,6 +201,75 @@ func TestReplayTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestReplayRefilledGapDropsLaterFiles deletes LSN 5 of a ten-action
+// log, recovers (the table at version 4, the log at LSN 5), commits once
+// and reopens: the reopened table must be the recovered table plus that
+// commit, not the old actions past the gap replayed on top of it. Opening
+// deletes nothing; the append that refills the gap does.
+func TestReplayRefilledGapDropsLaterFiles(t *testing.T) {
+	store, err := Open(Config{Root: t.TempDir(), Fsync: FsyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, clock := newEnv()
+	tbl, err := lst.NewTable(lst.TableConfig{Database: "db", Name: "events"}, fs, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	log, err := store.CreateTableLog("db", "events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log.Append(tbl.CreateAction()); err != nil {
+		t.Fatal(err)
+	}
+	tbl.SetActionSink(log.Sink())
+	commit := func(tbl *lst.Table, clock *sim.Clock) {
+		t.Helper()
+		clock.Advance(time.Minute)
+		if _, err := tbl.AppendFiles([]lst.FileSpec{{SizeBytes: 4 * storage.MB, RowCount: 100}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 9 {
+		commit(tbl, clock)
+	}
+	logDir := filepath.Join(store.TableDir("db", "events"), logDirName)
+	if err := os.Remove(filepath.Join(logDir, actionFileName(5))); err != nil {
+		t.Fatal(err)
+	}
+	later := filepath.Join(logDir, actionFileName(9))
+
+	fs2, clock2 := newEnv()
+	clock2.Set(clock.Now())
+	got, log2, err := store.OpenTable("db", "events", fs2, clock2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := got.Version(); v != 4 || log2.NextLSN() != 5 {
+		t.Fatalf("recovered version %d, next LSN %d; want 4 and 5", v, log2.NextLSN())
+	}
+	if _, err := os.Stat(later); err != nil {
+		t.Fatalf("opening the log deleted a file: %v", err)
+	}
+	got.SetActionSink(log2.Sink())
+	commit(got, clock2)
+
+	fs3, clock3 := newEnv()
+	clock3.Set(clock2.Now())
+	again, _, err := store.OpenTable("db", "events", fs3, clock3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := again.Version(); v != 5 {
+		t.Fatalf("reopened at version %d after one commit on version 4", v)
+	}
+	mustEqualStates(t, got.State(), again.State(), "reopened after refilling the gap")
+	if _, err := os.Stat(later); !os.IsNotExist(err) {
+		t.Fatalf("the append that refilled the gap left %s: %v", filepath.Base(later), err)
+	}
+}
+
 // TestReplayMissingCompacted deletes the compacted artifact newer
 // versions reference and requires recovery to fall back to a full-tail
 // replay with identical results.

@@ -9,6 +9,7 @@ import (
 	"regexp"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"autocomp/internal/lst"
@@ -28,6 +29,11 @@ type TableLog struct {
 	dir   string
 	fsync bool
 	next  int64
+	// stale names the action files recovery found past the LSN the log
+	// resumed at: the history after a gap or a torn action file. The
+	// next append deletes them before it refills the gap, so no later
+	// recovery replays them on top of the new actions.
+	stale []string
 }
 
 // compactedArtifact is the payload of a NNNN.NNNN.compacted.json file:
@@ -62,6 +68,11 @@ func (l *TableLog) Append(a lst.Action) error {
 	if err != nil {
 		return fmt.Errorf("lstlog: encoding action: %w", err)
 	}
+	if len(l.stale) > 0 {
+		if err := l.dropStaleLocked(); err != nil {
+			return fmt.Errorf("lstlog: clearing the log past lsn %d: %w", lsn, err)
+		}
+	}
 	if err := writeFileAtomic(filepath.Join(l.dir, actionFileName(lsn)), writeBytes(append(data, '\n')), l.fsync); err != nil {
 		return fmt.Errorf("lstlog: appending lsn %d: %w", lsn, err)
 	}
@@ -80,6 +91,32 @@ func (l *TableLog) Append(a lst.Action) error {
 	return nil
 }
 
+// dropStaleLocked deletes the stale files and, under the fsync policy,
+// makes the deletions durable before the append that refills the gap
+// can be. The caller holds l.mu.
+func (l *TableLog) dropStaleLocked() error {
+	for _, name := range l.stale {
+		if err := os.Remove(filepath.Join(l.dir, name)); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return err
+		}
+	}
+	if l.fsync {
+		d, err := os.Open(l.dir)
+		if err != nil {
+			return err
+		}
+		err = d.Sync()
+		if cerr := d.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			return err
+		}
+	}
+	l.stale = nil
+	return nil
+}
+
 func actionFileName(lsn int64) string {
 	return fmt.Sprintf("%020d.json", lsn)
 }
@@ -93,11 +130,12 @@ func compactedFileName(start, end int64) string {
 // recreating its storage objects in fs. Recovery prefers the newest
 // parseable compacted artifact and replays only the action tail after
 // it; a missing or corrupt artifact falls back to the next older one
-// and finally to a full replay from LSN 0 (action files are never
-// pruned). Replay stops at the first missing or torn action file — the
-// crash signature — so the table resumes from its last durable version.
-// The returned TableLog appends after the last applied LSN; attach its
-// Sink to the table to continue logging.
+// and finally to a full replay from LSN 0 (action files before the
+// durable end are never pruned). Replay stops at the first missing or
+// torn action file — the crash signature — so the table resumes from
+// its last durable version. The returned TableLog appends after the last
+// applied LSN, and its first append deletes the action files past it;
+// attach its Sink to the table to continue logging.
 func OpenTable(dir string, fs *storage.NameNode, clock *sim.Clock) (*lst.Table, *TableLog, error) {
 	return openTable(dir, fs, clock, true)
 }
@@ -189,8 +227,25 @@ func openTable(dir string, fs *storage.NameNode, clock *sim.Clock, useCompacted 
 	if table == nil {
 		return nil, nil, fmt.Errorf("lstlog: %s holds no replayable log", logDir)
 	}
-	// Note the log resumes at last+1 even when later (post-gap or torn)
-	// files exist on disk: they were never durable, and the atomic
-	// rename on append simply replaces them.
-	return table, &TableLog{dir: logDir, next: last + 1}, nil
+	// The log resumes at last+1 even when later action files exist on
+	// disk: they were never durable. The append at last+1 replaces a
+	// torn file there atomically; the files above it are left for that
+	// append to delete, so opening stays read-only.
+	l := &TableLog{dir: logDir, next: last + 1}
+	for _, e := range entries {
+		if lsn, ok := actionLSN(e.Name()); ok && lsn > last+1 {
+			l.stale = append(l.stale, e.Name())
+		}
+	}
+	return table, l, nil
+}
+
+// actionLSN parses the LSN out of an action file's name, %020d.json.
+func actionLSN(name string) (int64, bool) {
+	digits, ok := strings.CutSuffix(name, ".json")
+	if !ok || len(digits) != 20 {
+		return 0, false
+	}
+	lsn, err := strconv.ParseUint(digits, 10, 63)
+	return int64(lsn), err == nil
 }
